@@ -2,8 +2,10 @@
 
 Library layout:
 
-- graph: edge-list ingestion, WC/TV probability transforms, residual graphs
-- diffusion: per-replicate and vectorized batch IC simulation, spread estimators
+- graph: CSR graph core, edge-list ingestion, WC/TV probability transforms,
+  residual graphs sliced from the parent's arrays
+- diffusion: one per-edge frontier IC sampler (batch and one-replicate views),
+  spread estimators
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)

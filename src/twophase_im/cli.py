@@ -101,7 +101,9 @@ def _labels(graph, ids):
 
 
 def _decay(delta):
-    return None if delta is None or delta >= 1.0 else DecayFunction.exponential(delta)
+    if delta is not None and not 0.0 <= delta <= 1.0:
+        raise ValueError(f"--delta {delta} outside [0, 1]")
+    return None if delta is None or delta == 1.0 else DecayFunction.exponential(delta)
 
 
 # -- core runners (shared by commands and rerun) ---------------------------

@@ -2,13 +2,15 @@
 
 Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
-on-activation, which is equivalent to pre-sampling a live graph.
+on-activation, which is equivalent to pre-sampling a live graph. One
+sampler, ``simulate_batch``, walks the frontier's out-edges in the graph's
+CSR arrays; ``simulate_ic`` is its one-replicate view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +27,13 @@ TAG_RMAX = 4
 TAG_SPIC = 5
 TAG_PROBE = 6
 
-CHUNK = 4096       # replicates per derived RNG stream in batch simulation
-DENSE_LIMIT = 600  # above this node count, use sparse matrices
+CHUNK = 4096             # most replicates per derived RNG stream in batch simulation
+BATCH_BYTES = 32 << 20   # budget for one chunk's (reps, n) int32 times matrix
+
+
+def chunk_size(n: int) -> int:
+    """Replicates per chunk: CHUNK, or fewer so the times matrix fits BATCH_BYTES."""
+    return max(1, min(CHUNK, BATCH_BYTES // (4 * max(n, 1))))
 
 
 def stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
@@ -127,30 +134,9 @@ def _check_seeds(graph: InfluenceGraph, seeds) -> list:
 
 def simulate_ic(graph: InfluenceGraph, seeds, rng: np.random.Generator,
                 stop_at: int | None = None) -> DiffusionTrace:
-    """One IC replicate; returns the full activation-time trace.
-
-    Within a step, recently activated nodes attempt in ascending id order
-    (outcome-neutral under IC, but fixes traces bit-exactly).
-    """
-    seeds = _check_seeds(graph, seeds)
-    if stop_at is None:
-        stop_at = graph.n
-    times = np.full(graph.n, NEVER, dtype=np.int32)
-    if not seeds:
-        return DiffusionTrace(times)
-    times[seeds] = 0
-    frontier = seeds
-    t = 0
-    while frontier and t < stop_at:
-        t += 1
-        nxt = []
-        for u in frontier:
-            for v, p in graph.out_edges[u]:
-                if times[v] == NEVER and rng.random() < p:
-                    times[v] = t
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    return DiffusionTrace(times)
+    """One IC replicate; returns the full activation-time trace. The same
+    draws as row 0 of ``simulate_batch`` with one replicate."""
+    return DiffusionTrace(simulate_batch(graph, seeds, rng, 1, stop_at=stop_at)[0])
 
 
 def observe_at(trace: DiffusionTrace, d: int) -> Observation:
@@ -165,57 +151,16 @@ def observe_at(trace: DiffusionTrace, d: int) -> Observation:
                        recent=frozenset(int(v) for v in recent))
 
 
-class _SimMatrices:
-    """Cached per-graph matrices for vectorized batch simulation.
-
-    L[u, v] = log(1 - p_uv) for p < 1 (so survival of v against frontier F is
-    exp(sum_{u in F} L[u, v])); B marks probability-1 edges separately since
-    log(0) cannot enter the matmul.
-    """
-
-    def __init__(self, graph: InfluenceGraph):
-        n = graph.n
-        self.n = n
-        rows, cols, vals = [], [], []
-        brows, bcols = [], []
-        for u, adj in enumerate(graph.out_edges):
-            for v, p in adj:
-                if p >= 1.0:
-                    brows.append(u)
-                    bcols.append(v)
-                elif p > 0.0:
-                    rows.append(u)
-                    cols.append(v)
-                    vals.append(math.log1p(-p))
-        if n <= DENSE_LIMIT:
-            L = np.zeros((n, n))
-            L[rows, cols] = vals
-            B = np.zeros((n, n))
-            B[brows, bcols] = 1.0
-            self.L, self.B = L, B
-            self.sparse = False
-        else:
-            from scipy import sparse
-
-            self.L = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-            self.B = sparse.csr_matrix((np.ones(len(brows)), (brows, bcols)), shape=(n, n))
-            self.sparse = True
-        self.has_sure = bool(brows)
-
-
-def _sim_matrices(graph: InfluenceGraph) -> _SimMatrices:
-    if graph._sim_cache is None:
-        graph._sim_cache = _SimMatrices(graph)
-    return graph._sim_cache
-
-
 def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
                    reps: int, stop_at: int | None = None) -> np.ndarray:
-    """Vectorized IC: returns a (reps, n) activation-time matrix.
+    """IC replicates; returns a (reps, n) activation-time matrix.
 
-    Per step, a node's activation probability against the frontier is
-    1 - prod(1 - p_uv), exact for independent per-edge trials since each
-    frontier node attempts each edge exactly once.
+    Per-edge frontier sampler: each step gathers the out-edges of every
+    (replicate, node) activated in the previous step, drops edges into nodes
+    already active in that replicate, draws one uniform per remaining edge
+    and activates the targets of the hits (``u < p``), each once. Frontier
+    entries are kept sorted by (replicate, node) and edges in CSR order, so
+    the draws are fixed by the stream alone.
     """
     seeds = _check_seeds(graph, seeds)
     n = graph.n
@@ -225,49 +170,52 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
     if not seeds or n == 0:
         return times
     times[:, seeds] = 0
-    mats = _sim_matrices(graph)
-    active = np.zeros((reps, n), dtype=bool)
-    active[:, seeds] = True
-    frontier = active.copy()
+    flat = times.reshape(-1)
+    indptr, degree, dst, prob = graph.indptr, graph.out_degrees, graph.dst, graph.p
+    # frontier as sorted flat keys replicate * n + node
+    key = (np.arange(0, reps * n, n)[:, None] + np.asarray(seeds)).ravel()
     t = 0
-    while t < stop_at:
-        live = frontier.any(axis=1)
-        if not live.any():
-            break
+    while key.size and t < stop_at:
         t += 1
-        u = rng.random((reps, n))
-        ffloat = frontier.astype(float)
-        logsurv = ffloat @ mats.L
-        if mats.sparse:
-            logsurv = np.asarray(logsurv)
-        prob = -np.expm1(logsurv)
-        hit = u < prob
-        if mats.has_sure:
-            sure = ffloat @ mats.B
-            if mats.sparse:
-                sure = np.asarray(sure)
-            hit |= sure > 0
-        newly = hit & ~active
-        times[newly] = t
-        active |= newly
-        frontier = newly
+        node = key % n
+        count = degree[node]
+        ends = count.cumsum()
+        total = int(ends[-1])
+        if total == 0:
+            break
+        # edge ids: indptr[node] + 0..count-1 for every frontier entry
+        edge = (indptr[node] - ends + count).repeat(count)
+        edge += np.arange(total)
+        key = (key - node).repeat(count)
+        key += dst[edge]
+        open_ = flat[key] == NEVER
+        key = key[open_]
+        key = key[rng.random(key.size) < prob[edge[open_]]]
+        key.sort()
+        if key.size > 1:
+            fresh = np.empty(key.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
+            key = key[fresh]
+        flat[key] = t
     return times
+
+
+def _batches(graph, seeds, sims, master_seed, tag, stop_at=None):
+    """Times matrices for ``sims`` replicates, one per derived stream
+    (master_seed, tag, chunk index), at most ``chunk_size(n)`` rows each."""
+    size = chunk_size(graph.n)
+    for idx, done in enumerate(range(0, sims, size)):
+        yield simulate_batch(graph, seeds, stream(master_seed, tag, idx),
+                             min(size, sims - done), stop_at=stop_at)
 
 
 def _batch_values(graph, seeds, sims, master_seed, tag, value_fn, stop_at=None):
     """Chunked batch simulation; value_fn maps a times matrix to per-replicate
     values. Deterministic given (graph, seeds, master_seed, sims)."""
-    vals = np.empty(sims)
-    done = 0
-    chunk_idx = 0
-    while done < sims:
-        reps = min(CHUNK, sims - done)
-        rng = stream(master_seed, tag, chunk_idx)
-        times = simulate_batch(graph, seeds, rng, reps, stop_at=stop_at)
-        vals[done:done + reps] = value_fn(times)
-        done += reps
-        chunk_idx += 1
-    return vals
+    return np.concatenate([value_fn(times) for times in
+                           _batches(graph, seeds, sims, master_seed, tag, stop_at)],
+                          dtype=np.float64)
 
 
 def _estimate(vals: np.ndarray) -> SpreadEstimate:

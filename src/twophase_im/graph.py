@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,53 +32,90 @@ class RawEdgeList:
         return bool(self.pairs) and self.pairs[0][2] is not None
 
 
-@dataclass
 class InfluenceGraph:
     """Directed weighted graph with per-edge influence probabilities.
 
     Node ids are dense 0..n-1; ``labels[i]`` maps back to the original
-    label. Immutable after construction (simulation caches attach lazily).
+    label. Edges live in flat CSR arrays: the out-edges of ``u`` sit at
+    positions ``indptr[u]:indptr[u + 1]`` of ``dst`` (target ids) and ``p``
+    (probabilities), in insertion order. The reverse index ``in_index`` and
+    the Python adjacency lists ``out_edges``/``in_edges`` are derived on
+    first use. Immutable after construction.
     """
 
-    n: int
-    labels: list
-    out_edges: list  # out_edges[u] = [(v, p), ...]
-    in_edges: list   # in_edges[v] = [(u, p), ...]
-    self_loops_dropped: int = 0
-    label_to_id: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.label_to_id:
-            self.label_to_id = {lab: i for i, lab in enumerate(self.labels)}
-        self._sim_cache = None
+    def __init__(self, n, labels, indptr, dst, p, self_loops_dropped=0):
+        self.n = n
+        self.labels = labels
+        self.indptr = indptr
+        self.dst = dst
+        self.p = p
+        self.self_loops_dropped = self_loops_dropped
         self._oracle = None
 
     @property
     def m(self) -> int:
-        return sum(len(adj) for adj in self.out_edges)
+        return len(self.dst)
+
+    @cached_property
+    def label_to_id(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def out_degrees(self) -> np.ndarray:
+        return self.indptr[1:] - self.indptr[:-1]
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """Source id of every edge, aligned with ``dst`` and ``p``."""
+        return np.arange(self.n, dtype=np.int64).repeat(self.out_degrees)
+
+    @cached_property
+    def in_index(self):
+        """(in_indptr, in_src, in_p): the in-edges of ``v`` sit at positions
+        ``in_indptr[v]:in_indptr[v + 1]``, grouped by target, ordered by source."""
+        order = self.dst.argsort(kind="stable")
+        in_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.bincount(self.dst, minlength=self.n).cumsum(out=in_indptr[1:])
+        return in_indptr, self.src[order], self.p[order]
+
+    @cached_property
+    def out_edges(self) -> list:
+        """out_edges[u] = [(v, p), ...] in insertion order."""
+        return _adjacency(self.indptr, self.dst, self.p)
+
+    @cached_property
+    def in_edges(self) -> list:
+        """in_edges[v] = [(u, p), ...] ordered by source id."""
+        return _adjacency(*self.in_index)
+
+    def out_prob_sums(self) -> np.ndarray:
+        """Sum of outgoing probabilities per node, summed in edge order."""
+        sums = np.bincount(self.src, weights=self.p, minlength=self.n)
+        return sums.astype(np.float64, copy=False)   # int64 when there are no edges
 
     def edges(self):
         """All (u, v, p) triples sorted by (u, v)."""
-        out = []
-        for u, adj in enumerate(self.out_edges):
-            for v, p in adj:
-                out.append((u, v, p))
-        out.sort(key=lambda e: (e[0], e[1]))
-        return out
+        return sorted(zip(self.src.tolist(), self.dst.tolist(), self.p.tolist()))
 
     def out_degree(self, u: int) -> int:
-        return len(self.out_edges[u])
+        return int(self.out_degrees[u])
 
     def max_degree(self) -> int:
         if self.n == 0:
             return 0
-        return max(len(self.out_edges[v]) + len(self.in_edges[v]) for v in range(self.n))
+        return int((self.out_degrees + np.diff(self.in_index[0])).max())
 
     def node_id(self, label) -> int:
         try:
             return self.label_to_id[label]
         except KeyError:
             raise GraphError(f"unknown node label: {label!r}") from None
+
+
+def _adjacency(indptr, ends, probs):
+    ends, probs = ends.tolist(), probs.tolist()
+    return [list(zip(ends[a:b], probs[a:b]))
+            for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
 def load_edge_list(path, directed: bool = True) -> RawEdgeList:
@@ -124,15 +162,17 @@ def _assign_ids(pairs):
 
 
 def _finish(n, labels, directed_edges, self_loops):
-    out_edges = [[] for _ in range(n)]
-    in_edges = [[] for _ in range(n)]
-    for u, v, p in directed_edges:
-        out_edges[u].append((v, p))
-        in_edges[v].append((u, p))
+    """CSR graph from (u, v, p) triples; a node's out-edges keep their order."""
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=3)
-    return InfluenceGraph(n=n, labels=labels, out_edges=out_edges, in_edges=in_edges,
-                          self_loops_dropped=self_loops)
+    src, dst, p = zip(*directed_edges) if directed_edges else ((), (), ())
+    src = np.array(src, dtype=np.int64)
+    order = src.argsort(kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(src, minlength=n).cumsum(out=indptr[1:])
+    return InfluenceGraph(n=n, labels=labels, indptr=indptr,
+                          dst=np.array(dst, dtype=np.int64)[order],
+                          p=np.array(p, dtype=np.float64)[order], self_loops_dropped=self_loops)
 
 
 def build_graph(raw: RawEdgeList) -> InfluenceGraph:
@@ -223,19 +263,24 @@ def residual_graph(graph: InfluenceGraph, already):
     """Remove the given nodes and their incident edges; re-index densely.
 
     Returns (subgraph, kept) where kept[i] is the original id of new node i.
+    The subgraph's arrays are sliced from the parent's with a keep-mask; with
+    nothing to remove, the parent itself is returned.
     """
-    removed = set(already)
-    kept = [v for v in range(graph.n) if v not in removed]
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = []
-    for old_u in kept:
-        u = remap[old_u]
-        for old_v, p in graph.out_edges[old_u]:
-            if old_v in removed:
-                continue
-            edges.append((u, remap[old_v], p))
-    sub = _finish(len(kept), [graph.labels[v] for v in kept], edges, 0)
-    return sub, np.array(kept, dtype=np.int64)
+    keep = np.ones(graph.n, dtype=bool)
+    keep[np.fromiter(already, dtype=np.int64)] = False
+    kept = np.flatnonzero(keep)
+    if len(kept) == graph.n:
+        return graph, kept
+    remap = keep.cumsum() - 1
+    edge_keep = keep[graph.src] & keep[graph.dst]
+    before = np.zeros(graph.m + 1, dtype=np.int64)
+    edge_keep.cumsum(out=before[1:])
+    indptr = before[graph.indptr[np.append(kept, graph.n)]]
+    labels = graph.labels
+    sub = InfluenceGraph(n=len(kept), labels=[labels[v] for v in kept.tolist()],
+                         indptr=indptr, dst=remap[graph.dst[edge_keep]],
+                         p=graph.p[edge_keep])
+    return sub, kept
 
 
 def save_graph(graph: InfluenceGraph, path) -> None:

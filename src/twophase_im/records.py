@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-RECORD_VERSION = 1
+RECORD_VERSION = 2  # 2: CSR frontier sampler streams
 LOCK_NAME = ".tpim.lock"
 
 
@@ -59,6 +59,22 @@ def output_lock(output_dir: Path):
             pass
 
 
+def _free_record_path(output_dir: Path, base: str) -> Path:
+    """``base.json``, else ``base-<i>.json`` for an unused i. Records written
+    in the same second are numbered 1, 2, ...; the number is found by doubling
+    and bisection, O(log k) probes for k such records, not one probe each."""
+    def numbered(i):
+        return output_dir / (f"{base}-{i}.json" if i else f"{base}.json")
+
+    lo, hi = 0, 0   # invariant once searching: numbered(lo) exists, numbered(hi) does not
+    while numbered(hi).exists():
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if numbered(mid).exists() else (lo, mid)
+    return numbered(hi)
+
+
 def write_record(output_dir: Path, command: str, params: dict, results: dict,
                  wall_time: float) -> Path:
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -69,13 +85,7 @@ def write_record(output_dir: Path, command: str, params: dict, results: dict,
         "results": results,
         "wall_time": wall_time,
     }
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = f"{command}-{stamp}"
-    path = output_dir / f"{base}.json"
-    i = 1
-    while path.exists():
-        path = output_dir / f"{base}-{i}.json"
-        i += 1
+    path = _free_record_path(output_dir, f"{command}-{time.strftime('%Y%m%d-%H%M%S')}")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -15,8 +15,7 @@ from .diffusion import (
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    simulate_batch,
-    stream,
+    _batches,
 )
 from .graph import InfluenceGraph
 from .selectors import select_wd
@@ -202,7 +201,7 @@ def estimate_D(graph: InfluenceGraph, k: int, mc: MonteCarloConfig | None = None
     mc = mc or MonteCarloConfig()
     k = max(1, min(k, graph.n))
     seeds = select_wd(graph, k).nodes
-    times = simulate_batch(graph, seeds, stream(mc.master_seed, TAG_PROBE),
-                           mc.phase1_sims)
-    horizon = int(times.max()) + margin
+    latest = max(int(times.max()) for times in
+                 _batches(graph, seeds, mc.phase1_sims, mc.master_seed, TAG_PROBE))
+    horizon = latest + margin
     return max(1, min(horizon, graph.n))

@@ -6,7 +6,7 @@ always broken toward the lowest node id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,22 +96,29 @@ def _check_budget(graph, k, reserve=0):
 # -- degree heuristics -----------------------------------------------------
 
 
-def _select_discount(graph: InfluenceGraph, k: int, weighted: bool) -> SeedSet:
-    score = np.zeros(graph.n)
-    for u, adj in enumerate(graph.out_edges):
-        score[u] = sum(p for _, p in adj) if weighted else len(adj)
+def _select_discount(graph: InfluenceGraph, k: int, weighted: bool,
+                     preselected=()) -> SeedSet:
+    """SD (unit weights) or WD (probabilities): repeatedly take the node with
+    the largest residual out-score, then discount each unpicked in-neighbor
+    by the edge's weight. ``preselected`` nodes are taken first, for free."""
+    score = graph.out_prob_sums() if weighted else graph.out_degrees.astype(float)
     removed = np.zeros(graph.n, dtype=bool)
+    in_indptr, in_src, in_p = graph.in_index
+
+    def take(u):
+        removed[u] = True
+        a, b = in_indptr[u], in_indptr[u + 1]
+        z = in_src[a:b]
+        live = ~removed[z]
+        score[z[live]] -= in_p[a:b][live] if weighted else 1.0
+
+    for u in preselected:
+        take(u)
     picked = []
     for _ in range(k):
-        best = -1
-        for v in range(graph.n):
-            if not removed[v] and (best < 0 or score[v] > score[best]):
-                best = v
+        best = int(np.argmax(np.where(removed, -np.inf, score)))
         picked.append(best)
-        removed[best] = True
-        for z, p in graph.in_edges[best]:
-            if not removed[z]:
-                score[z] -= p if weighted else 1
+        take(best)
     return SeedSet(nodes=picked, budget=k)
 
 
@@ -136,7 +143,7 @@ class GddState:
 
     survival: np.ndarray   # prod over selected in-neighbors x of (1 - p_xv)
     outsum: np.ndarray     # sum of p_vy over unselected out-neighbors y
-    selected: set = field(default_factory=set)
+    selected: np.ndarray   # boolean mask of selected nodes
     ops: int = 0           # edge relaxations performed
 
     @property
@@ -145,29 +152,28 @@ class GddState:
 
 
 def gdd_state(graph: InfluenceGraph, preselected=()) -> GddState:
-    survival = np.ones(graph.n)
-    outsum = np.array([sum(p for _, p in adj) for adj in graph.out_edges])
-    state = GddState(survival=survival, outsum=outsum)
+    state = GddState(survival=np.ones(graph.n), outsum=graph.out_prob_sums(),
+                     selected=np.zeros(graph.n, dtype=bool))
     for u in preselected:
         _gdd_apply(graph, state, int(u))
     return state
 
 
 def _gdd_apply(graph, state: GddState, u: int):
-    state.selected.add(u)
-    for v, p in graph.out_edges[u]:
-        state.survival[v] *= 1.0 - p
-        state.ops += 1
-    for z, p in graph.in_edges[u]:
-        state.outsum[z] -= p
-        state.ops += 1
+    state.selected[u] = True
+    a, b = graph.indptr[u], graph.indptr[u + 1]
+    state.survival[graph.dst[a:b]] *= 1.0 - graph.p[a:b]
+    in_indptr, in_src, in_p = graph.in_index
+    ia, ib = in_indptr[u], in_indptr[u + 1]
+    state.outsum[in_src[ia:ib]] -= in_p[ia:ib]
+    state.ops += int((b - a) + (ib - ia))
 
 
 def select_gdd(graph: InfluenceGraph, k: int, preselected=(),
                return_stats: bool = False):
     """Generalized degree discount: iteratively take the node whose expected
     direct contribution (survival against picked in-neighbors times one plus
-    remaining outgoing probability mass) is largest.
+    remaining outgoing probability mass) is largest; ties go to the lowest id.
 
     ``preselected`` nodes count as already chosen (their discounts applied)
     but do not consume the budget."""
@@ -177,10 +183,8 @@ def select_gdd(graph: InfluenceGraph, k: int, preselected=(),
     picked = []
     for _ in range(k):
         w = state.w
-        best = -1
-        for v in range(graph.n):
-            if v not in state.selected and (best < 0 or w[v] > w[best]):
-                best = v
+        w[state.selected] = -np.inf
+        best = int(np.argmax(w))
         picked.append(best)
         _gdd_apply(graph, state, best)
     result = SeedSet(nodes=picked, budget=k)

@@ -17,19 +17,19 @@ from .diffusion import (
     TAG_PHASE1,
     TAG_PHASE2,
     TAG_SINGLE,
-    CHUNK,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    observe_at,
+    _batches,
+    _estimate,
     simulate_batch,
-    simulate_ic,
     stream,
 )
 from .graph import InfluenceGraph, residual_graph
 from .selectors import (
     SeedSet,
     SigmaObjective,
+    _select_discount,
     select_gdd,
     select_greedy,
     select_rmax,
@@ -85,38 +85,9 @@ def _second_phase_heuristic(selector2):
     def pick(res: InfluenceGraph, recent_local, k2_eff, outer_idx, master_seed):
         if selector2 == "gdd":
             return select_gdd(res, k2_eff, preselected=recent_local).nodes
-        return _select_discount_excluding(res, k2_eff, recent_local,
-                                          weighted=(selector2 == "wd"))
+        return _select_discount(res, k2_eff, weighted=(selector2 == "wd"),
+                                preselected=recent_local).nodes
     return pick
-
-
-def _select_discount_excluding(res, k2_eff, recent_local, weighted):
-    # SD/WD with the recent set treated as already picked (removed first)
-    picked = _select_discount_with_preselected(res, k2_eff, recent_local, weighted)
-    return picked
-
-
-def _select_discount_with_preselected(graph, k, preselected, weighted):
-    score = np.zeros(graph.n)
-    for u, adj in enumerate(graph.out_edges):
-        score[u] = sum(p for _, p in adj) if weighted else len(adj)
-    removed = np.zeros(graph.n, dtype=bool)
-    for u in preselected:
-        removed[u] = True
-        for z, p in graph.in_edges[u]:
-            score[z] -= p if weighted else 1
-    picked = []
-    for _ in range(k):
-        best = -1
-        for v in range(graph.n):
-            if not removed[v] and (best < 0 or score[v] > score[best]):
-                best = v
-        picked.append(best)
-        removed[best] = True
-        for z, p in graph.in_edges[best]:
-            if not removed[z]:
-                score[z] -= p if weighted else 1
-    return picked
 
 
 def _second_phase_objective(selector2, sims):
@@ -138,21 +109,33 @@ def _second_phase_objective(selector2, sims):
     return pick
 
 
+def _histogram_add(hist, steps):
+    """hist plus the count of each step value, grown to fit the largest."""
+    counts = np.bincount(steps)
+    if len(counts) > len(hist):
+        hist = np.concatenate([hist, np.zeros(len(counts) - len(hist), dtype=hist.dtype)])
+    hist[:len(counts)] += counts
+    return hist
+
+
 def _nested_run(graph, s1, d, k2, config, decay, second_phase, collect_examples=0):
-    """Shared nested Monte-Carlo engine; returns (estimate, progression, s2s)."""
+    """Shared nested Monte-Carlo engine; returns (estimate, progression, s2s).
+
+    All phase-1 replicates come from one chunked batch stopped at step d."""
     s1 = sorted(set(int(v) for v in s1))
     m1, m2 = config.phase1_sims, config.phase2_sims
     outer_means = np.empty(m1)
-    prog = np.zeros(graph.n + 2)
+    phase1_hist = np.zeros(0, dtype=np.int64)   # phase-1 activations per step
+    phase2_hist = np.zeros(0, dtype=np.int64)   # phase-2 activations per step - d
     s2_examples = []
     trivial_decay = decay is None or decay.is_trivial
-    for i in range(m1):
-        trace = simulate_ic(graph, s1, stream(config.master_seed, TAG_PHASE1, i),
-                            stop_at=d)
-        obs = observe_at(trace, d)
-        res, kept = residual_graph(graph, sorted(obs.already))
-        local = {int(o): li for li, o in enumerate(kept)}
-        recent_local = sorted(local[v] for v in obs.recent)
+    rows = (row for times1 in _batches(graph, s1, m1, config.master_seed, TAG_PHASE1,
+                                       stop_at=d) for row in times1)
+    for i, at in enumerate(rows):
+        already_mask = (at >= 0) & (at < d)
+        already = np.flatnonzero(already_mask)
+        res, kept = residual_graph(graph, already)
+        recent_local = np.searchsorted(kept, np.flatnonzero(at == d)).tolist()
         k2_eff = min(k2, res.n - len(recent_local))
         s2_local = (second_phase(res, recent_local, k2_eff, i, config.master_seed)
                     if k2_eff > 0 else [])
@@ -162,27 +145,29 @@ def _nested_run(graph, s1, d, k2, config, decay, second_phase, collect_examples=
         times = simulate_batch(res, inner_seeds,
                                stream(config.master_seed, TAG_PHASE2, i), m2)
         if trivial_decay:
-            base = float(len(obs.already))
+            base = float(len(already))
             inner_vals = base + (times >= 0).sum(axis=1)
         else:
-            at = trace.activation_time
-            base = float(decay.weights(np.where((at >= 0) & (at < d), at, -1)).sum())
+            base = float(decay.weights(np.where(already_mask, at, -1)).sum())
             shifted = np.where(times >= 0, times + d, -1)
             inner_vals = base + decay.weights(shifted).sum(axis=1)
         outer_means[i] = inner_vals.mean()
         # progression bookkeeping (plain counts; sums to the sigma-mode mean)
-        for v in obs.already:
-            prog[trace.activation_time[v]] += 1.0
-        if times.size:
-            maxt = int(times.max())
-            for t2 in range(0, maxt + 1):
-                prog[d + t2] += (times == t2).sum() / m2
+        phase1_hist = _histogram_add(phase1_hist, at[already_mask])
+        phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
     mean = float(outer_means.mean())
     stderr = (float(outer_means.std(ddof=1) / math.sqrt(m1)) if m1 > 1 else 0.0)
-    prog /= m1
-    last = int(np.max(np.nonzero(prog)[0])) if prog.any() else 0
+    prog = np.zeros(max(len(phase1_hist), d + len(phase2_hist)))
+    prog[:len(phase1_hist)] += phase1_hist / m1
+    prog[d:d + len(phase2_hist)] += phase2_hist / (m1 * m2)
     est = SpreadEstimate(mean=mean, stderr=stderr, samples=m1 * m2)
-    return est, prog[:last + 1], s2_examples
+    return est, _trim(prog), s2_examples
+
+
+def _trim(prog):
+    """Drop trailing zero steps, keeping at least step 0."""
+    nonzero = np.flatnonzero(prog)
+    return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
@@ -210,27 +195,12 @@ def _single_phase_result(graph, seeds, config, decay, sims):
     bit-identical to estimate_spread / estimate_temporal_spread."""
     seeds = sorted(set(int(v) for v in seeds))
     trivial = decay is None or decay.is_trivial
-    vals = np.empty(sims)
-    prog = np.zeros(graph.n + 1)
-    done = 0
-    chunk_idx = 0
-    while done < sims:
-        reps = min(CHUNK, sims - done)
-        times = simulate_batch(graph, seeds, stream(config.master_seed, TAG_SINGLE, chunk_idx), reps)
-        if trivial:
-            vals[done:done + reps] = (times >= 0).sum(axis=1)
-        else:
-            vals[done:done + reps] = decay.weights(times).sum(axis=1)
-        if times.size and seeds:
-            for t in range(int(times.max()) + 1):
-                prog[t] += (times == t).sum()
-        done += reps
-        chunk_idx += 1
-    prog /= sims
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(sims)) if sims > 1 else 0.0
-    last = int(np.max(np.nonzero(prog)[0])) if prog.any() else 0
-    return SpreadEstimate(mean=mean, stderr=stderr, samples=sims), prog[:last + 1]
+    vals = []
+    hist = np.zeros(0, dtype=np.int64)
+    for times in _batches(graph, seeds, sims, config.master_seed, TAG_SINGLE):
+        vals.append((times >= 0).sum(axis=1) if trivial else decay.weights(times).sum(axis=1))
+        hist = _histogram_add(hist, times[times >= 0])
+    return _estimate(np.concatenate(vals, dtype=np.float64)), _trim(hist / sims)
 
 
 def _phase1_objective(graph, plan, config, decay, farsighted_config):

@@ -192,3 +192,55 @@ def test_record_files_are_well_formed(tmp_path, capsys):
     rec = load_record(records[0])
     assert rec["command"] == "oracle"
     assert rec["results"]["value"] == pytest.approx(2.7, abs=1e-12)
+
+
+def test_twophase_delay_past_the_cascade_runs(tmp_path, capsys):
+    # d + phase-2 steps exceeds n + 1 on this four-node graph
+    code, out, err = run(capsys, "twophase", "--graph", "example1", "--algorithm",
+                         "gdd", "--k", "2", "--k1", "1", "--k2", "1", "--d", "50",
+                         "--seed", "3", "--phase1-sims", "100", "--phase2-sims", "20",
+                         "--output-dir", str(tmp_path))
+    assert code == 0, err
+    got = last_json(out)
+    assert sum(got["progression"]) == pytest.approx(got["spread"]["mean"], abs=1e-9)
+
+
+@pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan"])
+def test_out_of_range_delta_is_data_error(tmp_path, capsys, delta):
+    common = ["--graph", "example1", "--algorithm", "gdd", "--delta", delta,
+              "--seed", "0", "--sims", "100", "--output-dir", str(tmp_path)]
+    for cmd in (["select", "--k", "1"],
+                ["twophase", "--k", "2", "--k1", "1", "--k2", "1", "--d", "1",
+                 "--phase1-sims", "10", "--phase2-sims", "10"]):
+        code, _, err = run(capsys, *cmd, *common)
+        assert code == 2, (cmd, delta)
+        assert "delta" in err
+
+
+def test_rerun_rejects_older_record_version(tmp_path, capsys):
+    code, out, _ = run(capsys, "select", "--graph", "example1", "--algorithm",
+                       "gdd", "--k", "1", "--seed", "3", "--sims", "200",
+                       "--output-dir", str(tmp_path))
+    assert code == 0
+    record = Path(last_json(out)["record"])
+    data = json.loads(record.read_text())
+    data["version"] = 1
+    record.write_text(json.dumps(data))
+    code, _, err = run(capsys, "rerun", str(record))
+    assert code == 2
+    assert "unsupported" in err
+
+
+def test_select_does_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency; the package must run without it
+    import subprocess
+    import sys
+    code = ("import sys\n"
+            "from twophase_im.cli import main\n"
+            f"main(['select', '--graph', 'example1', '--algorithm', 'gdd', '--k', '1',"
+            f" '--seed', '0', '--sims', '100', '--output-dir', {str(tmp_path)!r}])\n"
+            "print('scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True).stdout
+    assert out.strip().splitlines()[-1] == "False"

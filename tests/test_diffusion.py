@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import instance_family
 from twophase_im.diffusion import (
+    BATCH_BYTES,
+    CHUNK,
     NEVER,
     DecayFunction,
     MonteCarloConfig,
+    chunk_size,
     estimate_spread,
     estimate_temporal_spread,
     observe_at,
@@ -14,8 +18,8 @@ from twophase_im.diffusion import (
     trace_csv_rows,
 )
 from twophase_im.graph import RawEdgeList, build_graph
-from twophase_im.instances import example1_graph
-from twophase_im.oracle import exact_sigma
+from twophase_im.instances import example1_graph, les_miserables_wc
+from twophase_im.oracle import exact_nu, exact_sigma
 
 
 def chain(k, p=1.0):
@@ -135,12 +139,38 @@ def test_trace_csv_rows_blank_for_never():
     assert rows == [(0, 0), (1, ""), (2, "")]
 
 
-def test_batch_and_loop_simulators_agree_in_distribution():
-    g = example1_graph()
-    reps = 20_000
-    batch = (simulate_batch(g, [0], stream(7, 0), reps) >= 0).sum(axis=1).mean()
-    loop = np.mean([simulate_ic(g, [0], stream(7, 2, i)).final_active_count
-                    for i in range(4_000)])
-    truth = exact_sigma(g, [0])
-    assert abs(batch - truth) < 0.05
-    assert abs(loop - truth) < 0.1
+def test_simulate_ic_is_row_zero_of_one_replicate_batch():
+    g = les_miserables_wc()
+    for stop_at in (None, 0, 1, 3):
+        trace = simulate_ic(g, [0, 11, 48], stream(4, 0, 7), stop_at=stop_at)
+        batch = simulate_batch(g, [0, 11, 48], stream(4, 0, 7), 1, stop_at)
+        assert (trace.activation_time == batch[0]).all()
+
+
+def test_decay_weighted_spread_agrees_with_exact_nu():
+    # checks activation steps, not only final counts
+    decay = DecayFunction.exponential(0.5)
+    cfg = MonteCarloConfig(single_phase_sims=50_000, master_seed=3)
+    for g in instance_family(15, seed=31):
+        for seeds in ([0], [0, g.n - 1]):
+            est = estimate_temporal_spread(g, seeds, decay, cfg)
+            gap = abs(est.mean - exact_nu(g, seeds, decay))
+            assert gap <= max(3 * est.stderr, 0.01 * g.n), (g.n, seeds, gap)
+
+
+def test_same_step_hits_activate_target_once():
+    # a and b both reach c at step 1 with p = 1; c then gets one try at d
+    g = build_graph(RawEdgeList(directed=True, pairs=[
+        ("a", "c", 1.0), ("b", "c", 1.0), ("c", "d", 0.5)]))
+    a, b, c, d = (g.node_id(x) for x in "abcd")
+    times = simulate_batch(g, [a, b], stream(0, 0), reps=20_000)
+    assert (times[:, c] == 1).all()
+    hit_d = (times[:, d] == 2).mean()
+    assert abs(hit_d - 0.5) < 0.02   # 0.75 if c were in the frontier twice
+
+
+def test_chunk_size_caps_times_matrix_bytes():
+    assert chunk_size(77) == CHUNK
+    n = 100_000
+    assert 4 * n * chunk_size(n) <= BATCH_BYTES
+    assert chunk_size(10**12) == 1

@@ -166,3 +166,20 @@ def test_build_graph_property_edges_preserved(records):
     assert g.m == len(pairs)
     got = {(g.labels[u], g.labels[v]): p for u, v, p in g.edges()}
     assert got == {(a, b): p for a, b, p in pairs}
+
+
+def test_residual_graph_matches_python_walk():
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        g = random_small_graph(rng)
+        removed = set(rng.choice(g.n, size=int(rng.integers(0, g.n)), replace=False).tolist())
+        sub, kept = residual_graph(g, removed)
+        want_kept = [v for v in range(g.n) if v not in removed]
+        local = {old: new for new, old in enumerate(want_kept)}
+        want_out = [[(local[v], p) for v, p in g.out_edges[u] if v not in removed]
+                    for u in want_kept]
+        assert list(kept) == want_kept
+        assert sub.labels == [g.labels[v] for v in want_kept]
+        assert sub.out_edges == want_out
+        assert sorted((u, v, p) for v, adj in enumerate(sub.in_edges) for u, p in adj) \
+            == sub.edges()

@@ -134,3 +134,87 @@ def test_sigma_objective_caches_and_uses_common_random_numbers(example1):
     assert obj(frozenset({1})) == obj({1})
     fresh = SigmaObjective(example1, cfg, sims=500)
     assert obj({0, 1}) == fresh({0, 1})
+
+
+# -- loop references for the array-based degree heuristics -----------------
+
+
+def _loop_discount(graph, k, weighted, preselected=()):
+    score = np.zeros(graph.n)
+    for u, adj in enumerate(graph.out_edges):
+        score[u] = sum(p for _, p in adj) if weighted else len(adj)
+    removed = np.zeros(graph.n, dtype=bool)
+    for u in preselected:
+        removed[u] = True
+        for z, p in graph.in_edges[u]:
+            score[z] -= p if weighted else 1
+    picked = []
+    for _ in range(k):
+        best = -1
+        for v in range(graph.n):
+            if not removed[v] and (best < 0 or score[v] > score[best]):
+                best = v
+        picked.append(best)
+        removed[best] = True
+        for z, p in graph.in_edges[best]:
+            if not removed[z]:
+                score[z] -= p if weighted else 1
+    return picked
+
+
+def _loop_gdd(graph, k, preselected=()):
+    survival = np.ones(graph.n)
+    outsum = np.array([sum(p for _, p in adj) for adj in graph.out_edges])
+    selected = set()
+
+    def apply(u):
+        selected.add(u)
+        for v, p in graph.out_edges[u]:
+            survival[v] *= 1.0 - p
+        for z, p in graph.in_edges[u]:
+            outsum[z] -= p
+
+    for u in sorted(preselected):
+        apply(u)
+    picked = []
+    for _ in range(k):
+        w = survival * (1.0 + outsum)
+        best = -1
+        for v in range(graph.n):
+            if v not in selected and (best < 0 or w[v] > w[best]):
+                best = v
+        picked.append(best)
+        apply(best)
+    return picked
+
+
+def _heuristic_cases():
+    from twophase_im.instances import les_miserables_wc
+    # a uniform cycle and two identical stars: every pick is decided by ties
+    cycle = build_graph(RawEdgeList(directed=False, pairs=[
+        (str(i), str((i + 1) % 6), 0.5) for i in range(6)]))
+    stars = build_graph(RawEdgeList(directed=True, pairs=[
+        (hub, f"{hub}{i}", 0.3) for hub in "ab" for i in range(3)]))
+    graphs = instance_family(40, seed=14) + [les_miserables_wc(), cycle, stars]
+    rng = np.random.default_rng(15)
+    for g in graphs:
+        for size in (0, 1, 3):
+            size = min(size, g.n - 1)
+            pre = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
+            yield g, pre, min(6, g.n - size)
+
+
+def test_degree_heuristics_match_loop_reference():
+    from twophase_im.selectors import _select_discount
+    cases = 0
+    for g, pre, k in _heuristic_cases():
+        assert select_gdd(g, k, preselected=pre).nodes == _loop_gdd(g, k, pre)
+        for weighted in (False, True):
+            got = _select_discount(g, k, weighted, preselected=pre).nodes
+            assert got == _loop_discount(g, k, weighted, pre)
+        cases += 1
+    assert cases == 129
+    for g in instance_family(10, seed=16):
+        k = min(3, g.n)
+        assert select_sd(g, k).nodes == _loop_discount(g, k, False)
+        assert select_wd(g, k).nodes == _loop_discount(g, k, True)
