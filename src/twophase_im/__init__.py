@@ -5,7 +5,7 @@ Library layout:
 - graph: CSR graph core, edge-list ingestion, WC/TV probability transforms,
   residual graphs sliced from the parent's arrays
 - diffusion: one per-edge frontier IC sampler (batch and one-replicate views),
-  spread estimators
+  the (decay-weighted) spread estimator
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)
@@ -21,7 +21,6 @@ from .diffusion import (
     Observation,
     SpreadEstimate,
     estimate_spread,
-    estimate_temporal_spread,
     observe_at,
     simulate_batch,
     simulate_ic,

@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
-Every command resolves a graph, runs a core function on a plain parameter
-dict, writes a replayable run record, and prints its results as JSON. The
-``rerun`` command replays a stored record and verifies bit-exact agreement.
+Every command loads its graph once, runs a core function on a plain parameter
+dict and that graph, writes a replayable run record, and prints its results
+as JSON. The ``rerun`` command reloads the graph from the stored spec (checking
+its hash), replays the record and verifies bit-exact agreement.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 reproducibility failure.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from .diffusion import DecayFunction, MonteCarloConfig, estimate_spread, estimate_temporal_spread
+from .diffusion import DecayFunction, MonteCarloConfig, estimate_spread
 from .face import face_joint_optimize
 from .graph import (
     GraphError,
@@ -101,15 +102,14 @@ def _labels(graph, ids):
 
 
 def _decay(delta):
-    if delta is not None and not 0.0 <= delta <= 1.0:
-        raise ValueError(f"--delta {delta} outside [0, 1]")
-    return None if delta is None or delta == 1.0 else DecayFunction.exponential(delta)
+    """``--delta``; omitted means plain spread (delta = 1)."""
+    return DecayFunction(1.0 if delta is None else delta)
 
 
 # -- core runners (shared by commands and rerun) ---------------------------
 
 
-def run_transform(params):
+def run_transform(params, _graph):
     raw = load_edge_list(params["input"], directed=params["directed"])
     if params["model"] == "wc":
         graph = apply_wc_transform(raw)
@@ -119,15 +119,13 @@ def run_transform(params):
     return {"n": graph.n, "m": graph.m, "graph_hash": graph_fingerprint(graph)}
 
 
-def run_select(params):
-    graph = resolve_graph(params["graph"])
+def run_select(params, graph):
     k = params["k"]
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           master_seed=params["master_seed"])
     if k == 0:
-        est = (estimate_spread(graph, [], mc) if decay is None
-               else estimate_temporal_spread(graph, [], decay, mc))
+        est = estimate_spread(graph, [], mc, decay=decay)
         return {"seeds": [], "seed_ids": [], "spread": est.as_dict()}
     plan = TwoPhasePlan(k1=k, k2=0, d=0, selector=params["algorithm"])
     result, s1 = run_two_phase(graph, plan, mc, decay)
@@ -135,8 +133,7 @@ def run_select(params):
             "spread": result.spread.as_dict()}
 
 
-def run_oracle(params):
-    graph = resolve_graph(params["graph"])
+def run_oracle(params, graph):
     orc = get_oracle(graph)
     query = params["query"]
     if query == "sigma":
@@ -152,8 +149,7 @@ def run_oracle(params):
     return {"query": query, "value": value}
 
 
-def run_twophase(params):
-    graph = resolve_graph(params["graph"])
+def run_twophase(params, graph):
     k = params["k"]
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
@@ -179,8 +175,7 @@ def run_twophase(params):
             "s2_examples": [_labels(graph, s2) for s2 in result.realized_s2_examples],
             "progression": [float(x) for x in result.progression],
         }
-    search = SearchConfig(k_total=k, d_max=d_max,
-                          decay=decay or DecayFunction.constant_one(), mc=mc)
+    search = SearchConfig(k_total=k, d_max=d_max, decay=decay, mc=mc)
     if optimize == "grid":
         grid = exhaustive_grid(graph, search, params["algorithm"])
         return {
@@ -199,11 +194,8 @@ def run_twophase(params):
 
         def objective(k1, d, nodes):
             if d == 0:
-                est = (estimate_spread(graph, nodes, mc, sims=far.phase1_sims)
-                       if decay is None else
-                       estimate_temporal_spread(graph, nodes, decay, mc,
-                                                sims=far.phase1_sims))
-                return est.mean
+                return estimate_spread(graph, nodes, mc, sims=far.phase1_sims,
+                                       decay=decay).mean
             return eval_h(graph, nodes, d, k - k1, far, decay).mean
 
         (k1, d, s1), log = face_joint_optimize(
@@ -253,11 +245,11 @@ def _write_csvs(results, record_path: Path):
             w.writerows(results["face_log"])
 
 
-def _execute(command, params, output_dir):
+def _execute(command, params, output_dir, graph=None):
     output_dir = Path(output_dir)
     with output_lock(output_dir):
         start = time.perf_counter()
-        results = CORE[command](params)
+        results = CORE[command](params, graph)
         wall = time.perf_counter() - start
         path = write_record(output_dir, command, params, results, wall)
         _write_csvs(results, path)
@@ -275,9 +267,11 @@ def _seed_param(seed):
 
 
 def _graph_param(source, transform, tv_seed, undirected):
+    """(spec, graph): the record's graph spec with the loaded graph's hash."""
     spec = make_graph_spec(source, transform, tv_seed, directed=not undirected)
-    spec["hash"] = graph_fingerprint(resolve_graph(spec))
-    return spec
+    graph = resolve_graph(spec)
+    spec["hash"] = graph_fingerprint(graph)
+    return spec, graph
 
 
 def graph_options(fn):
@@ -298,9 +292,7 @@ def graph_options(fn):
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="worker cap (the current implementation is single-threaded)")
-def cli(threads):
+def cli():
     """Influence-maximization experiments: selection, two-phase runs,
     exact small-instance oracles, and reproducible records."""
 
@@ -333,10 +325,10 @@ def select(source, transform, tv_seed, undirected, algorithm, k, sims, delta,
     """Single-phase seed selection plus a Monte-Carlo spread estimate."""
     if k < 0:
         raise GraphError("k must be >= 0")
-    params = {"graph": _graph_param(source, transform, tv_seed, undirected),
-              "algorithm": algorithm, "k": k, "sims": sims, "delta": delta,
-              "master_seed": _seed_param(seed)}
-    _execute("select", params, output_dir)
+    spec, graph = _graph_param(source, transform, tv_seed, undirected)
+    params = {"graph": spec, "algorithm": algorithm, "k": k, "sims": sims,
+              "delta": delta, "master_seed": _seed_param(seed)}
+    _execute("select", params, output_dir, graph)
 
 
 @cli.command()
@@ -351,10 +343,10 @@ def select(source, transform, tv_seed, undirected, algorithm, k, sims, delta,
 def oracle(source, transform, tv_seed, undirected, query, seeds, s1, d, k2,
            delta, output_dir):
     """Exact values on small graphs by live-graph enumeration."""
-    params = {"graph": _graph_param(source, transform, tv_seed, undirected),
-              "query": query, "seeds": seeds, "s1": s1, "d": d, "k2": k2,
-              "delta": delta}
-    _execute("oracle", params, output_dir)
+    spec, graph = _graph_param(source, transform, tv_seed, undirected)
+    params = {"graph": spec, "query": query, "seeds": seeds, "s1": s1, "d": d,
+              "k2": k2, "delta": delta}
+    _execute("oracle", params, output_dir, graph)
 
 
 @cli.command()
@@ -382,10 +374,11 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
     """Two-phase runs: fixed (k1, d) plans or budget/delay optimization."""
     if k < 1:
         raise GraphError("k must be >= 1")
-    params = {"graph": _graph_param(source, transform, tv_seed, undirected),
-              "algorithm": algorithm, "k": k, "mode": mode, "optimize": optimize,
-              "delta": delta, "sims": sims, "phase1_sims": phase1_sims,
-              "phase2_sims": phase2_sims, "master_seed": _seed_param(seed)}
+    spec, graph = _graph_param(source, transform, tv_seed, undirected)
+    params = {"graph": spec, "algorithm": algorithm, "k": k, "mode": mode,
+              "optimize": optimize, "delta": delta, "sims": sims,
+              "phase1_sims": phase1_sims, "phase2_sims": phase2_sims,
+              "master_seed": _seed_param(seed)}
     if optimize == "none":
         if k1 is None or k2 is None or d is None:
             raise click.UsageError("--k1, --k2 and --d are required without --optimize")
@@ -395,7 +388,7 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
                        "d": d if d == "auto" else int(d)})
     else:
         params["d_max"] = d_max
-    _execute("twophase", params, output_dir)
+    _execute("twophase", params, output_dir, graph)
 
 
 @cli.command()
@@ -405,7 +398,9 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
 def rerun(record, output_dir):
     """Replay a run record and require bit-exact numeric agreement."""
     stored = load_record(record)
-    fresh = CORE[stored["command"]](stored["params"])
+    params = stored["params"]
+    graph = resolve_graph(params["graph"]) if "graph" in params else None
+    fresh = CORE[stored["command"]](params, graph)
     diffs = diff_results(stored["results"], fresh)
     if diffs:
         for line in diffs:
@@ -429,15 +424,18 @@ def datasets():
 @click.option("--output", type=click.Path(dir_okay=False), required=True)
 def fetch(url, digest, output):
     """Download a dataset with checksum pinning."""
-    import requests
+    import urllib.request
 
-    resp = requests.get(url, timeout=60)
-    resp.raise_for_status()
-    got = hashlib.sha256(resp.content).hexdigest()
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            content = resp.read()
+    except OSError as exc:   # URLError is an OSError
+        raise GraphError(f"cannot fetch {url}: {exc}") from None
+    got = hashlib.sha256(content).hexdigest()
     if got != digest.lower():
         raise RecordError(f"checksum mismatch for {url}: got {got}")
-    Path(output).write_bytes(resp.content)
-    click.echo(json.dumps({"output": output, "bytes": len(resp.content),
+    Path(output).write_bytes(content)
+    click.echo(json.dumps({"output": output, "bytes": len(content),
                            "sha256": got}, indent=2))
 
 

@@ -1,10 +1,12 @@
-"""Monte-Carlo independent-cascade simulation and spread estimators.
+"""Monte-Carlo independent-cascade simulation and the spread estimator.
 
 Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
 on-activation, which is equivalent to pre-sampling a live graph. One
 sampler, ``simulate_batch``, walks the frontier's out-edges in the graph's
-CSR arrays; ``simulate_ic`` is its one-replicate view.
+CSR arrays; ``simulate_ic`` is its one-replicate view. One estimator,
+``estimate_spread``, weights activations by a ``DecayFunction`` (delta = 1,
+the default, is the plain spread).
 """
 
 from __future__ import annotations
@@ -43,40 +45,35 @@ def stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DecayFunction:
-    """Time-value weighting of activations. Non-increasing, values in [0,1]."""
+    """Time value of an activation: one at step t is worth delta**t, in [0, 1]
+    and non-increasing in t. delta = 1 (``constant_one``) is the plain spread."""
 
-    kind: str  # "constant-one" | "exponential"
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant-one", "exponential"):
-            raise ValueError(f"unknown decay kind: {self.kind}")
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
 
     @classmethod
     def constant_one(cls) -> "DecayFunction":
-        return cls(kind="constant-one")
+        return cls(1.0)
 
     @classmethod
     def exponential(cls, delta: float) -> "DecayFunction":
-        return cls(kind="exponential", delta=delta)
+        return cls(delta)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind == "constant-one" or self.delta == 1.0
-
-    def __call__(self, t):
-        if self.kind == "constant-one":
-            return np.ones_like(np.asarray(t, dtype=float))
-        return np.asarray(self.delta, dtype=float) ** np.asarray(t)
-
-    def weights(self, times: np.ndarray) -> np.ndarray:
-        """Per-node value for an activation-time array; 0 where never active."""
+    def values(self, times: np.ndarray, offset: int = 0):
+        """Per-replicate value of an activation-time array: the sum over its
+        last axis of delta**(t + offset), NEVER counting 0. At delta = 1 it is
+        the integer active count, so the plain spread builds no float array."""
         active = times >= 0
-        if self.kind == "constant-one":
-            return active.astype(float)
-        return np.where(active, np.power(self.delta, np.maximum(times, 0), dtype=float), 0.0)
+        if self.delta == 1.0:
+            return active.sum(axis=-1)
+        return np.where(active, np.power(self.delta, np.maximum(times, 0) + offset,
+                                         dtype=float), 0.0).sum(axis=-1)
+
+
+NO_DECAY = DecayFunction.constant_one()
 
 
 @dataclass
@@ -210,14 +207,6 @@ def _batches(graph, seeds, sims, master_seed, tag, stop_at=None):
                              min(size, sims - done), stop_at=stop_at)
 
 
-def _batch_values(graph, seeds, sims, master_seed, tag, value_fn, stop_at=None):
-    """Chunked batch simulation; value_fn maps a times matrix to per-replicate
-    values. Deterministic given (graph, seeds, master_seed, sims)."""
-    return np.concatenate([value_fn(times) for times in
-                           _batches(graph, seeds, sims, master_seed, tag, stop_at)],
-                          dtype=np.float64)
-
-
 def _estimate(vals: np.ndarray) -> SpreadEstimate:
     sims = len(vals)
     mean = float(vals.mean())
@@ -226,33 +215,20 @@ def _estimate(vals: np.ndarray) -> SpreadEstimate:
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
-                    sims: int | None = None, tag: int = TAG_SINGLE) -> SpreadEstimate:
-    """Monte-Carlo estimate of the expected final active count."""
+                    sims: int | None = None, tag: int = TAG_SINGLE,
+                    decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
+    """Monte-Carlo estimate of the expected decay-weighted active count (the
+    final active count under the default, delta = 1). Deterministic given
+    (graph, seeds, master_seed, sims, tag); every decay sees the same traces."""
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
     seeds = _check_seeds(graph, seeds)
     if not seeds:
         return SpreadEstimate(mean=0.0, stderr=0.0, samples=sims)
-    vals = _batch_values(graph, seeds, sims, config.master_seed, tag,
-                         lambda times: (times >= 0).sum(axis=1))
-    return _estimate(vals)
-
-
-def estimate_temporal_spread(graph: InfluenceGraph, seeds, decay: DecayFunction,
-                             config: MonteCarloConfig, sims: int | None = None,
-                             tag: int = TAG_SINGLE) -> SpreadEstimate:
-    """Decay-weighted spread estimate; replicate-for-replicate equal to
-    estimate_spread when the decay is trivial (same streams, same traces)."""
-    sims = config.single_phase_sims if sims is None else sims
-    if sims < 1:
-        raise ValueError("sims must be >= 1")
-    seeds = _check_seeds(graph, seeds)
-    if not seeds:
-        return SpreadEstimate(mean=0.0, stderr=0.0, samples=sims)
-    vals = _batch_values(graph, seeds, sims, config.master_seed, tag,
-                         lambda times: decay.weights(times).sum(axis=1))
-    return _estimate(vals)
+    vals = [decay.values(times)
+            for times in _batches(graph, seeds, sims, config.master_seed, tag)]
+    return _estimate(np.concatenate(vals, dtype=np.float64))
 
 
 def trace_csv_rows(trace: DiffusionTrace):

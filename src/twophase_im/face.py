@@ -62,8 +62,8 @@ class CeDistribution:
 class CeSample:
     set: tuple
     value: float
-    k1: int | None = None
-    d: int | None = None
+    k1: int   # first-phase budget; the whole budget in plain mode
+    d: int    # delay; 0 in plain mode
 
 
 @dataclass
@@ -171,34 +171,23 @@ def _better(cand: CeSample, best: CeSample | None) -> bool:
     return cand.value == best.value and tuple(sorted(cand.set)) < tuple(sorted(best.set))
 
 
-def face_select(graph: InfluenceGraph, budget: int, objective,
-                config: CeConfig | None = None, init: CeDistribution | None = None,
-                master_seed: int = 0, return_log: bool = False):
-    """Cross-entropy search for an approximately spread-maximal budget-set.
+def _cross_entropy(q: np.ndarray, config: CeConfig, draw, refit=None):
+    """The CE loop of both modes; returns (best sample, iteration log).
 
-    Deterministic per master seed; returns the best set ever sampled."""
-    n = graph.n
-    if not (1 <= budget <= n):
-        raise ValueError(f"budget {budget} out of range for n={n}")
-    config = config or CeConfig.for_graph(n)
-    q = (init.node_probs.copy() if init is not None
-         else np.full(n, budget / n, dtype=float))
-    rng = stream(master_seed, TAG_FACE)
+    ``draw(q)`` returns one scored CeSample from the node probabilities q.
+    Each iteration draws n_min samples, doubling up to n_max while the elite
+    threshold fails to improve, then refits q to the value-weighted elites
+    (smoothed by alpha, floored) and hands the elites to ``refit``."""
     best: CeSample | None = None
     prev_threshold = None
     log = []
-    cache = {}
     for it in range(config.max_iterations):
         draws = config.n_min
         samples = []
         while True:
             while len(samples) < draws:
-                nodes = _sample_set(q, budget, rng)
-                key = frozenset(nodes)
-                if key not in cache:
-                    cache[key] = float(objective(key))
-                samples.append(CeSample(set=nodes, value=cache[key]))
-            samples.sort(key=lambda s: (-s.value, s.set))
+                samples.append(draw(q))
+            samples.sort(key=lambda s: (-s.value, s.d, s.set))
             threshold = samples[config.n_elite - 1].value
             improved = prev_threshold is None or threshold > prev_threshold
             if improved or draws >= config.n_max:
@@ -208,21 +197,46 @@ def face_select(graph: InfluenceGraph, budget: int, objective,
         for s in samples:
             if _better(s, best):
                 best = s
-        q_new = _weighted_refit(elites, n, lambda s: s.set)
+        q_new = _weighted_refit(elites, len(q), lambda s: s.set)
         # the floor keeps every node sampleable so a sharp early elite set
         # cannot freeze out the true optimum; convergence then comes from
         # the elite-threshold stagnation test rather than the boundary test
         q = np.clip(config.alpha * q_new + (1.0 - config.alpha) * q,
                     config.exploration_floor, 1.0)
+        if refit is not None:
+            refit(elites)
         log.append(CeIterationLog(iteration=it, draws=len(samples),
                                   elite_threshold=threshold, best=best.value))
         if _reliable(threshold, prev_threshold, q, config.reliability_tol):
             break
         prev_threshold = threshold
+    return best, log
+
+
+def face_select(graph: InfluenceGraph, budget: int, objective,
+                config: CeConfig | None = None, init: CeDistribution | None = None,
+                master_seed: int = 0, return_log: bool = False):
+    """Cross-entropy search for an approximately spread-maximal budget-set.
+
+    Deterministic per master seed; returns the best set ever sampled."""
+    n = graph.n
+    if not (1 <= budget <= n):
+        raise ValueError(f"budget {budget} out of range for n={n}")
+    q = (init.node_probs.copy() if init is not None
+         else np.full(n, budget / n, dtype=float))
+    rng = stream(master_seed, TAG_FACE)
+    cache = {}
+
+    def draw(q):
+        nodes = _sample_set(q, budget, rng)
+        key = frozenset(nodes)
+        if key not in cache:
+            cache[key] = float(objective(key))
+        return CeSample(set=nodes, value=cache[key], k1=budget, d=0)
+
+    best, log = _cross_entropy(q, config or CeConfig.for_graph(n), draw)
     result = SeedSet(nodes=sorted(best.set), budget=budget)
-    if return_log:
-        return result, log
-    return result
+    return (result, log) if return_log else result
 
 
 def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int,
@@ -240,55 +254,33 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
     if D < 1:
         raise ValueError("max_delay must be >= 1")
     config = config or CeConfig.for_graph(n)
-    q = np.full(n, k / n, dtype=float)
     k1_probs = np.full(k, 1.0 / k)        # over {1..k}
     d_probs = np.full(D + 1, 1.0 / (D + 1))  # over {0..D}; d=0 forces k1=k
     rng = stream(master_seed, TAG_FACE)
-    best: CeSample | None = None
-    prev_threshold = None
-    log = []
     cache = {}
-    for it in range(config.max_iterations):
-        draws = config.n_min
-        samples = []
-        while True:
-            while len(samples) < draws:
-                d = int(rng.choice(D + 1, p=d_probs))
-                k1 = k if d == 0 else int(rng.choice(np.arange(1, k + 1), p=k1_probs))
-                if k1 == k:
-                    d = 0  # no second phase left, the delay is meaningless
-                scale = _clamp_redistribute(q * (k1 / max(q.sum(), 1e-12)), k1)
-                nodes = _sample_set(scale, k1, rng)
-                key = (k1, d, frozenset(nodes))
-                if key not in cache:
-                    cache[key] = float(two_phase_objective(k1, d, nodes))
-                samples.append(CeSample(set=nodes, value=cache[key], k1=k1, d=d))
-            samples.sort(key=lambda s: (-s.value, s.d, s.set))
-            threshold = samples[config.n_elite - 1].value
-            improved = prev_threshold is None or threshold > prev_threshold
-            if improved or draws >= config.n_max:
-                break
-            draws = min(2 * draws, config.n_max)
-        elites = samples[:config.n_elite]
-        for s in samples:
-            if _better(s, best):
-                best = s
-        q_new = _weighted_refit(elites, n, lambda s: s.set)
-        q = np.clip(config.alpha * q_new + (1.0 - config.alpha) * q,
-                    config.exploration_floor, 1.0)
+
+    def draw(q):
+        d = int(rng.choice(D + 1, p=d_probs))
+        k1 = k if d == 0 else int(rng.choice(np.arange(1, k + 1), p=k1_probs))
+        if k1 == k:
+            d = 0  # no second phase left, the delay is meaningless
+        scale = _clamp_redistribute(q * (k1 / max(q.sum(), 1e-12)), k1)
+        nodes = _sample_set(scale, k1, rng)
+        key = (k1, d, frozenset(nodes))
+        if key not in cache:
+            cache[key] = float(two_phase_objective(k1, d, nodes))
+        return CeSample(set=nodes, value=cache[key], k1=k1, d=d)
+
+    def refit(elites):
+        nonlocal k1_probs, d_probs
         k1_new = _weighted_refit(elites, k, lambda s: (s.k1 - 1,))
         d_new = _weighted_refit(elites, D + 1, lambda s: (s.d,))
         k1_probs = _normalized(config.alpha * k1_new + (1 - config.alpha) * k1_probs)
         d_probs = _normalized(config.alpha * d_new + (1 - config.alpha) * d_probs)
-        log.append(CeIterationLog(iteration=it, draws=len(samples),
-                                  elite_threshold=threshold, best=best.value))
-        if _reliable(threshold, prev_threshold, q, config.reliability_tol):
-            break
-        prev_threshold = threshold
+
+    best, log = _cross_entropy(np.full(n, k / n, dtype=float), config, draw, refit)
     result = (best.k1, best.d, SeedSet(nodes=sorted(best.set), budget=best.k1))
-    if return_log:
-        return result, log
-    return result
+    return (result, log) if return_log else result
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:

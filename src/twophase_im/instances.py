@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import numpy as np
 
-from .graph import InfluenceGraph, RawEdgeList, apply_wc_transform, build_graph
+from .graph import InfluenceGraph, RawEdgeList, build_graph
 
 
 def example1_graph() -> InfluenceGraph:
@@ -22,20 +24,22 @@ def les_miserables_wc() -> InfluenceGraph:
     """Les Miserables co-appearance network (77 nodes, 254 undirected edges,
     508 directed) under the weighted cascade: each directed edge (u, v) gets
     p_uv proportional to the co-appearance count, w_uv / weighted-deg(v), so
-    incoming probabilities at every node sum to 1."""
-    import networkx as nx
+    incoming probabilities at every node sum to 1.
 
-    g = nx.les_miserables_graph()
-    wdeg = {v: sum(data["weight"] for _, _, data in g.edges(v, data=True))
-            for v in g.nodes()}
+    The edges ship as ``data/lesmis.txt``, one ``a b weight`` row per
+    undirected edge with ``a < b``, sorted (exported from networkx's
+    ``les_miserables_graph``)."""
+    text = resources.files(__package__).joinpath("data", "lesmis.txt").read_text()
+    edges = [(a, b, int(w)) for a, b, w in (line.split() for line in text.splitlines())]
+    wdeg = {}
+    for a, b, w in edges:
+        wdeg[a] = wdeg.get(a, 0) + w
+        wdeg[b] = wdeg.get(b, 0) + w
     pairs = []
-    for a, b in sorted((min(u, v), max(u, v)) for u, v in g.edges()):
-        w = g.edges[a, b]["weight"]
+    for a, b, w in edges:
         pairs.append((a, b, w / wdeg[b]))
         pairs.append((b, a, w / wdeg[a]))
-    graph = build_graph(RawEdgeList(directed=True, pairs=pairs))
-    assert graph.n == g.number_of_nodes()
-    return graph
+    return build_graph(RawEdgeList(directed=True, pairs=pairs))
 
 
 BUILTINS = {

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diffusion import DecayFunction
+from .diffusion import NO_DECAY, DecayFunction
 from .graph import InfluenceGraph
 
 DEFAULT_EDGE_CAP = 24
@@ -75,7 +75,7 @@ class ExactOracle:
         self._dist_from = {}       # seed bitmask -> (2^m, n) int8
         self._keep_edges = {}      # already-mask -> residual edge mask
         self._res_reach = {}       # (residual edge mask, source) -> reached mask
-        self._tables = {}          # decay key -> value per node subset
+        self._tables = {}          # delta -> value per node subset
 
     # -- distances ---------------------------------------------------------
 
@@ -126,7 +126,7 @@ class ExactOracle:
     def _gamma_table(self, decay: DecayFunction) -> np.ndarray:
         tab = np.zeros(UNREACHED + 1)
         ts = np.arange(UNREACHED)
-        tab[:UNREACHED] = 1.0 if decay.kind == "constant-one" else decay.delta ** ts
+        tab[:UNREACHED] = decay.delta ** ts
         return tab
 
     def exact_nu(self, seeds, decay: DecayFunction) -> float:
@@ -136,13 +136,11 @@ class ExactOracle:
         return float(math.fsum(self.mask_p * per_x))
 
     def exact_sigma(self, seeds) -> float:
-        return self.exact_nu(seeds, DecayFunction.constant_one())
+        return self.exact_nu(seeds, NO_DECAY)
 
-    def value_table(self, decay: DecayFunction | None = None) -> np.ndarray:
+    def value_table(self, decay: DecayFunction = NO_DECAY) -> np.ndarray:
         """sigma (or nu) for every node subset, indexed by bitmask."""
-        decay = decay or DecayFunction.constant_one()
-        key = (decay.kind, decay.delta)
-        got = self._tables.get(key)
+        got = self._tables.get(decay.delta)
         if got is None:
             gtab = self._gamma_table(decay)
             dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
@@ -150,7 +148,7 @@ class ExactOracle:
                 low = s & -s
                 dsub[s] = np.minimum(dsub[s ^ low], self.dist[:, low.bit_length() - 1, :])
             got = gtab[dsub].sum(axis=2) @ self.mask_p
-            self._tables[key] = got
+            self._tables[decay.delta] = got
         return got
 
     # -- two-phase objective f --------------------------------------------

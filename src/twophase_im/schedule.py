@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .diffusion import (
+    NO_DECAY,
     TAG_PROBE,
     DecayFunction,
     MonteCarloConfig,
@@ -29,9 +30,8 @@ D_MARGIN = 2  # safety steps added past the observed stagnation point
 class SearchConfig:
     k_total: int
     d_max: int
-    decay: DecayFunction = field(default_factory=DecayFunction.constant_one)
+    decay: DecayFunction = NO_DECAY
     k1_grid_step: int = 0          # 0 means max(1, k_total // 20)
-    objective_mode: str = ""       # sigma | nu; default follows the decay
     patience: int = 2              # sequential d-search non-improvement budget
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     max_evaluations: int = 5000
@@ -45,14 +45,6 @@ class SearchConfig:
             self.k1_grid_step = max(1, self.k_total // 20)
         if self.k1_grid_step < 1:
             raise ValueError("k1_grid_step must be >= 1")
-        if not self.objective_mode:
-            self.objective_mode = "sigma" if self.decay.is_trivial else "nu"
-        if self.objective_mode not in ("sigma", "nu"):
-            raise ValueError(f"unknown objective mode {self.objective_mode!r}")
-
-    @property
-    def effective_decay(self) -> DecayFunction | None:
-        return None if self.objective_mode == "sigma" else self.decay
 
 
 @dataclass
@@ -93,7 +85,7 @@ def _make_evaluator(graph, config: SearchConfig, selector):
                 mean=float(got), stderr=0.0, samples=0)
         else:
             plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=selector)
-            result, _ = run_two_phase(graph, plan, config.mc, config.effective_decay)
+            result, _ = run_two_phase(graph, plan, config.mc, config.decay)
             est = result.spread
         memo[key] = est
         return est
@@ -137,7 +129,7 @@ def sequential_d_search(graph: InfluenceGraph, k1: int, config: SearchConfig,
     non-decreasing in d, so the search jumps straight to d = d_max."""
     evaluate = evaluate or _make_evaluator(graph, config, selector)
     D = config.d_max
-    if config.effective_decay is None or config.effective_decay.is_trivial:
+    if config.decay.delta == 1.0:
         return D, evaluate(k1, D)
     best_d, best = 0, evaluate(k1, 0)
     fails = 0

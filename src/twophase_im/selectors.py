@@ -11,13 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import (
+    NO_DECAY,
     TAG_RMAX,
     TAG_SINGLE,
     TAG_SPIC,
     DecayFunction,
     MonteCarloConfig,
     estimate_spread,
-    estimate_temporal_spread,
     stream,
 )
 from .graph import InfluenceGraph
@@ -48,33 +48,21 @@ class SeedSet:
 
 
 class SigmaObjective:
-    """Monte-Carlo spread; common random numbers across all evaluated sets."""
+    """Monte-Carlo (decay-weighted) spread; common random numbers across all
+    evaluated sets."""
 
-    def __init__(self, graph, config: MonteCarloConfig, sims=None, tag=TAG_SINGLE):
+    def __init__(self, graph, config: MonteCarloConfig, sims=None, tag=TAG_SINGLE,
+                 decay: DecayFunction = NO_DECAY):
         self.graph, self.config, self.sims, self.tag = graph, config, sims, tag
+        self.decay = decay
         self._cache = {}
 
     def __call__(self, seeds) -> float:
         key = frozenset(seeds)
         if key not in self._cache:
             self._cache[key] = estimate_spread(
-                self.graph, key, self.config, sims=self.sims, tag=self.tag).mean
-        return self._cache[key]
-
-
-class NuObjective:
-    """Monte-Carlo decay-weighted spread with shared replicate streams."""
-
-    def __init__(self, graph, decay: DecayFunction, config, sims=None, tag=TAG_SINGLE):
-        self.graph, self.decay, self.config = graph, decay, config
-        self.sims, self.tag = sims, tag
-        self._cache = {}
-
-    def __call__(self, seeds) -> float:
-        key = frozenset(seeds)
-        if key not in self._cache:
-            self._cache[key] = estimate_temporal_spread(
-                self.graph, key, self.decay, self.config, sims=self.sims, tag=self.tag).mean
+                self.graph, key, self.config, sims=self.sims, tag=self.tag,
+                decay=self.decay).mean
         return self._cache[key]
 
 

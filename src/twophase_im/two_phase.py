@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import (
+    NEVER,
+    NO_DECAY,
     TAG_PHASE1,
     TAG_PHASE2,
     TAG_SINGLE,
@@ -128,7 +130,6 @@ def _nested_run(graph, s1, d, k2, config, decay, second_phase, collect_examples=
     phase1_hist = np.zeros(0, dtype=np.int64)   # phase-1 activations per step
     phase2_hist = np.zeros(0, dtype=np.int64)   # phase-2 activations per step - d
     s2_examples = []
-    trivial_decay = decay is None or decay.is_trivial
     rows = (row for times1 in _batches(graph, s1, m1, config.master_seed, TAG_PHASE1,
                                        stop_at=d) for row in times1)
     for i, at in enumerate(rows):
@@ -144,15 +145,9 @@ def _nested_run(graph, s1, d, k2, config, decay, second_phase, collect_examples=
         inner_seeds = recent_local + list(s2_local)
         times = simulate_batch(res, inner_seeds,
                                stream(config.master_seed, TAG_PHASE2, i), m2)
-        if trivial_decay:
-            base = float(len(already))
-            inner_vals = base + (times >= 0).sum(axis=1)
-        else:
-            base = float(decay.weights(np.where(already_mask, at, -1)).sum())
-            shifted = np.where(times >= 0, times + d, -1)
-            inner_vals = base + decay.weights(shifted).sum(axis=1)
-        outer_means[i] = inner_vals.mean()
-        # progression bookkeeping (plain counts; sums to the sigma-mode mean)
+        base = float(decay.values(np.where(already_mask, at, NEVER)))
+        outer_means[i] = (base + decay.values(times, offset=d)).mean()
+        # progression bookkeeping (plain counts; sums to the delta = 1 mean)
         phase1_hist = _histogram_add(phase1_hist, at[already_mask])
         phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
     mean = float(outer_means.mean())
@@ -171,7 +166,7 @@ def _trim(prog):
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
-           decay: DecayFunction | None = None) -> SpreadEstimate:
+           decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """Two-phase surrogate with GDD second-phase selection (the production
     objective: orders of magnitude cheaper than greedy)."""
     est, _, _ = _nested_run(graph, s1, d, k2, config, decay,
@@ -180,7 +175,7 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
 
 
 def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
-           decay: DecayFunction | None = None,
+           decay: DecayFunction = NO_DECAY,
            greedy_sims: int | None = None) -> SpreadEstimate:
     """Two-phase surrogate with greedy second-phase selection; validation-only
     path (costly), restricted to small graphs in practice."""
@@ -191,24 +186,19 @@ def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
 
 
 def _single_phase_result(graph, seeds, config, decay, sims):
-    """Single-phase spread plus progression using the TAG_SINGLE streams,
-    bit-identical to estimate_spread / estimate_temporal_spread."""
-    seeds = sorted(set(int(v) for v in seeds))
-    trivial = decay is None or decay.is_trivial
+    """Single-phase spread plus progression, on the TAG_SINGLE streams of
+    estimate_spread and bit-identical to it."""
     vals = []
     hist = np.zeros(0, dtype=np.int64)
     for times in _batches(graph, seeds, sims, config.master_seed, TAG_SINGLE):
-        vals.append((times >= 0).sum(axis=1) if trivial else decay.weights(times).sum(axis=1))
+        vals.append(decay.values(times))
         hist = _histogram_add(hist, times[times >= 0])
     return _estimate(np.concatenate(vals, dtype=np.float64)), _trim(hist / sims)
 
 
 def _phase1_objective(graph, plan, config, decay, farsighted_config):
     if plan.mode == "myopic" or plan.selector in HEURISTIC_SELECTORS:
-        if decay is not None and not decay.is_trivial:
-            from .selectors import NuObjective
-            return NuObjective(graph, decay, config, sims=config.phase1_sims)
-        return SigmaObjective(graph, config, sims=config.phase1_sims)
+        return SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
     far = farsighted_config or MonteCarloConfig(
         phase1_sims=max(1, config.phase1_sims // 10),
         phase2_sims=max(1, config.phase2_sims // 10),
@@ -224,7 +214,7 @@ def _phase1_objective(graph, plan, config, decay, farsighted_config):
     return h_objective
 
 
-def select_phase1(graph, plan: TwoPhasePlan, config, decay=None,
+def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY,
                   farsighted_config=None) -> SeedSet:
     if plan.s1 is not None:
         return plan.s1
@@ -253,7 +243,7 @@ def select_phase1(graph, plan: TwoPhasePlan, config, decay=None,
 
 
 def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloConfig,
-                  decay: DecayFunction | None = None,
+                  decay: DecayFunction = NO_DECAY,
                   farsighted_config: MonteCarloConfig | None = None):
     """Full two-phase execution; returns (result, s1).
 

@@ -21,7 +21,6 @@ from twophase_im.diffusion import (
     DecayFunction,
     MonteCarloConfig,
     estimate_spread,
-    estimate_temporal_spread,
 )
 from twophase_im.face import face_joint_optimize, face_select
 from twophase_im.graph import RawEdgeList, build_graph
@@ -149,7 +148,7 @@ def test_criterion_04_oracle_property_suite():
         assert orc.max_f(1, d_obs, 1)[0] >= sigma_opt - TOL
         cfg = MonteCarloConfig(single_phase_sims=500, master_seed=7)
         plain = estimate_spread(g, [0], cfg)
-        trivial = estimate_temporal_spread(g, [0], DecayFunction.exponential(1.0), cfg)
+        trivial = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(1.0))
         assert plain.mean == trivial.mean and plain.stderr == trivial.stderr
     elapsed = time.perf_counter() - start
     assert elapsed < 600

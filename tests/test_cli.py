@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -232,15 +233,60 @@ def test_rerun_rejects_older_record_version(tmp_path, capsys):
 
 
 def test_select_does_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency; the package must run without it
+    # scipy is a test-only dependency and networkx/requests are not needed at
+    # all (lesmis ships as package data); the package must run without them
     import subprocess
     import sys
     code = ("import sys\n"
             "from twophase_im.cli import main\n"
-            f"main(['select', '--graph', 'example1', '--algorithm', 'gdd', '--k', '1',"
-            f" '--seed', '0', '--sims', '100', '--output-dir', {str(tmp_path)!r}])\n"
-            "print('scipy' in sys.modules)\n")
+            "for graph in ('example1', 'lesmis'):\n"
+            "    assert main(['select', '--graph', graph, '--algorithm', 'gdd', '--k', '1',"
+            f" '--seed', '0', '--sims', '100', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "print([m for m in ('scipy', 'networkx', 'requests') if m in sys.modules])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True).stdout
-    assert out.strip().splitlines()[-1] == "False"
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_select_resolves_its_graph_once(tmp_path, capsys, monkeypatch):
+    import twophase_im.cli as cli
+    calls = []
+    original = cli.resolve_graph
+    monkeypatch.setattr(cli, "resolve_graph",
+                        lambda spec: calls.append(spec) or original(spec))
+    code, out, _ = run(capsys, "select", "--graph", "lesmis", "--algorithm", "gdd",
+                       "--k", "2", "--seed", "0", "--sims", "100",
+                       "--output-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    code, _, _ = run(capsys, "rerun", last_json(out)["record"])
+    assert code == 0 and len(calls) == 2
+
+
+def _fetch(capsys, source, digest, output):
+    return run(capsys, "datasets", "fetch", source.as_uri(), "--sha256", digest,
+               "--output", str(output))
+
+
+def test_datasets_fetch_file_url_with_matching_hash(tmp_path, capsys):
+    source = tmp_path / "edges.txt"
+    source.write_bytes(b"a b 0.5\n")
+    digest = hashlib.sha256(b"a b 0.5\n").hexdigest()
+    code, out, _ = _fetch(capsys, source, digest, tmp_path / "copy.txt")
+    assert code == 0
+    assert (tmp_path / "copy.txt").read_bytes() == b"a b 0.5\n"
+    assert last_json(out)["sha256"] == digest
+
+
+def test_datasets_fetch_wrong_hash_writes_nothing(tmp_path, capsys):
+    source = tmp_path / "edges.txt"
+    source.write_bytes(b"a b 0.5\n")
+    code, _, err = _fetch(capsys, source, "0" * 64, tmp_path / "copy.txt")
+    assert code == 2 and "checksum" in err
+    assert not (tmp_path / "copy.txt").exists()
+
+
+def test_datasets_fetch_missing_file_is_data_error(tmp_path, capsys):
+    code, _, err = _fetch(capsys, tmp_path / "absent.txt", "0" * 64, tmp_path / "copy.txt")
+    assert code == 2 and "cannot fetch" in err
+    assert not (tmp_path / "copy.txt").exists()

@@ -10,7 +10,6 @@ from twophase_im.diffusion import (
     MonteCarloConfig,
     chunk_size,
     estimate_spread,
-    estimate_temporal_spread,
     observe_at,
     simulate_batch,
     simulate_ic,
@@ -28,23 +27,21 @@ def chain(k, p=1.0):
 
 
 def test_decay_validation():
-    with pytest.raises(ValueError):
-        DecayFunction(kind="linear")
-    with pytest.raises(ValueError):
-        DecayFunction.exponential(1.5)
-    assert DecayFunction.constant_one().is_trivial
-    assert DecayFunction.exponential(1.0).is_trivial
-    assert not DecayFunction.exponential(0.5).is_trivial
+    for delta in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            DecayFunction.exponential(delta)
+    assert DecayFunction.constant_one() == DecayFunction.exponential(1.0) == DecayFunction()
 
 
 def test_decay_weights():
-    times = np.array([0, 2, NEVER, 1])
-    assert list(DecayFunction.constant_one().weights(times)) == [1, 1, 0, 1]
-    got = DecayFunction.exponential(0.5).weights(times)
-    assert list(got) == [1.0, 0.25, 0.0, 0.5]
+    times = np.array([[0, 2, NEVER, 1], [NEVER, NEVER, NEVER, 3]])
+    plain = DecayFunction.constant_one().values(times)
+    assert plain.dtype.kind == "i" and list(plain) == [3, 1]
+    assert list(DecayFunction.exponential(0.5).values(times)) == [1.75, 0.125]
+    assert list(DecayFunction.exponential(0.5).values(times, offset=1)) == [0.875, 0.0625]
     # delta = 0 still values step-0 activations at 1
-    got0 = DecayFunction.exponential(0.0).weights(times)
-    assert list(got0) == [1.0, 0.0, 0.0, 0.0]
+    assert list(DecayFunction.exponential(0.0).values(times)) == [1.0, 0.0]
+    assert DecayFunction.exponential(0.5).values(times[0]) == 1.75
 
 
 def test_simulate_ic_deterministic_chain():
@@ -120,7 +117,7 @@ def test_temporal_equals_plain_spread_replicate_for_replicate():
     g = example1_graph()
     cfg = MonteCarloConfig(single_phase_sims=5_000, master_seed=9)
     plain = estimate_spread(g, [0], cfg)
-    trivial = estimate_temporal_spread(g, [0], DecayFunction.exponential(1.0), cfg)
+    trivial = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(1.0))
     assert plain.mean == trivial.mean
     assert plain.stderr == trivial.stderr
 
@@ -128,7 +125,7 @@ def test_temporal_equals_plain_spread_replicate_for_replicate():
 def test_temporal_spread_decay_discounts_later_steps():
     g = chain(2, p=1.0)  # activations at t = 0, 1, 2
     cfg = MonteCarloConfig(single_phase_sims=10, master_seed=0)
-    est = estimate_temporal_spread(g, [0], DecayFunction.exponential(0.5), cfg)
+    est = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(0.5))
     assert est.mean == pytest.approx(1 + 0.5 + 0.25)
 
 
@@ -153,7 +150,7 @@ def test_decay_weighted_spread_agrees_with_exact_nu():
     cfg = MonteCarloConfig(single_phase_sims=50_000, master_seed=3)
     for g in instance_family(15, seed=31):
         for seeds in ([0], [0, g.n - 1]):
-            est = estimate_temporal_spread(g, seeds, decay, cfg)
+            est = estimate_spread(g, seeds, cfg, decay=decay)
             gap = abs(est.mean - exact_nu(g, seeds, decay))
             assert gap <= max(3 * est.stderr, 0.01 * g.n), (g.n, seeds, gap)
 

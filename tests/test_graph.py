@@ -183,3 +183,13 @@ def test_residual_graph_matches_python_walk():
         assert sub.out_edges == want_out
         assert sorted((u, v, p) for v, adj in enumerate(sub.in_edges) for u, p in adj) \
             == sub.edges()
+
+
+def test_bundled_lesmis_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from importlib import resources
+    g = nx.les_miserables_graph()
+    want = [f"{a} {b} {g.edges[a, b]['weight']}"
+            for a, b in sorted((min(u, v), max(u, v)) for u, v in g.edges())]
+    text = resources.files("twophase_im").joinpath("data", "lesmis.txt").read_text()
+    assert text.splitlines() == want

@@ -28,9 +28,7 @@ class CountingObjective:
 def test_search_config_defaults_and_validation():
     cfg = SearchConfig(k_total=100, d_max=5)
     assert cfg.k1_grid_step == 5
-    assert cfg.objective_mode == "sigma"
-    cfg = SearchConfig(k_total=4, d_max=5, decay=DecayFunction.exponential(0.5))
-    assert cfg.objective_mode == "nu"
+    assert cfg.decay == DecayFunction.constant_one()
     with pytest.raises(ValueError):
         SearchConfig(k_total=0, d_max=5)
 
