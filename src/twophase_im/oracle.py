@@ -1,7 +1,16 @@
 """Brute-force ground truth on small graphs via live-graph enumeration.
 
-Deliberately exhaustive: every quantity is a sum over all 2^m edge subsets.
-Node sets are int bitmasks throughout for speed.
+Deliberately exhaustive: every quantity is a sum over all 2^m live graphs.
+Live graph x keeps edge e (in ``graph.edges()`` order) when bit e of x is
+set, so a live graph is its own index. Node sets are uint64 bitmasks, which
+caps n at 64.
+
+One layered BFS runs over all live graphs and all sources at once, block by
+block, and fills the distance table ``dist[x, v, w]`` and the reach masks
+``reach[x, v]``. After an observation, the residual of a live graph is the
+edge subset that avoids the already-active nodes, itself a live graph, so
+``exact_f`` answers every residual reach query with a lookup into ``reach``.
+Every table is checked against ``ORACLE_BYTES`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -17,7 +26,14 @@ from .graph import InfluenceGraph
 
 DEFAULT_EDGE_CAP = 24
 DEFAULT_SUBSET_CAP = 200_000
+NODE_CAP = 64                  # node sets are uint64 bitmasks
+ORACLE_BYTES = 512 << 20       # largest table (or temporary) the oracle allocates
+BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per BFS block (few MB)
 UNREACHED = 127  # int8 sentinel distance
+
+_ONE = np.uint64(1)
+_SHIFTS = np.arange(NODE_CAP, dtype=np.uint64)
+_NODE_BITS = _ONE << _SHIFTS
 
 
 class OracleCapError(ValueError):
@@ -39,6 +55,13 @@ def _bits(mask: int):
         mask ^= b
 
 
+def _check_bytes(what: str, nbytes: int):
+    if nbytes > ORACLE_BYTES:
+        raise OracleCapError(
+            f"{what} needs {nbytes / 2**20:.0f} MiB, above the oracle's budget "
+            f"of {ORACLE_BYTES / 2**20:.0f} MiB")
+
+
 class ExactOracle:
     """Per-graph enumeration caches shared by all exact computations."""
 
@@ -51,63 +74,81 @@ class ExactOracle:
         if self.m > edge_cap:
             raise OracleCapError(
                 f"graph has {self.m} edges, above the enumeration cap of {edge_cap}")
+        if self.n > NODE_CAP:
+            raise OracleCapError(
+                f"graph has {self.n} nodes, above the node cap of {NODE_CAP}")
+        # dist is int8 (2^m, n, n); reach is uint64 (2^m, n)
+        _check_bytes("the distance and reach tables", (1 << self.m) * self.n * (self.n + 8))
         self.subset_cap = subset_cap
         self.full_nodes = (1 << self.n) - 1
+        self.node_bits = _NODE_BITS[:self.n]
 
         # p(X) for every mask; new edge contributes the high bit each doubling.
         probs = np.ones(1)
         for _, _, p in self.edges:
             probs = np.concatenate([probs * (1.0 - p), probs * p])
         self.mask_p = probs
+        # the live graphs of nonzero probability, their masks and probabilities
+        self.live = probs.nonzero()[0]
+        self.live_x = self.live.astype(np.uint64)
+        self.live_p = probs[self.live]
 
-        # adjacency bitmasks per live graph
-        adjs = [[0] * self.n]
-        for u, v, _ in self.edges:
-            extended = []
-            for a in adjs:
-                b = list(a)
-                b[u] |= 1 << v
-                extended.append(b)
-            adjs += extended
-        self.adj = adjs
+        # out_bit[e, u] = 1 << v for edge e = (u, v), and incident[u] holds
+        # the bits of the edges touching u
+        out_bit = np.zeros((self.m, self.n), dtype=np.uint64)
+        incident = [0] * self.n
+        for e, (u, v, _) in enumerate(self.edges):
+            out_bit[e, u] = 1 << v
+            incident[u] |= 1 << e
+            incident[v] |= 1 << e
+        self.out_bit = out_bit
+        self.incident = np.array(incident, dtype=np.uint64)
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
+        self._reach = None         # (2^m, n) uint64 reached-node masks
         self._dist_from = {}       # seed bitmask -> (2^m, n) int8
-        self._keep_edges = {}      # already-mask -> residual edge mask
-        self._res_reach = {}       # (residual edge mask, source) -> reached mask
         self._tables = {}          # delta -> value per node subset
 
     # -- distances ---------------------------------------------------------
 
-    def _layered_bfs(self, adj, start_mask):
-        """Distance per node from a seed bitmask in one live graph."""
-        dist = [UNREACHED] * self.n
-        for v in _bits(start_mask):
-            dist[v] = 0
-        reached = start_mask
-        frontier = start_mask
-        t = 0
-        while frontier:
-            t += 1
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= adj[u]
-            nxt &= ~reached
-            for v in _bits(nxt):
-                dist[v] = t
-            reached |= nxt
-            frontier = nxt
-        return dist
+    def _enumerate(self):
+        """Layered BFS from every source in every live graph, one block of
+        live graphs at a time: (dist, reach)."""
+        n, size = self.n, 1 << self.m
+        dist = np.full((size, n, n), UNREACHED, dtype=np.int8)
+        dist.reshape(size, n * n)[:, ::n + 1] = 0      # each source, at step 0
+        reach = np.empty((size, n), dtype=np.uint64)
+        edge_bits = _SHIFTS[:self.m]
+        block = max(1, BLOCK_CELLS // max(1, n * n))
+        for lo in range(0, size, block):
+            xs = np.arange(lo, min(lo + block, size), dtype=np.uint64)
+            edge_on = (xs[:, None, None] >> edge_bits[:, None]) & _ONE   # (block, edge, 1)
+            adj = np.bitwise_or.reduce(edge_on * self.out_bit, axis=1)    # (block, node)
+            out = dist[lo:lo + len(xs)]
+            # step 1 reaches each source's out-neighbours: its adjacency row
+            reached = adj | self.node_bits
+            frontier, t = reached ^ self.node_bits, 1
+            adj = adj[:, None, :]
+            while np.count_nonzero(frontier):
+                hit = (frontier[:, :, None] & self.node_bits) != 0   # (block, source, node)
+                out[hit] = t
+                frontier = np.bitwise_or.reduce(hit * adj, axis=2) & ~reached
+                reached = reached | frontier
+                t += 1
+            reach[lo:lo + len(xs)] = reached
+        return dist, reach
 
     @property
     def dist(self) -> np.ndarray:
         if self._dist is None:
-            d = np.empty((1 << self.m, self.n, self.n), dtype=np.int8)
-            for x, adj in enumerate(self.adj):
-                for v in range(self.n):
-                    d[x, v, :] = self._layered_bfs(adj, 1 << v)
-            self._dist = d
+            self._dist, self._reach = self._enumerate()
         return self._dist
+
+    @property
+    def reach(self) -> np.ndarray:
+        """(2^m, n) uint64: the nodes each source reaches in each live graph."""
+        self.dist   # one enumeration fills both tables
+        return self._reach
 
     def dist_from(self, seed_mask: int) -> np.ndarray:
         """Per-live-graph distances from a seed set (min over members)."""
@@ -142,107 +183,83 @@ class ExactOracle:
         """sigma (or nu) for every node subset, indexed by bitmask."""
         got = self._tables.get(decay.delta)
         if got is None:
+            # int8 distances plus float64 values for every (subset, live graph)
+            _check_bytes("the value table", (1 << self.n) * (1 << self.m) * (self.n + 8))
             gtab = self._gamma_table(decay)
             dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
+            vals = np.zeros((1 << self.n, 1 << self.m))
             for s in range(1, 1 << self.n):
                 low = s & -s
                 dsub[s] = np.minimum(dsub[s ^ low], self.dist[:, low.bit_length() - 1, :])
-            got = gtab[dsub].sum(axis=2) @ self.mask_p
+                vals[s] = gtab[dsub[s]].sum(axis=1)
+            got = vals @ self.mask_p
             self._tables[decay.delta] = got
         return got
 
     # -- two-phase objective f --------------------------------------------
 
-    def _residual_edge_mask(self, already_mask: int) -> int:
-        got = self._keep_edges.get(already_mask)
-        if got is None:
-            got = 0
-            for e, (u, v, _) in enumerate(self.edges):
-                if not (already_mask >> u) & 1 and not (already_mask >> v) & 1:
-                    got |= 1 << e
-            self._keep_edges[already_mask] = got
-        return got
-
-    def _res_adj(self, res_mask: int):
-        adj = [0] * self.n
-        for e in _bits(res_mask):
-            u, v, _ = self.edges[e]
-            adj[u] |= 1 << v
-        return adj
-
-    def _reach_res(self, res_mask: int, src: int) -> int:
-        """Reachable-node mask from one source in a residual live graph."""
-        key = (res_mask, src)
-        got = self._res_reach.get(key)
-        if got is None:
-            adj = self._res_adj(res_mask)
-            reached = 1 << src
-            frontier = reached
-            while frontier:
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= adj[u]
-                nxt &= ~reached
-                reached |= nxt
-                frontier = nxt
-            got = reached
-            self._res_reach[key] = got
-        return got
-
     def exact_f(self, s1, d: int, k2: int, return_details: bool = False):
         """Exact two-phase objective: live graphs grouped by the observation
         at step d; for each observation the optimal k2-set is found by
-        exhaustive search over inactive nodes."""
+        exhaustive search over inactive nodes.
+
+        Within an observation (already, recent), live graphs with the same
+        residual edge mask form one class whose probability is summed in
+        ascending x. A candidate's value sums, over the classes in order of
+        first occurrence, class probability times the number of nodes the
+        recent and candidate nodes reach in the residual."""
         if k2 < 0 or k2 > self.n:
             raise ValueError("k2 out of range")
         if d < 0:
             raise ValueError("d must be >= 0")
-        s1_mask = _to_mask(s1)
         d_eff = min(d, UNREACHED - 1)
-        dist = self.dist_from(s1_mask)
+        dist = self.dist_from(_to_mask(s1))[self.live]
+        already_in = dist < d_eff
+        already, recent = np.array((already_in, dist == d_eff)) @ self.node_bits
+        res = self.live_x & ~np.bitwise_or.reduce(already_in * self.incident, axis=1)
 
-        weights = np.arange(self.n, dtype=np.int64)
-        a_keys = ((dist < d_eff).astype(np.int64) << weights).sum(axis=1)
-        r_keys = ((dist == d_eff).astype(np.int64) << weights).sum(axis=1)
+        # classes: runs of equal (already, recent, res) in sorted order, with
+        # x ascending within each run
+        order = np.lexsort((res, recent, already))
+        already, recent, res = already[order], recent[order], res[order]
+        new_obs = np.empty(len(order), dtype=bool)
+        new_obs[0] = True
+        new_obs[1:] = (already[1:] != already[:-1]) | (recent[1:] != recent[:-1])
+        new_cls = new_obs.copy()
+        new_cls[1:] |= res[1:] != res[:-1]
+        starts = new_cls.nonzero()[0]
+        cls_w = np.bincount(new_cls.cumsum(), weights=self.live_p[order])[1:]
+        cls_reach = self.reach[res[starts]]        # (class, source)
+        heads = new_obs[starts].nonzero()[0]       # each observation's first class
+        bounds = heads.tolist() + [len(starts)]
+        a_masks = already[starts[heads]].tolist()
+        r_masks = recent[starts[heads]].tolist()
 
-        groups = {}
-        for x in range(1 << self.m):
-            p = self.mask_p[x]
-            if p == 0.0:
-                continue
-            a, r = int(a_keys[x]), int(r_keys[x])
-            res = int(x) & self._residual_edge_mask(a)
-            by_res = groups.setdefault((a, r), {})
-            by_res[res] = by_res.get(res, 0.0) + p
-
+        # The observation is fixed by the edges out of already-active nodes,
+        # and the residual drops exactly the edges touching those nodes. So an
+        # observation's live graphs are every allowed dropped part times every
+        # allowed residual part, and its classes in ascending residual mask are
+        # also in order of first occurrence; its first class holds its first x.
         terms = []
         details = []
-        for (a_mask, r_mask), by_res in groups.items():
-            group_p = math.fsum(by_res.values())
-            avail = sorted(_bits(self.full_nodes & ~(a_mask | r_mask)))
-            k2_eff = min(k2, len(avail))
-            cands = list(combinations(avail, k2_eff))
+        for g in order[starts[heads]].argsort().tolist():
+            lo, hi, a_mask, r_mask = bounds[g], bounds[g + 1], a_masks[g], r_masks[g]
+            w = cls_w[lo:hi]
+            group_p = math.fsum(w.tolist())
+            avail = list(_bits(self.full_nodes & ~(a_mask | r_mask)))
+            cands = list(combinations(avail, min(k2, len(avail))))
             if len(cands) > self.subset_cap:
                 raise OracleCapError(
                     f"{len(cands)} candidate sets exceed the subset cap of {self.subset_cap}")
-            cand_vals = [0.0] * len(cands)
-            r_bits = list(_bits(r_mask))
-            for res, w in by_res.items():
-                base = 0
-                for v in r_bits:
-                    base |= self._reach_res(res, v)
-                for ci, cand in enumerate(cands):
-                    reached = base
-                    for v in cand:
-                        reached |= self._reach_res(res, v)
-                    cand_vals[ci] += w * reached.bit_count()
-            # combinations() yields lexicographically; first strict max wins ties
-            best_i = max(range(len(cands)), key=lambda i: (cand_vals[i], -i))
-            terms.append(group_p * a_mask.bit_count() + cand_vals[best_i])
+            # the recent nodes spread in the residual along with each candidate
+            spreaders = list(_bits(r_mask))
+            best_val, best_i = _best_candidate(
+                w, cls_reach[lo:hi], np.array([spreaders + list(c) for c in cands], dtype=np.intp))
+            terms.append(group_p * a_mask.bit_count() + best_val)
             if return_details:
                 details.append({
-                    "already": sorted(_bits(a_mask)),
-                    "recent": sorted(_bits(r_mask)),
+                    "already": list(_bits(a_mask)),
+                    "recent": spreaders,
                     "probability": group_p,
                     "s2": list(cands[best_i]),
                 })
@@ -259,6 +276,22 @@ class ExactOracle:
             if v > best[0] + 1e-12:
                 best = (v, cand)
         return best
+
+
+def _best_candidate(w, reach, cands):
+    """(value, index) of the first candidate with the largest value
+    sum_c w[c] * |union of reach[c, v] over v in the candidate|, summed over
+    the classes c in order. Candidates are scored a chunk at a time, so the
+    temporaries stay within the byte budget."""
+    step = ORACLE_BYTES // (8 * len(w) * (cands.shape[1] + 3)) or 1
+    best_val, best_i = -math.inf, 0
+    for lo in range(0, len(cands), step):
+        covered = np.bitwise_or.reduce(reach.take(cands[lo:lo + step], axis=1), axis=2)
+        vals = (w[:, None] * np.bitwise_count(covered)).cumsum(axis=0)[-1]
+        i = vals.argmax()   # the first maximum wins ties
+        if vals[i] > best_val:
+            best_val, best_i = vals[i], lo + int(i)
+    return best_val, best_i
 
 
 def _to_mask(nodes) -> int:

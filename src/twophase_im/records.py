@@ -8,9 +8,9 @@ informational and excluded from the comparison.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,24 +39,18 @@ def graph_fingerprint(graph) -> str:
 
 @contextmanager
 def output_lock(output_dir: Path):
-    """One process at a time per output directory."""
+    """One process at a time per output directory: an exclusive ``flock`` on
+    the lock file, held until the block exits. The kernel drops the lock
+    when its holder dies, so a killed run leaves no stale lock behind."""
     output_dir.mkdir(parents=True, exist_ok=True)
     lock = output_dir / LOCK_NAME
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RecordError(
-            f"output dir {output_dir} is locked by another run ({lock}); "
-            "remove the lock file if that run is dead") from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        yield
-    finally:
+    with open(lock, "a") as fh:
         try:
-            os.unlink(lock)
-        except OSError:
-            pass
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RecordError(
+                f"output dir {output_dir} is locked by another run ({lock})") from None
+        yield
 
 
 def _free_record_path(output_dir: Path, base: str) -> Path:

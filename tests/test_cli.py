@@ -1,5 +1,9 @@
+import fcntl
 import hashlib
 import json
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,11 +173,47 @@ def test_rerun_refuses_changed_graph(tmp_path, capsys):
 
 
 def test_output_dir_lock_blocks_concurrent_runs(tmp_path, capsys):
-    (tmp_path / LOCK_NAME).write_text("4242")
-    code, _, err = run(capsys, "oracle", "--graph", "example1", "--query",
-                       "sigma", "--seeds", "B", "--output-dir", str(tmp_path))
+    with open(tmp_path / LOCK_NAME, "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        code, _, err = run(capsys, "oracle", "--graph", "example1", "--query",
+                           "sigma", "--seeds", "B", "--output-dir", str(tmp_path))
     assert code == 2
     assert "lock" in err
+
+
+def test_leftover_lock_file_does_not_block(tmp_path, capsys):
+    (tmp_path / LOCK_NAME).write_text("4242")   # written by a run that died
+    code, _, _ = run(capsys, "oracle", "--graph", "example1", "--query",
+                     "sigma", "--seeds", "B", "--output-dir", str(tmp_path))
+    assert code == 0
+
+
+def test_killed_run_releases_its_lock(tmp_path, capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time\n"
+         "from pathlib import Path\n"
+         "from twophase_im.records import output_lock\n"
+         "with output_lock(Path(sys.argv[1])):\n"
+         "    print('locked', flush=True)\n"
+         "    time.sleep(60)\n", str(tmp_path)],
+        stdout=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        args = ("oracle", "--graph", "example1", "--query", "sigma", "--seeds", "B",
+                "--output-dir", str(tmp_path))
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "lock" in err
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=30)
+        assert (tmp_path / LOCK_NAME).exists()
+        code, _, _ = run(capsys, *args)
+        assert code == 0
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
 
 
 def test_datasets_export_builtin_round_trips(tmp_path, capsys):

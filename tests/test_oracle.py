@@ -1,12 +1,17 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from twophase_im.diffusion import DecayFunction
-from twophase_im.graph import RawEdgeList, build_graph
+from conftest import instance_family
+from twophase_im.cli import main
+from twophase_im.diffusion import NO_DECAY, DecayFunction
+from twophase_im.graph import RawEdgeList, build_graph, load_graph
 from twophase_im.instances import example1_graph, random_small_graph
 from twophase_im.oracle import (
+    ORACLE_BYTES,
+    UNREACHED,
     ExactOracle,
     OracleCapError,
     enumerate_live_graphs,
@@ -103,3 +108,257 @@ def test_oracle_rejects_oversized_graph():
 
 def test_oracle_cached_per_graph(example1):
     assert get_oracle(example1) is get_oracle(example1)
+
+
+def _native_graph(path, n, edges):
+    """Load a native-format graph of n nodes (isolated ones included)."""
+    lines = ["TPIM-GRAPH v1", f"{n} {len(edges)}", *map(str, range(n)),
+             *(f"{u} {v} {p!r}" for u, v, p in edges)]
+    path.write_text("\n".join(lines) + "\n")
+    return load_graph(path)
+
+
+def test_oracle_rejects_more_than_64_nodes(tmp_path, capsys):
+    # node ids >= 64 do not fit the uint64 node masks; a native graph may
+    # hold isolated nodes, so n passes 64 with three edges
+    h = 66
+    path = tmp_path / "wide.tpim"
+    wide = _native_graph(path, 70, [(0, h, 0.5), (h, h + 1, 0.5), (1, 2, 0.5)])
+    with pytest.raises(OracleCapError, match="node cap"):
+        ExactOracle(wide)
+    code = main(["oracle", "--graph", str(path), "--query", "f", "--s1", "0",
+                 "--d", "1", "--k2", "1", "--output-dir", str(tmp_path / "r")])
+    assert code == 2
+    assert "node cap of 64" in capsys.readouterr().err
+
+
+def test_oracle_byte_budget_checked_before_allocating(tmp_path):
+    # 2^24 live graphs on 64 nodes: the distance table alone would be 64 GiB
+    arcs = [(u, v, 0.5) for u in range(7) for v in range(7) if u != v][:24]
+    with pytest.raises(OracleCapError, match="distance and reach tables"):
+        ExactOracle(_native_graph(tmp_path / "deep.tpim", 64, arcs))
+    # 30 nodes and one edge: the distance table is tiny, but the value table
+    # would hold 2^30 subsets x 2 live graphs x 38 bytes
+    orc = ExactOracle(_native_graph(tmp_path / "wide.tpim", 30, [(0, 1, 0.5)]))
+    assert orc.dist.nbytes == 2 * 30 * 30
+    with pytest.raises(OracleCapError, match="value table"):
+        orc.value_table()
+
+
+# -- loop reference for the array enumeration ------------------------------
+
+
+def _mask_bits(mask):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+class _LoopOracle:
+    """The enumeration as Python loops over live graphs: one layered BFS per
+    (live graph, source), per-observation dicts of residual edge masks, and a
+    BFS per residual reach query. The array oracle must equal it bit for bit."""
+
+    def __init__(self, graph):
+        self.n = graph.n
+        self.edges = graph.edges()
+        self.m = len(self.edges)
+        self.full_nodes = (1 << self.n) - 1
+        probs = np.ones(1)
+        for _, _, p in self.edges:
+            probs = np.concatenate([probs * (1.0 - p), probs * p])
+        self.mask_p = probs
+        adjs = [[0] * self.n]
+        for u, v, _ in self.edges:
+            extended = []
+            for a in adjs:
+                b = list(a)
+                b[u] |= 1 << v
+                extended.append(b)
+            adjs += extended
+        self.adj = adjs
+        self._dist = None
+        self._res_reach = {}
+
+    def _layered_bfs(self, adj, start_mask):
+        dist = [UNREACHED] * self.n
+        for v in _mask_bits(start_mask):
+            dist[v] = 0
+        reached = frontier = start_mask
+        t = 0
+        while frontier:
+            t += 1
+            nxt = 0
+            for u in _mask_bits(frontier):
+                nxt |= adj[u]
+            nxt &= ~reached
+            for v in _mask_bits(nxt):
+                dist[v] = t
+            reached |= nxt
+            frontier = nxt
+        return dist
+
+    @property
+    def dist(self):
+        if self._dist is None:
+            d = np.empty((1 << self.m, self.n, self.n), dtype=np.int8)
+            for x, adj in enumerate(self.adj):
+                for v in range(self.n):
+                    d[x, v, :] = self._layered_bfs(adj, 1 << v)
+            self._dist = d
+        return self._dist
+
+    def dist_from(self, seeds):
+        if not seeds:
+            return np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
+        return self.dist[:, sorted(seeds), :].min(axis=1)
+
+    def exact_nu(self, seeds, decay):
+        gtab = np.zeros(UNREACHED + 1)
+        gtab[:UNREACHED] = decay.delta ** np.arange(UNREACHED)
+        per_x = gtab[self.dist_from(seeds)].sum(axis=1)
+        return float(math.fsum(self.mask_p * per_x))
+
+    def value_table(self, decay):
+        gtab = np.zeros(UNREACHED + 1)
+        gtab[:UNREACHED] = decay.delta ** np.arange(UNREACHED)
+        dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
+        for s in range(1, 1 << self.n):
+            low = s & -s
+            dsub[s] = np.minimum(dsub[s ^ low], self.dist[:, low.bit_length() - 1, :])
+        return gtab[dsub].sum(axis=2) @ self.mask_p
+
+    def _reach_res(self, res, src):
+        key = (res, src)
+        if key not in self._res_reach:
+            adj = [0] * self.n
+            for e in _mask_bits(res):
+                u, v, _ = self.edges[e]
+                adj[u] |= 1 << v
+            reached = frontier = 1 << src
+            while frontier:
+                nxt = 0
+                for u in _mask_bits(frontier):
+                    nxt |= adj[u]
+                frontier = nxt & ~reached
+                reached |= frontier
+            self._res_reach[key] = reached
+        return self._res_reach[key]
+
+    def exact_f(self, s1, d, k2):
+        d_eff = min(d, UNREACHED - 1)
+        dist = self.dist_from(s1)
+        weights = np.arange(self.n, dtype=np.int64)
+        a_keys = ((dist < d_eff).astype(np.int64) << weights).sum(axis=1)
+        r_keys = ((dist == d_eff).astype(np.int64) << weights).sum(axis=1)
+        keep_edges = {}
+        groups = {}
+        for x in range(1 << self.m):
+            p = self.mask_p[x]
+            if p == 0.0:
+                continue
+            a, r = int(a_keys[x]), int(r_keys[x])
+            if a not in keep_edges:
+                keep_edges[a] = sum(1 << e for e, (u, v, _) in enumerate(self.edges)
+                                    if not (a >> u) & 1 and not (a >> v) & 1)
+            res = x & keep_edges[a]
+            by_res = groups.setdefault((a, r), {})
+            by_res[res] = by_res.get(res, 0.0) + p
+        terms, details = [], []
+        for (a, r), by_res in groups.items():
+            group_p = math.fsum(by_res.values())
+            avail = sorted(_mask_bits(self.full_nodes & ~(a | r)))
+            cands = list(combinations(avail, min(k2, len(avail))))
+            vals = [0.0] * len(cands)
+            for res, w in by_res.items():
+                base = 0
+                for v in _mask_bits(r):
+                    base |= self._reach_res(res, v)
+                for ci, cand in enumerate(cands):
+                    reached = base
+                    for v in cand:
+                        reached |= self._reach_res(res, v)
+                    vals[ci] += w * reached.bit_count()
+            best = max(range(len(cands)), key=lambda i: (vals[i], -i))
+            terms.append(group_p * a.bit_count() + vals[best])
+            details.append({"already": sorted(_mask_bits(a)), "recent": sorted(_mask_bits(r)),
+                            "probability": group_p, "s2": list(cands[best])})
+        return math.fsum(terms), details
+
+    def max_f(self, k1, d, k2):
+        best = (-1.0, None)
+        for cand in combinations(range(self.n), k1):
+            v = self.exact_f(cand, d, k2)[0]
+            if v > best[0] + 1e-12:
+                best = (v, cand)
+        return best
+
+
+def _sixteen_arc_instance():
+    """8 nodes, 16 distinct arcs, probabilities in (0.05, 0.95): 2^16 live graphs."""
+    rng = np.random.default_rng(2024)
+    possible = [(u, v) for u in range(8) for v in range(8) if u != v]
+    idx = np.sort(rng.choice(len(possible), size=16, replace=False))
+    pairs = [(str(possible[i][0]), str(possible[i][1]), float(rng.uniform(0.05, 0.95)))
+             for i in idx]
+    return build_graph(RawEdgeList(directed=True, pairs=pairs))
+
+
+def _assert_matches_loop(g, queries):
+    orc, ref = ExactOracle(g), _LoopOracle(g)
+    assert np.array_equal(orc.dist, ref.dist)
+    for v in range(g.n):
+        assert orc.exact_sigma([v]) == ref.exact_nu([v], NO_DECAY)
+        assert orc.exact_nu([v], DecayFunction(0.5)) == ref.exact_nu([v], DecayFunction(0.5))
+    for s1, d, k2 in queries:
+        assert orc.exact_f(s1, d, k2, return_details=True) == ref.exact_f(s1, d, k2)
+    return orc, ref
+
+
+def test_array_oracle_matches_loop_reference_on_example1(example1):
+    queries = [(s1, d, k2) for s1 in ([], [0], [1], [0, 1], [2, 3])
+               for d in range(4) for k2 in range(3)]
+    orc, ref = _assert_matches_loop(example1, queries)
+    for decay in (NO_DECAY, DecayFunction(0.5)):
+        assert np.array_equal(orc.value_table(decay), ref.value_table(decay))
+    assert orc.max_f(1, 3, 1) == ref.max_f(1, 3, 1)
+    assert orc.max_f(2, 1, 2) == ref.max_f(2, 1, 2)
+
+
+def test_array_oracle_matches_loop_reference_on_family():
+    rng = np.random.default_rng(31)
+    for g in instance_family(20, seed=103):
+        queries = []
+        for _ in range(6):
+            size = int(rng.integers(0, 3))
+            s1 = sorted(rng.choice(g.n, size=size, replace=False).tolist())
+            queries.append((s1, int(rng.integers(0, 4)), int(rng.integers(0, 3))))
+        orc, ref = _assert_matches_loop(g, queries)
+        assert np.array_equal(orc.value_table(), ref.value_table(NO_DECAY))
+        assert orc.max_f(1, 1, 1) == ref.max_f(1, 1, 1)
+
+
+def test_array_oracle_matches_loop_reference_with_sure_and_dead_edges():
+    # p = 1 and p = 0 edges give live graphs of probability zero, which the
+    # observation groups leave out
+    pairs = [("0", "1", 1.0), ("1", "2", 0.0), ("1", "3", 0.5), ("3", "2", 0.7),
+             ("2", "4", 1.0), ("0", "4", 0.25), ("4", "5", 0.6)]
+    g = build_graph(RawEdgeList(directed=True, pairs=pairs))
+    queries = [(s1, d, k2) for s1 in ([], [0], [1], [0, 3]) for d in range(4) for k2 in range(3)]
+    _assert_matches_loop(g, queries)
+
+
+def test_array_oracle_matches_loop_reference_with_parallel_edges(tmp_path):
+    # a native graph file may repeat an arc: two independent coins, one arc
+    g = _native_graph(tmp_path / "parallel.tpim", 4,
+                      [(0, 1, 0.5), (0, 1, 0.3), (1, 2, 0.6), (2, 3, 0.5), (2, 3, 0.9)])
+    queries = [(s1, d, k2) for s1 in ([0], [1]) for d in range(3) for k2 in range(2)]
+    _assert_matches_loop(g, queries)
+
+
+def test_array_oracle_matches_loop_reference_on_sixteen_arcs():
+    g = _sixteen_arc_instance()
+    assert (g.n, g.m) == (8, 16)
+    orc, ref = _assert_matches_loop(g, [([0], 1, 1), ([3], 2, 1), ([1, 5], 1, 2)])
+    assert orc.max_f(1, 2, 1) == ref.max_f(1, 2, 1)

@@ -3,7 +3,7 @@
 Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
 earlier build: select (gdd; greedy with decay; face), a fixed two-phase plan
 with decay, golden-section search with decay, face-joint with and without
-decay, and an exact ``nu`` oracle query. The lesmis records also pin the
+decay, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
 graph hash of the bundled Les Miserables instance.
 """
 
@@ -18,7 +18,7 @@ RECORDS = sorted((Path(__file__).parent / "data" / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 8
+    assert len(RECORDS) == 9
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
