@@ -230,9 +230,8 @@ def _write_csvs(results, record_path: Path):
     if "progression" in results:
         with open(f"{stem}-progression.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t", "new_activations_mean", "stderr"])
-            for t, v in enumerate(results["progression"]):
-                w.writerow([t, v, ""])
+            w.writerow(["t", "new_activations_mean"])
+            w.writerows(enumerate(results["progression"]))
     if "grid" in results:
         with open(f"{stem}-grid.csv", "w", newline="") as fh:
             w = csv.writer(fh)

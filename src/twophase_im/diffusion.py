@@ -3,16 +3,20 @@
 Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
 on-activation, which is equivalent to pre-sampling a live graph. One
-sampler, ``simulate_batch``, walks the frontier's out-edges in the graph's
-CSR arrays; ``simulate_ic`` is its one-replicate view. One estimator,
-``estimate_spread``, weights activations by a ``DecayFunction`` (delta = 1,
-the default, is the plain spread).
+frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
+CSR arrays. The sampler ``simulate_batch`` runs it with a fresh coin per
+edge tested (``simulate_ic`` is its one-replicate view); ``WorldSample``
+runs it in live-edge worlds drawn once, with a lookup for a coin. One
+estimator, ``estimate_spread``, weights activations by a ``DecayFunction``
+(delta = 1, the default, is the plain spread).
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,21 @@ TAG_PROBE = 6
 
 CHUNK = 4096             # most replicates per derived RNG stream in batch simulation
 BATCH_BYTES = 32 << 20   # budget for one chunk's (reps, n) int32 times matrix
+WORLD_BYTES = 256 << 20  # budget for one world sample's (sims, m) live-edge mask
+TABLE_BYTES = 64 << 20   # budget for the (sims, n) time table an objective composes sets in
+CACHE_BYTES = 64 << 20   # budget for one world sample's cached per-node activations
+DRAW_BYTES = 1 << 20     # uniforms held at once while a live-edge mask is drawn
+
+
+class BudgetError(ValueError):
+    """An allocation would pass its byte budget."""
+
+
+def check_bytes(what: str, nbytes: int, budget: int, error=BudgetError):
+    """Raise ``error`` before an allocation of ``nbytes`` that passes ``budget``."""
+    if nbytes > budget:
+        raise error(f"{what}: {nbytes / 2**20:.1f} MiB, above the budget "
+                    f"of {budget / 2**20:.1f} MiB")
 
 
 def chunk_size(n: int) -> int:
@@ -148,29 +167,25 @@ def observe_at(trace: DiffusionTrace, d: int) -> Observation:
                        recent=frozenset(int(v) for v in recent))
 
 
-def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
-                   reps: int, stop_at: int | None = None) -> np.ndarray:
-    """IC replicates; returns a (reps, n) activation-time matrix.
+def _cascade(graph: InfluenceGraph, times: np.ndarray, seeds: list, stop_at: int,
+             coin) -> list:
+    """The IC frontier loop, in place on a (reps, n) times matrix whose only
+    non-NEVER entries are the seeds' zeros; returns the flat keys
+    (replicate * n + node) activated at each step, the seeds' first.
 
-    Per-edge frontier sampler: each step gathers the out-edges of every
-    (replicate, node) activated in the previous step, drops edges into nodes
-    already active in that replicate, draws one uniform per remaining edge
-    and activates the targets of the hits (``u < p``), each once. Frontier
-    entries are kept sorted by (replicate, node) and edges in CSR order, so
-    the draws are fixed by the stream alone.
+    Each step gathers the out-edges of every (replicate, node) activated in
+    the previous step, drops edges into nodes already active in that
+    replicate, asks ``coin(key, edge)`` which of the remaining edges fire
+    (``key`` is replicate * n + target, in order) and activates the targets
+    of the hits, each once. Frontier entries are kept sorted by (replicate,
+    node) and edges in CSR order, so the coins are asked in a fixed order.
     """
-    seeds = _check_seeds(graph, seeds)
-    n = graph.n
-    if stop_at is None:
-        stop_at = n
-    times = np.full((reps, n), NEVER, dtype=np.int32)
-    if not seeds or n == 0:
-        return times
-    times[:, seeds] = 0
+    reps, n = times.shape
     flat = times.reshape(-1)
-    indptr, degree, dst, prob = graph.indptr, graph.out_degrees, graph.dst, graph.p
+    indptr, degree, dst = graph.indptr, graph.out_degrees, graph.dst
     # frontier as sorted flat keys replicate * n + node
     key = (np.arange(0, reps * n, n)[:, None] + np.asarray(seeds)).ravel()
+    steps = [key]
     t = 0
     while key.size and t < stop_at:
         t += 1
@@ -187,7 +202,7 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
         key += dst[edge]
         open_ = flat[key] == NEVER
         key = key[open_]
-        key = key[rng.random(key.size) < prob[edge[open_]]]
+        key = key[coin(key, edge[open_])]
         key.sort()
         if key.size > 1:
             fresh = np.empty(key.size, dtype=bool)
@@ -195,6 +210,27 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
             np.not_equal(key[1:], key[:-1], out=fresh[1:])
             key = key[fresh]
         flat[key] = t
+        steps.append(key)
+    return steps
+
+
+def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
+                   reps: int, stop_at: int | None = None) -> np.ndarray:
+    """IC replicates; returns a (reps, n) activation-time matrix.
+
+    Per-edge frontier sampler (``_cascade``): each edge tested draws one
+    uniform and fires when ``u < p``, so the draws are fixed by the stream
+    alone.
+    """
+    seeds = _check_seeds(graph, seeds)
+    n = graph.n
+    times = np.full((reps, n), NEVER, dtype=np.int32)
+    if not seeds or n == 0:
+        return times
+    times[:, seeds] = 0
+    prob = graph.p
+    _cascade(graph, times, seeds, n if stop_at is None else stop_at,
+             lambda key, edge: rng.random(key.size) < prob[edge])
     return times
 
 
@@ -229,6 +265,130 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
     vals = [decay.values(times)
             for times in _batches(graph, seeds, sims, config.master_seed, tag)]
     return _estimate(np.concatenate(vals, dtype=np.float64))
+
+
+class ByteCache:
+    """Values with an ``nbytes`` by key, least recently used first out, under
+    a byte budget. The newest entry is always kept, whatever its size."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._items = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key, make):
+        """The value stored under ``key``, else ``make()``, stored."""
+        got = self._items.get(key)
+        if got is not None:
+            self._items.move_to_end(key)
+            return got
+        got = self._items[key] = make()
+        self.nbytes += got.nbytes
+        while self.nbytes > self.budget and len(self._items) > 1:
+            self.nbytes -= self._items.popitem(last=False)[1].nbytes
+        return got
+
+
+def _time_dtype(n: int) -> np.dtype:
+    """Smallest unsigned dtype whose signed view holds the times 0..n-1."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if n <= np.iinfo(t).max // 2 + 1)
+
+
+class Activations(NamedTuple):
+    """Every activation of a cascade over a world sample, as flat keys
+    world * n + node and the step of each."""
+
+    keys: np.ndarray
+    times: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.times.nbytes
+
+
+class WorldSample:
+    """``sims`` live-edge worlds of a graph, drawn once, and the activations
+    of a cascade in them.
+
+    World w keeps edge e when u < p[e]; the uniforms of the c-th chunk of
+    ``chunk_size(n)`` worlds come from ``stream(master_seed, tag, c)``, one
+    world (row) after another. In a fixed world a cascade is a BFS over the
+    kept edges (``_cascade`` with a lookup for a coin), so the activation
+    time of a node from a set is the minimum of its times from the members.
+    A node's activations are computed on first use and kept in a
+    ``ByteCache`` of ``CACHE_BYTES``; each costs the edges its BFS tests.
+    A dense (sims, n) table of the unsigned ``dtype``, NEVER stored as its
+    largest value, composes them. The mask is checked against
+    ``WORLD_BYTES`` and one table against ``TABLE_BYTES`` before anything
+    is allocated (``BudgetError``).
+    """
+
+    def __init__(self, graph: InfluenceGraph, sims: int, master_seed: int, tag: int):
+        if sims < 1:
+            raise ValueError("sims must be >= 1")
+        n, m = graph.n, graph.m
+        self.graph, self.sims = graph, sims
+        self.dtype = _time_dtype(n)
+        self.signed = np.dtype(self.dtype.str.replace("u", "i"))
+        self.never = np.iinfo(self.dtype).max
+        check_bytes("the live-edge worlds", sims * m, WORLD_BYTES)
+        check_bytes("an activation-time table", sims * n * self.dtype.itemsize, TABLE_BYTES)
+        self.live = np.empty((sims, m), dtype=bool)
+        size = chunk_size(n)
+        rows = max(1, DRAW_BYTES // (8 * max(m, 1)))
+        for idx, lo in enumerate(range(0, sims, size)):
+            rng, hi = stream(master_seed, tag, idx), min(lo + size, sims)
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                np.less(rng.random((b - a, m)), graph.p, out=self.live[a:b])
+        self._key_dtype = np.int32 if sims * n <= np.iinfo(np.int32).max else np.int64
+        # one chunk of BFS times, all NEVER between calls
+        self._work = np.full((min(sims, size), n), NEVER, dtype=self.signed)
+        self._nodes = ByteCache(CACHE_BYTES)
+
+    def activations(self, seeds) -> Activations:
+        """The activations from ``seeds`` in every world, by one BFS."""
+        seeds = _check_seeds(self.graph, seeds)
+        n, m = self.graph.n, self.graph.m
+        if not seeds:
+            return Activations(np.zeros(0, self._key_dtype), np.zeros(0, self.dtype))
+        keys, times = [], []
+        for lo in range(0, self.sims, len(self._work)):
+            work = self._work[:self.sims - lo]
+            live = self.live[lo:lo + len(work)].reshape(-1)
+            work[:, seeds] = 0
+            steps = _cascade(self.graph, work, seeds, n,
+                             lambda key, edge: live[key // n * m + edge])
+            found = np.concatenate(steps)
+            work.reshape(-1)[found] = NEVER
+            keys.append(found + lo * n)
+            times.append(np.arange(len(steps), dtype=self.dtype).repeat(
+                [len(step) for step in steps]))
+        return Activations(np.concatenate(keys).astype(self._key_dtype),
+                           np.concatenate(times))
+
+    def node(self, v: int) -> Activations:
+        """``activations([v])``, cached."""
+        return self._nodes.get(v, lambda: self.activations([v]))
+
+    def table(self, *found: Activations) -> np.ndarray:
+        """A (sims, n) times table with the given activations written in."""
+        table = np.full((self.sims, self.graph.n), self.never, dtype=self.dtype)
+        for acts in found:
+            keys, times, _ = self.improve(table, acts)
+            table.reshape(-1)[keys] = times
+        return table
+
+    def improve(self, table: np.ndarray, acts: Activations):
+        """The activations in ``acts`` earlier than ``table``'s, as (keys,
+        times, the table's times there)."""
+        old = table.reshape(-1)[acts.keys]
+        better = acts.times < old
+        return acts.keys[better], acts.times[better], old[better]
 
 
 def trace_csv_rows(trace: DiffusionTrace):

@@ -295,7 +295,8 @@ def save_graph(graph: InfluenceGraph, path) -> None:
 
 
 def load_graph(path) -> InfluenceGraph:
-    """Read the native serialized format back; exact round-trip."""
+    """Read the native serialized format back; exact round-trip. An arc may
+    appear once, as in ``build_graph``."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != FORMAT_MAGIC:
@@ -305,9 +306,14 @@ def load_graph(path) -> InfluenceGraph:
         n, m = map(int, fh.readline().split())
         labels = [fh.readline().rstrip("\n") for _ in range(n)]
         edges = []
+        seen = set()
         for _ in range(m):
             u, v, p = fh.readline().split()
-            edges.append((int(u), int(v), float(p)))
+            arc = int(u), int(v)
+            if arc in seen:
+                raise GraphError(f"{path}: repeated arc ({u}, {v})")
+            seen.add(arc)
+            edges.append((*arc, float(p)))
     return _finish(n, labels, edges, 0)
 
 

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diffusion import NO_DECAY, DecayFunction
+from .diffusion import NO_DECAY, ByteCache, DecayFunction, check_bytes
 from .graph import InfluenceGraph
 
 DEFAULT_EDGE_CAP = 24
@@ -29,6 +29,7 @@ DEFAULT_SUBSET_CAP = 200_000
 NODE_CAP = 64                  # node sets are uint64 bitmasks
 ORACLE_BYTES = 512 << 20       # largest table (or temporary) the oracle allocates
 BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per BFS block (few MB)
+DIST_FROM_BYTES = 8 << 20      # budget for the cached per-seed-set distance tables
 UNREACHED = 127  # int8 sentinel distance
 
 _ONE = np.uint64(1)
@@ -55,13 +56,6 @@ def _bits(mask: int):
         mask ^= b
 
 
-def _check_bytes(what: str, nbytes: int):
-    if nbytes > ORACLE_BYTES:
-        raise OracleCapError(
-            f"{what} needs {nbytes / 2**20:.0f} MiB, above the oracle's budget "
-            f"of {ORACLE_BYTES / 2**20:.0f} MiB")
-
-
 class ExactOracle:
     """Per-graph enumeration caches shared by all exact computations."""
 
@@ -78,7 +72,8 @@ class ExactOracle:
             raise OracleCapError(
                 f"graph has {self.n} nodes, above the node cap of {NODE_CAP}")
         # dist is int8 (2^m, n, n); reach is uint64 (2^m, n)
-        _check_bytes("the distance and reach tables", (1 << self.m) * self.n * (self.n + 8))
+        check_bytes("the distance and reach tables", (1 << self.m) * self.n * (self.n + 8),
+                    ORACLE_BYTES, OracleCapError)
         self.subset_cap = subset_cap
         self.full_nodes = (1 << self.n) - 1
         self.node_bits = _NODE_BITS[:self.n]
@@ -106,7 +101,7 @@ class ExactOracle:
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
-        self._dist_from = {}       # seed bitmask -> (2^m, n) int8
+        self._dist_from = ByteCache(DIST_FROM_BYTES)   # seed bitmask -> (2^m, n) int8
         self._tables = {}          # delta -> value per node subset
 
     # -- distances ---------------------------------------------------------
@@ -152,15 +147,13 @@ class ExactOracle:
 
     def dist_from(self, seed_mask: int) -> np.ndarray:
         """Per-live-graph distances from a seed set (min over members)."""
-        got = self._dist_from.get(seed_mask)
-        if got is None:
+        def make():
             srcs = list(_bits(seed_mask))
             if not srcs:
-                got = np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
-            else:
-                got = self.dist[:, srcs, :].min(axis=1)
-            self._dist_from[seed_mask] = got
-        return got
+                return np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
+            return self.dist[:, srcs, :].min(axis=1)
+
+        return self._dist_from.get(seed_mask, make)
 
     # -- sigma / nu --------------------------------------------------------
 
@@ -184,7 +177,8 @@ class ExactOracle:
         got = self._tables.get(decay.delta)
         if got is None:
             # int8 distances plus float64 values for every (subset, live graph)
-            _check_bytes("the value table", (1 << self.n) * (1 << self.m) * (self.n + 8))
+            check_bytes("the value table", (1 << self.n) * (1 << self.m) * (self.n + 8),
+                        ORACLE_BYTES, OracleCapError)
             gtab = self._gamma_table(decay)
             dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
             vals = np.zeros((1 << self.n, 1 << self.m))

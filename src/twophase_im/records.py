@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-RECORD_VERSION = 2  # 2: CSR frontier sampler streams
+RECORD_VERSION = 3  # 2: CSR frontier sampler streams; 3: world-sampled SigmaObjective
 LOCK_NAME = ".tpim.lock"
 
 

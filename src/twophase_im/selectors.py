@@ -16,7 +16,9 @@ from .diffusion import (
     TAG_SINGLE,
     TAG_SPIC,
     DecayFunction,
+    BudgetError,
     MonteCarloConfig,
+    WorldSample,
     estimate_spread,
     stream,
 )
@@ -48,22 +50,82 @@ class SeedSet:
 
 
 class SigmaObjective:
-    """Monte-Carlo (decay-weighted) spread; common random numbers across all
-    evaluated sets."""
+    """Monte-Carlo (decay-weighted) spread on ``sims`` live-edge worlds drawn
+    once, on first use (``WorldSample``): every evaluated set sees the same
+    worlds. The value of S is the mean over the worlds of the decay-weighted
+    count of the nodes the members' BFS reach, each at its earliest time.
+
+    One times table holds a stack of members, each pushed with the entries
+    it improved and the values they had, so a pop restores the table. A set
+    keeps the stack's bottom part that it shares with the set before it,
+    pushes the rest but its last node and scores that node by the entries it
+    would improve; each step costs the activations of one node, never the
+    whole table. When the worlds or the table would pass their byte
+    budgets, each set is estimated by a forward simulation
+    (``estimate_spread``) instead."""
 
     def __init__(self, graph, config: MonteCarloConfig, sims=None, tag=TAG_SINGLE,
                  decay: DecayFunction = NO_DECAY):
-        self.graph, self.config, self.sims, self.tag = graph, config, sims, tag
+        self.graph, self.config, self.tag = graph, config, tag
+        self.sims = config.single_phase_sims if sims is None else sims
         self.decay = decay
+        # decay weight of an activation at step t, and 0 at t = n (NEVER)
+        self.weights = np.append(decay.values(np.arange(graph.n)[:, None]), 0.0)
         self._cache = {}
+        self._worlds = None                  # WorldSample, False past a budget
+        self._table = None
+        self._stack = []                     # (node, keys, replaced times, total before)
+        self._total = 0.0                    # weighted count of the table
+        self._prev = frozenset()
 
     def __call__(self, seeds) -> float:
         key = frozenset(seeds)
         if key not in self._cache:
-            self._cache[key] = estimate_spread(
-                self.graph, key, self.config, sims=self.sims, tag=self.tag,
-                decay=self.decay).mean
+            self._cache[key] = self._value(key) if key else 0.0
         return self._cache[key]
+
+    def _value(self, key) -> float:
+        if self._worlds is None:
+            try:
+                self._worlds = WorldSample(self.graph, self.sims, self.config.master_seed,
+                                           self.tag)
+                self._table = self._worlds.table()
+            except BudgetError:
+                self._worlds = False
+        if not self._worlds:
+            return estimate_spread(self.graph, key, self.config, sims=self.sims,
+                                   tag=self.tag, decay=self.decay).mean
+        common, self._prev = key & self._prev, key
+        kept = next((i for i, entry in enumerate(self._stack) if entry[0] not in common),
+                    len(self._stack))
+        while len(self._stack) > kept:
+            self._pop()
+        for v in sorted(common - {entry[0] for entry in self._stack}):
+            self._push(v)
+        rest = sorted(key - common)
+        if not rest:
+            return self._total / self.sims
+        for v in rest[:-1]:
+            self._push(v)
+        value = (self._total + self._gain(rest[-1])[0]) / self.sims
+        for _ in rest[:-1]:
+            self._pop()
+        return value
+
+    def _gain(self, v):
+        keys, times, old = self._worlds.improve(self._table, self._worlds.node(v))
+        w = self.weights
+        return float(w[times].sum() - w[np.minimum(old, self.graph.n)].sum()), keys, times, old
+
+    def _push(self, v):
+        gain, keys, times, old = self._gain(v)
+        self._table.reshape(-1)[keys] = times
+        self._stack.append((v, keys, old, self._total))
+        self._total += gain
+
+    def _pop(self):
+        _, keys, old, self._total = self._stack.pop()
+        self._table.reshape(-1)[keys] = old
 
 
 class ExactSigmaObjective:

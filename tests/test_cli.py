@@ -74,7 +74,7 @@ def test_twophase_fixed_plan_writes_progression_csv(tmp_path, capsys):
     csvs = list(tmp_path.glob("*-progression.csv"))
     assert len(csvs) == 1
     header = csvs[0].read_text().splitlines()[0]
-    assert header == "t,new_activations_mean,stderr"
+    assert header == "t,new_activations_mean"
 
 
 def test_twophase_requires_plan_without_optimize(tmp_path, capsys):

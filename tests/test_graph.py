@@ -141,6 +141,20 @@ def test_native_round_trip_is_exact(tmp_path):
         assert back.edges() == g.edges()
 
 
+def test_load_graph_rejects_repeated_arc(tmp_path, capsys):
+    # build_graph refuses a duplicate edge; the native loader must as well,
+    # or the arc would get two independent coins
+    from twophase_im.cli import main
+    p = write(tmp_path, "TPIM-GRAPH v1\n3 3\na\nb\nc\n0 1 0.5\n1 2 0.5\n0 1 0.3\n",
+              name="g.tpim")
+    with pytest.raises(GraphError, match=r"repeated arc \(0, 1\)"):
+        load_graph(p)
+    code = main(["select", "--graph", str(p), "--algorithm", "gdd", "--k", "1",
+                 "--seed", "0", "--sims", "10", "--output-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert "repeated arc (0, 1)" in capsys.readouterr().err
+
+
 def test_load_graph_rejects_foreign_file(tmp_path):
     p = write(tmp_path, "a b 0.5\n")
     assert not is_native_graph_file(p)

@@ -7,9 +7,10 @@ import pytest
 from conftest import instance_family
 from twophase_im.cli import main
 from twophase_im.diffusion import NO_DECAY, DecayFunction
-from twophase_im.graph import RawEdgeList, build_graph, load_graph
+from twophase_im.graph import InfluenceGraph, RawEdgeList, build_graph, load_graph
 from twophase_im.instances import example1_graph, random_small_graph
 from twophase_im.oracle import (
+    DIST_FROM_BYTES,
     ORACLE_BYTES,
     UNREACHED,
     ExactOracle,
@@ -349,10 +350,11 @@ def test_array_oracle_matches_loop_reference_with_sure_and_dead_edges():
     _assert_matches_loop(g, queries)
 
 
-def test_array_oracle_matches_loop_reference_with_parallel_edges(tmp_path):
-    # a native graph file may repeat an arc: two independent coins, one arc
-    g = _native_graph(tmp_path / "parallel.tpim", 4,
-                      [(0, 1, 0.5), (0, 1, 0.3), (1, 2, 0.6), (2, 3, 0.5), (2, 3, 0.9)])
+def test_array_oracle_matches_loop_reference_with_parallel_edges():
+    # a graph built from its arrays may repeat an arc: two independent coins
+    # on one arc (the loaders reject repeated arcs)
+    g = InfluenceGraph(n=4, labels=list("0123"), indptr=np.array([0, 2, 3, 5, 5]),
+                       dst=np.array([1, 1, 2, 3, 3]), p=np.array([0.5, 0.3, 0.6, 0.5, 0.9]))
     queries = [(s1, d, k2) for s1 in ([0], [1]) for d in range(3) for k2 in range(2)]
     _assert_matches_loop(g, queries)
 
@@ -362,3 +364,19 @@ def test_array_oracle_matches_loop_reference_on_sixteen_arcs():
     assert (g.n, g.m) == (8, 16)
     orc, ref = _assert_matches_loop(g, [([0], 1, 1), ([3], 2, 1), ([1, 5], 1, 2)])
     assert orc.max_f(1, 2, 1) == ref.max_f(1, 2, 1)
+
+
+def test_max_f_leaves_a_bounded_distance_cache():
+    # max_f(3, ...) on 8 nodes visits 56 seed sets; their (2^16, 8) distance
+    # tables are 512 KiB each, and the cache keeps only the newest few
+    # (the loop-reference tests above check the values with the cache in place)
+    g = _sixteen_arc_instance()
+    orc = ExactOracle(g)
+    first = orc.exact_f([0, 1, 2], 2, 1)
+    orc.max_f(3, 2, 1)
+    table = (1 << g.m) * g.n
+    assert len(orc._dist_from) == DIST_FROM_BYTES // table < 56
+    assert orc._dist_from.nbytes <= DIST_FROM_BYTES
+    # the first seed set's table was evicted; it is rebuilt with the same values
+    assert 0b111 not in orc._dist_from._items
+    assert orc.exact_f([0, 1, 2], 2, 1) == first

@@ -23,7 +23,7 @@ def test_fixture_records_exist():
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
 def test_fixture_record_replays(record, tmp_path, capsys):
-    assert load_record(record)["version"] == RECORD_VERSION == 2
+    assert load_record(record)["version"] == RECORD_VERSION == 3
     code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0, err
