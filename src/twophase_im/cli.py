@@ -5,7 +5,9 @@ dict and that graph, writes a replayable run record, and prints its results
 as JSON. The ``rerun`` command reloads the graph from the stored spec (checking
 its hash), replays the record and verifies bit-exact agreement.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 reproducibility failure.
+Exit codes: 0 success, 1 usage error, 2 data error (bad input, a file or
+directory that cannot be read or written, or a run past a memory budget),
+3 reproducibility failure.
 """
 
 from __future__ import annotations
@@ -461,8 +463,7 @@ def main(argv=None):
     except ReproducibilityError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_REPRO
-    except (GraphError, OracleCapError, RecordError, FileNotFoundError,
-            ValueError) as exc:
+    except (GraphError, OracleCapError, RecordError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
 

@@ -4,11 +4,14 @@ Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
 on-activation, which is equivalent to pre-sampling a live graph. One
 frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
-CSR arrays. The sampler ``simulate_batch`` runs it with a fresh coin per
-edge tested (``simulate_ic`` is its one-replicate view); ``WorldSample``
-runs it in live-edge worlds drawn once, with a lookup for a coin. One
-estimator, ``estimate_spread``, weights activations by a ``DecayFunction``
-(delta = 1, the default, is the plain spread).
+CSR arrays, from the seeds at step 0 or from any frontier at a later step.
+The sampler ``simulate_batch`` runs it with a fresh coin per edge tested
+(``simulate_ic`` is its one-replicate view); ``continue_blocks`` continues
+stopped replicates in blocks that each draw from their own stream (the
+second phase of a two-phase run); ``WorldSample`` runs it in live-edge
+worlds drawn once, with a lookup for a coin. One estimator,
+``estimate_spread``, weights activations by a ``DecayFunction`` (delta = 1,
+the default, is the plain spread).
 """
 
 from __future__ import annotations
@@ -167,37 +170,46 @@ def observe_at(trace: DiffusionTrace, d: int) -> Observation:
                        recent=frozenset(int(v) for v in recent))
 
 
-def _cascade(graph: InfluenceGraph, times: np.ndarray, seeds: list, stop_at: int,
-             coin) -> list:
-    """The IC frontier loop, in place on a (reps, n) times matrix whose only
-    non-NEVER entries are the seeds' zeros; returns the flat keys
-    (replicate * n + node) activated at each step, the seeds' first.
+def _seed_keys(reps: int, n: int, seeds: list) -> np.ndarray:
+    """The sorted flat keys replicate * n + seed of every replicate's seeds."""
+    return (np.arange(0, reps * n, n)[:, None] + np.asarray(seeds)).ravel()
+
+
+def _edge_ids(indptr: np.ndarray, nodes: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ids indptr[v] + 0..count_v-1 of each node's CSR range, node after
+    node; ``count`` is the nodes' range lengths."""
+    ends = count.cumsum()
+    edge = (indptr[nodes] - ends + count).repeat(count)
+    edge += np.arange(edge.size)
+    return edge
+
+
+def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at: int,
+             coin, t: int = 0) -> list:
+    """The IC frontier loop, in place on a (reps, n) times matrix, from the
+    sorted flat keys ``key`` (replicate * n + node) activated at step ``t``
+    and written in; returns the keys activated at each step, ``key`` first.
+    No step past ``stop_at`` runs.
 
     Each step gathers the out-edges of every (replicate, node) activated in
     the previous step, drops edges into nodes already active in that
-    replicate, asks ``coin(key, edge)`` which of the remaining edges fire
-    (``key`` is replicate * n + target, in order) and activates the targets
-    of the hits, each once. Frontier entries are kept sorted by (replicate,
-    node) and edges in CSR order, so the coins are asked in a fixed order.
+    replicate (any non-NEVER entry), asks ``coin(key, edge)`` which of the
+    remaining edges fire (``key`` is replicate * n + target, ordered by
+    replicate) and activates the targets of the hits, each once. Frontier
+    entries are kept sorted by (replicate, node) and edges in CSR order, so
+    the coins are asked in a fixed order.
     """
     reps, n = times.shape
     flat = times.reshape(-1)
     indptr, degree, dst = graph.indptr, graph.out_degrees, graph.dst
-    # frontier as sorted flat keys replicate * n + node
-    key = (np.arange(0, reps * n, n)[:, None] + np.asarray(seeds)).ravel()
     steps = [key]
-    t = 0
     while key.size and t < stop_at:
         t += 1
         node = key % n
         count = degree[node]
-        ends = count.cumsum()
-        total = int(ends[-1])
-        if total == 0:
+        edge = _edge_ids(indptr, node, count)
+        if edge.size == 0:
             break
-        # edge ids: indptr[node] + 0..count-1 for every frontier entry
-        edge = (indptr[node] - ends + count).repeat(count)
-        edge += np.arange(total)
         key = (key - node).repeat(count)
         key += dst[edge]
         open_ = flat[key] == NEVER
@@ -229,9 +241,33 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
         return times
     times[:, seeds] = 0
     prob = graph.p
-    _cascade(graph, times, seeds, n if stop_at is None else stop_at,
+    _cascade(graph, times, _seed_keys(reps, n, seeds), n if stop_at is None else stop_at,
              lambda key, edge: rng.random(key.size) < prob[edge])
     return times
+
+
+def continue_blocks(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, t: int,
+                    rngs: list, block: int) -> None:
+    """Continue IC replicates in place to their end: the (reps, n) ``times``
+    matrix, from the sorted flat keys ``key`` activated at step ``t``.
+
+    The rows come in blocks of ``block``; block b draws a uniform per edge
+    tested from ``rngs[b]``, in key order. Edges into nodes already active
+    are dropped before any draw and the rest keep their CSR order, so a
+    block draws what ``simulate_batch`` with ``rngs[b]`` would draw on the
+    graph with those nodes cut out (``residual_graph``), from the frontier.
+    """
+    n = times.shape[1]
+    prob = graph.p
+    bounds = np.arange(block * n, times.size, block * n)
+
+    def coin(key, edge):
+        # keys are ordered by row, so a block's keys are one slice of them
+        cuts = np.concatenate(([0], np.searchsorted(key, bounds), [key.size]))
+        draws = [rngs[b].random(c) for b, c in enumerate(np.diff(cuts).tolist()) if c]
+        return np.concatenate(draws or [np.zeros(0)]) < prob[edge]
+
+    _cascade(graph, times, key, t + n, coin, t)   # a cascade on n nodes ends within n steps
 
 
 def _batches(graph, seeds, sims, master_seed, tag, stop_at=None):
@@ -361,7 +397,7 @@ class WorldSample:
             work = self._work[:self.sims - lo]
             live = self.live[lo:lo + len(work)].reshape(-1)
             work[:, seeds] = 0
-            steps = _cascade(self.graph, work, seeds, n,
+            steps = _cascade(self.graph, work, _seed_keys(len(work), n, seeds), n,
                              lambda key, edge: live[key // n * m + edge])
             found = np.concatenate(steps)
             work.reshape(-1)[found] = NEVER

@@ -19,6 +19,7 @@ from .diffusion import (
     BudgetError,
     MonteCarloConfig,
     WorldSample,
+    _edge_ids,
     estimate_spread,
     stream,
 )
@@ -143,101 +144,152 @@ def _check_budget(graph, k, reserve=0):
         raise ValueError(f"budget {k} out of range for n={graph.n} (reserved {reserve})")
 
 
-# -- degree heuristics -----------------------------------------------------
+# -- degree discounts (SD, WD, GDD) -----------------------------------------
 
 
-def _select_discount(graph: InfluenceGraph, k: int, weighted: bool,
-                     preselected=()) -> SeedSet:
-    """SD (unit weights) or WD (probabilities): repeatedly take the node with
-    the largest residual out-score, then discount each unpicked in-neighbor
-    by the edge's weight. ``preselected`` nodes are taken first, for free."""
-    score = graph.out_prob_sums() if weighted else graph.out_degrees.astype(float)
-    removed = np.zeros(graph.n, dtype=bool)
-    in_indptr, in_src, in_p = graph.in_index
+DISCOUNT_KINDS = ("sd", "wd", "gdd")
 
-    def take(u):
-        removed[u] = True
-        a, b = in_indptr[u], in_indptr[u + 1]
-        z = in_src[a:b]
-        live = ~removed[z]
-        score[z[live]] -= in_p[a:b][live] if weighted else 1.0
 
-    for u in preselected:
-        take(u)
-    picked = []
-    for _ in range(k):
-        best = int(np.argmax(np.where(removed, -np.inf, score)))
-        picked.append(best)
-        take(best)
-    return SeedSet(nodes=picked, budget=k)
+@dataclass
+class DiscountState:
+    """Degree-discount state of rows of one graph: (rows, n) arrays, or one
+    row's (n,) views (``row``).
+
+    ``outsum`` is a node's out-degree (SD) or outgoing probability mass (WD,
+    GDD) into nodes not removed, less the discounts of its taken
+    out-neighbors. GDD also keeps ``survival``, the product over taken
+    in-neighbors x of (1 - p_xv); its score is w_v = survival_v * (1 +
+    outsum_v). ``taken`` marks removed and taken nodes."""
+
+    kind: str
+    outsum: np.ndarray
+    taken: np.ndarray
+    survival: np.ndarray | None = None
+    ops: int = 0           # edge relaxations performed
+
+    @property
+    def w(self) -> np.ndarray:
+        if self.survival is None:
+            return self.outsum
+        return self.survival * (1.0 + self.outsum)
+
+    def row(self, r: int) -> "DiscountState":
+        survival = None if self.survival is None else self.survival[r]
+        return DiscountState(self.kind, self.outsum[r], self.taken[r], survival, self.ops)
+
+    def take(self, graph: InfluenceGraph, rows: np.ndarray, nodes: np.ndarray):
+        """Take ``nodes[i]`` in row ``rows[i]``, in the order given, which
+        must list a row's nodes in the order they are taken."""
+        n = graph.n
+        self.taken[rows, nodes] = True
+        if self.survival is not None:
+            count = graph.out_degrees[nodes]
+            edge = _edge_ids(graph.indptr, nodes, count)
+            np.multiply.at(self.survival.reshape(-1), rows.repeat(count) * n + graph.dst[edge],
+                           1.0 - graph.p[edge])
+            self.ops += edge.size
+        in_indptr, in_src, in_p = graph.in_index
+        count = in_indptr[nodes + 1] - in_indptr[nodes]
+        edge = _edge_ids(in_indptr, nodes, count)
+        np.subtract.at(self.outsum.reshape(-1), rows.repeat(count) * n + in_src[edge],
+                       1.0 if self.kind == "sd" else in_p[edge])
+        self.ops += edge.size
+
+
+def discount_state(graph: InfluenceGraph, kind: str, removed=None,
+                   preselected=None) -> DiscountState:
+    """The SD, WD or GDD state of rows of ``graph``. Row r is the graph with
+    the nodes of ``removed[r]`` cut out, as ``residual_graph`` would, and the
+    nodes of ``preselected[r]`` taken in ascending order; both are (rows, n)
+    masks, and one row with nothing removed is the default.
+
+    A row's out-sums add its edges' weights in edge order, with 0.0 for an
+    edge into a removed node, so they equal the sums on the cut graph; the
+    discounts go in in the order nodes are taken (``ufunc.at``), so a row's
+    values equal those on the cut graph, bit for bit."""
+    if kind not in DISCOUNT_KINDS:
+        raise ValueError(f"unknown discount kind {kind!r}")
+    n = graph.n
+    masks = [mask for mask in (removed, preselected) if mask is not None]
+    rows = len(masks[0]) if masks else 1
+    weight = graph.p if kind != "sd" else np.ones(graph.m)
+    if removed is None or not removed.any():
+        outsum = np.tile(np.bincount(graph.src, weights=weight, minlength=n), (rows, 1))
+        taken = np.zeros((rows, n), dtype=bool)
+    else:
+        flat = (np.arange(0, rows * n, n)[:, None] + graph.src).reshape(-1)
+        outsum = np.bincount(flat, weights=(weight * ~removed[:, graph.dst]).reshape(-1),
+                             minlength=rows * n).reshape(rows, n)
+        taken = removed.copy()
+    state = DiscountState(kind, outsum.astype(np.float64, copy=False), taken,
+                          np.ones((rows, n)) if kind == "gdd" else None)
+    if preselected is not None:
+        state.take(graph, *np.nonzero(preselected))
+    return state
+
+
+def select_discount(graph: InfluenceGraph, kind: str, budgets, removed=None,
+                    preselected=None) -> list:
+    """SD, WD or GDD on every row of ``discount_state``: row r takes
+    ``budgets[r]`` nodes, each time the one of largest score, ties to the
+    lowest id, and applies its discounts. Returns each row's picks, in order.
+
+    SD scores a node by its residual out-degree, WD by its residual
+    outgoing probability mass, GDD by its expected direct contribution w
+    (survival against taken in-neighbors times one plus the remaining
+    outgoing probability mass). On taking u, SD and WD discount each
+    in-neighbor by the edge's weight; GDD also multiplies the survival of
+    each out-neighbor v by (1 - p_uv)."""
+    return _pick(graph, discount_state(graph, kind, removed, preselected), budgets)
+
+
+def _pick(graph: InfluenceGraph, state: DiscountState, budgets) -> list:
+    budgets = np.asarray(budgets, dtype=np.int64)
+    picks = np.zeros((len(budgets), int(budgets.max(initial=0))), dtype=np.int64)
+    for j in range(picks.shape[1]):
+        rows = np.flatnonzero(budgets > j)
+        best = np.where(state.taken[rows], -np.inf, state.w[rows]).argmax(axis=1)
+        picks[rows, j] = best
+        state.take(graph, rows, best)
+    return [row[:k].tolist() for row, k in zip(picks, budgets)]
+
+
+def _row_mask(graph: InfluenceGraph, nodes) -> np.ndarray | None:
+    """A one-row mask of ``nodes``, or None for none."""
+    nodes = [int(u) for u in nodes]
+    if not nodes:
+        return None
+    mask = np.zeros((1, graph.n), dtype=bool)
+    mask[0, nodes] = True
+    return mask
 
 
 def select_sd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Single discount: residual out-degree, removing picked nodes."""
     _check_budget(graph, k)
-    return _select_discount(graph, k, weighted=False)
+    return SeedSet(nodes=select_discount(graph, "sd", [k])[0], budget=k)
 
 
 def select_wd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Weighted discount: residual sum of outgoing probabilities."""
     _check_budget(graph, k)
-    return _select_discount(graph, k, weighted=True)
+    return SeedSet(nodes=select_discount(graph, "wd", [k])[0], budget=k)
 
 
-# -- generalized degree discount ------------------------------------------
-
-
-@dataclass
-class GddState:
-    """Running discount state: w_v = survival_v * (1 + outsum_v)."""
-
-    survival: np.ndarray   # prod over selected in-neighbors x of (1 - p_xv)
-    outsum: np.ndarray     # sum of p_vy over unselected out-neighbors y
-    selected: np.ndarray   # boolean mask of selected nodes
-    ops: int = 0           # edge relaxations performed
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.survival * (1.0 + self.outsum)
-
-
-def gdd_state(graph: InfluenceGraph, preselected=()) -> GddState:
-    state = GddState(survival=np.ones(graph.n), outsum=graph.out_prob_sums(),
-                     selected=np.zeros(graph.n, dtype=bool))
-    for u in preselected:
-        _gdd_apply(graph, state, int(u))
-    return state
-
-
-def _gdd_apply(graph, state: GddState, u: int):
-    state.selected[u] = True
-    a, b = graph.indptr[u], graph.indptr[u + 1]
-    state.survival[graph.dst[a:b]] *= 1.0 - graph.p[a:b]
-    in_indptr, in_src, in_p = graph.in_index
-    ia, ib = in_indptr[u], in_indptr[u + 1]
-    state.outsum[in_src[ia:ib]] -= in_p[ia:ib]
-    state.ops += int((b - a) + (ib - ia))
+def gdd_state(graph: InfluenceGraph, preselected=()) -> DiscountState:
+    """GDD state of the graph with ``preselected`` taken."""
+    return discount_state(graph, "gdd", preselected=_row_mask(graph, preselected)).row(0)
 
 
 def select_gdd(graph: InfluenceGraph, k: int, preselected=(),
                return_stats: bool = False):
-    """Generalized degree discount: iteratively take the node whose expected
-    direct contribution (survival against picked in-neighbors times one plus
-    remaining outgoing probability mass) is largest; ties go to the lowest id.
-
-    ``preselected`` nodes count as already chosen (their discounts applied)
-    but do not consume the budget."""
-    preselected = sorted(set(int(u) for u in preselected))
+    """Generalized degree discount (``select_discount`` on one row): take k
+    nodes by w, ties to the lowest id. ``preselected`` nodes count as
+    already chosen (their discounts applied) but do not consume the budget."""
+    preselected = set(int(u) for u in preselected)
     _check_budget(graph, k, reserve=len(preselected))
-    state = gdd_state(graph, preselected)
-    picked = []
-    for _ in range(k):
-        w = state.w
-        w[state.selected] = -np.inf
-        best = int(np.argmax(w))
-        picked.append(best)
-        _gdd_apply(graph, state, best)
-    result = SeedSet(nodes=picked, budget=k)
+    state = discount_state(graph, "gdd", preselected=_row_mask(graph, preselected))
+    result = SeedSet(nodes=_pick(graph, state, [k])[0], budget=k)
     if return_stats:
         return result, state.ops
     return result

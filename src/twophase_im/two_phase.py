@@ -1,10 +1,16 @@
 """Two-phase pipeline: surrogate objectives g and h, and the end-to-end
 myopic/farsighted run.
 
-Structure of every nested evaluation: simulate phase 1 to step d, observe,
-drop already-activated nodes, pick second-phase seeds on the residual graph
-with the recently-activated nodes as a free partial seed set, then continue
-the diffusion and aggregate."""
+Structure of every nested evaluation (``_nested_run``): simulate phase 1 to
+step d and observe it; in each outer replicate, pick second-phase seeds as
+if on the residual graph (already-activated nodes cut out), with the
+recently-activated nodes as a free partial seed set; then continue the
+diffusion on the parent graph from the recent nodes and the second-phase
+seeds, m2 times per outer replicate, and aggregate. Outer replicates run in
+groups: one batched SD/WD/GDD selection and one continued cascade per group.
+Already-active nodes take no part in the continuation, so it draws exactly
+what a simulation on the residual graph would.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import (
+    BATCH_BYTES,
     NEVER,
     NO_DECAY,
     TAG_PHASE1,
@@ -24,21 +31,25 @@ from .diffusion import (
     SpreadEstimate,
     _batches,
     _estimate,
-    simulate_batch,
+    check_bytes,
+    continue_blocks,
     stream,
 )
 from .graph import InfluenceGraph, residual_graph
 from .selectors import (
     SeedSet,
     SigmaObjective,
-    _select_discount,
+    select_discount,
     select_gdd,
     select_greedy,
     select_rmax,
+    select_sd,
     select_spic,
+    select_wd,
 )
 
 TAG_PHASE2_SELECT = 7
+GROUP_CELLS = 1 << 16   # most (rows x n) phase-2 times continued in one cascade
 
 HEURISTIC_SELECTORS = ("sd", "wd", "gdd")
 OBJECTIVE_SELECTORS = ("greedy", "rmax", "spic", "face")
@@ -84,16 +95,14 @@ class TwoPhaseResult:
 
 
 def _second_phase_heuristic(selector2):
-    def pick(res: InfluenceGraph, recent_local, k2_eff, outer_idx, master_seed):
-        if selector2 == "gdd":
-            return select_gdd(res, k2_eff, preselected=recent_local).nodes
-        return _select_discount(res, k2_eff, weighted=(selector2 == "wd"),
-                                preselected=recent_local).nodes
+    def pick(graph, already, recent, budgets, master_seed):
+        return select_discount(graph, selector2, budgets, removed=already,
+                               preselected=recent)
     return pick
 
 
 def _second_phase_objective(selector2, sims):
-    def pick(res: InfluenceGraph, recent_local, k2_eff, outer_idx, master_seed):
+    def pick_one(res: InfluenceGraph, recent_local, k2_eff, master_seed):
         cfg = MonteCarloConfig(master_seed=master_seed)
         base = frozenset(recent_local)
         sigma = SigmaObjective(res, cfg, sims=sims, tag=TAG_PHASE2_SELECT)
@@ -108,6 +117,18 @@ def _second_phase_objective(selector2, sims):
             from .face import face_select
             return face_select(res, k2_eff, objective, master_seed=master_seed).nodes
         raise ValueError(selector2)
+
+    def pick(graph, already, recent, budgets, master_seed):
+        """Select on each outer replicate's residual graph, mapped back."""
+        picks = []
+        for gone, now, k2_eff in zip(already, recent, budgets.tolist()):
+            if k2_eff <= 0:
+                picks.append([])
+                continue
+            res, kept = residual_graph(graph, np.flatnonzero(gone))
+            recent_local = np.searchsorted(kept, np.flatnonzero(now)).tolist()
+            picks.append(kept[pick_one(res, recent_local, k2_eff, master_seed)].tolist())
+        return picks
     return pick
 
 
@@ -120,36 +141,65 @@ def _histogram_add(hist, steps):
     return hist
 
 
+def _outer_values(blocks, at, already, decay):
+    """The mean value of each outer replicate: its phase-1 value before d
+    plus that of each of its continuations (``blocks``, (reps, m2, n)) on
+    the nodes not already active. At delta < 1 a continuation's values are
+    summed over a C-ordered gather of those nodes, the residual graph's
+    columns, so the float sums are the residual graph's; at delta = 1 they
+    are counts."""
+    base = decay.values(np.where(already, at, NEVER)).astype(np.float64)
+    if decay.delta == 1.0:
+        counts = (blocks >= 0).sum(axis=2) - already.sum(axis=1)[:, None]
+        return (base[:, None] + counts).mean(axis=1)
+    return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
+            for b, block, gone in zip(base, blocks, already)]
+
+
 def _nested_run(graph, s1, d, k2, config, decay, second_phase, collect_examples=0):
     """Shared nested Monte-Carlo engine; returns (estimate, progression, s2s).
 
-    All phase-1 replicates come from one chunked batch stopped at step d."""
+    All phase-1 replicates come from one chunked batch stopped at step d.
+    They are taken in groups of whole outer replicates, at most
+    ``GROUP_CELLS`` phase-2 times (or one outer replicate) each. A group's
+    second-phase seeds are selected at once; then outer replicate i is
+    repeated m2 times with its seeds written in at step d and continued on
+    the parent graph with the coins of ``stream(master_seed, TAG_PHASE2, i)``.
+    One replicate's (m2, n) times are checked against ``BATCH_BYTES`` first:
+    they cannot be split without changing its stream."""
     s1 = sorted(set(int(v) for v in s1))
+    n = graph.n
     m1, m2 = config.phase1_sims, config.phase2_sims
+    check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
+                4 * m2 * n, BATCH_BYTES)
+    group = max(1, GROUP_CELLS // max(m2 * n, 1))
     outer_means = np.empty(m1)
     phase1_hist = np.zeros(0, dtype=np.int64)   # phase-1 activations per step
     phase2_hist = np.zeros(0, dtype=np.int64)   # phase-2 activations per step - d
     s2_examples = []
-    rows = (row for times1 in _batches(graph, s1, m1, config.master_seed, TAG_PHASE1,
-                                       stop_at=d) for row in times1)
-    for i, at in enumerate(rows):
-        already_mask = (at >= 0) & (at < d)
-        already = np.flatnonzero(already_mask)
-        res, kept = residual_graph(graph, already)
-        recent_local = np.searchsorted(kept, np.flatnonzero(at == d)).tolist()
-        k2_eff = min(k2, res.n - len(recent_local))
-        s2_local = (second_phase(res, recent_local, k2_eff, i, config.master_seed)
-                    if k2_eff > 0 else [])
-        if len(s2_examples) < collect_examples:
-            s2_examples.append(sorted(int(kept[v]) for v in s2_local))
-        inner_seeds = recent_local + list(s2_local)
-        times = simulate_batch(res, inner_seeds,
-                               stream(config.master_seed, TAG_PHASE2, i), m2)
-        base = float(decay.values(np.where(already_mask, at, NEVER)))
-        outer_means[i] = (base + decay.values(times, offset=d)).mean()
-        # progression bookkeeping (plain counts; sums to the delta = 1 mean)
-        phase1_hist = _histogram_add(phase1_hist, at[already_mask])
-        phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
+    first = 0                                   # the group's first outer replicate
+    for times1 in _batches(graph, s1, m1, config.master_seed, TAG_PHASE1, stop_at=d):
+        for at in np.split(times1, range(group, len(times1), group)):
+            reps = len(at)
+            already, recent = (at >= 0) & (at < d), at == d
+            budgets = np.minimum(k2, n - already.sum(axis=1) - recent.sum(axis=1))
+            s2 = second_phase(graph, already, recent, budgets, config.master_seed)
+            s2_examples += [sorted(s) for s in s2[:collect_examples - len(s2_examples)]]
+            frontier = recent.copy()
+            for r, seeds in enumerate(s2):
+                frontier[r, seeds] = True
+            frontier = frontier.repeat(m2, axis=0)
+            times = at.repeat(m2, axis=0)
+            times[frontier] = d
+            continue_blocks(graph, times, np.flatnonzero(frontier), d,
+                            [stream(config.master_seed, TAG_PHASE2, first + r)
+                             for r in range(reps)], m2)
+            outer_means[first:first + reps] = _outer_values(
+                times.reshape(reps, m2, n), at, already, decay)
+            # progression bookkeeping (plain counts; sums to the delta = 1 mean)
+            phase1_hist = _histogram_add(phase1_hist, at[already])
+            phase2_hist = _histogram_add(phase2_hist, times[times >= d] - d)
+            first += reps
     mean = float(outer_means.mean())
     stderr = (float(outer_means.std(ddof=1) / math.sqrt(m1)) if m1 > 1 else 0.0)
     prog = np.zeros(max(len(phase1_hist), d + len(phase2_hist)))
@@ -222,10 +272,8 @@ def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY,
         return SeedSet(nodes=[], budget=0)
     sel = plan.selector
     if sel == "sd":
-        from .selectors import select_sd
         return select_sd(graph, plan.k1)
     if sel == "wd":
-        from .selectors import select_wd
         return select_wd(graph, plan.k1)
     if sel == "gdd":
         return select_gdd(graph, plan.k1)

@@ -330,3 +330,39 @@ def test_datasets_fetch_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = _fetch(capsys, tmp_path / "absent.txt", "0" * 64, tmp_path / "copy.txt")
     assert code == 2 and "cannot fetch" in err
     assert not (tmp_path / "copy.txt").exists()
+
+
+def _tpim(*args):
+    """``tpim`` in a fresh interpreter, as a user runs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "twophase_im.cli", *args],
+                          capture_output=True, text=True, env={"PYTHONPATH": src},
+                          timeout=120)
+
+
+def test_output_dir_under_a_file_is_data_error(tmp_path):
+    proc = _tpim("select", "--graph", "lesmis", "--algorithm", "gdd", "--k", "2",
+                 "--sims", "10", "--seed", "1", "--output-dir", "/dev/null/x")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Not a directory" in proc.stderr
+
+
+def test_directory_given_as_graph_is_data_error(tmp_path):
+    proc = _tpim("select", "--graph", str(tmp_path), "--algorithm", "gdd", "--k", "2",
+                 "--sims", "10", "--seed", "1", "--output-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Is a directory" in proc.stderr
+
+
+def test_oversized_phase2_batch_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    from twophase_im import two_phase
+    # one outer replicate's block is phase2_sims x 77 int32 on lesmis
+    monkeypatch.setattr(two_phase, "BATCH_BYTES", 4 * 77 * 40)
+    args = ["twophase", "--graph", "lesmis", "--algorithm", "gdd", "--k", "2", "--k1", "1",
+            "--k2", "1", "--d", "1", "--sims", "10", "--phase1-sims", "3", "--seed", "1",
+            "--output-dir", str(tmp_path)]
+    code, _, err = run(capsys, *args, "--phase2-sims", "41")
+    assert code == 2 and "phase-2" in err and "budget" in err
+    assert not list(tmp_path.glob("*.json"))
+    code, _, err = run(capsys, *args, "--phase2-sims", "40")
+    assert code == 0, err

@@ -1,8 +1,10 @@
 """Stored run records must replay bit-exactly.
 
 Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
-earlier build: select (gdd; greedy with decay; face), a fixed two-phase plan
-with decay, golden-section search with decay, face-joint with and without
+earlier build: select (gdd; greedy with decay; face); fixed two-phase plans
+with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
+and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
+a grid, golden-section search with decay, face-joint with and without
 decay, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
 graph hash of the bundled Les Miserables instance.
 """
@@ -18,7 +20,7 @@ RECORDS = sorted((Path(__file__).parent / "data" / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 9
+    assert len(RECORDS) == 15
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)

@@ -205,12 +205,14 @@ def _heuristic_cases():
 
 
 def test_degree_heuristics_match_loop_reference():
-    from twophase_im.selectors import _select_discount
+    from twophase_im.selectors import select_discount
     cases = 0
     for g, pre, k in _heuristic_cases():
         assert select_gdd(g, k, preselected=pre).nodes == _loop_gdd(g, k, pre)
+        mask = np.zeros((1, g.n), dtype=bool)
+        mask[0, pre] = True
         for weighted in (False, True):
-            got = _select_discount(g, k, weighted, preselected=pre).nodes
+            got = select_discount(g, "wd" if weighted else "sd", [k], preselected=mask)[0]
             assert got == _loop_discount(g, k, weighted, pre)
         cases += 1
     assert cases == 129
