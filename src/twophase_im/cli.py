@@ -46,7 +46,7 @@ from .records import (
     write_record,
 )
 from .schedule import SearchConfig, estimate_D, exhaustive_grid, golden_section_k1
-from .two_phase import ALL_SELECTORS, TwoPhasePlan, eval_h, run_two_phase
+from .two_phase import ALL_SELECTORS, TwoPhasePlan, run_two_phase, score_joint
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
 
@@ -189,20 +189,9 @@ def run_twophase(params, graph):
         k1, d, est = golden_section_k1(graph, search, params["algorithm"])
         return {"best": [k1, d], "spread": est.as_dict()}
     if optimize == "face-joint":
-        far = MonteCarloConfig(
-            phase1_sims=max(1, params["phase1_sims"] // 10),
-            phase2_sims=max(1, params["phase2_sims"] // 10),
-            master_seed=params["master_seed"])
-
-        def objective(k1, d, nodes):
-            if d == 0:
-                return estimate_spread(graph, nodes, mc, sims=far.phase1_sims,
-                                       decay=decay).mean
-            return eval_h(graph, nodes, d, k - k1, far, decay).mean
-
         (k1, d, s1), log = face_joint_optimize(
-            graph, k, d_max, objective, master_seed=params["master_seed"],
-            return_log=True)
+            graph, k, d_max, lambda cands: score_joint(graph, cands, k, mc, decay),
+            master_seed=params["master_seed"], return_log=True)
         plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=params["algorithm"],
                             s1=s1)
         result, s1 = run_two_phase(graph, plan, mc, decay)

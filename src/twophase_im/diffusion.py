@@ -6,12 +6,14 @@ on-activation, which is equivalent to pre-sampling a live graph. One
 frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
 CSR arrays, from the seeds at step 0 or from any frontier at a later step.
 The sampler ``simulate_batch`` runs it with a fresh coin per edge tested
-(``simulate_ic`` is its one-replicate view); ``continue_blocks`` continues
-stopped replicates in blocks that each draw from their own stream (the
-second phase of a two-phase run); ``WorldSample`` runs it in live-edge
-worlds drawn once, with a lookup for a coin. One estimator,
-``estimate_spread``, weights activations by a ``DecayFunction`` (delta = 1,
-the default, is the plain spread).
+(``simulate_ic`` is its one-replicate view). ``simulate_sets`` runs many
+seed sets as one cascade, and ``continue_blocks`` continues stopped
+replicates (the second phase of a two-phase run); both split the rows into
+blocks, each reading a derived stream from the start at its own offset
+(``_block_coin``), so that many blocks can share one stream.
+``WorldSample`` runs it in live-edge worlds drawn once, with a lookup for a
+coin. One estimator, ``estimate_spread``, weights activations by a
+``DecayFunction`` (delta = 1, the default, is the plain spread).
 """
 
 from __future__ import annotations
@@ -246,28 +248,89 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
     return times
 
 
+def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
+    """The coin of a cascade whose rows come in blocks: block b, rows
+    ``starts[b]`` to ``starts[b + 1] - 1``, draws one uniform per edge tested
+    from ``rngs[src[b]]``, in key order, at its own offset. So each block
+    reads its stream from the start, as it would in a cascade of its own,
+    however many blocks share the stream.
+
+    A stream read by one block is drawn as it is read, ``rng.random(count)``
+    a step. Of a stream shared by several blocks only the uniforms that some
+    block still reading has not passed are kept: a block asked no coin in a
+    step activates nothing, so it never reads again."""
+    bounds = np.asarray(starts, dtype=np.int64) * n
+    src = np.asarray(src, dtype=np.int64)
+    solo = len(set(src.tolist())) == len(src)
+    read = np.zeros(len(src), dtype=np.int64)     # uniforms each block has read
+    base = np.zeros(len(rngs), dtype=np.int64)    # stream position of kept[s][0]
+    kept = [np.zeros(0)] * len(rngs)
+    last = np.iinfo(np.int64).max
+
+    def coin(key, edge):
+        count = np.diff(np.searchsorted(key, bounds))
+        live = np.flatnonzero(count)
+        count, used, at = count[live], src[live], read[live]
+        if solo:
+            draws = [rngs[s].random(c) for s, c in zip(used.tolist(), count.tolist())]
+            return np.concatenate(draws or [np.zeros(0)]) < prob[edge]
+        read[live] += count
+        lo, hi = np.full(len(rngs), last), np.zeros(len(rngs), dtype=np.int64)
+        np.minimum.at(lo, used, at)
+        np.maximum.at(hi, used, at + count)
+        start = np.zeros(len(rngs), dtype=np.int64)   # pool position of stream position 0
+        pool, size = [], 0
+        for s in np.flatnonzero(hi).tolist():
+            keep = kept[s][lo[s] - base[s]:]
+            need = int(hi[s] - lo[s]) - keep.size
+            if need > 0:
+                keep = np.concatenate((keep, rngs[s].random(need)))
+            kept[s], base[s] = keep, lo[s]
+            start[s], size = size - lo[s], size + keep.size
+            pool.append(keep)
+        u = np.concatenate(pool or [np.zeros(0)])
+        return u[_edge_ids(start[used] + at, np.arange(live.size), count)] < prob[edge]
+
+    return coin
+
+
 def continue_blocks(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, t: int,
-                    rngs: list, block: int) -> None:
+                    block: int, src, rngs: list) -> None:
     """Continue IC replicates in place to their end: the (reps, n) ``times``
     matrix, from the sorted flat keys ``key`` activated at step ``t``.
 
-    The rows come in blocks of ``block``; block b draws a uniform per edge
-    tested from ``rngs[b]``, in key order. Edges into nodes already active
-    are dropped before any draw and the rest keep their CSR order, so a
-    block draws what ``simulate_batch`` with ``rngs[b]`` would draw on the
-    graph with those nodes cut out (``residual_graph``), from the frontier.
+    The rows come in blocks of ``block``; block b reads ``rngs[src[b]]``
+    (``_block_coin``). Edges into nodes already active are dropped before
+    any draw and the rest keep their CSR order, so a block draws what
+    ``simulate_batch`` with its stream would draw on the graph with those
+    nodes cut out (``residual_graph``), from the frontier.
     """
-    n = times.shape[1]
-    prob = graph.p
-    bounds = np.arange(block * n, times.size, block * n)
-
-    def coin(key, edge):
-        # keys are ordered by row, so a block's keys are one slice of them
-        cuts = np.concatenate(([0], np.searchsorted(key, bounds), [key.size]))
-        draws = [rngs[b].random(c) for b, c in enumerate(np.diff(cuts).tolist()) if c]
-        return np.concatenate(draws or [np.zeros(0)]) < prob[edge]
-
+    reps, n = times.shape
+    coin = _block_coin(graph.p, n, range(0, reps + 1, block), src, rngs)
     _cascade(graph, times, key, t + n, coin, t)   # a cascade on n nodes ends within n steps
+
+
+def simulate_sets(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int, tag: int,
+                  stop_at: int | None = None) -> np.ndarray:
+    """``sims`` IC replicates of each seed set, set after set, as one
+    (len(seed_sets) * sims, n) times matrix from one cascade.
+
+    A set's rows are those of ``_batches``: chunks of ``chunk_size(n)``
+    rows, chunk j drawing from ``stream(master_seed, tag, j)``. Every set's
+    chunk j is a block that reads that stream from its start
+    (``_block_coin``), so each set's rows equal its own ``_batches``."""
+    sets = [_check_seeds(graph, seeds) for seeds in seed_sets]
+    n = graph.n
+    times = np.full((len(sets) * sims, n), NEVER, dtype=np.int32)
+    firsts = range(0, sims, chunk_size(n))
+    starts = [c * sims + first for c in range(len(sets)) for first in firsts] + [len(times)]
+    key = np.concatenate([c * sims * n + _seed_keys(sims, n, seeds)
+                          for c, seeds in enumerate(sets) if seeds] or [np.zeros(0, np.int64)])
+    times.reshape(-1)[key] = 0
+    coin = _block_coin(graph.p, n, starts, [j for _ in sets for j in range(len(firsts))],
+                       [stream(master_seed, tag, j) for j in range(len(firsts))])
+    _cascade(graph, times, key, n if stop_at is None else stop_at, coin)
+    return times
 
 
 def _batches(graph, seeds, sims, master_seed, tag, stop_at=None):

@@ -3,7 +3,10 @@
 Iterates: sample candidate sets from a per-node product distribution, rank
 by objective value, refit the distribution to the value-weighted elites with
 smoothing, repeat until the elite threshold stabilizes. Optional joint mode
-also samples the budget split k1 and the delay d.
+also samples the budget split k1 and the delay d. Each draw round is drawn
+whole before any of it is scored, and its new candidates are scored in one
+objective call, so a batched objective (``two_phase.score_joint``) can
+score a round at once.
 """
 
 from __future__ import annotations
@@ -171,22 +174,30 @@ def _better(cand: CeSample, best: CeSample | None) -> bool:
     return cand.value == best.value and tuple(sorted(cand.set)) < tuple(sorted(best.set))
 
 
-def _cross_entropy(q: np.ndarray, config: CeConfig, draw, refit=None):
+def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
     """The CE loop of both modes; returns (best sample, iteration log).
 
-    ``draw(q)`` returns one scored CeSample from the node probabilities q.
+    ``draw(q)`` returns one candidate (k1, d, sorted seed tuple) from the
+    node probabilities q, and ``score(candidates)`` returns their values.
     Each iteration draws n_min samples, doubling up to n_max while the elite
     threshold fails to improve, then refits q to the value-weighted elites
-    (smoothed by alpha, floored) and hands the elites to ``refit``."""
+    (smoothed by alpha, floored) and hands the elites to ``refit``. No draw
+    depends on a value, so each round (the n_min samples, then each
+    doubling's top-up) is drawn whole and its candidates not seen before
+    are scored in one call, in the order they first appear."""
     best: CeSample | None = None
     prev_threshold = None
     log = []
+    cache = {}
     for it in range(config.max_iterations):
         draws = config.n_min
         samples = []
         while True:
-            while len(samples) < draws:
-                samples.append(draw(q))
+            fresh = [draw(q) for _ in range(draws - len(samples))]
+            new = [c for c in dict.fromkeys(fresh) if c not in cache]
+            if new:
+                cache.update(zip(new, map(float, score(new)), strict=True))
+            samples += [CeSample(set=c[2], value=cache[c], k1=c[0], d=c[1]) for c in fresh]
             samples.sort(key=lambda s: (-s.value, s.d, s.set))
             threshold = samples[config.n_elite - 1].value
             improved = prev_threshold is None or threshold > prev_threshold
@@ -225,16 +236,10 @@ def face_select(graph: InfluenceGraph, budget: int, objective,
     q = (init.node_probs.copy() if init is not None
          else np.full(n, budget / n, dtype=float))
     rng = stream(master_seed, TAG_FACE)
-    cache = {}
-
-    def draw(q):
-        nodes = _sample_set(q, budget, rng)
-        key = frozenset(nodes)
-        if key not in cache:
-            cache[key] = float(objective(key))
-        return CeSample(set=nodes, value=cache[key], k1=budget, d=0)
-
-    best, log = _cross_entropy(q, config or CeConfig.for_graph(n), draw)
+    best, log = _cross_entropy(
+        q, config or CeConfig.for_graph(n),
+        lambda q: (budget, 0, _sample_set(q, budget, rng)),
+        lambda cands: [objective(frozenset(nodes)) for _, _, nodes in cands])
     result = SeedSet(nodes=sorted(best.set), budget=budget)
     return (result, log) if return_log else result
 
@@ -244,8 +249,10 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
                         master_seed: int = 0, return_log: bool = False):
     """Joint cross-entropy search over (k1, d, S1).
 
-    two_phase_objective(k1, d, seed_tuple) -> float scores a candidate; the
-    pure single-phase arm (k1 = total_budget, d = 0) is sampled explicitly so
+    two_phase_objective(candidates) scores a list of (k1, d, seed_tuple)
+    candidates, returning one value each; it is called once per draw round
+    (see ``_cross_entropy``), with the round's new candidates. The pure
+    single-phase arm (k1 = total_budget, d = 0) is sampled explicitly so
     the optimizer can fall back to it under harsh decay."""
     n = graph.n
     k, D = total_budget, max_delay
@@ -257,7 +264,6 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
     k1_probs = np.full(k, 1.0 / k)        # over {1..k}
     d_probs = np.full(D + 1, 1.0 / (D + 1))  # over {0..D}; d=0 forces k1=k
     rng = stream(master_seed, TAG_FACE)
-    cache = {}
 
     def draw(q):
         d = int(rng.choice(D + 1, p=d_probs))
@@ -265,11 +271,7 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         if k1 == k:
             d = 0  # no second phase left, the delay is meaningless
         scale = _clamp_redistribute(q * (k1 / max(q.sum(), 1e-12)), k1)
-        nodes = _sample_set(scale, k1, rng)
-        key = (k1, d, frozenset(nodes))
-        if key not in cache:
-            cache[key] = float(two_phase_objective(k1, d, nodes))
-        return CeSample(set=nodes, value=cache[key], k1=k1, d=d)
+        return k1, d, _sample_set(scale, k1, rng)
 
     def refit(elites):
         nonlocal k1_probs, d_probs
@@ -278,7 +280,8 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         k1_probs = _normalized(config.alpha * k1_new + (1 - config.alpha) * k1_probs)
         d_probs = _normalized(config.alpha * d_new + (1 - config.alpha) * d_probs)
 
-    best, log = _cross_entropy(np.full(n, k / n, dtype=float), config, draw, refit)
+    best, log = _cross_entropy(np.full(n, k / n, dtype=float), config, draw,
+                               two_phase_objective, refit)
     result = (best.k1, best.d, SeedSet(nodes=sorted(best.set), budget=best.k1))
     return (result, log) if return_log else result
 

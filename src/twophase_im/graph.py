@@ -296,24 +296,37 @@ def save_graph(graph: InfluenceGraph, path) -> None:
 
 def load_graph(path) -> InfluenceGraph:
     """Read the native serialized format back; exact round-trip. An arc may
-    appear once, as in ``build_graph``."""
+    appear once, as in ``build_graph``; a malformed or truncated file is a
+    ``GraphError``."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != FORMAT_MAGIC:
             raise GraphError(f"{path}: not a native graph file")
-        if header[1] != f"v{FORMAT_VERSION}":
-            raise GraphError(f"{path}: unsupported format version {header[1]}")
-        n, m = map(int, fh.readline().split())
-        labels = [fh.readline().rstrip("\n") for _ in range(n)]
-        edges = []
-        seen = set()
-        for _ in range(m):
-            u, v, p = fh.readline().split()
-            arc = int(u), int(v)
-            if arc in seen:
-                raise GraphError(f"{path}: repeated arc ({u}, {v})")
-            seen.add(arc)
-            edges.append((*arc, float(p)))
+        if header[1:] != [f"v{FORMAT_VERSION}"]:
+            raise GraphError(f"{path}: unsupported format version {' '.join(header[1:])!r}")
+        try:
+            n, m = map(int, fh.readline().split())
+            if n < 0 or m < 0:
+                raise ValueError("negative size")
+            labels = []
+            for _ in range(n):
+                line = fh.readline()
+                if not line:
+                    raise ValueError("fewer labels than nodes")
+                labels.append(line.rstrip("\n"))
+            edges = []
+            seen = set()
+            for _ in range(m):
+                u, v, p = fh.readline().split()
+                arc = int(u), int(v)
+                if not (0 <= min(arc) and max(arc) < n and 0.0 <= float(p) <= 1.0):
+                    raise ValueError(f"bad arc ({u}, {v}, {p})")
+                if arc in seen:
+                    raise ValueError(f"repeated arc ({u}, {v})")
+                seen.add(arc)
+                edges.append((*arc, float(p)))
+        except ValueError as exc:
+            raise GraphError(f"{path}: malformed native graph file: {exc}") from None
     return _finish(n, labels, edges, 0)
 
 

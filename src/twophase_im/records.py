@@ -15,6 +15,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 RECORD_VERSION = 3  # 2: CSR frontier sampler streams; 3: world-sampled SigmaObjective
 LOCK_NAME = ".tpim.lock"
 
@@ -28,13 +30,19 @@ class ReproducibilityError(RecordError):
 
 
 def graph_fingerprint(graph) -> str:
-    h = hashlib.sha256()
-    h.update(f"n={graph.n}\n".encode())
-    for lab in graph.labels:
-        h.update(f"{lab}\n".encode())
-    for u, v, p in graph.edges():
-        h.update(f"{u} {v} {p!r}\n".encode())
-    return h.hexdigest()
+    """SHA-256 of the lines ``n=<n>``, each label, and ``u v repr(p)`` for
+    each edge in (u, v) order (``edges()``), each line ending in a newline.
+    The text is joined once, with ``repr`` taken once per distinct
+    probability (by bit pattern, so 0.0 and -0.0 stay apart)."""
+    order = np.lexsort((graph.dst, graph.src))   # arcs are unique: edges() order
+    bits, which = np.unique(graph.p[order].view(np.int64), return_inverse=True)
+    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
+    lines = [f"n={graph.n}", *map(str, graph.labels),
+             *(f"{u} {v} {reprs[w]}" for u, v, w in zip(graph.src[order].tolist(),
+                                                       graph.dst[order].tolist(),
+                                                       which.tolist()))]
+    lines.append("")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @contextmanager

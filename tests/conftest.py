@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twophase_im.instances import random_small_graph
+
+# ``pytest --hypothesis-profile=ci``: the same examples on every run, so that
+# the property and fuzz tests cannot flake in CI
+settings.register_profile("ci", derandomize=True)
 
 
 def instance_family(count, seed, max_nodes=8, max_edges=12):

@@ -239,7 +239,8 @@ def test_criterion_07_face_desk_scale():
 
     joint_hits = 0
     for run in range(20):
-        k1, d, s1 = face_joint_optimize(g, 2, 3, objective, master_seed=run)
+        k1, d, s1 = face_joint_optimize(g, 2, 3, lambda cs: [objective(*c) for c in cs],
+                                        master_seed=run)
         if objective(k1, d, tuple(s1.nodes)) >= opt - 1e-6:
             joint_hits += 1
     assert joint_hits >= 18, joint_hits

@@ -102,7 +102,8 @@ def test_face_joint_harsh_decay_collapses_to_single_phase(example1):
         value = orc.exact_sigma(nodes)
         return value if d == 0 else 0.1 * value
 
-    k1, d, s1 = face_joint_optimize(example1, 2, 3, objective, master_seed=0)
+    k1, d, s1 = face_joint_optimize(example1, 2, 3, lambda cs: [objective(*c) for c in cs],
+                                    master_seed=0)
     assert (k1, d) == (2, 0)
     assert len(s1.nodes) == 2
 
@@ -119,7 +120,7 @@ def test_face_joint_finds_two_phase_optimum(example1):
 
     hits = 0
     for seed in range(10):
-        k1, d, s1 = face_joint_optimize(example1, 2, 3, objective,
+        k1, d, s1 = face_joint_optimize(example1, 2, 3, lambda cs: [objective(*c) for c in cs],
                                         master_seed=seed)
         if objective(k1, d, tuple(s1.nodes)) == pytest.approx(3.84, abs=1e-9):
             hits += 1

@@ -139,6 +139,15 @@ def test_batched_rows_pick_what_the_old_selectors_picked_on_residual_graphs():
 # -- the nested run as it was: one residual graph per outer replicate --------
 
 
+def _histogram_add(hist, steps):
+    """hist plus the count of each step value, grown to fit the largest."""
+    counts = np.bincount(steps)
+    if len(counts) > len(hist):
+        hist = np.concatenate([hist, np.zeros(len(counts) - len(hist), dtype=hist.dtype)])
+    hist[:len(counts)] += counts
+    return hist
+
+
 class _LoopNested:
     """The nested two-phase estimate as one Python pass per outer replicate:
     cut the already-active nodes out with ``residual_graph``, select on the
@@ -178,8 +187,8 @@ class _LoopNested:
                                    stream(config.master_seed, TAG_PHASE2, i), m2)
             base = float(decay.values(np.where(already_mask, at, NEVER)))
             outer_means[i] = (base + decay.values(times, offset=d)).mean()
-            phase1_hist = two_phase._histogram_add(phase1_hist, at[already_mask])
-            phase2_hist = two_phase._histogram_add(phase2_hist, times[times >= 0])
+            phase1_hist = _histogram_add(phase1_hist, at[already_mask])
+            phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
         mean = float(outer_means.mean())
         stderr = float(outer_means.std(ddof=1) / math.sqrt(m1)) if m1 > 1 else 0.0
         prog = np.zeros(max(len(phase1_hist), d + len(phase2_hist)))
@@ -196,8 +205,8 @@ def _second_phase(selector2, sims):
 
 
 def _assert_same(graph, s1, d, k2, config, decay, selector2, sims=None):
-    got = two_phase._nested_run(graph, s1, d, k2, config, decay,
-                                _second_phase(selector2, sims), collect_examples=5)
+    [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay,
+                                  _second_phase(selector2, sims), collect_examples=5)
     want = _LoopNested(selector2, sims).run(graph, s1, d, k2, config, decay)
     assert got[0].mean == want[0].mean
     assert got[0].stderr == want[0].stderr
@@ -281,6 +290,6 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
     cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=1)
     for selector2 in ("sd", "wd", "gdd"):
         calls.clear()
-        two_phase._nested_run(les_miserables_wc(), [11], 2, 2, cfg, NO_DECAY,
+        two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY,
                               _second_phase(selector2, None))
         assert calls == [16, 16, 8]   # the phase-1 chunks, nothing per outer replicate
