@@ -4,8 +4,9 @@ Library layout:
 
 - graph: CSR graph core, edge-list ingestion, WC/TV probability transforms,
   residual graphs sliced from the parent's arrays
-- diffusion: one per-edge frontier IC sampler (batch and one-replicate views),
-  the (decay-weighted) spread estimator
+- diffusion: one per-edge frontier IC sampler, the only source of fresh
+  replicates (block, batch and one-replicate views, and the row source over
+  it), and one (decay-weighted) spread estimator over many seed sets
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from .diffusion import DecayFunction, MonteCarloConfig, estimate_spread
+from .diffusion import BATCH_BYTES, DecayFunction, MonteCarloConfig, check_bytes, estimate_spread
 from .face import face_joint_optimize
 from .graph import (
     GraphError,
@@ -160,6 +160,12 @@ def run_twophase(params, graph):
                           master_seed=params["master_seed"])
     optimize = params["optimize"]
     d_max = params.get("d_max")
+    delay = params["d"] if optimize == "none" else d_max
+    if delay not in (None, "auto"):
+        # a run holds one float per step up to its delay (the progression,
+        # FACE-joint's delay distribution); refuse a huge one before any run
+        check_bytes(f"a delay of {delay} steps (one float64 per step)", 8 * (delay + 1),
+                    BATCH_BYTES)
     if optimize != "none" and d_max is None:
         d_max = estimate_D(graph, k, mc)
     if optimize == "none":

@@ -5,15 +5,20 @@ activate each inactive out-neighbor at step t. Edges are sampled
 on-activation, which is equivalent to pre-sampling a live graph. One
 frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
 CSR arrays, from the seeds at step 0 or from any frontier at a later step.
-The sampler ``simulate_batch`` runs it with a fresh coin per edge tested
-(``simulate_ic`` is its one-replicate view). ``simulate_sets`` runs many
-seed sets as one cascade, and ``continue_blocks`` continues stopped
-replicates (the second phase of a two-phase run); both split the rows into
-blocks, each reading a derived stream from the start at its own offset
-(``_block_coin``), so that many blocks can share one stream.
-``WorldSample`` runs it in live-edge worlds drawn once, with a lookup for a
-coin. One estimator, ``estimate_spread``, weights activations by a
-``DecayFunction`` (delta = 1, the default, is the plain spread).
+
+Every fresh replicate comes from one sampler, ``simulate_blocks``: blocks
+of (seed set, rows, stream) as one cascade whose coin draws one uniform per
+edge tested, each block reading its stream from the start at its own
+offset (``_block_coin``), so that many blocks can share one stream.
+``simulate_batch`` is its one-block case (``simulate_ic`` a one-replicate
+view), and ``replicate_rows`` the row source over it: chunk j of every set
+reads ``stream(master_seed, tag, j)``, and as many chunks as fit
+``GROUP_CELLS`` run as one cascade. ``continue_blocks`` continues stopped
+replicates with the same coin (the second phase of a two-phase run).
+``WorldSample`` runs the loop in live-edge worlds drawn once, with a lookup
+for a coin. One estimator, ``estimate_spreads``, weights activations by a
+``DecayFunction`` (delta = 1, the default, is the plain spread);
+``estimate_spread`` is its one-set case.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ TAG_PROBE = 6
 
 CHUNK = 4096             # most replicates per derived RNG stream in batch simulation
 BATCH_BYTES = 32 << 20   # budget for one chunk's (reps, n) int32 times matrix
+GROUP_CELLS = 1 << 16    # most cells (rows x cells per row) a group of rows takes downstream
 WORLD_BYTES = 256 << 20  # budget for one world sample's (sims, m) live-edge mask
 TABLE_BYTES = 64 << 20   # budget for the (sims, n) time table an objective composes sets in
 CACHE_BYTES = 64 << 20   # budget for one world sample's cached per-node activations
@@ -228,24 +234,33 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
     return steps
 
 
+def simulate_blocks(graph: InfluenceGraph, blocks, rngs: list,
+                    stop_at: int | None = None) -> np.ndarray:
+    """IC replicates in blocks, as one (rows, n) activation-time matrix from
+    one cascade: block (seeds, rows, s) is ``rows`` replicates of ``seeds``
+    whose coins come from ``rngs[s]``, read from its position at the call as
+    if the block ran alone (``_block_coin``).
+
+    Each edge tested draws one uniform and fires when ``u < p``, so the
+    draws are fixed by the stream alone."""
+    n = graph.n
+    sets = [_check_seeds(graph, seeds) for seeds, _, _ in blocks]
+    starts = np.cumsum([0] + [rows for _, rows, _ in blocks])
+    times = np.full((int(starts[-1]), n), NEVER, dtype=np.int32)
+    key = np.concatenate([first * n + _seed_keys(rows, n, seeds)
+                          for first, (_, rows, _), seeds in zip(starts.tolist(), blocks, sets)
+                          if seeds] or [np.zeros(0, np.int64)])
+    times.reshape(-1)[key] = 0
+    coin = _block_coin(graph.p, n, starts, [s for _, _, s in blocks], rngs)
+    _cascade(graph, times, key, n if stop_at is None else stop_at, coin)
+    return times
+
+
 def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
                    reps: int, stop_at: int | None = None) -> np.ndarray:
-    """IC replicates; returns a (reps, n) activation-time matrix.
-
-    Per-edge frontier sampler (``_cascade``): each edge tested draws one
-    uniform and fires when ``u < p``, so the draws are fixed by the stream
-    alone.
-    """
-    seeds = _check_seeds(graph, seeds)
-    n = graph.n
-    times = np.full((reps, n), NEVER, dtype=np.int32)
-    if not seeds or n == 0:
-        return times
-    times[:, seeds] = 0
-    prob = graph.p
-    _cascade(graph, times, _seed_keys(reps, n, seeds), n if stop_at is None else stop_at,
-             lambda key, edge: rng.random(key.size) < prob[edge])
-    return times
+    """IC replicates; returns a (reps, n) activation-time matrix, the one
+    block of ``simulate_blocks``."""
+    return simulate_blocks(graph, [(seeds, reps, 0)], [rng], stop_at)
 
 
 def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
@@ -259,6 +274,9 @@ def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
     a step. Of a stream shared by several blocks only the uniforms that some
     block still reading has not passed are kept: a block asked no coin in a
     step activates nothing, so it never reads again."""
+    if len(src) == 1:   # one block reads its stream as it goes, with no bookkeeping
+        rng = rngs[src[0]]
+        return lambda key, edge: rng.random(key.size) < prob[edge]
     bounds = np.asarray(starts, dtype=np.int64) * n
     src = np.asarray(src, dtype=np.int64)
     solo = len(set(src.tolist())) == len(src)
@@ -310,36 +328,35 @@ def continue_blocks(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, t
     _cascade(graph, times, key, t + n, coin, t)   # a cascade on n nodes ends within n steps
 
 
-def simulate_sets(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int, tag: int,
-                  stop_at: int | None = None) -> np.ndarray:
-    """``sims`` IC replicates of each seed set, set after set, as one
-    (len(seed_sets) * sims, n) times matrix from one cascade.
+def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int, tag: int,
+                   cells: int, stop_at: int | None = None):
+    """``sims`` IC replicates of each seed set, as groups of (set index,
+    replicate index, times) rows, sets in order and replicates in order.
 
-    A set's rows are those of ``_batches``: chunks of ``chunk_size(n)``
-    rows, chunk j drawing from ``stream(master_seed, tag, j)``. Every set's
-    chunk j is a block that reads that stream from its start
-    (``_block_coin``), so each set's rows equal its own ``_batches``."""
-    sets = [_check_seeds(graph, seeds) for seeds in seed_sets]
-    n = graph.n
-    times = np.full((len(sets) * sims, n), NEVER, dtype=np.int32)
-    firsts = range(0, sims, chunk_size(n))
-    starts = [c * sims + first for c in range(len(sets)) for first in firsts] + [len(times)]
-    key = np.concatenate([c * sims * n + _seed_keys(sims, n, seeds)
-                          for c, seeds in enumerate(sets) if seeds] or [np.zeros(0, np.int64)])
-    times.reshape(-1)[key] = 0
-    coin = _block_coin(graph.p, n, starts, [j for _ in sets for j in range(len(firsts))],
-                       [stream(master_seed, tag, j) for j in range(len(firsts))])
-    _cascade(graph, times, key, n if stop_at is None else stop_at, coin)
-    return times
-
-
-def _batches(graph, seeds, sims, master_seed, tag, stop_at=None):
-    """Times matrices for ``sims`` replicates, one per derived stream
-    (master_seed, tag, chunk index), at most ``chunk_size(n)`` rows each."""
+    A set's replicates come in chunks of ``chunk_size(n)``; chunk j is a
+    block (``simulate_blocks``) that reads ``stream(master_seed, tag, j)``
+    from its start, so a replicate's row does not depend on how the chunks
+    are batched. One cascade runs consecutive chunks, as many as fit
+    ``GROUP_CELLS`` at ``cells`` per row (what a row takes downstream), and
+    at least one; its rows come in groups of at most that many rows."""
     size = chunk_size(graph.n)
-    for idx, done in enumerate(range(0, sims, size)):
-        yield simulate_batch(graph, seeds, stream(master_seed, tag, idx),
-                             min(size, sims - done), stop_at=stop_at)
+    fit = max(1, GROUP_CELLS // max(cells, 1))
+    chunks = [(c, first, min(size, sims - first))
+              for c in range(len(seed_sets)) for first in range(0, sims, size)]
+    hi = 0
+    while hi < len(chunks):
+        lo, rows = hi, 0
+        while hi < len(chunks) and (hi == lo or rows + chunks[hi][2] <= fit):
+            rows += chunks[hi][2]
+            hi += 1
+        batch = chunks[lo:hi]
+        used, src = np.unique([first // size for _, first, _ in batch], return_inverse=True)
+        times = simulate_blocks(graph, [(seed_sets[c], r, s) for (c, _, r), s in zip(batch, src)],
+                                [stream(master_seed, tag, j) for j in used.tolist()], stop_at)
+        owner = np.repeat([c for c, _, _ in batch], [r for _, _, r in batch])
+        index = np.concatenate([np.arange(first, first + r) for _, first, r in batch])
+        for a in range(0, rows, fit):
+            yield owner[a:a + fit], index[a:a + fit], times[a:a + fit]
 
 
 def _estimate(vals: np.ndarray) -> SpreadEstimate:
@@ -349,21 +366,56 @@ def _estimate(vals: np.ndarray) -> SpreadEstimate:
     return SpreadEstimate(mean=mean, stderr=stderr, samples=sims)
 
 
-def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
-                    sims: int | None = None, tag: int = TAG_SINGLE,
-                    decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
+def _histogram_add(hist, times, mask, owner, offset=0):
+    """hist, (sets, steps), plus the count of each step ``times - offset``
+    at the entries of ``mask``, those of row r counted in row ``owner[r]``
+    (ascending) of hist, which is widened to fit the largest step."""
+    steps = times[mask] - offset if offset else times[mask]
+    lo, hi = int(owner[0]), int(owner[-1]) + 1
+    width = int(steps.max()) + 1 if steps.size else 0
+    flat = (owner - lo).repeat(mask.sum(axis=1)) * width + steps
+    counts = np.bincount(flat, minlength=(hi - lo) * width).reshape(hi - lo, width)
+    if counts.shape[1] > hist.shape[1]:
+        grow = np.zeros((len(hist), counts.shape[1] - hist.shape[1]), dtype=hist.dtype)
+        hist = np.concatenate((hist, grow), axis=1)
+    hist[lo:hi, :counts.shape[1]] += counts
+    return hist
+
+
+def _trim(prog):
+    """Drop trailing zero steps, keeping at least step 0."""
+    nonzero = np.flatnonzero(prog)
+    return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
+
+
+def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
+                     sims: int | None = None, tag: int = TAG_SINGLE,
+                     decay: DecayFunction = NO_DECAY, progression: bool = False) -> list:
     """Monte-Carlo estimate of the expected decay-weighted active count (the
-    final active count under the default, delta = 1). Deterministic given
-    (graph, seeds, master_seed, sims, tag); every decay sees the same traces."""
+    final active count under the default, delta = 1) of each seed set, as
+    (estimate, progression) pairs: the progression, the expected new
+    activations per step, is counted only when asked for (else None). A
+    set's pair is deterministic given (graph, set, master_seed, sims, tag),
+    whatever the other sets; every decay sees the same traces."""
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    seeds = _check_seeds(graph, seeds)
-    if not seeds:
-        return SpreadEstimate(mean=0.0, stderr=0.0, samples=sims)
-    vals = [decay.values(times)
-            for times in _batches(graph, seeds, sims, config.master_seed, tag)]
-    return _estimate(np.concatenate(vals, dtype=np.float64))
+    vals = np.empty((len(seed_sets), sims))
+    hist = np.zeros((len(seed_sets), 0), dtype=np.int64)
+    for owner, index, times in replicate_rows(graph, seed_sets, sims, config.master_seed,
+                                              tag, graph.n):
+        vals[owner, index] = decay.values(times)
+        if progression:
+            hist = _histogram_add(hist, times, times >= 0, owner)
+    return [(_estimate(v), _trim(h / sims) if progression else None)
+            for v, h in zip(vals, hist)]
+
+
+def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
+                    sims: int | None = None, tag: int = TAG_SINGLE,
+                    decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
+    """The estimate of ``estimate_spreads`` for one seed set."""
+    return estimate_spreads(graph, [seeds], config, sims, tag, decay)[0][0]
 
 
 class ByteCache:

@@ -290,9 +290,3 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, 0.0, None)
     s = p.sum()
     return p / s if s > 0 else np.full(len(p), 1.0 / len(p))
-
-
-def log_csv_rows(log):
-    """Iteration-log CSV rows: (iter, draws, elite_threshold, best)."""
-    for entry in log:
-        yield entry.iteration, entry.draws, entry.elite_threshold, entry.best

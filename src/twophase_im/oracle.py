@@ -16,7 +16,6 @@ Every table is checked against ``ORACLE_BYTES`` before it is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -39,14 +38,6 @@ _NODE_BITS = _ONE << _SHIFTS
 
 class OracleCapError(ValueError):
     """Instance too large for exhaustive enumeration."""
-
-
-@dataclass(frozen=True)
-class LiveGraph:
-    """One sampled edge subset of the parent graph and its probability."""
-
-    edge_mask: int
-    probability: float
 
 
 def _bits(mask: int):
@@ -299,13 +290,6 @@ def get_oracle(graph: InfluenceGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Exact
     if graph._oracle is None or graph._oracle.m > edge_cap:
         graph._oracle = ExactOracle(graph, edge_cap=edge_cap)
     return graph._oracle
-
-
-def enumerate_live_graphs(graph: InfluenceGraph, edge_cap: int = DEFAULT_EDGE_CAP):
-    """All 2^m live graphs with their occurrence probabilities."""
-    orc = get_oracle(graph, edge_cap)
-    return [LiveGraph(edge_mask=x, probability=float(p))
-            for x, p in enumerate(orc.mask_p)]
 
 
 def exact_sigma(graph: InfluenceGraph, seeds, edge_cap: int = DEFAULT_EDGE_CAP) -> float:

@@ -16,7 +16,7 @@ from .diffusion import (
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    _batches,
+    replicate_rows,
 )
 from .graph import InfluenceGraph
 from .selectors import select_wd
@@ -57,10 +57,6 @@ class GridResult:
             if (k1, d) == self.best:
                 return est
         raise KeyError(self.best)
-
-    def csv_rows(self):
-        for k1, d, est in self.entries:
-            yield k1, d, est.mean, est.stderr
 
 
 def _make_evaluator(graph, config: SearchConfig, selector):
@@ -193,7 +189,8 @@ def estimate_D(graph: InfluenceGraph, k: int, mc: MonteCarloConfig | None = None
     mc = mc or MonteCarloConfig()
     k = max(1, min(k, graph.n))
     seeds = select_wd(graph, k).nodes
-    latest = max(int(times.max()) for times in
-                 _batches(graph, seeds, mc.phase1_sims, mc.master_seed, TAG_PROBE))
+    latest = max(int(times.max()) for _, _, times in
+                 replicate_rows(graph, [seeds], mc.phase1_sims, mc.master_seed, TAG_PROBE,
+                                graph.n))
     horizon = latest + margin
     return max(1, min(horizon, graph.n))

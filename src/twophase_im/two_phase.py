@@ -6,15 +6,18 @@ step d and observe it; in each outer replicate, pick second-phase seeds as
 if on the residual graph (already-activated nodes cut out), with the
 recently-activated nodes as a free partial seed set; then continue the
 diffusion on the parent graph from the recent nodes and the second-phase
-seeds, m2 times per outer replicate, and aggregate. Outer replicates run in
-groups: one batched SD/WD/GDD selection and one continued cascade per group.
-Already-active nodes take no part in the continuation, so it draws exactly
-what a simulation on the residual graph would.
+seeds, m2 times per outer replicate, and aggregate. The phase-1 replicates
+come from the row source of ``diffusion`` (``replicate_rows``) in groups of
+outer replicates: one batched SD/WD/GDD selection and one continued cascade
+per group. Already-active nodes take no part in the continuation, so it
+draws exactly what a simulation on the residual graph would.
 
 One nested run takes many first-phase sets at one d; each set reads the
 streams it would read alone, so its estimate is the same bit for bit.
 ``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_joint``
-scores a FACE-joint draw round, grouped by d, in one batch.
+scores a FACE-joint draw round, grouped by d, in one batch. Single-phase
+estimates (k2 = 0 and d = 0, and the d = 0 arm of ``score_joint``) are
+those of ``diffusion.estimate_spreads``.
 """
 
 from __future__ import annotations
@@ -31,15 +34,15 @@ from .diffusion import (
     NO_DECAY,
     TAG_PHASE1,
     TAG_PHASE2,
-    TAG_SINGLE,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    _batches,
-    _estimate,
+    _histogram_add,
+    _trim,
     check_bytes,
     continue_blocks,
-    simulate_sets,
+    estimate_spreads,
+    replicate_rows,
     stream,
 )
 from .graph import InfluenceGraph, residual_graph
@@ -56,7 +59,6 @@ from .selectors import (
 )
 
 TAG_PHASE2_SELECT = 7
-GROUP_CELLS = 1 << 16   # most (rows x n) phase-2 times continued in one cascade
 
 HEURISTIC_SELECTORS = ("sd", "wd", "gdd")
 OBJECTIVE_SELECTORS = ("greedy", "rmax", "spic", "face")
@@ -95,10 +97,6 @@ class TwoPhaseResult:
     spread: SpreadEstimate
     realized_s2_examples: list
     progression: np.ndarray  # expected newly-activated count per time step
-
-    def progression_rows(self):
-        for t, v in enumerate(self.progression):
-            yield t, float(v)
 
 
 def _second_phase_heuristic(selector2):
@@ -139,22 +137,6 @@ def _second_phase_objective(selector2, sims):
     return pick
 
 
-def _histogram_add(hist, times, mask, owner, offset=0):
-    """hist, (sets, steps), plus the count of each step ``times - offset``
-    at the entries of ``mask``, those of row r counted in row ``owner[r]``
-    (ascending) of hist, which is widened to fit the largest step."""
-    steps = times[mask] - offset if offset else times[mask]
-    lo, hi = int(owner[0]), int(owner[-1]) + 1
-    width = int(steps.max()) + 1 if steps.size else 0
-    flat = (owner - lo).repeat(mask.sum(axis=1)) * width + steps
-    counts = np.bincount(flat, minlength=(hi - lo) * width).reshape(hi - lo, width)
-    if counts.shape[1] > hist.shape[1]:
-        grow = np.zeros((len(hist), counts.shape[1] - hist.shape[1]), dtype=hist.dtype)
-        hist = np.concatenate((hist, grow), axis=1)
-    hist[lo:hi, :counts.shape[1]] += counts
-    return hist
-
-
 def _outer_values(blocks, at, already, decay):
     """The mean value of each outer replicate: its phase-1 value before d
     plus that of each of its continuations (``blocks``, (reps, m2, n)) on
@@ -170,77 +152,52 @@ def _outer_values(blocks, at, already, decay):
             for b, block, gone in zip(base, blocks, already)]
 
 
-def _set_rows(graph, sets, sims, master_seed, tag, cells, stop_at=None):
-    """The ``sims`` replicates of every set, in row batches of (set index,
-    replicate index, times). While a set's ``cells`` (what its replicates
-    take downstream) fit ``GROUP_CELLS``, a batch is as many whole sets as
-    fit, from one cascade (``simulate_sets``); a larger set comes one
-    ``_batches`` chunk at a time. Either way set c's rows are those of its
-    own ``_batches``."""
-    if cells <= GROUP_CELLS:
-        size = GROUP_CELLS // max(cells, 1)
-        for lo in range(0, len(sets), size):
-            part = sets[lo:lo + size]
-            yield (np.arange(lo, lo + len(part)).repeat(sims), np.tile(np.arange(sims), len(part)),
-                   simulate_sets(graph, part, sims, master_seed, tag, stop_at=stop_at))
-        return
-    for c, seeds in enumerate(sets):
-        first = 0
-        for times in _batches(graph, seeds, sims, master_seed, tag, stop_at=stop_at):
-            yield np.full(len(times), c), np.arange(first, first + len(times)), times
-            first += len(times)
-
-
 def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_examples=0):
     """Shared nested Monte-Carlo engine over first-phase sets at one delay
     d, set c with k2s[c] second-phase seeds; returns (estimate, progression,
     first s2 examples) for each set.
 
-    The phase-1 replicates come in row batches (``_set_rows``, whole sets
-    while a set's m1 x m2 x n phase-2 cells fit ``GROUP_CELLS``), which are
-    taken in groups of whole outer replicates, at most ``GROUP_CELLS``
-    phase-2 times (or one outer replicate) each. A group's second-phase
-    seeds are selected at once; then outer replicate i of every set is
-    repeated m2 times with its seeds written in at step d and continued on
-    the parent graph with the coins of ``stream(master_seed, TAG_PHASE2,
-    i)``, each block from the stream's start, as if alone. One replicate's
-    (m2, n) times are checked against ``BATCH_BYTES`` first: they cannot be
-    split without changing its stream."""
+    The phase-1 replicates come from ``replicate_rows`` in groups of whole
+    outer replicates, at most ``GROUP_CELLS`` phase-2 times (or one outer
+    replicate) each. A group's second-phase seeds are selected at once;
+    then outer replicate i of every set is repeated m2 times with its seeds
+    written in at step d and continued on the parent graph with the coins of
+    ``stream(master_seed, TAG_PHASE2, i)``, each block from the stream's
+    start, as if alone. One replicate's (m2, n) times are checked against
+    ``BATCH_BYTES`` first: they cannot be split without changing its
+    stream."""
     sets = [sorted(set(int(v) for v in s1)) for s1 in s1s]
     n = graph.n
     m1, m2 = config.phase1_sims, config.phase2_sims
     check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
                 4 * m2 * n, BATCH_BYTES)
-    group = max(1, GROUP_CELLS // max(m2 * n, 1))
     k2s = np.asarray(k2s, dtype=np.int64)
     outer_means = np.empty((len(sets), m1))
     phase1_hist = np.zeros((len(sets), 0), dtype=np.int64)   # activations per step
     phase2_hist = np.zeros((len(sets), 0), dtype=np.int64)   # per step - d
     s2_examples = [[] for _ in sets]
-    for owner, index, times1 in _set_rows(graph, sets, m1, config.master_seed, TAG_PHASE1,
-                                          m1 * m2 * n, stop_at=d):
-        for lo in range(0, len(times1), group):
-            at, c, i = times1[lo:lo + group], owner[lo:lo + group], index[lo:lo + group]
-            reps = len(at)
-            already, recent = (at >= 0) & (at < d), at == d
-            budgets = np.minimum(k2s[c], n - already.sum(axis=1) - recent.sum(axis=1))
-            s2 = second_phase(graph, already, recent, budgets, config.master_seed)
-            frontier = recent.copy()
-            picked = [len(seeds) for seeds in s2]
-            frontier[np.arange(reps).repeat(picked),
-                     np.fromiter(chain.from_iterable(s2), np.int64, sum(picked))] = True
-            frontier = frontier.repeat(m2, axis=0)
-            times = at.repeat(m2, axis=0)
-            times[frontier] = d
-            outer, src = np.unique(i, return_inverse=True)
-            continue_blocks(graph, times, np.flatnonzero(frontier), d, m2, src,
-                            [stream(config.master_seed, TAG_PHASE2, j) for j in outer.tolist()])
-            outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
-            for r in np.flatnonzero(i < collect_examples).tolist():
-                s2_examples[c[r]].append(sorted(s2[r]))
-            # progression (plain counts; sums to the delta = 1 mean)
-            phase1_hist = _histogram_add(phase1_hist, at, already, c)
-            phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
+    for c, i, at in replicate_rows(graph, sets, m1, config.master_seed, TAG_PHASE1, m2 * n,
+                                   stop_at=d):
+        reps = len(at)
+        already, recent = (at >= 0) & (at < d), at == d
+        budgets = np.minimum(k2s[c], n - already.sum(axis=1) - recent.sum(axis=1))
+        s2 = second_phase(graph, already, recent, budgets, config.master_seed)
+        frontier = recent.copy()
+        picked = [len(seeds) for seeds in s2]
+        frontier[np.arange(reps).repeat(picked),
+                 np.fromiter(chain.from_iterable(s2), np.int64, sum(picked))] = True
+        frontier = frontier.repeat(m2, axis=0)
+        times = at.repeat(m2, axis=0)
+        times[frontier] = d
+        outer, src = np.unique(i, return_inverse=True)
+        continue_blocks(graph, times, np.flatnonzero(frontier), d, m2, src,
+                        [stream(config.master_seed, TAG_PHASE2, j) for j in outer.tolist()])
+        outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
+        for r in np.flatnonzero(i < collect_examples).tolist():
+            s2_examples[c[r]].append(sorted(s2[r]))
+        # progression (plain counts; sums to the delta = 1 mean)
+        phase1_hist = _histogram_add(phase1_hist, at, already, c)
+        phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
     # a row's mean and std are its own float sums, whatever the other rows
     means = outer_means.mean(axis=1)
     stderrs = (outer_means.std(ddof=1, axis=1) / math.sqrt(m1) if m1 > 1
@@ -254,12 +211,6 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         est = SpreadEstimate(mean=mean, stderr=stderr, samples=m1 * m2)
         results.append((est, _trim(prog), examples))
     return results
-
-
-def _trim(prog):
-    """Drop trailing zero steps, keeping at least step 0."""
-    nonzero = np.flatnonzero(prog)
-    return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
@@ -280,19 +231,6 @@ def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
                        _second_phase_objective("greedy", sims))[0][0]
 
 
-def _single_phase(graph, sets, config, decay, sims):
-    """(estimate, progression) of each set on the TAG_SINGLE streams of
-    ``estimate_spread``, bit-identical to it (``_set_rows``)."""
-    n = graph.n
-    vals = np.empty((len(sets), sims))
-    hist = np.zeros((len(sets), 0), dtype=np.int64)
-    for owner, index, times in _set_rows(graph, sets, sims, config.master_seed, TAG_SINGLE,
-                                         sims * n):
-        vals[owner, index] = decay.values(times)
-        hist = _histogram_add(hist, times, times >= 0, owner)
-    return [(_estimate(v), _trim(h / sims)) for v, h in zip(vals, hist)]
-
-
 def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
     """The cheaper config of a nested objective: a tenth of the outer and
     inner replicates, the same master seed."""
@@ -308,16 +246,16 @@ def score_joint(graph: InfluenceGraph, candidates, k: int, config: MonteCarloCon
     ``_farsighted(config).phase1_sims`` replicates), else ``eval_h`` with a
     second phase of k - k1 seeds on ``_farsighted(config)``. Values are
     those of one call per candidate, bit for bit; candidates are grouped
-    by d, each group scored in batches of whole candidates of at most
-    ``GROUP_CELLS`` cells."""
+    by d, and each group is scored by one call of ``estimate_spreads`` or
+    ``_nested_run``."""
     far = _farsighted(config)
     values = [0.0] * len(candidates)
     for d in sorted({int(c[1]) for c in candidates}):
         idx = [j for j, c in enumerate(candidates) if c[1] == d]
         sets = [candidates[j][2] for j in idx]
         if d == 0:
-            got = [est.mean for est, _ in _single_phase(graph, sets, config, decay,
-                                                        far.phase1_sims)]
+            got = [est.mean for est, _ in estimate_spreads(graph, sets, config,
+                                                           far.phase1_sims, decay=decay)]
         else:
             got = [est.mean for est, _, _ in _nested_run(
                 graph, sets, d, [k - candidates[j][0] for j in idx], far, decay,
@@ -377,8 +315,8 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
     selector (same estimator streams as estimate_spread)."""
     s1 = select_phase1(graph, plan, config, decay, farsighted_config)
     if plan.k2 == 0 and plan.d == 0:
-        [(est, prog)] = _single_phase(graph, [s1.nodes], config, decay,
-                                      config.single_phase_sims)
+        [(est, prog)] = estimate_spreads(graph, [s1.nodes], config, decay=decay,
+                                         progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
     if plan.selector2 in HEURISTIC_SELECTORS:
         second = _second_phase_heuristic(plan.selector2)

@@ -16,6 +16,19 @@ def instance_family(count, seed, max_nodes=8, max_edges=12):
             for _ in range(count)]
 
 
+def chunk_batches(graph, seeds, sims, master_seed, tag, stop_at=None):
+    """The ``sims`` replicates of one seed set as the package drew them
+    before its row source (``diffusion.replicate_rows``) existed: one
+    ``simulate_batch`` per chunk of ``chunk_size(n)`` replicates, chunk j on
+    ``stream(master_seed, tag, j)``. The reference that the row source, and
+    every estimate built on it, must equal bit for bit."""
+    from twophase_im import diffusion
+    size = diffusion.chunk_size(graph.n)
+    for idx, done in enumerate(range(0, sims, size)):
+        yield diffusion.simulate_batch(graph, seeds, diffusion.stream(master_seed, tag, idx),
+                                       min(size, sims - done), stop_at=stop_at)
+
+
 @pytest.fixture
 def example1():
     from twophase_im.instances import example1_graph

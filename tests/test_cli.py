@@ -246,6 +246,18 @@ def test_twophase_delay_past_the_cascade_runs(tmp_path, capsys):
     assert sum(got["progression"]) == pytest.approx(got["spread"]["mean"], abs=1e-9)
 
 
+@pytest.mark.parametrize("plan", [["--k1", "1", "--k2", "1", "--d", "1000000000000"],
+                                  ["--optimize", "golden", "--d-max", "1000000000000"],
+                                  ["--optimize", "face-joint", "--d-max", "1000000000000"]])
+def test_huge_delay_is_refused_before_allocating(tmp_path, capsys, plan):
+    # one float64 per step up to the delay would be 8 TB
+    code, _, err = run(capsys, "twophase", "--graph", "example1", "--algorithm", "gdd",
+                       "--k", "2", *plan, "--seed", "0", "--output-dir", str(tmp_path))
+    assert code == 2 and "delay" in err and "budget" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan"])
 def test_out_of_range_delta_is_data_error(tmp_path, capsys, delta):
     common = ["--graph", "example1", "--algorithm", "gdd", "--delta", delta,

@@ -54,7 +54,7 @@ OUTPUT_DIRS = (["out"], ["adir/sub", "afile", "afile/sub"])
 ALGORITHMS = (["gdd", "sd", "wd", "greedy", "rmax", "spic", "face"], ["bogus"])
 COUNTS = (["1", "2", "3"], ["0", "5", "-1", "x", "1.5"])
 SIMS = (["1", "2", "10"], ["0", "-3", "x"])
-DELAYS = (["0", "1", "2", "7"], ["-1", "x"])
+DELAYS = (["0", "1", "2", "7"], ["-1", "x", "1000000000000"])
 DELTAS = (["1", "0.8", "0"], ["nan", "inf", "-0.1", "1.5", "x"])
 SEEDS = (["0", "1", "123"], ["-1", "x"])
 TRANSFORMS = (["none"], ["wc", "tv", "xx"])
@@ -112,8 +112,8 @@ def _argv(draw, files):
             split = ["--k", str(k1 + k2), "--k1", str(k1), "--k2", str(k2)]
             split += opt("--d", (DELAYS[0] + ["auto"], DELAYS[1]))
         else:
-            split = opt("--k", COUNTS) + ["--optimize", plan] + opt("--d-max", (["1", "2", "3"],
-                                                                        ["0", "-1", "x"]))
+            split = opt("--k", COUNTS) + ["--optimize", plan]
+            split += opt("--d-max", (["1", "2", "3"], ["0", "-1", "x", "1000000000000"]))
         if not valid:
             split += opt("--k1", COUNTS) + opt("--optimize", (["none"], ["x"]))
         return (["twophase"] + graph_opts() + opt("--algorithm", ALGORITHMS) + split

@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import instance_family
-from twophase_im import diffusion, two_phase
+from conftest import chunk_batches, instance_family
+from twophase_im import diffusion
 from twophase_im.diffusion import (
     NO_DECAY,
     TAG_FACE,
     TAG_PHASE1,
+    TAG_PROBE,
     TAG_SINGLE,
     DecayFunction,
     MonteCarloConfig,
-    _batches,
     _estimate,
     estimate_spread,
-    simulate_sets,
+    estimate_spreads,
+    replicate_rows,
     stream,
 )
 from twophase_im.face import (
@@ -38,7 +39,8 @@ from twophase_im.face import (
     face_select,
 )
 from twophase_im.instances import les_miserables_wc
-from twophase_im.selectors import SigmaObjective
+from twophase_im.schedule import D_MARGIN, estimate_D
+from twophase_im.selectors import SigmaObjective, select_wd
 from twophase_im.two_phase import eval_h, score_joint
 
 DECAYS = [NO_DECAY, DecayFunction(0.8)]
@@ -180,7 +182,7 @@ def test_score_joint_equals_one_call_per_candidate_on_the_family(decay):
 def test_score_joint_across_groups(monkeypatch, cells):
     # at m1 = 20, m2 = 30 (2 x 3 after the tenth) a group holds three
     # candidates, one, or a single outer replicate of one
-    monkeypatch.setattr(two_phase, "GROUP_CELLS", cells)
+    monkeypatch.setattr(diffusion, "GROUP_CELLS", cells)
     g = les_miserables_wc()
     cfg = MonteCarloConfig(phase1_sims=20, phase2_sims=30, master_seed=5)
     for decay in DECAYS:
@@ -189,19 +191,20 @@ def test_score_joint_across_groups(monkeypatch, cells):
 
 def test_score_joint_with_phase_one_past_a_chunk(monkeypatch):
     # chunks of 3 rows: each candidate's 7 phase-1 (and d = 0) replicates
-    # read streams 0, 1 and 2, in a group or alone
+    # read streams 0, 1 and 2, in a cascade with other candidates' chunks;
+    # at 6 rows a cascade, one may also end between two chunks of a set
     g = les_miserables_wc()
     monkeypatch.setattr(diffusion, "BATCH_BYTES", 4 * g.n * 3)
     assert diffusion.chunk_size(g.n) == 3
     cfg = MonteCarloConfig(phase1_sims=70, phase2_sims=30, master_seed=2)
-    for cells in (two_phase.GROUP_CELLS, 7 * 3 * 77 - 1):
-        monkeypatch.setattr(two_phase, "GROUP_CELLS", cells)
+    for cells in (diffusion.GROUP_CELLS, 7 * 3 * 77 - 1):
+        monkeypatch.setattr(diffusion, "GROUP_CELLS", cells)
         for decay in DECAYS:
             _assert_scores(g, _candidates(g, 4, 3, 20, 2), 4, cfg, decay)
 
 
 def test_score_joint_single_phase_arm_larger_than_a_group(monkeypatch):
-    monkeypatch.setattr(two_phase, "GROUP_CELLS", 10)
+    monkeypatch.setattr(diffusion, "GROUP_CELLS", 10)
     g = les_miserables_wc()
     cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=10, master_seed=1)
     _assert_scores(g, [(3, 0, (0, 11, 48)), (3, 0, (2, 5, 7))], 3, cfg, NO_DECAY)
@@ -277,41 +280,61 @@ def test_each_round_is_scored_in_one_call():
 def _old_single_phase_result(graph, seeds, config, decay, sims):
     """The single-phase spread and progression of one set as they were."""
     vals, hist = [], np.zeros(0, dtype=np.int64)
-    for times in _batches(graph, seeds, sims, config.master_seed, TAG_SINGLE):
+    for times in chunk_batches(graph, seeds, sims, config.master_seed, TAG_SINGLE):
         vals.append(decay.values(times))
         counts = np.bincount(times[times >= 0])
         if len(counts) > len(hist):
             hist = np.concatenate([hist, np.zeros(len(counts) - len(hist), dtype=np.int64)])
         hist[:len(counts)] += counts
-    return _estimate(np.concatenate(vals, dtype=np.float64)), two_phase._trim(hist / sims)
+    return _estimate(np.concatenate(vals, dtype=np.float64)), diffusion._trim(hist / sims)
 
 
-@pytest.mark.parametrize("cells", [two_phase.GROUP_CELLS, 3 * 30 * 77, 10])
-def test_single_phase_equals_the_batches_of_each_set(monkeypatch, cells):
-    # whole sets per cascade (many, or three at a time) or one chunk at a time
-    monkeypatch.setattr(two_phase, "GROUP_CELLS", cells)
+@pytest.mark.parametrize("cells, chunk", [
+    pytest.param(diffusion.GROUP_CELLS, 4096, id=str(diffusion.GROUP_CELLS)),
+    pytest.param(3 * 30 * 77, 4096, id=str(3 * 30 * 77)),
+    pytest.param(10, 4096, id="10"),
+    pytest.param(10 * 77, 4, id="770-4"),
+])
+def test_single_phase_equals_the_batches_of_each_set(monkeypatch, cells, chunk):
+    # whole sets per cascade (many, or three at a time) or one chunk at a
+    # time; with chunks of 4, a cascade of at most 10 rows holds two chunks
+    # and ends inside a set (or starts in one set and ends in the next)
+    monkeypatch.setattr(diffusion, "GROUP_CELLS", cells)
+    monkeypatch.setattr(diffusion, "CHUNK", chunk)
     g = les_miserables_wc()
     sets = [[11], [0, 11, 48], [], [26, 27], [11], [5]]
     for decay in DECAYS:
         cfg = MonteCarloConfig(master_seed=9)
-        got = two_phase._single_phase(g, sets, cfg, decay, 30)
-        for s, (est, prog) in zip(sets, got):
+        got = estimate_spreads(g, sets, cfg, 30, decay=decay, progression=True)
+        alone = estimate_spreads(g, sets, cfg, 30, decay=decay)
+        for s, (est, prog), (est_alone, no_prog) in zip(sets, got, alone):
             want_est, want_prog = _old_single_phase_result(g, s, cfg, decay, 30)
-            assert est == want_est
-            assert np.array_equal(prog, want_prog)
-            assert est.mean == estimate_spread(g, s, cfg, sims=30, decay=decay).mean
+            assert est == want_est == est_alone
+            assert np.array_equal(prog, want_prog) and no_prog is None
+            assert estimate_spread(g, s, cfg, sims=30, decay=decay) == want_est
+    probe = MonteCarloConfig(phase1_sims=30, master_seed=9)
+    latest = max(int(t.max()) for t in chunk_batches(g, select_wd(g, 3).nodes, 30, 9, TAG_PROBE))
+    assert estimate_D(g, 3, probe) == max(1, min(latest + D_MARGIN, g.n))
 
 
-def test_simulate_sets_stacks_the_batches_of_each_set(monkeypatch):
+def test_replicate_rows_stack_the_batches_of_each_set(monkeypatch):
     g = les_miserables_wc()
     sets = [[11], [], [0, 11, 48], [11], [26, 27]]
     for chunk in (4096, 4):
         monkeypatch.setattr(diffusion, "CHUNK", chunk)
-        for stop_at in (None, 2):
-            want = np.concatenate([t for s in sets
-                                   for t in _batches(g, s, 10, 7, TAG_PHASE1, stop_at)])
-            got = simulate_sets(g, sets, 10, 7, TAG_PHASE1, stop_at=stop_at)
-            assert np.array_equal(got, want)
+        # every set in one cascade; cascades of at most 6 rows (two chunks
+        # of 4 do not fit, so one ends inside a set); one row a group
+        for cells in (diffusion.GROUP_CELLS // 50, diffusion.GROUP_CELLS // 6, 10 ** 6):
+            fit = max(1, diffusion.GROUP_CELLS // cells)
+            for stop_at in (None, 2):
+                want = np.concatenate([t for s in sets
+                                       for t in chunk_batches(g, s, 10, 7, TAG_PHASE1, stop_at)])
+                got = list(replicate_rows(g, sets, 10, 7, TAG_PHASE1, cells, stop_at=stop_at))
+                assert all(len(times) <= fit for _, _, times in got)
+                owner, index, times = (np.concatenate(part) for part in zip(*got))
+                assert np.array_equal(times, want)
+                assert np.array_equal(owner, np.arange(len(sets)).repeat(10))
+                assert np.array_equal(index, np.tile(np.arange(10), len(sets)))
 
 
 @settings(max_examples=50, deadline=None)

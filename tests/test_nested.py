@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import instance_family
+from conftest import chunk_batches, instance_family
 from twophase_im import diffusion, two_phase
 from twophase_im.diffusion import (
     NEVER,
@@ -19,7 +19,6 @@ from twophase_im.diffusion import (
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    _batches,
     simulate_batch,
     stream,
 )
@@ -172,8 +171,8 @@ class _LoopNested:
         phase1_hist = np.zeros(0, dtype=np.int64)
         phase2_hist = np.zeros(0, dtype=np.int64)
         s2_examples = []
-        rows = (row for times1 in _batches(graph, s1, m1, config.master_seed, TAG_PHASE1,
-                                           stop_at=d) for row in times1)
+        rows = (row for times1 in chunk_batches(graph, s1, m1, config.master_seed, TAG_PHASE1,
+                                                stop_at=d) for row in times1)
         for i, at in enumerate(rows):
             already_mask = (at >= 0) & (at < d)
             res, kept = residual_graph(graph, np.flatnonzero(already_mask))
@@ -195,7 +194,7 @@ class _LoopNested:
         prog[:len(phase1_hist)] += phase1_hist / m1
         prog[d:d + len(phase2_hist)] += phase2_hist / (m1 * m2)
         est = SpreadEstimate(mean=mean, stderr=stderr, samples=m1 * m2)
-        return est, two_phase._trim(prog), s2_examples
+        return est, diffusion._trim(prog), s2_examples
 
 
 def _second_phase(selector2, sims):
@@ -258,12 +257,14 @@ def test_second_phase_shortfall_equals_residual_loop():
             _assert_same(g, [0], d, 3, cfg, DecayFunction(0.8), selector2)
 
 
-@pytest.mark.parametrize("cells, chunk", [(3 * 7 * 8, 4096), (2 * 7 * 8, 5), (1, 4)])
+@pytest.mark.parametrize("cells, chunk", [(3 * 7 * 8, 4096), (2 * 7 * 8, 5), (1, 4),
+                                         (5 * 7 * 8, 2)])
 def test_groups_that_do_not_divide_the_outer_replicates(monkeypatch, cells, chunk):
     # groups of 3, 2 and 1 outer replicates over m1 = 17, within phase-1
     # chunks of every size; the chunk size changes the phase-1 streams,
-    # which both sides share
-    monkeypatch.setattr(two_phase, "GROUP_CELLS", cells)
+    # which both sides share. At 5 rows a group, two chunks of 2 share a
+    # cascade, and the cascades end inside the set
+    monkeypatch.setattr(diffusion, "GROUP_CELLS", cells)
     monkeypatch.setattr(diffusion, "CHUNK", chunk)
     for g in instance_family(3, seed=66):
         if g.n != 8:
@@ -275,16 +276,16 @@ def test_groups_that_do_not_divide_the_outer_replicates(monkeypatch, cells, chun
 
 def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
     calls = []
-    original = diffusion.simulate_batch
+    original = diffusion.simulate_blocks
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return original(*args, **kwargs)
+    def counted(graph, blocks, *args, **kwargs):
+        calls.extend(rows for _, rows, _ in blocks)
+        return original(graph, blocks, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("residual_graph called")
 
-    monkeypatch.setattr(diffusion, "simulate_batch", counted)
+    monkeypatch.setattr(diffusion, "simulate_blocks", counted)
     monkeypatch.setattr(two_phase, "residual_graph", refuse)
     monkeypatch.setattr(diffusion, "CHUNK", 16)
     cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=1)
@@ -292,4 +293,4 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
         calls.clear()
         two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY,
                               _second_phase(selector2, None))
-        assert calls == [16, 16, 8]   # the phase-1 chunks, nothing per outer replicate
+        assert calls == [16, 16, 8]   # the phase-1 chunks' rows, nothing per outer replicate

@@ -15,7 +15,6 @@ from twophase_im.oracle import (
     UNREACHED,
     ExactOracle,
     OracleCapError,
-    enumerate_live_graphs,
     exact_f,
     exact_nu,
     exact_sigma,
@@ -30,9 +29,9 @@ EXAMPLE1_F_D3_K1 = {(): 2.7, (2,): 2.95, (3,): 2.9, (2, 3): 3.5,
 
 
 def test_live_graph_probabilities_sum_to_one(example1):
-    lgs = enumerate_live_graphs(example1)
-    assert len(lgs) == 8
-    assert math.fsum(lg.probability for lg in lgs) == pytest.approx(1.0, abs=1e-12)
+    mask_p = get_oracle(example1).mask_p
+    assert len(mask_p) == 8
+    assert math.fsum(mask_p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_sigma_example1_values(example1):
