@@ -6,11 +6,13 @@ Library layout:
   residual graphs sliced from the parent's arrays
 - diffusion: one per-edge frontier IC sampler, the only source of fresh
   replicates (block, batch and one-replicate views, and the row source over
-  it), and one (decay-weighted) spread estimator over many seed sets
+  it), the continuation of stopped replicates, live-edge world samples, and
+  one (decay-weighted) spread estimator over many seed sets
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)
-- two_phase: surrogate objectives g/h and the myopic/farsighted pipeline
+- two_phase: the selector table, surrogate objectives g/h, the FACE-joint
+  objective and the myopic/farsighted pipeline
 - schedule: (k1, d) grid search, golden-section / sequential-delay search
 - cli: the ``tpim`` command-line harness with replayable run records
 """
@@ -19,14 +21,12 @@ from .diffusion import (
     DecayFunction,
     DiffusionTrace,
     MonteCarloConfig,
-    Observation,
     SpreadEstimate,
     estimate_spread,
-    observe_at,
     simulate_batch,
     simulate_ic,
 )
-from .face import CeConfig, CeDistribution, face_joint_optimize, face_select, init_weighted
+from .face import CeConfig, face_joint_optimize, face_select
 from .graph import (
     GraphError,
     InfluenceGraph,
@@ -40,7 +40,7 @@ from .graph import (
     save_graph,
 )
 from .instances import BUILTINS, example1_graph, les_miserables_wc, random_small_graph
-from .oracle import ExactOracle, OracleCapError, exact_f, exact_nu, exact_sigma, get_oracle
+from .oracle import ExactOracle, OracleCapError, get_oracle
 from .schedule import (
     GridResult,
     SearchConfig,

@@ -46,7 +46,7 @@ from .records import (
     write_record,
 )
 from .schedule import SearchConfig, estimate_D, exhaustive_grid, golden_section_k1
-from .two_phase import ALL_SELECTORS, TwoPhasePlan, run_two_phase, score_joint
+from .two_phase import SELECTORS, TwoPhasePlan, run_two_phase, score_joint
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
 
@@ -78,19 +78,22 @@ def resolve_graph(spec):
             graph = load_graph(path)
         else:
             raw = load_edge_list(path, directed=spec.get("directed", True))
-            transform = spec.get("transform", "none")
-            if transform == "none":
-                graph = build_graph(raw)
-            elif transform == "wc":
-                graph = apply_wc_transform(raw)
-            elif transform == "tv":
-                graph = apply_tv_transform(raw, spec.get("tv_seed", 0))
-            else:
-                raise GraphError(f"unknown transform {transform!r}")
+            graph = _transformed(raw, spec.get("transform", "none"), spec.get("tv_seed", 0))
     expected = spec.get("hash")
     if expected and expected != graph_fingerprint(graph):
         raise RecordError("input graph has changed since the record was written")
     return graph
+
+
+def _transformed(raw, transform, tv_seed):
+    """The graph of an edge list, its probabilities given or transformed."""
+    if transform == "none":
+        return build_graph(raw)
+    if transform == "wc":
+        return apply_wc_transform(raw)
+    if transform == "tv":
+        return apply_tv_transform(raw, tv_seed)
+    raise GraphError(f"unknown transform {transform!r}")
 
 
 def _ids(graph, text):
@@ -113,10 +116,7 @@ def _decay(delta):
 
 def run_transform(params, _graph):
     raw = load_edge_list(params["input"], directed=params["directed"])
-    if params["model"] == "wc":
-        graph = apply_wc_transform(raw)
-    else:
-        graph = apply_tv_transform(raw, params["seed"])
+    graph = _transformed(raw, params["model"], params["seed"])
     save_graph(graph, params["output"])
     return {"n": graph.n, "m": graph.m, "graph_hash": graph_fingerprint(graph)}
 
@@ -141,7 +141,7 @@ def run_oracle(params, graph):
     if query == "sigma":
         value = orc.exact_sigma(_ids(graph, params.get("seeds", "")))
     elif query == "nu":
-        decay = DecayFunction.exponential(params["delta"])
+        decay = DecayFunction(params["delta"])
         value = orc.exact_nu(_ids(graph, params.get("seeds", "")), decay)
     elif query == "f":
         value = orc.exact_f(_ids(graph, params.get("s1", "")),
@@ -159,20 +159,17 @@ def run_twophase(params, graph):
                           phase2_sims=params["phase2_sims"],
                           master_seed=params["master_seed"])
     optimize = params["optimize"]
-    d_max = params.get("d_max")
-    delay = params["d"] if optimize == "none" else d_max
-    if delay not in (None, "auto"):
+    # the fixed plan's delay, or the optimizers' delay horizon
+    delay = params["d"] if optimize == "none" else params.get("d_max")
+    if delay in (None, "auto"):
+        delay = estimate_D(graph, k, mc)
+    else:
         # a run holds one float per step up to its delay (the progression,
         # FACE-joint's delay distribution); refuse a huge one before any run
         check_bytes(f"a delay of {delay} steps (one float64 per step)", 8 * (delay + 1),
                     BATCH_BYTES)
-    if optimize != "none" and d_max is None:
-        d_max = estimate_D(graph, k, mc)
     if optimize == "none":
-        d = params["d"]
-        if d == "auto":
-            d = estimate_D(graph, k, mc)
-        plan = TwoPhasePlan(k1=params["k1"], k2=params["k2"], d=int(d),
+        plan = TwoPhasePlan(k1=params["k1"], k2=params["k2"], d=int(delay),
                             mode=params["mode"], selector=params["algorithm"])
         result, s1 = run_two_phase(graph, plan, mc, decay)
         return {
@@ -183,7 +180,7 @@ def run_twophase(params, graph):
             "s2_examples": [_labels(graph, s2) for s2 in result.realized_s2_examples],
             "progression": [float(x) for x in result.progression],
         }
-    search = SearchConfig(k_total=k, d_max=d_max, decay=decay, mc=mc)
+    search = SearchConfig(k_total=k, d_max=delay, decay=decay, mc=mc)
     if optimize == "grid":
         grid = exhaustive_grid(graph, search, params["algorithm"])
         return {
@@ -196,7 +193,7 @@ def run_twophase(params, graph):
         return {"best": [k1, d], "spread": est.as_dict()}
     if optimize == "face-joint":
         (k1, d, s1), log = face_joint_optimize(
-            graph, k, d_max, lambda cands: score_joint(graph, cands, k, mc, decay),
+            graph, k, delay, lambda cands: score_joint(graph, cands, k, mc, decay),
             master_seed=params["master_seed"], return_log=True)
         plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=params["algorithm"],
                             s1=s1)
@@ -309,7 +306,7 @@ def transform(input, output, model, seed, undirected, output_dir):
 
 @cli.command()
 @graph_options
-@click.option("--algorithm", type=click.Choice(list(ALL_SELECTORS)), required=True)
+@click.option("--algorithm", type=click.Choice(list(SELECTORS)), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--sims", type=int, default=10_000, show_default=True)
 @click.option("--delta", type=float, default=None,
@@ -347,13 +344,14 @@ def oracle(source, transform, tv_seed, undirected, query, seeds, s1, d, k2,
 
 @cli.command()
 @graph_options
-@click.option("--algorithm", type=click.Choice(list(ALL_SELECTORS)), required=True)
+@click.option("--algorithm", type=click.Choice(list(SELECTORS)), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--k1", type=int, default=None)
 @click.option("--k2", type=int, default=None)
 @click.option("--d", default=None, help="delay step, or 'auto' for the probe estimate")
 @click.option("--mode", type=click.Choice(["myopic", "farsighted"]),
-              default="myopic", show_default=True)
+              default="myopic", show_default=True,
+              help="first-phase objective of a fixed plan (not with --optimize)")
 @click.option("--optimize", type=click.Choice(["none", "grid", "golden", "face-joint"]),
               default="none", show_default=True)
 @click.option("--d-max", type=int, default=None,
@@ -383,6 +381,9 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
         params.update({"k1": k1, "k2": k2,
                        "d": d if d == "auto" else int(d)})
     else:
+        if mode != "myopic":
+            raise click.UsageError("--mode farsighted applies to a fixed plan only, "
+                                   "not with --optimize")
         params["d_max"] = d_max
     _execute("twophase", params, output_dir, graph)
 

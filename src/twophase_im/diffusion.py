@@ -76,21 +76,13 @@ def stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class DecayFunction:
     """Time value of an activation: one at step t is worth delta**t, in [0, 1]
-    and non-increasing in t. delta = 1 (``constant_one``) is the plain spread."""
+    and non-increasing in t. delta = 1, the default, is the plain spread."""
 
     delta: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
-
-    @classmethod
-    def constant_one(cls) -> "DecayFunction":
-        return cls(1.0)
-
-    @classmethod
-    def exponential(cls, delta: float) -> "DecayFunction":
-        return cls(delta)
 
     def values(self, times: np.ndarray, offset: int = 0):
         """Per-replicate value of an activation-time array: the sum over its
@@ -103,7 +95,7 @@ class DecayFunction:
                                          dtype=float), 0.0).sum(axis=-1)
 
 
-NO_DECAY = DecayFunction.constant_one()
+NO_DECAY = DecayFunction()
 
 
 @dataclass
@@ -123,23 +115,6 @@ class DiffusionTrace:
     """Per-node activation times; NEVER (-1) marks nodes never activated."""
 
     activation_time: np.ndarray
-
-    @property
-    def final_active_count(self) -> int:
-        return int(np.count_nonzero(self.activation_time >= 0))
-
-    def active_at_or_before(self, t: int) -> np.ndarray:
-        at = self.activation_time
-        return np.flatnonzero((at >= 0) & (at <= t))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Partial observation at step d: already- and recently-activated sets."""
-
-    at_step: int
-    already: frozenset
-    recent: frozenset
 
 
 @dataclass
@@ -164,18 +139,6 @@ def simulate_ic(graph: InfluenceGraph, seeds, rng: np.random.Generator,
     """One IC replicate; returns the full activation-time trace. The same
     draws as row 0 of ``simulate_batch`` with one replicate."""
     return DiffusionTrace(simulate_batch(graph, seeds, rng, 1, stop_at=stop_at)[0])
-
-
-def observe_at(trace: DiffusionTrace, d: int) -> Observation:
-    """Classify activations at step d: already (< d) vs recent (== d)."""
-    if d < 0:
-        raise ValueError("observation step must be >= 0")
-    at = trace.activation_time
-    already = np.flatnonzero((at >= 0) & (at < d))
-    recent = np.flatnonzero(at == d)
-    return Observation(at_step=d,
-                       already=frozenset(int(v) for v in already),
-                       recent=frozenset(int(v) for v in recent))
 
 
 def _seed_keys(reps: int, n: int, seeds: list) -> np.ndarray:
@@ -541,8 +504,3 @@ class WorldSample:
         better = acts.times < old
         return acts.keys[better], acts.times[better], old[better]
 
-
-def trace_csv_rows(trace: DiffusionTrace):
-    """CSV dump rows (node_id, activation_time); blank time for never."""
-    for v, t in enumerate(trace.activation_time):
-        yield v, (int(t) if t >= 0 else "")

@@ -18,9 +18,13 @@ import numpy as np
 
 from .diffusion import TAG_FACE, stream
 from .graph import InfluenceGraph
-from .selectors import SeedSet, gdd_state
+from .selectors import SeedSet
 
-BOUNDARY_TOL = 0.01  # node_probs this close to {0,1} count as converged
+BOUNDARY_TOL = 0.01       # node_probs this close to {0,1} count as converged
+ALPHA = 0.6               # weight of the refit against the previous probabilities
+MAX_ITERATIONS = 20
+RELIABILITY_TOL = 1e-3    # relative change of the elite threshold that counts as stable
+EXPLORATION_FLOOR = 0.1   # least inclusion probability of a node after a refit
 
 
 @dataclass
@@ -28,10 +32,6 @@ class CeConfig:
     n_min: int
     n_max: int
     n_elite: int
-    alpha: float = 0.6
-    max_iterations: int = 20
-    reliability_tol: float = 1e-3
-    exploration_floor: float = 0.1
 
     @classmethod
     def for_graph(cls, n: int) -> "CeConfig":
@@ -42,23 +42,6 @@ class CeConfig:
             raise ValueError("need 1 <= n_min <= n_max")
         if not (1 <= self.n_elite <= self.n_min):
             raise ValueError("need 1 <= n_elite <= n_min")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        if not (0.0 <= self.exploration_floor < 1.0):
-            raise ValueError("exploration_floor must be in [0, 1)")
-
-
-@dataclass
-class CeDistribution:
-    node_probs: np.ndarray
-    k1_probs: np.ndarray | None = None  # joint mode, over {1..k}
-    d_probs: np.ndarray | None = None   # joint mode, over {0..D}
-
-    def __post_init__(self):
-        self.node_probs = np.clip(np.asarray(self.node_probs, dtype=float), 0.0, 1.0)
-        for cat in (self.k1_probs, self.d_probs):
-            if cat is not None and abs(cat.sum() - 1.0) > 1e-9:
-                raise ValueError("categorical weights must sum to 1")
 
 
 @dataclass
@@ -75,22 +58,6 @@ class CeIterationLog:
     draws: int
     elite_threshold: float
     best: float
-
-
-def init_uniform(n: int, budget: int) -> CeDistribution:
-    return CeDistribution(node_probs=np.full(n, budget / n))
-
-
-def init_weighted(graph: InfluenceGraph, k1: int) -> CeDistribution:
-    """Inclusion probabilities proportional to the degree-discount weight
-    w_v = survival_v * (1 + outsum_v), scaled so they sum to k1; entries
-    above 1 are clamped and their surplus pushed proportionally onto the
-    rest until all entries are feasible."""
-    if k1 < 1:
-        raise ValueError("k1 must be >= 1")
-    w = gdd_state(graph).w
-    q = k1 * w / w.sum()
-    return CeDistribution(node_probs=_clamp_redistribute(q, k1))
 
 
 def _clamp_redistribute(q: np.ndarray, total: float) -> np.ndarray:
@@ -122,22 +89,12 @@ def _sample_set(q: np.ndarray, budget: int, rng: np.random.Generator) -> tuple:
     included = rng.random(n) < q
     count = int(included.sum())
     if count != budget:
-        jitter = rng.random(n)
-        order = np.lexsort((jitter, q))  # ascending q
+        order = np.lexsort((rng.random(n), q))  # ascending q
         if count < budget:
-            for v in order[::-1]:
-                if not included[v]:
-                    included[v] = True
-                    count += 1
-                    if count == budget:
-                        break
-        else:
-            for v in order:
-                if included[v]:
-                    included[v] = False
-                    count -= 1
-                    if count == budget:
-                        break
+            order = order[::-1]
+        # the first |count - budget| nodes of the order on the wrong side
+        flip = order[included[order] == (count > budget)][:abs(count - budget)]
+        included[flip] = count < budget
     return tuple(int(v) for v in np.flatnonzero(included))
 
 
@@ -159,13 +116,13 @@ def _weighted_refit(samples, n, getter):
     return q_new
 
 
-def _reliable(threshold, prev_threshold, q, tol):
+def _reliable(threshold, prev_threshold, q):
     if np.all((q <= BOUNDARY_TOL) | (q >= 1.0 - BOUNDARY_TOL)):
         return True
     if prev_threshold is None:
         return False
     denom = max(abs(prev_threshold), 1e-12)
-    return abs(threshold - prev_threshold) / denom < tol
+    return abs(threshold - prev_threshold) / denom < RELIABILITY_TOL
 
 
 def _better(cand: CeSample, best: CeSample | None) -> bool:
@@ -181,7 +138,7 @@ def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
     node probabilities q, and ``score(candidates)`` returns their values.
     Each iteration draws n_min samples, doubling up to n_max while the elite
     threshold fails to improve, then refits q to the value-weighted elites
-    (smoothed by alpha, floored) and hands the elites to ``refit``. No draw
+    (smoothed by ALPHA, floored) and hands the elites to ``refit``. No draw
     depends on a value, so each round (the n_min samples, then each
     doubling's top-up) is drawn whole and its candidates not seen before
     are scored in one call, in the order they first appear."""
@@ -189,7 +146,7 @@ def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
     prev_threshold = None
     log = []
     cache = {}
-    for it in range(config.max_iterations):
+    for it in range(MAX_ITERATIONS):
         draws = config.n_min
         samples = []
         while True:
@@ -212,32 +169,29 @@ def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
         # the floor keeps every node sampleable so a sharp early elite set
         # cannot freeze out the true optimum; convergence then comes from
         # the elite-threshold stagnation test rather than the boundary test
-        q = np.clip(config.alpha * q_new + (1.0 - config.alpha) * q,
-                    config.exploration_floor, 1.0)
+        q = np.clip(ALPHA * q_new + (1.0 - ALPHA) * q, EXPLORATION_FLOOR, 1.0)
         if refit is not None:
             refit(elites)
         log.append(CeIterationLog(iteration=it, draws=len(samples),
                                   elite_threshold=threshold, best=best.value))
-        if _reliable(threshold, prev_threshold, q, config.reliability_tol):
+        if _reliable(threshold, prev_threshold, q):
             break
         prev_threshold = threshold
     return best, log
 
 
 def face_select(graph: InfluenceGraph, budget: int, objective,
-                config: CeConfig | None = None, init: CeDistribution | None = None,
-                master_seed: int = 0, return_log: bool = False):
+                config: CeConfig | None = None, master_seed: int = 0,
+                return_log: bool = False):
     """Cross-entropy search for an approximately spread-maximal budget-set.
 
     Deterministic per master seed; returns the best set ever sampled."""
     n = graph.n
     if not (1 <= budget <= n):
         raise ValueError(f"budget {budget} out of range for n={n}")
-    q = (init.node_probs.copy() if init is not None
-         else np.full(n, budget / n, dtype=float))
     rng = stream(master_seed, TAG_FACE)
     best, log = _cross_entropy(
-        q, config or CeConfig.for_graph(n),
+        np.full(n, budget / n, dtype=float), config or CeConfig.for_graph(n),
         lambda q: (budget, 0, _sample_set(q, budget, rng)),
         lambda cands: [objective(frozenset(nodes)) for _, _, nodes in cands])
     result = SeedSet(nodes=sorted(best.set), budget=budget)
@@ -277,8 +231,8 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         nonlocal k1_probs, d_probs
         k1_new = _weighted_refit(elites, k, lambda s: (s.k1 - 1,))
         d_new = _weighted_refit(elites, D + 1, lambda s: (s.d,))
-        k1_probs = _normalized(config.alpha * k1_new + (1 - config.alpha) * k1_probs)
-        d_probs = _normalized(config.alpha * d_new + (1 - config.alpha) * d_probs)
+        k1_probs = _normalized(ALPHA * k1_new + (1 - ALPHA) * k1_probs)
+        d_probs = _normalized(ALPHA * d_new + (1 - ALPHA) * d_probs)
 
     best, log = _cross_entropy(np.full(n, k / n, dtype=float), config, draw,
                                two_phase_objective, refit)

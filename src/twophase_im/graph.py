@@ -39,8 +39,8 @@ class InfluenceGraph:
     label. Edges live in flat CSR arrays: the out-edges of ``u`` sit at
     positions ``indptr[u]:indptr[u + 1]`` of ``dst`` (target ids) and ``p``
     (probabilities), in insertion order. The reverse index ``in_index`` and
-    the Python adjacency lists ``out_edges``/``in_edges`` are derived on
-    first use. Immutable after construction.
+    the Python adjacency list ``out_edges`` are derived on first use.
+    Immutable after construction.
     """
 
     def __init__(self, n, labels, indptr, dst, p, self_loops_dropped=0):
@@ -81,24 +81,13 @@ class InfluenceGraph:
     @cached_property
     def out_edges(self) -> list:
         """out_edges[u] = [(v, p), ...] in insertion order."""
-        return _adjacency(self.indptr, self.dst, self.p)
-
-    @cached_property
-    def in_edges(self) -> list:
-        """in_edges[v] = [(u, p), ...] ordered by source id."""
-        return _adjacency(*self.in_index)
-
-    def out_prob_sums(self) -> np.ndarray:
-        """Sum of outgoing probabilities per node, summed in edge order."""
-        sums = np.bincount(self.src, weights=self.p, minlength=self.n)
-        return sums.astype(np.float64, copy=False)   # int64 when there are no edges
+        ends, probs = self.dst.tolist(), self.p.tolist()
+        bounds = self.indptr.tolist()
+        return [list(zip(ends[a:b], probs[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def edges(self):
         """All (u, v, p) triples sorted by (u, v)."""
         return sorted(zip(self.src.tolist(), self.dst.tolist(), self.p.tolist()))
-
-    def out_degree(self, u: int) -> int:
-        return int(self.out_degrees[u])
 
     def max_degree(self) -> int:
         if self.n == 0:
@@ -110,12 +99,6 @@ class InfluenceGraph:
             return self.label_to_id[label]
         except KeyError:
             raise GraphError(f"unknown node label: {label!r}") from None
-
-
-def _adjacency(indptr, ends, probs):
-    ends, probs = ends.tolist(), probs.tolist()
-    return [list(zip(ends[a:b], probs[a:b]))
-            for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
 def load_edge_list(path, directed: bool = True) -> RawEdgeList:

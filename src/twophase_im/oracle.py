@@ -23,8 +23,8 @@ import numpy as np
 from .diffusion import NO_DECAY, ByteCache, DecayFunction, check_bytes
 from .graph import InfluenceGraph
 
-DEFAULT_EDGE_CAP = 24
-DEFAULT_SUBSET_CAP = 200_000
+EDGE_CAP = 24                  # most edges: 2^m live graphs are enumerated
+SUBSET_CAP = 200_000           # most candidate second-phase sets per observation
 NODE_CAP = 64                  # node sets are uint64 bitmasks
 ORACLE_BYTES = 512 << 20       # largest table (or temporary) the oracle allocates
 BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per BFS block (few MB)
@@ -50,22 +50,20 @@ def _bits(mask: int):
 class ExactOracle:
     """Per-graph enumeration caches shared by all exact computations."""
 
-    def __init__(self, graph: InfluenceGraph, edge_cap: int = DEFAULT_EDGE_CAP,
-                 subset_cap: int = DEFAULT_SUBSET_CAP):
+    def __init__(self, graph: InfluenceGraph):
         self.graph = graph
         self.n = graph.n
         self.edges = graph.edges()
         self.m = len(self.edges)
-        if self.m > edge_cap:
+        if self.m > EDGE_CAP:
             raise OracleCapError(
-                f"graph has {self.m} edges, above the enumeration cap of {edge_cap}")
+                f"graph has {self.m} edges, above the enumeration cap of {EDGE_CAP}")
         if self.n > NODE_CAP:
             raise OracleCapError(
                 f"graph has {self.n} nodes, above the node cap of {NODE_CAP}")
         # dist is int8 (2^m, n, n); reach is uint64 (2^m, n)
         check_bytes("the distance and reach tables", (1 << self.m) * self.n * (self.n + 8),
                     ORACLE_BYTES, OracleCapError)
-        self.subset_cap = subset_cap
         self.full_nodes = (1 << self.n) - 1
         self.node_bits = _NODE_BITS[:self.n]
 
@@ -155,12 +153,15 @@ class ExactOracle:
         return tab
 
     def exact_nu(self, seeds, decay: DecayFunction) -> float:
+        """Exact decay-weighted spread: sum over live graphs of p(X) times
+        the decay-weighted count of the nodes the seeds reach."""
         seed_mask = _to_mask(seeds)
         dist = self.dist_from(seed_mask)
         per_x = self._gamma_table(decay)[dist].sum(axis=1)
         return float(math.fsum(self.mask_p * per_x))
 
     def exact_sigma(self, seeds) -> float:
+        """Exact expected spread: sum over live graphs of p(X) * |reachable|."""
         return self.exact_nu(seeds, NO_DECAY)
 
     def value_table(self, decay: DecayFunction = NO_DECAY) -> np.ndarray:
@@ -233,9 +234,9 @@ class ExactOracle:
             group_p = math.fsum(w.tolist())
             avail = list(_bits(self.full_nodes & ~(a_mask | r_mask)))
             cands = list(combinations(avail, min(k2, len(avail))))
-            if len(cands) > self.subset_cap:
+            if len(cands) > SUBSET_CAP:
                 raise OracleCapError(
-                    f"{len(cands)} candidate sets exceed the subset cap of {self.subset_cap}")
+                    f"{len(cands)} candidate sets exceed the subset cap of {SUBSET_CAP}")
             # the recent nodes spread in the residual along with each candidate
             spreaders = list(_bits(r_mask))
             best_val, best_i = _best_candidate(
@@ -286,24 +287,8 @@ def _to_mask(nodes) -> int:
     return mask
 
 
-def get_oracle(graph: InfluenceGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> ExactOracle:
-    if graph._oracle is None or graph._oracle.m > edge_cap:
-        graph._oracle = ExactOracle(graph, edge_cap=edge_cap)
+def get_oracle(graph: InfluenceGraph) -> ExactOracle:
+    """The graph's oracle, built on first use and kept on the graph."""
+    if graph._oracle is None:
+        graph._oracle = ExactOracle(graph)
     return graph._oracle
-
-
-def exact_sigma(graph: InfluenceGraph, seeds, edge_cap: int = DEFAULT_EDGE_CAP) -> float:
-    """Exact expected spread: sum over live graphs of p(X) * |reachable|."""
-    return get_oracle(graph, edge_cap).exact_sigma(seeds)
-
-
-def exact_nu(graph: InfluenceGraph, seeds, decay: DecayFunction,
-             edge_cap: int = DEFAULT_EDGE_CAP) -> float:
-    """Exact decay-weighted spread via per-live-graph BFS distances."""
-    return get_oracle(graph, edge_cap).exact_nu(seeds, decay)
-
-
-def exact_f(graph: InfluenceGraph, s1, d: int, k2: int,
-            edge_cap: int = DEFAULT_EDGE_CAP):
-    """Exact two-phase objective with exactly optimal second-phase sets."""
-    return get_oracle(graph, edge_cap).exact_f(s1, d, k2)

@@ -24,6 +24,7 @@ from .two_phase import TwoPhasePlan, run_two_phase
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 D_MARGIN = 2  # safety steps added past the observed stagnation point
+PATIENCE = 2  # consecutive non-improving delays that end a sequential d-search
 
 
 @dataclass
@@ -31,8 +32,6 @@ class SearchConfig:
     k_total: int
     d_max: int
     decay: DecayFunction = NO_DECAY
-    k1_grid_step: int = 0          # 0 means max(1, k_total // 20)
-    patience: int = 2              # sequential d-search non-improvement budget
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     max_evaluations: int = 5000
 
@@ -41,10 +40,11 @@ class SearchConfig:
             raise ValueError("k_total must be >= 1")
         if self.d_max < 0:
             raise ValueError("d_max must be >= 0")
-        if self.k1_grid_step == 0:
-            self.k1_grid_step = max(1, self.k_total // 20)
-        if self.k1_grid_step < 1:
-            raise ValueError("k1_grid_step must be >= 1")
+
+    @property
+    def k1_grid_step(self) -> int:
+        """Spacing of the k1 grid: about 20 points over the budget."""
+        return max(1, self.k_total // 20)
 
 
 @dataclass
@@ -121,7 +121,7 @@ def exhaustive_grid(graph: InfluenceGraph, config: SearchConfig, selector) -> Gr
 def sequential_d_search(graph: InfluenceGraph, k1: int, config: SearchConfig,
                         selector, evaluate=None):
     """Best delay for a fixed k1: probe d = 0, 1, ... and stop after
-    ``patience`` consecutive non-improvements. Without decay the value is
+    ``PATIENCE`` consecutive non-improvements. Without decay the value is
     non-decreasing in d, so the search jumps straight to d = d_max."""
     evaluate = evaluate or _make_evaluator(graph, config, selector)
     D = config.d_max
@@ -136,7 +136,7 @@ def sequential_d_search(graph: InfluenceGraph, k1: int, config: SearchConfig,
             fails = 0
         else:
             fails += 1
-            if fails >= config.patience:
+            if fails >= PATIENCE:
                 break
     return best_d, best
 
@@ -182,15 +182,13 @@ def golden_section_k1(graph: InfluenceGraph, config: SearchConfig, selector):
     return k1, best_d, est
 
 
-def estimate_D(graph: InfluenceGraph, k: int, mc: MonteCarloConfig | None = None,
-               margin: int = D_MARGIN) -> int:
+def estimate_D(graph: InfluenceGraph, k: int, mc: MonteCarloConfig | None = None) -> int:
     """Empirical delay horizon: latest activation step over probe replicates
-    seeded by weighted discount, plus a safety margin; capped at n."""
+    seeded by weighted discount, plus ``D_MARGIN``; capped at n."""
     mc = mc or MonteCarloConfig()
     k = max(1, min(k, graph.n))
     seeds = select_wd(graph, k).nodes
     latest = max(int(times.max()) for _, _, times in
                  replicate_rows(graph, [seeds], mc.phase1_sims, mc.master_seed, TAG_PROBE,
                                 graph.n))
-    horizon = latest + margin
-    return max(1, min(horizon, graph.n))
+    return max(1, min(latest + D_MARGIN, graph.n))

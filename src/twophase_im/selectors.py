@@ -152,8 +152,7 @@ DISCOUNT_KINDS = ("sd", "wd", "gdd")
 
 @dataclass
 class DiscountState:
-    """Degree-discount state of rows of one graph: (rows, n) arrays, or one
-    row's (n,) views (``row``).
+    """Degree-discount state of rows of one graph, as (rows, n) arrays.
 
     ``outsum`` is a node's out-degree (SD) or outgoing probability mass (WD,
     GDD) into nodes not removed, less the discounts of its taken
@@ -172,10 +171,6 @@ class DiscountState:
         if self.survival is None:
             return self.outsum
         return self.survival * (1.0 + self.outsum)
-
-    def row(self, r: int) -> "DiscountState":
-        survival = None if self.survival is None else self.survival[r]
-        return DiscountState(self.kind, self.outsum[r], self.taken[r], survival, self.ops)
 
     def take(self, graph: InfluenceGraph, rows: np.ndarray, nodes: np.ndarray):
         """Take ``nodes[i]`` in row ``rows[i]``, in the order given, which
@@ -276,11 +271,6 @@ def select_wd(graph: InfluenceGraph, k: int) -> SeedSet:
     return SeedSet(nodes=select_discount(graph, "wd", [k])[0], budget=k)
 
 
-def gdd_state(graph: InfluenceGraph, preselected=()) -> DiscountState:
-    """GDD state of the graph with ``preselected`` taken."""
-    return discount_state(graph, "gdd", preselected=_row_mask(graph, preselected)).row(0)
-
-
 def select_gdd(graph: InfluenceGraph, k: int, preselected=(),
                return_stats: bool = False):
     """Generalized degree discount (``select_discount`` on one row): take k
@@ -376,8 +366,11 @@ def select_spic(graph: InfluenceGraph, k: int, objective, permutations: int | No
         phi_y = value[best]
         picked.append(best)
         selected.add(best)
-        for x, p in graph.out_edges[best]:
-            value[x] *= 1.0 - p
-        for z, p in graph.in_edges[best]:
-            value[z] = max(0.0, value[z] - p * phi_y)
+        out = slice(graph.indptr[best], graph.indptr[best + 1])
+        np.multiply.at(value, graph.dst[out], 1.0 - graph.p[out])
+        in_indptr, in_src, in_p = graph.in_index
+        into = slice(in_indptr[best], in_indptr[best + 1])
+        # clamping once after the in-edges equals clamping after each one
+        np.subtract.at(value, in_src[into], in_p[into] * phi_y)
+        value[in_src[into]] = np.maximum(0.0, value[in_src[into]])
     return SeedSet(nodes=picked, budget=k)

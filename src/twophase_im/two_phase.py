@@ -45,8 +45,10 @@ from .diffusion import (
     replicate_rows,
     stream,
 )
+from .face import face_select
 from .graph import InfluenceGraph, residual_graph
 from .selectors import (
+    DISCOUNT_KINDS,
     SeedSet,
     SigmaObjective,
     select_discount,
@@ -60,9 +62,21 @@ from .selectors import (
 
 TAG_PHASE2_SELECT = 7
 
-HEURISTIC_SELECTORS = ("sd", "wd", "gdd")
-OBJECTIVE_SELECTORS = ("greedy", "rmax", "spic", "face")
-ALL_SELECTORS = HEURISTIC_SELECTORS + OBJECTIVE_SELECTORS
+# Every selector by name, as (graph, k, objective, master_seed) -> SeedSet;
+# SD, WD and GDD use neither the objective nor the seed. Each entry looks its
+# function up by name when called, so a rebinding of that module-level name
+# (a tracer's wrapper, say) is seen.
+SELECTORS = {
+    "sd": lambda graph, k, objective, seed: select_sd(graph, k),
+    "wd": lambda graph, k, objective, seed: select_wd(graph, k),
+    "gdd": lambda graph, k, objective, seed: select_gdd(graph, k),
+    "greedy": lambda graph, k, objective, seed: select_greedy(graph, k, objective),
+    "rmax": lambda graph, k, objective, seed: select_rmax(graph, k, objective, master_seed=seed),
+    "spic": lambda graph, k, objective, seed: select_spic(graph, k, objective, master_seed=seed),
+    "face": lambda graph, k, objective, seed: face_select(graph, k, objective, master_seed=seed),
+}
+HEURISTIC_SELECTORS = tuple(name for name in SELECTORS if name in DISCOUNT_KINDS)
+OBJECTIVE_SELECTORS = tuple(name for name in SELECTORS if name not in DISCOUNT_KINDS)
 
 
 @dataclass
@@ -78,10 +92,11 @@ class TwoPhasePlan:
     def __post_init__(self):
         if self.mode not in ("myopic", "farsighted"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.selector not in ALL_SELECTORS:
-            raise ValueError(f"unknown selector {self.selector!r}")
         if self.selector2 is None:
             self.selector2 = self.selector
+        for name in (self.selector, self.selector2):
+            if name not in SELECTORS:
+                raise ValueError(f"unknown selector {name!r}")
         if self.k1 < 0 or self.k2 < 0 or self.d < 0:
             raise ValueError("k1, k2, d must be non-negative")
         if self.s1 is not None and len(self.s1.nodes) > self.k1:
@@ -111,17 +126,7 @@ def _second_phase_objective(selector2, sims):
         cfg = MonteCarloConfig(master_seed=master_seed)
         base = frozenset(recent_local)
         sigma = SigmaObjective(res, cfg, sims=sims, tag=TAG_PHASE2_SELECT)
-        objective = lambda s: sigma(base | s)
-        if selector2 == "greedy":
-            return select_greedy(res, k2_eff, objective).nodes
-        if selector2 == "rmax":
-            return select_rmax(res, k2_eff, objective, master_seed=master_seed).nodes
-        if selector2 == "spic":
-            return select_spic(res, k2_eff, objective, master_seed=master_seed).nodes
-        if selector2 == "face":
-            from .face import face_select
-            return face_select(res, k2_eff, objective, master_seed=master_seed).nodes
-        raise ValueError(selector2)
+        return SELECTORS[selector2](res, k2_eff, lambda s: sigma(base | s), master_seed).nodes
 
     def pick(graph, already, recent, budgets, master_seed):
         """Select on each outer replicate's residual graph, mapped back."""
@@ -152,10 +157,12 @@ def _outer_values(blocks, at, already, decay):
             for b, block, gone in zip(base, blocks, already)]
 
 
-def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_examples=0):
+def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_examples=0,
+                progression=False):
     """Shared nested Monte-Carlo engine over first-phase sets at one delay
     d, set c with k2s[c] second-phase seeds; returns (estimate, progression,
-    first s2 examples) for each set.
+    first s2 examples) for each set. The progression, the expected new
+    activations per step, is counted only when asked for (else None).
 
     The phase-1 replicates come from ``replicate_rows`` in groups of whole
     outer replicates, at most ``GROUP_CELLS`` phase-2 times (or one outer
@@ -195,9 +202,9 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(sorted(s2[r]))
-        # progression (plain counts; sums to the delta = 1 mean)
-        phase1_hist = _histogram_add(phase1_hist, at, already, c)
-        phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
+        if progression:   # plain counts; sums to the delta = 1 mean
+            phase1_hist = _histogram_add(phase1_hist, at, already, c)
+            phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
     # a row's mean and std are its own float sums, whatever the other rows
     means = outer_means.mean(axis=1)
     stderrs = (outer_means.std(ddof=1, axis=1) / math.sqrt(m1) if m1 > 1
@@ -205,11 +212,14 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
     results = []
     for mean, stderr, hist1, hist2, examples in zip(means.tolist(), stderrs.tolist(),
                                                     phase1_hist, phase2_hist, s2_examples):
-        prog = np.zeros(max(len(hist1), d + len(hist2)))
-        prog[:len(hist1)] += hist1 / m1
-        prog[d:d + len(hist2)] += hist2 / (m1 * m2)
+        prog = None
+        if progression:
+            prog = np.zeros(max(len(hist1), d + len(hist2)))
+            prog[:len(hist1)] += hist1 / m1
+            prog[d:d + len(hist2)] += hist2 / (m1 * m2)
+            prog = _trim(prog)
         est = SpreadEstimate(mean=mean, stderr=stderr, samples=m1 * m2)
-        results.append((est, _trim(prog), examples))
+        results.append((est, prog, examples))
     return results
 
 
@@ -222,13 +232,12 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
 
 
 def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
-           decay: DecayFunction = NO_DECAY,
-           greedy_sims: int | None = None) -> SpreadEstimate:
-    """Two-phase surrogate with greedy second-phase selection; validation-only
-    path (costly), restricted to small graphs in practice."""
-    sims = greedy_sims if greedy_sims is not None else config.phase2_sims
+           decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
+    """Two-phase surrogate with greedy second-phase selection, on objectives
+    of ``phase2_sims`` worlds; validation-only path (costly), restricted to
+    small graphs in practice."""
     return _nested_run(graph, [s1], d, [k2], config, decay,
-                       _second_phase_objective("greedy", sims))[0][0]
+                       _second_phase_objective("greedy", config.phase2_sims))[0][0]
 
 
 def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
@@ -265,10 +274,10 @@ def score_joint(graph: InfluenceGraph, candidates, k: int, config: MonteCarloCon
     return values
 
 
-def _phase1_objective(graph, plan, config, decay, farsighted_config):
-    if plan.mode == "myopic" or plan.selector in HEURISTIC_SELECTORS:
+def _phase1_objective(graph, plan, config, decay):
+    if plan.mode == "myopic":
         return SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
-    far = farsighted_config or _farsighted(config)
+    far = _farsighted(config)
     cache = {}
 
     def h_objective(s):
@@ -280,40 +289,23 @@ def _phase1_objective(graph, plan, config, decay, farsighted_config):
     return h_objective
 
 
-def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY,
-                  farsighted_config=None) -> SeedSet:
+def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> SeedSet:
     if plan.s1 is not None:
         return plan.s1
     if plan.k1 == 0:
         return SeedSet(nodes=[], budget=0)
-    sel = plan.selector
-    if sel == "sd":
-        return select_sd(graph, plan.k1)
-    if sel == "wd":
-        return select_wd(graph, plan.k1)
-    if sel == "gdd":
-        return select_gdd(graph, plan.k1)
-    objective = _phase1_objective(graph, plan, config, decay, farsighted_config)
-    if sel == "greedy":
-        return select_greedy(graph, plan.k1, objective)
-    if sel == "rmax":
-        return select_rmax(graph, plan.k1, objective, master_seed=config.master_seed)
-    if sel == "spic":
-        return select_spic(graph, plan.k1, objective, master_seed=config.master_seed)
-    if sel == "face":
-        from .face import face_select
-        return face_select(graph, plan.k1, objective, master_seed=config.master_seed)
-    raise ValueError(sel)
+    objective = (_phase1_objective(graph, plan, config, decay)
+                 if plan.selector in OBJECTIVE_SELECTORS else None)
+    return SELECTORS[plan.selector](graph, plan.k1, objective, config.master_seed)
 
 
 def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloConfig,
-                  decay: DecayFunction = NO_DECAY,
-                  farsighted_config: MonteCarloConfig | None = None):
+                  decay: DecayFunction = NO_DECAY):
     """Full two-phase execution; returns (result, s1).
 
     With k2=0 and d=0 this reduces exactly to a single-phase run of the
     selector (same estimator streams as estimate_spread)."""
-    s1 = select_phase1(graph, plan, config, decay, farsighted_config)
+    s1 = select_phase1(graph, plan, config, decay)
     if plan.k2 == 0 and plan.d == 0:
         [(est, prog)] = estimate_spreads(graph, [s1.nodes], config, decay=decay,
                                          progression=True)
@@ -323,5 +315,5 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
     else:
         second = _second_phase_objective(plan.selector2, config.phase2_sims)
     est, prog, s2s = _nested_run(graph, [s1.nodes], plan.d, [plan.k2], config, decay,
-                                 second, collect_examples=5)[0]
+                                 second, collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

@@ -29,6 +29,14 @@ def chunk_batches(graph, seeds, sims, master_seed, tag, stop_at=None):
                                        min(size, sims - done), stop_at=stop_at)
 
 
+def in_edges(graph):
+    """in_edges[v] = [(u, p), ...] ordered by source id, from the graph's
+    reverse index: the adjacency list the loop references walk."""
+    in_indptr, in_src, in_p = graph.in_index
+    bounds, src, p = in_indptr.tolist(), in_src.tolist(), in_p.tolist()
+    return [list(zip(src[a:b], p[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @pytest.fixture
 def example1():
     from twophase_im.instances import example1_graph

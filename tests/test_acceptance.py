@@ -32,7 +32,7 @@ from twophase_im.schedule import (
     golden_section_k1,
     sequential_d_search,
 )
-from twophase_im.selectors import gdd_state, select_gdd, select_wd
+from twophase_im.selectors import discount_state, select_gdd, select_wd
 from twophase_im.two_phase import eval_g, eval_h
 
 TOL = 1e-9
@@ -128,7 +128,7 @@ def test_criterion_04_oracle_property_suite():
         n = g.n
         for delta in (0.5, 0.9, 1.0):
             _check_monotone_submodular(
-                orc.value_table(DecayFunction.exponential(delta)), n)
+                orc.value_table(DecayFunction(delta)), n)
         f1 = {(): orc.exact_f([], d_obs, k2)}
         for v in range(n):
             f1[(v,)] = orc.exact_f([v], d_obs, k2)
@@ -148,7 +148,7 @@ def test_criterion_04_oracle_property_suite():
         assert orc.max_f(1, d_obs, 1)[0] >= sigma_opt - TOL
         cfg = MonteCarloConfig(single_phase_sims=500, master_seed=7)
         plain = estimate_spread(g, [0], cfg)
-        trivial = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(1.0))
+        trivial = estimate_spread(g, [0], cfg, decay=DecayFunction(1.0))
         assert plain.mean == trivial.mean and plain.stderr == trivial.stderr
     elapsed = time.perf_counter() - start
     assert elapsed < 600
@@ -183,12 +183,12 @@ def test_criterion_05_h_as_proxy_for_g():
 def test_criterion_06_gdd_identities():
     start = time.perf_counter()
     g = example1_graph()
-    state = gdd_state(g)
-    assert state.w[0] == pytest.approx(1.5, abs=TOL)
-    assert state.w[1] == pytest.approx(2.7, abs=TOL)
-    after = gdd_state(g, preselected=[1])
-    assert after.w[2] == pytest.approx(0.2, abs=TOL)
-    assert after.w[3] == pytest.approx(0.1, abs=TOL)
+    [w] = discount_state(g, "gdd").w
+    assert w[0] == pytest.approx(1.5, abs=TOL)
+    assert w[1] == pytest.approx(2.7, abs=TOL)
+    [after] = discount_state(g, "gdd", preselected=np.arange(g.n)[None] == 1).w
+    assert after[2] == pytest.approx(0.2, abs=TOL)
+    assert after[3] == pytest.approx(0.1, abs=TOL)
     for inst in instance_family(100, seed=104):
         assert select_gdd(inst, 1).nodes == select_wd(inst, 1).nodes
         k = min(3, inst.n - 1)

@@ -83,6 +83,19 @@ def test_twophase_requires_plan_without_optimize(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("optimize", ["grid", "golden", "face-joint"])
+def test_farsighted_mode_is_refused_under_optimize(tmp_path, capsys, optimize):
+    # the optimizers score plans with a myopic first phase; a record saying
+    # farsighted would misreport what ran
+    code, out, err = run(capsys, "twophase", "--graph", "lesmis", "--algorithm", "greedy",
+                         "--k", "2", "--d-max", "1", "--sims", "20", "--phase1-sims", "10",
+                         "--phase2-sims", "5", "--seed", "0", "--optimize", optimize,
+                         "--mode", "farsighted", "--output-dir", str(tmp_path))
+    assert code == 1
+    assert "--mode farsighted" in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_twophase_mismatched_split_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "twophase", "--graph", "example1", "--algorithm",
                        "gdd", "--k", "2", "--k1", "2", "--k2", "1", "--d", "0",

@@ -10,15 +10,13 @@ from twophase_im.diffusion import (
     MonteCarloConfig,
     chunk_size,
     estimate_spread,
-    observe_at,
     simulate_batch,
     simulate_ic,
     stream,
-    trace_csv_rows,
 )
 from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.instances import example1_graph, les_miserables_wc
-from twophase_im.oracle import exact_nu, exact_sigma
+from twophase_im.oracle import get_oracle
 
 
 def chain(k, p=1.0):
@@ -29,26 +27,24 @@ def chain(k, p=1.0):
 def test_decay_validation():
     for delta in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError):
-            DecayFunction.exponential(delta)
-    assert DecayFunction.constant_one() == DecayFunction.exponential(1.0) == DecayFunction()
+            DecayFunction(delta)
 
 
 def test_decay_weights():
     times = np.array([[0, 2, NEVER, 1], [NEVER, NEVER, NEVER, 3]])
-    plain = DecayFunction.constant_one().values(times)
+    plain = DecayFunction().values(times)
     assert plain.dtype.kind == "i" and list(plain) == [3, 1]
-    assert list(DecayFunction.exponential(0.5).values(times)) == [1.75, 0.125]
-    assert list(DecayFunction.exponential(0.5).values(times, offset=1)) == [0.875, 0.0625]
+    assert list(DecayFunction(0.5).values(times)) == [1.75, 0.125]
+    assert list(DecayFunction(0.5).values(times, offset=1)) == [0.875, 0.0625]
     # delta = 0 still values step-0 activations at 1
-    assert list(DecayFunction.exponential(0.0).values(times)) == [1.0, 0.0]
-    assert DecayFunction.exponential(0.5).values(times[0]) == 1.75
+    assert list(DecayFunction(0.0).values(times)) == [1.0, 0.0]
+    assert DecayFunction(0.5).values(times[0]) == 1.75
 
 
 def test_simulate_ic_deterministic_chain():
     g = chain(4, p=1.0)
     trace = simulate_ic(g, [0], stream(0, 0))
     assert list(trace.activation_time) == [0, 1, 2, 3, 4]
-    assert trace.final_active_count == 5
 
 
 def test_simulate_ic_stop_at_truncates():
@@ -60,23 +56,13 @@ def test_simulate_ic_stop_at_truncates():
 def test_simulate_ic_zero_probability_spreads_nowhere():
     g = chain(3, p=0.0)
     trace = simulate_ic(g, [0], stream(0, 0))
-    assert trace.final_active_count == 1
+    assert list(trace.activation_time) == [0, NEVER, NEVER, NEVER]
 
 
 def test_simulate_ic_empty_seeds():
     g = chain(3)
     trace = simulate_ic(g, [], stream(0, 0))
-    assert trace.final_active_count == 0
-
-
-def test_observe_at_classifies_already_vs_recent():
-    g = chain(4, p=1.0)
-    trace = simulate_ic(g, [0], stream(0, 0))
-    obs = observe_at(trace, 2)
-    assert obs.already == {0, 1}
-    assert obs.recent == {2}
-    assert observe_at(trace, 0).already == frozenset()
-    assert observe_at(trace, 0).recent == {0}
+    assert (trace.activation_time == NEVER).all()
 
 
 def test_simulate_batch_matches_per_replicate_semantics_on_sure_chain():
@@ -97,7 +83,7 @@ def test_estimate_spread_agrees_with_exact_on_example1():
     cfg = MonteCarloConfig(single_phase_sims=40_000, master_seed=1)
     for seeds in ([0], [1], [0, 1], [2]):
         est = estimate_spread(g, seeds, cfg)
-        truth = exact_sigma(g, seeds)
+        truth = get_oracle(g).exact_sigma(seeds)
         assert abs(est.mean - truth) <= max(4 * est.stderr, 1e-9)
 
 
@@ -117,7 +103,7 @@ def test_temporal_equals_plain_spread_replicate_for_replicate():
     g = example1_graph()
     cfg = MonteCarloConfig(single_phase_sims=5_000, master_seed=9)
     plain = estimate_spread(g, [0], cfg)
-    trivial = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(1.0))
+    trivial = estimate_spread(g, [0], cfg, decay=DecayFunction(1.0))
     assert plain.mean == trivial.mean
     assert plain.stderr == trivial.stderr
 
@@ -125,15 +111,8 @@ def test_temporal_equals_plain_spread_replicate_for_replicate():
 def test_temporal_spread_decay_discounts_later_steps():
     g = chain(2, p=1.0)  # activations at t = 0, 1, 2
     cfg = MonteCarloConfig(single_phase_sims=10, master_seed=0)
-    est = estimate_spread(g, [0], cfg, decay=DecayFunction.exponential(0.5))
+    est = estimate_spread(g, [0], cfg, decay=DecayFunction(0.5))
     assert est.mean == pytest.approx(1 + 0.5 + 0.25)
-
-
-def test_trace_csv_rows_blank_for_never():
-    g = chain(2, p=0.0)
-    trace = simulate_ic(g, [0], stream(0, 0))
-    rows = list(trace_csv_rows(trace))
-    assert rows == [(0, 0), (1, ""), (2, "")]
 
 
 def test_simulate_ic_is_row_zero_of_one_replicate_batch():
@@ -146,12 +125,12 @@ def test_simulate_ic_is_row_zero_of_one_replicate_batch():
 
 def test_decay_weighted_spread_agrees_with_exact_nu():
     # checks activation steps, not only final counts
-    decay = DecayFunction.exponential(0.5)
+    decay = DecayFunction(0.5)
     cfg = MonteCarloConfig(single_phase_sims=50_000, master_seed=3)
     for g in instance_family(15, seed=31):
         for seeds in ([0], [0, g.n - 1]):
             est = estimate_spread(g, seeds, cfg, decay=decay)
-            gap = abs(est.mean - exact_nu(g, seeds, decay))
+            gap = abs(est.mean - get_oracle(g).exact_nu(seeds, decay))
             assert gap <= max(3 * est.stderr, 0.01 * g.n), (g.n, seeds, gap)
 
 

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twophase_im.face import (
     CeConfig,
-    CeDistribution,
     _clamp_redistribute,
+    _sample_set,
     face_joint_optimize,
     face_select,
-    init_uniform,
-    init_weighted,
 )
 from twophase_im.oracle import get_oracle
 
@@ -19,8 +17,6 @@ def test_ce_config_validation():
         CeConfig(n_min=5, n_max=4, n_elite=1)
     with pytest.raises(ValueError):
         CeConfig(n_min=4, n_max=8, n_elite=5)
-    with pytest.raises(ValueError):
-        CeConfig(n_min=4, n_max=8, n_elite=2, alpha=0.0)
     cfg = CeConfig.for_graph(10)
     assert (cfg.n_min, cfg.n_max, cfg.n_elite) == (10, 200, 3)
 
@@ -41,23 +37,47 @@ def test_clamp_redistribute_properties(w, k1):
     assert q.sum() == pytest.approx(k1, abs=1e-9)
 
 
-def test_init_weighted_uniform_weights_reduce_to_uniform():
-    from twophase_im.graph import RawEdgeList, build_graph
-    # a symmetric 4-cycle gives identical discount weights everywhere
-    pairs = [("0", "1", 0.5), ("1", "2", 0.5), ("2", "3", 0.5), ("3", "0", 0.5)]
-    g = build_graph(RawEdgeList(directed=True, pairs=pairs))
-    q = init_weighted(g, 2).node_probs
-    assert q == pytest.approx([0.5] * 4)
+def _loop_sample_set(q, budget, rng):
+    """``_sample_set`` as it was: the repair walks the order node by node."""
+    n = len(q)
+    included = rng.random(n) < q
+    count = int(included.sum())
+    if count != budget:
+        jitter = rng.random(n)
+        order = np.lexsort((jitter, q))
+        if count < budget:
+            for v in order[::-1]:
+                if not included[v]:
+                    included[v] = True
+                    count += 1
+                    if count == budget:
+                        break
+        else:
+            for v in order:
+                if included[v]:
+                    included[v] = False
+                    count -= 1
+                    if count == budget:
+                        break
+    return tuple(int(v) for v in np.flatnonzero(included))
 
 
-def test_init_weighted_full_budget_saturates(example1):
-    q = init_weighted(example1, example1.n).node_probs
-    assert q == pytest.approx([1.0] * example1.n)
+# probabilities from a short list tie often, so the jitter decides the order
+PROBS = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
-def test_distribution_rejects_bad_categorical():
-    with pytest.raises(ValueError):
-        CeDistribution(node_probs=np.array([0.5]), k1_probs=np.array([0.4, 0.4]))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PROBS, min_size=1, max_size=40), st.data(), st.integers(0, 2**32 - 1))
+@example([1.0] * 6, None, 0)   # six drawn, every repair drops
+@example([0.0] * 6, None, 0)   # none drawn, every repair adds
+def test_sample_set_repairs_as_the_node_loop_did(q, data, seed):
+    q = np.array(q)
+    budget = data.draw(st.integers(1, len(q))) if data is not None else 3
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_set(q, budget, new)
+    assert got == _loop_sample_set(q, budget, old)
+    assert len(got) == budget
+    assert new.random() == old.random()   # both read the same uniforms
 
 
 def test_face_full_budget_returns_all_nodes(example1):

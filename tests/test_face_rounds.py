@@ -26,6 +26,9 @@ from twophase_im.diffusion import (
     stream,
 )
 from twophase_im.face import (
+    ALPHA,
+    EXPLORATION_FLOOR,
+    MAX_ITERATIONS,
     CeConfig,
     CeIterationLog,
     CeSample,
@@ -52,7 +55,7 @@ class _LoopFace:
     @staticmethod
     def cross_entropy(q, config, draw, refit=None):
         best, prev_threshold, log = None, None, []
-        for it in range(config.max_iterations):
+        for it in range(MAX_ITERATIONS):
             draws, samples = config.n_min, []
             while True:
                 while len(samples) < draws:
@@ -67,13 +70,12 @@ class _LoopFace:
                 if _better(s, best):
                     best = s
             q_new = _weighted_refit(elites, len(q), lambda s: s.set)
-            q = np.clip(config.alpha * q_new + (1.0 - config.alpha) * q,
-                        config.exploration_floor, 1.0)
+            q = np.clip(ALPHA * q_new + (1.0 - ALPHA) * q, EXPLORATION_FLOOR, 1.0)
             if refit is not None:
                 refit(elites)
             log.append(CeIterationLog(iteration=it, draws=len(samples),
                                       elite_threshold=threshold, best=best.value))
-            if _reliable(threshold, prev_threshold, q, config.reliability_tol):
+            if _reliable(threshold, prev_threshold, q):
                 break
             prev_threshold = threshold
         return best, log
@@ -115,8 +117,8 @@ class _LoopFace:
         def refit(elites):
             k1_new = _weighted_refit(elites, k, lambda s: (s.k1 - 1,))
             d_new = _weighted_refit(elites, D + 1, lambda s: (s.d,))
-            probs["k1"] = _normalized(config.alpha * k1_new + (1 - config.alpha) * probs["k1"])
-            probs["d"] = _normalized(config.alpha * d_new + (1 - config.alpha) * probs["d"])
+            probs["k1"] = _normalized(ALPHA * k1_new + (1 - ALPHA) * probs["k1"])
+            probs["d"] = _normalized(ALPHA * d_new + (1 - ALPHA) * probs["d"])
 
         best, log = cls.cross_entropy(np.full(n, k / n, dtype=float), config, draw, refit)
         return (best.k1, best.d, sorted(best.set)), log

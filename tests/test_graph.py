@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import in_edges
+
 from twophase_im.graph import (
     GraphError,
     RawEdgeList,
@@ -195,7 +197,7 @@ def test_residual_graph_matches_python_walk():
         assert list(kept) == want_kept
         assert sub.labels == [g.labels[v] for v in want_kept]
         assert sub.out_edges == want_out
-        assert sorted((u, v, p) for v, adj in enumerate(sub.in_edges) for u, p in adj) \
+        assert sorted((u, v, p) for v, adj in enumerate(in_edges(sub)) for u, p in adj) \
             == sub.edges()
 
 

@@ -37,7 +37,8 @@ from twophase_im.selectors import (
 
 
 def _old_discount(graph, k, weighted, preselected=()):
-    score = graph.out_prob_sums() if weighted else graph.out_degrees.astype(float)
+    score = (np.bincount(graph.src, weights=graph.p, minlength=graph.n) if weighted
+             else graph.out_degrees).astype(float)
     removed = np.zeros(graph.n, dtype=bool)
     in_indptr, in_src, in_p = graph.in_index
 
@@ -59,7 +60,8 @@ def _old_discount(graph, k, weighted, preselected=()):
 
 
 def _old_gdd(graph, k, preselected=()):
-    survival, outsum = np.ones(graph.n), graph.out_prob_sums()
+    survival = np.ones(graph.n)
+    outsum = np.bincount(graph.src, weights=graph.p, minlength=graph.n).astype(float)
     selected = np.zeros(graph.n, dtype=bool)
     in_indptr, in_src, in_p = graph.in_index
 
@@ -205,7 +207,8 @@ def _second_phase(selector2, sims):
 
 def _assert_same(graph, s1, d, k2, config, decay, selector2, sims=None):
     [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay,
-                                  _second_phase(selector2, sims), collect_examples=5)
+                                  _second_phase(selector2, sims), collect_examples=5,
+                                  progression=True)
     want = _LoopNested(selector2, sims).run(graph, s1, d, k2, config, decay)
     assert got[0].mean == want[0].mean
     assert got[0].stderr == want[0].stderr
@@ -245,6 +248,23 @@ def test_objective_second_phase_equals_residual_loop(decay):
         _assert_same(g, [0], 1, 2, cfg, decay, "greedy", sims=20)
     cfg = MonteCarloConfig(phase1_sims=3, phase2_sims=6, master_seed=4)
     _assert_same(les_miserables_wc(), [11], 1, 1, cfg, decay, "greedy", sims=8)
+
+
+@pytest.mark.parametrize("decay", DECAYS, ids=["delta1", "delta0.8"])
+def test_progression_is_counted_only_when_asked_for(decay):
+    # the histograms change no estimate and no example second phase
+    g = les_miserables_wc()
+    sets, k2s = [[11], [0, 48], [26]], [2, 1, 3]
+    for selector2, m1 in (("gdd", 40), ("greedy", 6)):
+        cfg = MonteCarloConfig(phase1_sims=m1, phase2_sims=8, master_seed=2)
+        second = _second_phase(selector2, 10)
+        counted = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second,
+                                        collect_examples=5, progression=True)
+        plain = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second, collect_examples=5)
+        assert [est for est, _, _ in counted] == [est for est, _, _ in plain]
+        assert [ex for _, _, ex in counted] == [ex for _, _, ex in plain]
+        assert all(prog is not None for _, prog, _ in counted)
+        assert all(prog is None for _, prog, _ in plain)
 
 
 def test_second_phase_shortfall_equals_residual_loop():

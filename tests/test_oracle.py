@@ -15,9 +15,6 @@ from twophase_im.oracle import (
     UNREACHED,
     ExactOracle,
     OracleCapError,
-    exact_f,
-    exact_nu,
-    exact_sigma,
     get_oracle,
 )
 
@@ -36,16 +33,16 @@ def test_live_graph_probabilities_sum_to_one(example1):
 
 def test_exact_sigma_example1_values(example1):
     for seeds, want in EXAMPLE1_SIGMA.items():
-        assert exact_sigma(example1, seeds) == pytest.approx(want, abs=1e-12)
+        assert get_oracle(example1).exact_sigma(seeds) == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_f_example1_headline_value(example1):
-    assert exact_f(example1, [0], 1, 1) == pytest.approx(3.8, abs=1e-9)
+    assert get_oracle(example1).exact_f([0], 1, 1) == pytest.approx(3.8, abs=1e-9)
 
 
 def test_exact_f_example1_witness_values(example1):
     for s1, want in EXAMPLE1_F_D3_K1.items():
-        assert exact_f(example1, s1, 3, 1) == pytest.approx(want, abs=1e-9)
+        assert get_oracle(example1).exact_f(s1, 3, 1) == pytest.approx(want, abs=1e-9)
 
 
 def test_exact_f_details_pick_optimal_second_phase(example1):
@@ -60,7 +57,7 @@ def test_exact_f_details_pick_optimal_second_phase(example1):
 
 
 def test_exact_nu_example1_half_decay(example1):
-    got = exact_nu(example1, [0], DecayFunction.exponential(0.5))
+    got = get_oracle(example1).exact_nu([0], DecayFunction(0.5))
     # 1 + 0.5*0.5 + 0.5*(0.8+0.9)*0.25 hand-summed over live graphs
     assert got == pytest.approx(1.4625, abs=1e-12)
 
@@ -70,8 +67,9 @@ def test_exact_nu_trivial_decay_equals_sigma(example1):
     for _ in range(5):
         g = random_small_graph(rng)
         seeds = [0]
-        assert exact_nu(g, seeds, DecayFunction.exponential(1.0)) == pytest.approx(
-            exact_sigma(g, seeds), abs=1e-12)
+        orc = get_oracle(g)
+        assert orc.exact_nu(seeds, DecayFunction(1.0)) == pytest.approx(
+            orc.exact_sigma(seeds), abs=1e-12)
 
 
 def test_value_table_matches_pointwise_sigma(example1):
@@ -84,12 +82,12 @@ def test_value_table_matches_pointwise_sigma(example1):
 
 def test_exact_f_zero_k2_zero_d_is_sigma(example1):
     for seeds in ([0], [1], [0, 1]):
-        assert exact_f(example1, seeds, 0, 0) == pytest.approx(
-            exact_sigma(example1, seeds), abs=1e-12)
+        orc = get_oracle(example1)
+        assert orc.exact_f(seeds, 0, 0) == pytest.approx(orc.exact_sigma(seeds), abs=1e-12)
 
 
 def test_exact_f_monotone_in_d_on_example1(example1):
-    vals = [exact_f(example1, [0], d, 1) for d in range(5)]
+    vals = [get_oracle(example1).exact_f([0], d, 1) for d in range(5)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 

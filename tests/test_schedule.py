@@ -28,7 +28,7 @@ class CountingObjective:
 def test_search_config_defaults_and_validation():
     cfg = SearchConfig(k_total=100, d_max=5)
     assert cfg.k1_grid_step == 5
-    assert cfg.decay == DecayFunction.constant_one()
+    assert cfg.decay == DecayFunction()
     with pytest.raises(ValueError):
         SearchConfig(k_total=0, d_max=5)
 
@@ -88,7 +88,7 @@ def test_sequential_d_short_circuits_without_decay(example1):
 def test_sequential_d_probes_until_patience(example1):
     peaked = {0: 1.0, 1: 5.0, 2: 4.0, 3: 3.0, 4: 2.0}
     cfg = SearchConfig(k_total=2, d_max=4,
-                       decay=DecayFunction.exponential(0.9),
+                       decay=DecayFunction(0.9),
                        mc=MonteCarloConfig(master_seed=0))
     obj = CountingObjective(lambda k1, d: peaked[d])
     d, est = sequential_d_search(example1, 1, cfg, obj)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import instance_family
+from conftest import in_edges, instance_family
 from twophase_im.diffusion import MonteCarloConfig
 from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.oracle import get_oracle
@@ -9,7 +9,7 @@ from twophase_im.selectors import (
     ExactSigmaObjective,
     SeedSet,
     SigmaObjective,
-    gdd_state,
+    discount_state,
     select_gdd,
     select_greedy,
     select_rmax,
@@ -43,14 +43,14 @@ def test_budget_validation(example1):
 
 
 def test_gdd_weights_on_example1(example1):
-    state = gdd_state(example1)
-    assert state.w[0] == pytest.approx(1.5)   # A: 1 * (1 + 0.5)
-    assert state.w[1] == pytest.approx(2.7)   # B: 1 * (1 + 1.7)
+    [w] = discount_state(example1, "gdd").w
+    assert w[0] == pytest.approx(1.5)   # A: 1 * (1 + 0.5)
+    assert w[1] == pytest.approx(2.7)   # B: 1 * (1 + 1.7)
     picked = select_gdd(example1, 1)
     assert picked.nodes == [1]
-    after = gdd_state(example1, preselected=[1])
-    assert after.w[2] == pytest.approx(0.2)   # C: (1 - 0.8) * (1 + 0)
-    assert after.w[3] == pytest.approx(0.1)   # D: (1 - 0.9) * (1 + 0)
+    [after] = discount_state(example1, "gdd", preselected=np.arange(4)[None] == 1).w
+    assert after[2] == pytest.approx(0.2)   # C: (1 - 0.8) * (1 + 0)
+    assert after[3] == pytest.approx(0.1)   # D: (1 - 0.9) * (1 + 0)
 
 
 def test_gdd_preselected_does_not_consume_budget(example1):
@@ -140,13 +140,14 @@ def test_sigma_objective_caches_and_uses_common_random_numbers(example1):
 
 
 def _loop_discount(graph, k, weighted, preselected=()):
+    ins = in_edges(graph)
     score = np.zeros(graph.n)
     for u, adj in enumerate(graph.out_edges):
         score[u] = sum(p for _, p in adj) if weighted else len(adj)
     removed = np.zeros(graph.n, dtype=bool)
     for u in preselected:
         removed[u] = True
-        for z, p in graph.in_edges[u]:
+        for z, p in ins[u]:
             score[z] -= p if weighted else 1
     picked = []
     for _ in range(k):
@@ -156,13 +157,14 @@ def _loop_discount(graph, k, weighted, preselected=()):
                 best = v
         picked.append(best)
         removed[best] = True
-        for z, p in graph.in_edges[best]:
+        for z, p in ins[best]:
             if not removed[z]:
                 score[z] -= p if weighted else 1
     return picked
 
 
 def _loop_gdd(graph, k, preselected=()):
+    ins = in_edges(graph)
     survival = np.ones(graph.n)
     outsum = np.array([sum(p for _, p in adj) for adj in graph.out_edges])
     selected = set()
@@ -171,7 +173,7 @@ def _loop_gdd(graph, k, preselected=()):
         selected.add(u)
         for v, p in graph.out_edges[u]:
             survival[v] *= 1.0 - p
-        for z, p in graph.in_edges[u]:
+        for z, p in ins[u]:
             outsum[z] -= p
 
     for u in sorted(preselected):
@@ -220,3 +222,34 @@ def test_degree_heuristics_match_loop_reference():
         k = min(3, g.n)
         assert select_sd(g, k).nodes == _loop_discount(g, k, False)
         assert select_wd(g, k).nodes == _loop_discount(g, k, True)
+
+
+def _loop_spic(graph, k, value):
+    """SPIC's picks from Shapley values ``value``, discounting along the
+    adjacency lists one edge at a time, as ``select_spic`` did."""
+    value, ins = value.copy(), in_edges(graph)
+    picked, selected = [], set()
+    for _ in range(k):
+        best = -1
+        for v in range(graph.n):
+            if v not in selected and (best < 0 or value[v] > value[best]):
+                best = v
+        phi_y = value[best]
+        picked.append(best)
+        selected.add(best)
+        for x, p in graph.out_edges[best]:
+            value[x] *= 1.0 - p
+        for z, p in ins[best]:
+            value[z] = max(0.0, value[z] - p * phi_y)
+    return picked
+
+
+def test_spic_discounts_match_loop_reference():
+    from twophase_im.instances import les_miserables_wc
+    cfg = MonteCarloConfig(master_seed=3)
+    for g, permutations in [(g, 10) for g in instance_family(20, seed=17)] + [
+            (les_miserables_wc(), 2)]:
+        obj = SigmaObjective(g, cfg, sims=50)
+        k = min(g.n, 12)
+        phi = shapley_values(g, obj, permutations, master_seed=4)
+        assert select_spic(g, k, obj, permutations, master_seed=4).nodes == _loop_spic(g, k, phi)

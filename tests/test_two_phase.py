@@ -44,7 +44,7 @@ def test_eval_h_deterministic_per_seed(example1):
 
 def test_eval_h_zero_decay_counts_only_first_step(example1):
     cfg = MonteCarloConfig(phase1_sims=100, phase2_sims=20, master_seed=0)
-    est = eval_h(example1, [0], 1, 1, cfg, DecayFunction.exponential(0.0))
+    est = eval_h(example1, [0], 1, 1, cfg, DecayFunction(0.0))
     assert est.mean == pytest.approx(1.0)
 
 
@@ -115,5 +115,5 @@ def test_eval_h_temporal_consistency_with_trivial_decay():
     for g in instance_family(3, seed=21, max_nodes=6, max_edges=8):
         cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=5)
         plain = eval_h(g, [0], 1, 1, cfg)
-        trivial = eval_h(g, [0], 1, 1, cfg, DecayFunction.exponential(1.0))
+        trivial = eval_h(g, [0], 1, 1, cfg, DecayFunction(1.0))
         assert plain.mean == trivial.mean
