@@ -180,8 +180,7 @@ def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
     return best, log
 
 
-def face_select(graph: InfluenceGraph, budget: int, objective,
-                config: CeConfig | None = None, master_seed: int = 0,
+def face_select(graph: InfluenceGraph, budget: int, objective, master_seed: int = 0,
                 return_log: bool = False):
     """Cross-entropy search for an approximately spread-maximal budget-set.
 
@@ -191,7 +190,7 @@ def face_select(graph: InfluenceGraph, budget: int, objective,
         raise ValueError(f"budget {budget} out of range for n={n}")
     rng = stream(master_seed, TAG_FACE)
     best, log = _cross_entropy(
-        np.full(n, budget / n, dtype=float), config or CeConfig.for_graph(n),
+        np.full(n, budget / n, dtype=float), CeConfig.for_graph(n),
         lambda q: (budget, 0, _sample_set(q, budget, rng)),
         lambda cands: [objective(frozenset(nodes)) for _, _, nodes in cands])
     result = SeedSet(nodes=sorted(best.set), budget=budget)
@@ -199,8 +198,8 @@ def face_select(graph: InfluenceGraph, budget: int, objective,
 
 
 def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int,
-                        two_phase_objective, config: CeConfig | None = None,
-                        master_seed: int = 0, return_log: bool = False):
+                        two_phase_objective, master_seed: int = 0,
+                        return_log: bool = False):
     """Joint cross-entropy search over (k1, d, S1).
 
     two_phase_objective(candidates) scores a list of (k1, d, seed_tuple)
@@ -214,7 +213,6 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         raise ValueError(f"total budget {k} out of range for n={n}")
     if D < 1:
         raise ValueError("max_delay must be >= 1")
-    config = config or CeConfig.for_graph(n)
     k1_probs = np.full(k, 1.0 / k)        # over {1..k}
     d_probs = np.full(D + 1, 1.0 / (D + 1))  # over {0..D}; d=0 forces k1=k
     rng = stream(master_seed, TAG_FACE)
@@ -234,7 +232,7 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         k1_probs = _normalized(ALPHA * k1_new + (1 - ALPHA) * k1_probs)
         d_probs = _normalized(ALPHA * d_new + (1 - ALPHA) * d_probs)
 
-    best, log = _cross_entropy(np.full(n, k / n, dtype=float), config, draw,
+    best, log = _cross_entropy(np.full(n, k / n, dtype=float), CeConfig.for_graph(n), draw,
                                two_phase_objective, refit)
     result = (best.k1, best.d, SeedSet(nodes=sorted(best.set), budget=best.k1))
     return (result, log) if return_log else result

@@ -5,12 +5,14 @@ Live graph x keeps edge e (in ``graph.edges()`` order) when bit e of x is
 set, so a live graph is its own index. Node sets are uint64 bitmasks, which
 caps n at 64.
 
-One layered BFS runs over all live graphs and all sources at once, block by
-block, and fills the distance table ``dist[x, v, w]`` and the reach masks
-``reach[x, v]``. After an observation, the residual of a live graph is the
-edge subset that avoids the already-active nodes, itself a live graph, so
-``exact_f`` answers every residual reach query with a lookup into ``reach``.
-Every table is checked against ``ORACLE_BYTES`` before it is allocated.
+The distance table ``dist[x, v, w]`` and the reach masks ``reach[x, v]`` are
+built by edge doubling: live graph x with top bit e is live graph x - 2^e
+plus edge e, and a shortest path uses that edge at most once, so each live
+graph's tables follow exactly from those of the graph with one edge fewer.
+After an observation, the residual of a live graph is the edge subset that
+avoids the already-active nodes, itself a live graph, so ``exact_f`` answers
+every residual reach query with a lookup into ``reach``. Every table is
+checked against ``ORACLE_BYTES`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ EDGE_CAP = 24                  # most edges: 2^m live graphs are enumerated
 SUBSET_CAP = 200_000           # most candidate second-phase sets per observation
 NODE_CAP = 64                  # node sets are uint64 bitmasks
 ORACLE_BYTES = 512 << 20       # largest table (or temporary) the oracle allocates
-BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per BFS block (few MB)
+BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per doubling block
 DIST_FROM_BYTES = 8 << 20      # budget for the cached per-seed-set distance tables
 UNREACHED = 127  # int8 sentinel distance
 
-_ONE = np.uint64(1)
-_SHIFTS = np.arange(NODE_CAP, dtype=np.uint64)
-_NODE_BITS = _ONE << _SHIFTS
+_NODE_BITS = np.uint64(1) << np.arange(NODE_CAP, dtype=np.uint64)
 
 
 class OracleCapError(ValueError):
@@ -72,21 +72,15 @@ class ExactOracle:
         for _, _, p in self.edges:
             probs = np.concatenate([probs * (1.0 - p), probs * p])
         self.mask_p = probs
-        # the live graphs of nonzero probability, their masks and probabilities
-        self.live = probs.nonzero()[0]
-        self.live_x = self.live.astype(np.uint64)
+        # the live graphs of nonzero probability, their masks and
+        # probabilities; a basic slice copies nothing when every one is live
+        nonzero = probs.nonzero()[0]
+        self.live = slice(None) if len(nonzero) == len(probs) else nonzero
+        self.live_x = nonzero.astype(np.uint64)
         self.live_p = probs[self.live]
-
-        # out_bit[e, u] = 1 << v for edge e = (u, v), and incident[u] holds
-        # the bits of the edges touching u
-        out_bit = np.zeros((self.m, self.n), dtype=np.uint64)
-        incident = [0] * self.n
-        for e, (u, v, _) in enumerate(self.edges):
-            out_bit[e, u] = 1 << v
-            incident[u] |= 1 << e
-            incident[v] |= 1 << e
-        self.out_bit = out_bit
-        self.incident = np.array(incident, dtype=np.uint64)
+        # each edge's tail and head, as indices into a node axis
+        self.edge_src = np.array([u for u, _, _ in self.edges], dtype=np.intp)
+        self.edge_dst = np.array([v for _, v, _ in self.edges], dtype=np.intp)
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
@@ -96,30 +90,39 @@ class ExactOracle:
     # -- distances ---------------------------------------------------------
 
     def _enumerate(self):
-        """Layered BFS from every source in every live graph, one block of
-        live graphs at a time: (dist, reach)."""
+        """Distances and reach masks of every live graph, by edge doubling:
+        (dist, reach).
+
+        Live graph x with top bit e is live graph x - 2^e plus edge e = (u, v).
+        A shortest path uses that edge at most once, its prefix and suffix
+        lie in the smaller graph, so for all live graphs [2^e, 2^(e+1)) at once
+
+            dist'[s, w] = min(dist[s, w], dist[s, u] + 1 + dist[v, w])
+            reach'[s]   = reach[s] | (reach[v] if u in reach[s])
+
+        which are exactly the values a BFS in the larger graph finds. The sums
+        run in uint8: at most 127 + 1 + 127 = 255, and the min with a value of
+        at most 127 keeps ``UNREACHED``. Each step writes the upper half of both
+        tables from the lower half, at most ``BLOCK_CELLS`` cells at a time."""
         n, size = self.n, 1 << self.m
-        dist = np.full((size, n, n), UNREACHED, dtype=np.int8)
-        dist.reshape(size, n * n)[:, ::n + 1] = 0      # each source, at step 0
+        dist = np.empty((size, n, n), dtype=np.int8)
         reach = np.empty((size, n), dtype=np.uint64)
-        edge_bits = _SHIFTS[:self.m]
+        dist[0] = UNREACHED
+        np.fill_diagonal(dist[0], 0)    # the edgeless graph: each source alone
+        reach[0] = self.node_bits
+        d8 = dist.view(np.uint8)
         block = max(1, BLOCK_CELLS // max(1, n * n))
-        for lo in range(0, size, block):
-            xs = np.arange(lo, min(lo + block, size), dtype=np.uint64)
-            edge_on = (xs[:, None, None] >> edge_bits[:, None]) & _ONE   # (block, edge, 1)
-            adj = np.bitwise_or.reduce(edge_on * self.out_bit, axis=1)    # (block, node)
-            out = dist[lo:lo + len(xs)]
-            # step 1 reaches each source's out-neighbours: its adjacency row
-            reached = adj | self.node_bits
-            frontier, t = reached ^ self.node_bits, 1
-            adj = adj[:, None, :]
-            while np.count_nonzero(frontier):
-                hit = (frontier[:, :, None] & self.node_bits) != 0   # (block, source, node)
-                out[hit] = t
-                frontier = np.bitwise_or.reduce(hit * adj, axis=2) & ~reached
-                reached = reached | frontier
-                t += 1
-            reach[lo:lo + len(xs)] = reached
+        for e, (u, v, _) in enumerate(self.edges):
+            half = 1 << e
+            for lo in range(0, half, block):
+                hi = min(lo + block, half)
+                src, out = d8[lo:hi], d8[half + lo:half + hi]
+                to_u = src[:, :, u]                 # (block, source)
+                np.add((to_u + np.uint8(1))[:, :, None], src[:, None, v, :], out=out)
+                np.minimum(out, src, out=out)
+                r = reach[lo:hi]
+                np.bitwise_or(r, np.where(to_u < UNREACHED, r[:, v, None], np.uint64(0)),
+                              out=reach[half + lo:half + hi])
         return dist, reach
 
     @property
@@ -156,9 +159,13 @@ class ExactOracle:
         """Exact decay-weighted spread: sum over live graphs of p(X) times
         the decay-weighted count of the nodes the seeds reach."""
         seed_mask = _to_mask(seeds)
-        dist = self.dist_from(seed_mask)
-        per_x = self._gamma_table(decay)[dist].sum(axis=1)
-        return float(math.fsum(self.mask_p * per_x))
+        if decay.delta == 1.0:
+            # every reached node counts 1: the same integers as the gamma sums
+            srcs = list(_bits(seed_mask))
+            per_x = np.bitwise_count(np.bitwise_or.reduce(self.reach[:, srcs], axis=1))
+        else:
+            per_x = self._gamma_table(decay)[self.dist_from(seed_mask)].sum(axis=1)
+        return float(math.fsum((self.mask_p * per_x).tolist()))
 
     def exact_sigma(self, seeds) -> float:
         """Exact expected spread: sum over live graphs of p(X) * |reachable|."""
@@ -201,8 +208,9 @@ class ExactOracle:
         d_eff = min(d, UNREACHED - 1)
         dist = self.dist_from(_to_mask(s1))[self.live]
         already_in = dist < d_eff
-        already, recent = np.array((already_in, dist == d_eff)) @ self.node_bits
-        res = self.live_x & ~np.bitwise_or.reduce(already_in * self.incident, axis=1)
+        already, recent = _pack(already_in), _pack(dist == d_eff)
+        # the residual drops every edge with an already-active end
+        res = self.live_x & ~_pack(already_in[:, self.edge_src] | already_in[:, self.edge_dst])
 
         # classes: runs of equal (already, recent, res) in sorted order, with
         # x ascending within each run
@@ -278,6 +286,20 @@ def _best_candidate(w, reach, cands):
         if vals[i] > best_val:
             best_val, best_i = vals[i], lo + int(i)
     return best_val, best_i
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(rows, k) bool with k <= 64 -> (rows,) uint64 masks, bit j set where
+    column j is. Each row is padded to a whole uint of 8, 16, 32 or 64 bits,
+    so one flat ``packbits`` packs every row into its own uint."""
+    rows, k = bits.shape
+    width = max(8, 1 << (k - 1).bit_length())
+    if width != k:
+        padded = np.zeros((rows, width), dtype=bool)
+        padded[:, :k] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    return packed.view(f"<u{width // 8}").astype(np.uint64)
 
 
 def _to_mask(nodes) -> int:

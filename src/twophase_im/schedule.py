@@ -25,6 +25,7 @@ from .two_phase import TwoPhasePlan, run_two_phase
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 D_MARGIN = 2  # safety steps added past the observed stagnation point
 PATIENCE = 2  # consecutive non-improving delays that end a sequential d-search
+MAX_EVALUATIONS = 5000  # most cells an exhaustive grid evaluates
 
 
 @dataclass
@@ -33,7 +34,6 @@ class SearchConfig:
     d_max: int
     decay: DecayFunction = NO_DECAY
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    max_evaluations: int = 5000
 
     def __post_init__(self):
         if self.k_total < 1:
@@ -106,9 +106,9 @@ def exhaustive_grid(graph: InfluenceGraph, config: SearchConfig, selector) -> Gr
     k, D, step = config.k_total, config.d_max, config.k1_grid_step
     k1s = sorted(set(list(range(0, k + 1, step)) + [k]))
     cells = sum(1 if k1 == k else D + 1 for k1 in k1s)
-    if cells > config.max_evaluations:
+    if cells > MAX_EVALUATIONS:
         raise ValueError(
-            f"grid has {cells} cells, above the evaluation budget of {config.max_evaluations}")
+            f"grid has {cells} cells, above the evaluation budget of {MAX_EVALUATIONS}")
     evaluate = _make_evaluator(graph, config, selector)
     entries = []
     for k1 in k1s:

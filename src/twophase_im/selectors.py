@@ -24,7 +24,6 @@ from .diffusion import (
     stream,
 )
 from .graph import InfluenceGraph
-from . import oracle
 
 
 @dataclass
@@ -39,9 +38,6 @@ class SeedSet:
             raise ValueError("duplicate nodes in seed set")
         if len(self.nodes) > self.budget:
             raise ValueError("seed set exceeds its budget")
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.nodes)
 
 
 # -- objective evaluators --------------------------------------------------
@@ -127,16 +123,6 @@ class SigmaObjective:
     def _pop(self):
         _, keys, old, self._total = self._stack.pop()
         self._table.reshape(-1)[keys] = old
-
-
-class ExactSigmaObjective:
-    """Oracle-backed spread; exact, for desk-scale verification runs."""
-
-    def __init__(self, graph):
-        self.orc = oracle.get_oracle(graph)
-
-    def __call__(self, seeds) -> float:
-        return self.orc.exact_sigma(seeds)
 
 
 def _check_budget(graph, k, reserve=0):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import instance_family
+from twophase_im import oracle
 from twophase_im.cli import main
 from twophase_im.diffusion import NO_DECAY, DecayFunction
 from twophase_im.graph import InfluenceGraph, RawEdgeList, build_graph, load_graph
@@ -207,6 +209,12 @@ class _LoopOracle:
             self._dist = d
         return self._dist
 
+    @property
+    def reach(self):
+        """Each (live graph, source)'s reached nodes as a bitmask."""
+        bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
+        return ((self.dist < UNREACHED) * bits).sum(axis=2, dtype=np.uint64)
+
     def dist_from(self, seeds):
         if not seeds:
             return np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
@@ -306,6 +314,7 @@ def _sixteen_arc_instance():
 def _assert_matches_loop(g, queries):
     orc, ref = ExactOracle(g), _LoopOracle(g)
     assert np.array_equal(orc.dist, ref.dist)
+    assert np.array_equal(orc.reach, ref.reach)
     for v in range(g.n):
         assert orc.exact_sigma([v]) == ref.exact_nu([v], NO_DECAY)
         assert orc.exact_nu([v], DecayFunction(0.5)) == ref.exact_nu([v], DecayFunction(0.5))
@@ -377,3 +386,61 @@ def test_max_f_leaves_a_bounded_distance_cache():
     # the first seed set's table was evicted; it is rebuilt with the same values
     assert 0b111 not in orc._dist_from._items
     assert orc.exact_f([0, 1, 2], 2, 1) == first
+
+
+def _sparse_graph(path, n, arcs):
+    """n nodes and the given arcs; the probabilities cycle through a few values."""
+    probs = (0.5, 0.3, 0.8, 0.65)
+    return _native_graph(path, n, [(u, v, probs[i % 4]) for i, (u, v) in enumerate(arcs)])
+
+
+def _nine_node_graph(path):
+    return _sparse_graph(path, 9, [(0, 1), (1, 2), (2, 8), (3, 4), (4, 5), (5, 3),
+                                   (6, 7), (7, 8), (8, 0)])
+
+
+def test_array_oracle_matches_loop_reference_past_one_mask_byte(tmp_path):
+    # 9 and 20 nodes: node masks span two and three bytes, and paths cross
+    # from one byte into the next
+    g9 = _nine_node_graph(tmp_path / "nine.tpim")
+    queries = [(s1, d, k2) for s1 in ([0], [8], [3, 7]) for d in range(4) for k2 in range(3)]
+    orc, ref = _assert_matches_loop(g9, queries)
+    assert orc.max_f(1, 1, 1) == ref.max_f(1, 1, 1)
+    g20 = _sparse_graph(tmp_path / "twenty.tpim", 20,
+                        [(0, 1), (1, 9), (6, 7), (7, 8), (8, 17), (12, 13), (13, 14),
+                         (14, 15), (15, 16), (16, 19), (19, 0)])
+    queries = [([0], 2, 1), ([6], 3, 1), ([17], 1, 1), ([12, 19], 1, 2), ([16], 0, 1)]
+    _assert_matches_loop(g20, queries)
+
+
+def test_array_oracle_matches_loop_reference_without_edges(tmp_path):
+    g = _native_graph(tmp_path / "edgeless.tpim", 3, [])
+    assert g.m == 0
+    queries = [(s1, d, k2) for s1 in ([], [0], [1, 2]) for d in range(3) for k2 in range(3)]
+    orc, ref = _assert_matches_loop(g, queries)
+    assert orc.max_f(1, 1, 1) == ref.max_f(1, 1, 1)
+
+
+def test_array_oracle_matches_loop_reference_in_blocks(tmp_path, monkeypatch):
+    # three live graphs per doubling block: from the third edge on, each
+    # doubling step runs in several blocks, the last one ragged
+    g = _nine_node_graph(tmp_path / "nine.tpim")
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", 3 * g.n * g.n)
+    queries = [(s1, d, k2) for s1 in ([0], [6], [3, 7]) for d in range(3) for k2 in range(2)]
+    orc, ref = _assert_matches_loop(g, queries)
+    assert orc.max_f(1, 2, 1) == ref.max_f(1, 2, 1)
+
+
+def test_distance_tables_are_built_in_bounded_memory():
+    # the doubling writes into the two tables; beyond them it holds one
+    # block's temporaries, a few uint64 per (live graph, source) of a block
+    orc = ExactOracle(_sixteen_arc_instance())
+    block = oracle.BLOCK_CELLS // orc.n ** 2
+    tracemalloc.start()
+    try:
+        dist, reach = orc.dist, orc.reach
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.nbytes + reach.nbytes == (1 << 16) * 8 * (8 + 8)
+    assert peak <= dist.nbytes + reach.nbytes + 24 * block * orc.n + (16 << 10)

@@ -4,6 +4,7 @@ import pytest
 from conftest import instance_family
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig
 from twophase_im.graph import RawEdgeList, build_graph
+from twophase_im import schedule
 from twophase_im.oracle import get_oracle
 from twophase_im.schedule import (
     SearchConfig,
@@ -59,9 +60,9 @@ def test_grid_exact_oracle_matches_argmax(example1):
     assert grid.best == min(tied)
 
 
-def test_grid_evaluation_budget_enforced(example1):
-    cfg = SearchConfig(k_total=2, d_max=3, mc=MonteCarloConfig(master_seed=0),
-                       max_evaluations=2)
+def test_grid_evaluation_budget_enforced(example1, monkeypatch):
+    monkeypatch.setattr(schedule, "MAX_EVALUATIONS", 2)
+    cfg = SearchConfig(k_total=2, d_max=3, mc=MonteCarloConfig(master_seed=0))
     with pytest.raises(ValueError, match="budget"):
         exhaustive_grid(example1, cfg, lambda k1, d: 0.0)
 
