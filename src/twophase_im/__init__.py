@@ -11,9 +11,10 @@ Library layout:
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)
-- two_phase: the selector table, surrogate objectives g/h, the FACE-joint
-  objective and the myopic/farsighted pipeline
-- schedule: (k1, d) grid search, golden-section / sequential-delay search
+- two_phase: the selector table, surrogate objectives g/h, the one (k1, d,
+  S1) cell scorer of every optimizer, and the myopic/farsighted pipeline
+- schedule: (k1, d) grid search, golden-section / sequential-delay search,
+  each cell scored by the two_phase cell scorer
 - cli: the ``tpim`` command-line harness with replayable run records
 """
 

@@ -46,7 +46,7 @@ from .records import (
     write_record,
 )
 from .schedule import SearchConfig, estimate_D, exhaustive_grid, golden_section_k1
-from .two_phase import SELECTORS, TwoPhasePlan, run_two_phase, score_joint
+from .two_phase import SELECTORS, TwoPhasePlan, _farsighted, run_two_phase, score_cells
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
 
@@ -159,6 +159,9 @@ def run_twophase(params, graph):
                           phase2_sims=params["phase2_sims"],
                           master_seed=params["master_seed"])
     optimize = params["optimize"]
+    if optimize != "none" and k > graph.n:
+        # every search space holds the single-phase cell k1 = k
+        raise GraphError(f"budget {k} out of range for n={graph.n}")
     # the fixed plan's delay, or the optimizers' delay horizon
     delay = params["d"] if optimize == "none" else params.get("d_max")
     if delay in (None, "auto"):
@@ -192,8 +195,10 @@ def run_twophase(params, graph):
         k1, d, est = golden_section_k1(graph, search, params["algorithm"])
         return {"best": [k1, d], "spread": est.as_dict()}
     if optimize == "face-joint":
+        far = _farsighted(mc)
         (k1, d, s1), log = face_joint_optimize(
-            graph, k, delay, lambda cands: score_joint(graph, cands, k, mc, decay),
+            graph, k, delay,
+            lambda cands: [est.mean for est in score_cells(graph, cands, k, far, decay)],
             master_seed=params["master_seed"], return_log=True)
         plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=params["algorithm"],
                             s1=s1)

@@ -5,8 +5,9 @@ by objective value, refit the distribution to the value-weighted elites with
 smoothing, repeat until the elite threshold stabilizes. Optional joint mode
 also samples the budget split k1 and the delay d. Each draw round is drawn
 whole before any of it is scored, and its new candidates are scored in one
-objective call, so a batched objective (``two_phase.score_joint``) can
-score a round at once.
+objective call, so a batched objective can score a round at once: ``tpim
+twophase --optimize face-joint`` scores it with ``two_phase.score_cells``,
+the cell scorer of the grid and golden-section searches too.
 """
 
 from __future__ import annotations

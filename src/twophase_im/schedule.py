@@ -2,11 +2,15 @@
 golden-section search over k1 with a nested sequential delay search.
 
 The spread surface is treated as unimodal in k1 and in d separately, never
-jointly; only nested one-dimensional searches are implemented.
+jointly; only nested one-dimensional searches are implemented. Under a
+selector name every cell is scored by ``two_phase.score_cells``, with S1
+selected once per k1: the grid scores all its cells in one call, the
+golden-section and delay searches one cell a call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +24,7 @@ from .diffusion import (
 )
 from .graph import InfluenceGraph
 from .selectors import select_wd
-from .two_phase import TwoPhasePlan, run_two_phase
+from .two_phase import TwoPhasePlan, score_cells, select_phase1
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 D_MARGIN = 2  # safety steps added past the observed stagnation point
@@ -60,31 +64,39 @@ class GridResult:
 
 
 def _make_evaluator(graph, config: SearchConfig, selector):
-    """Memoized (k1, d) -> SpreadEstimate.
+    """Memoized scorer of (k1, d) cells: evaluate(cells) -> [SpreadEstimate].
 
-    ``selector`` is either a selector id (runs the two-phase pipeline) or a
-    callable (k1, d) -> float | SpreadEstimate for synthetic objectives."""
+    ``selector`` is either a selector id or a callable (k1, d) -> float |
+    SpreadEstimate for synthetic and exact objectives. Under a selector id
+    the cells not scored before go to one ``score_cells`` call, each with the
+    myopic S1 of its k1, selected once: it does not depend on d."""
     memo = {}
     k = config.k_total
 
-    def evaluate(k1, d):
-        if not (0 <= k1 <= k):
-            raise ValueError(f"k1 {k1} outside [0, {k}]")
-        if k1 == k:
-            d = 0  # no second phase, delay is meaningless
-        key = (k1, d)
-        if key in memo:
-            return memo[key]
+    @functools.cache
+    def first_phase(k1):
+        plan = TwoPhasePlan(k1=k1, k2=k - k1, d=0, selector=selector)
+        return select_phase1(graph, plan, config.mc, config.decay).nodes
+
+    def score(k1, d):
+        got = selector(k1, d)
+        return got if isinstance(got, SpreadEstimate) else SpreadEstimate(
+            mean=float(got), stderr=0.0, samples=0)
+
+    def evaluate(cells):
+        for k1, _ in cells:
+            if not (0 <= k1 <= k):
+                raise ValueError(f"k1 {k1} outside [0, {k}]")
+        # k1 = k leaves no second phase, so its delay is meaningless
+        cells = [(k1, 0 if k1 == k else d) for k1, d in cells]
+        new = [cell for cell in dict.fromkeys(cells) if cell not in memo]
         if callable(selector):
-            got = selector(k1, d)
-            est = got if isinstance(got, SpreadEstimate) else SpreadEstimate(
-                mean=float(got), stderr=0.0, samples=0)
-        else:
-            plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=selector)
-            result, _ = run_two_phase(graph, plan, config.mc, config.decay)
-            est = result.spread
-        memo[key] = est
-        return est
+            memo.update((cell, score(*cell)) for cell in new)
+        elif new:
+            memo.update(zip(new, score_cells(
+                graph, [(k1, d, first_phase(k1)) for k1, d in new], k, config.mc,
+                config.decay, selector)))
+        return [memo[cell] for cell in cells]
 
     return evaluate
 
@@ -109,11 +121,9 @@ def exhaustive_grid(graph: InfluenceGraph, config: SearchConfig, selector) -> Gr
     if cells > MAX_EVALUATIONS:
         raise ValueError(
             f"grid has {cells} cells, above the evaluation budget of {MAX_EVALUATIONS}")
-    evaluate = _make_evaluator(graph, config, selector)
-    entries = []
-    for k1 in k1s:
-        for d in ([0] if k1 == k else range(D + 1)):
-            entries.append((k1, d, evaluate(k1, d)))
+    grid = [(k1, d) for k1 in k1s for d in ([0] if k1 == k else range(D + 1))]
+    estimates = _make_evaluator(graph, config, selector)(grid)
+    entries = [(k1, d, est) for (k1, d), est in zip(grid, estimates)]
     best_k1, best_d, _ = _tie_pick(entries)
     return GridResult(entries=entries, best=(best_k1, best_d))
 
@@ -126,11 +136,11 @@ def sequential_d_search(graph: InfluenceGraph, k1: int, config: SearchConfig,
     evaluate = evaluate or _make_evaluator(graph, config, selector)
     D = config.d_max
     if config.decay.delta == 1.0:
-        return D, evaluate(k1, D)
-    best_d, best = 0, evaluate(k1, 0)
+        return D, evaluate([(k1, D)])[0]
+    best_d, best = 0, evaluate([(k1, 0)])[0]
     fails = 0
     for d in range(1, D + 1):
-        est = evaluate(k1, d)
+        est = evaluate([(k1, d)])[0]
         if est.mean > best.mean:
             best_d, best = d, est
             fails = 0
@@ -154,7 +164,7 @@ def golden_section_k1(graph: InfluenceGraph, config: SearchConfig, selector):
         k1 = pts[idx]
         if k1 not in inner:
             if k1 == k:
-                inner[k1] = (0, evaluate(k1, 0))
+                inner[k1] = (0, evaluate([(k1, 0)])[0])
             else:
                 inner[k1] = sequential_d_search(graph, k1, config, selector, evaluate)
         return inner[k1][1].mean

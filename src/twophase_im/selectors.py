@@ -25,6 +25,11 @@ from .diffusion import (
 )
 from .graph import InfluenceGraph
 
+# How many random k-subsets RMax scores, and how many permutations SPIC's
+# Shapley estimate samples; None is 5 per node of the graph.
+RMAX_SAMPLES = None
+SPIC_PERMUTATIONS = None
+
 
 @dataclass
 class SeedSet:
@@ -125,9 +130,9 @@ class SigmaObjective:
         self._table.reshape(-1)[keys] = old
 
 
-def _check_budget(graph, k, reserve=0):
-    if not (1 <= k <= graph.n - reserve):
-        raise ValueError(f"budget {k} out of range for n={graph.n} (reserved {reserve})")
+def _check_budget(graph, k):
+    if not (1 <= k <= graph.n):
+        raise ValueError(f"budget {k} out of range for n={graph.n}")
 
 
 # -- degree discounts (SD, WD, GDD) -----------------------------------------
@@ -235,16 +240,6 @@ def _pick(graph: InfluenceGraph, state: DiscountState, budgets) -> list:
     return [row[:k].tolist() for row, k in zip(picks, budgets)]
 
 
-def _row_mask(graph: InfluenceGraph, nodes) -> np.ndarray | None:
-    """A one-row mask of ``nodes``, or None for none."""
-    nodes = [int(u) for u in nodes]
-    if not nodes:
-        return None
-    mask = np.zeros((1, graph.n), dtype=bool)
-    mask[0, nodes] = True
-    return mask
-
-
 def select_sd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Single discount: residual out-degree, removing picked nodes."""
     _check_budget(graph, k)
@@ -257,18 +252,11 @@ def select_wd(graph: InfluenceGraph, k: int) -> SeedSet:
     return SeedSet(nodes=select_discount(graph, "wd", [k])[0], budget=k)
 
 
-def select_gdd(graph: InfluenceGraph, k: int, preselected=(),
-               return_stats: bool = False):
+def select_gdd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Generalized degree discount (``select_discount`` on one row): take k
-    nodes by w, ties to the lowest id. ``preselected`` nodes count as
-    already chosen (their discounts applied) but do not consume the budget."""
-    preselected = set(int(u) for u in preselected)
-    _check_budget(graph, k, reserve=len(preselected))
-    state = discount_state(graph, "gdd", preselected=_row_mask(graph, preselected))
-    result = SeedSet(nodes=_pick(graph, state, [k])[0], budget=k)
-    if return_stats:
-        return result, state.ops
-    return result
+    nodes by w, ties to the lowest id."""
+    _check_budget(graph, k)
+    return SeedSet(nodes=select_discount(graph, "gdd", [k])[0], budget=k)
 
 
 # -- objective-driven selectors -------------------------------------------
@@ -294,17 +282,13 @@ def select_greedy(graph: InfluenceGraph, k: int, objective) -> SeedSet:
     return SeedSet(nodes=chosen, budget=k)
 
 
-def select_rmax(graph: InfluenceGraph, k: int, objective, samples: int | None = None,
-                master_seed: int = 0) -> SeedSet:
-    """Evaluate uniformly random k-subsets and keep the best."""
+def select_rmax(graph: InfluenceGraph, k: int, objective, master_seed: int = 0) -> SeedSet:
+    """Evaluate ``RMAX_SAMPLES`` uniformly random k-subsets and keep the
+    best."""
     _check_budget(graph, k)
-    if samples is None:
-        samples = 5 * graph.n
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = stream(master_seed, TAG_RMAX)
     best_set, best_val = None, -np.inf
-    for _ in range(samples):
+    for _ in range(RMAX_SAMPLES or 5 * graph.n):
         cand = tuple(sorted(rng.choice(graph.n, size=k, replace=False)))
         val = objective(frozenset(cand))
         if val > best_val or (val == best_val and cand < best_set):
@@ -312,13 +296,10 @@ def select_rmax(graph: InfluenceGraph, k: int, objective, samples: int | None = 
     return SeedSet(nodes=[int(v) for v in best_set], budget=k)
 
 
-def shapley_values(graph: InfluenceGraph, objective, permutations: int | None = None,
-                   master_seed: int = 0) -> np.ndarray:
-    """Permutation-sampling Shapley estimates of per-node objective value."""
-    if permutations is None:
-        permutations = 5 * graph.n
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
+def shapley_values(graph: InfluenceGraph, objective, master_seed: int = 0) -> np.ndarray:
+    """Permutation-sampling Shapley estimates of per-node objective value,
+    over ``SPIC_PERMUTATIONS`` permutations."""
+    permutations = SPIC_PERMUTATIONS or 5 * graph.n
     rng = stream(master_seed, TAG_SPIC)
     phi = np.zeros(graph.n)
     for _ in range(permutations):
@@ -333,15 +314,14 @@ def shapley_values(graph: InfluenceGraph, objective, permutations: int | None = 
     return phi / permutations
 
 
-def select_spic(graph: InfluenceGraph, k: int, objective, permutations: int | None = None,
-                master_seed: int = 0) -> SeedSet:
+def select_spic(graph: InfluenceGraph, k: int, objective, master_seed: int = 0) -> SeedSet:
     """Shapley-value selection with probability-aware discounting.
 
     After estimating per-node Shapley values, picks iteratively; on picking y
     with selection-time value phi_y, out-neighbors x are discounted by
     (1 - p_yx) and in-neighbors z lose p_zy * phi_y (clamped at zero)."""
     _check_budget(graph, k)
-    value = shapley_values(graph, objective, permutations, master_seed).copy()
+    value = shapley_values(graph, objective, master_seed).copy()
     picked = []
     selected = set()
     for _ in range(k):

@@ -1,5 +1,5 @@
-"""Two-phase pipeline: surrogate objectives g and h, and the end-to-end
-myopic/farsighted run.
+"""Two-phase pipeline: surrogate objectives g and h, the one cell scorer
+of the optimizers, and the end-to-end myopic/farsighted run.
 
 Structure of every nested evaluation (``_nested_run``): simulate phase 1 to
 step d and observe it; in each outer replicate, pick second-phase seeds as
@@ -14,9 +14,10 @@ draws exactly what a simulation on the residual graph would.
 
 One nested run takes many first-phase sets at one d; each set reads the
 streams it would read alone, so its estimate is the same bit for bit.
-``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_joint``
-scores a FACE-joint draw round, grouped by d, in one batch. Single-phase
-estimates (k2 = 0 and d = 0, and the d = 0 arm of ``score_joint``) are
+``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_cells``
+scores many (k1, d, S1) cells, grouped by d, in one batch: the grid,
+golden-section and FACE-joint optimizers all score through it. Single-phase
+estimates (k2 = 0 and d = 0, and the k1 = k arm of ``score_cells``) are
 those of ``diffusion.estimate_spreads``.
 """
 
@@ -75,8 +76,6 @@ SELECTORS = {
     "spic": lambda graph, k, objective, seed: select_spic(graph, k, objective, master_seed=seed),
     "face": lambda graph, k, objective, seed: face_select(graph, k, objective, master_seed=seed),
 }
-HEURISTIC_SELECTORS = tuple(name for name in SELECTORS if name in DISCOUNT_KINDS)
-OBJECTIVE_SELECTORS = tuple(name for name in SELECTORS if name not in DISCOUNT_KINDS)
 
 
 @dataclass
@@ -114,14 +113,15 @@ class TwoPhaseResult:
     progression: np.ndarray  # expected newly-activated count per time step
 
 
-def _second_phase_heuristic(selector2):
-    def pick(graph, already, recent, budgets, master_seed):
-        return select_discount(graph, selector2, budgets, removed=already,
-                               preselected=recent)
-    return pick
+def _second_phase(selector2, sims):
+    """The second-phase picker of ``selector2``: (graph, already, recent,
+    budgets, master_seed) -> the seeds of each outer replicate. SD, WD and
+    GDD pick for every replicate at once; an objective selector picks on
+    each replicate's residual graph, on objectives of ``sims`` worlds."""
+    if selector2 in DISCOUNT_KINDS:
+        return lambda graph, already, recent, budgets, master_seed: select_discount(
+            graph, selector2, budgets, removed=already, preselected=recent)
 
-
-def _second_phase_objective(selector2, sims):
     def pick_one(res: InfluenceGraph, recent_local, k2_eff, master_seed):
         cfg = MonteCarloConfig(master_seed=master_seed)
         base = frozenset(recent_local)
@@ -228,7 +228,7 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
     """Two-phase surrogate with GDD second-phase selection (the production
     objective: orders of magnitude cheaper than greedy)."""
     return _nested_run(graph, [s1], d, [k2], config, decay,
-                       _second_phase_heuristic("gdd"))[0][0]
+                       _second_phase("gdd", None))[0][0]
 
 
 def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
@@ -237,41 +237,43 @@ def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
     of ``phase2_sims`` worlds; validation-only path (costly), restricted to
     small graphs in practice."""
     return _nested_run(graph, [s1], d, [k2], config, decay,
-                       _second_phase_objective("greedy", config.phase2_sims))[0][0]
+                       _second_phase("greedy", config.phase2_sims))[0][0]
 
 
 def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
     """The cheaper config of a nested objective: a tenth of the outer and
-    inner replicates, the same master seed."""
-    return MonteCarloConfig(phase1_sims=max(1, config.phase1_sims // 10),
+    inner replicates, the same master seed. A single-phase estimate on it
+    takes as many replicates as its outer ones."""
+    outer = max(1, config.phase1_sims // 10)
+    return MonteCarloConfig(single_phase_sims=outer, phase1_sims=outer,
                             phase2_sims=max(1, config.phase2_sims // 10),
                             master_seed=config.master_seed)
 
 
-def score_joint(graph: InfluenceGraph, candidates, k: int, config: MonteCarloConfig,
-                decay: DecayFunction = NO_DECAY) -> list:
-    """The FACE-joint value of each (k1, d, S1) candidate for a budget of
-    k: at d = 0 the single-phase spread of S1 (``estimate_spread`` of
-    ``_farsighted(config).phase1_sims`` replicates), else ``eval_h`` with a
-    second phase of k - k1 seeds on ``_farsighted(config)``. Values are
-    those of one call per candidate, bit for bit; candidates are grouped
-    by d, and each group is scored by one call of ``estimate_spreads`` or
-    ``_nested_run``."""
-    far = _farsighted(config)
-    values = [0.0] * len(candidates)
-    for d in sorted({int(c[1]) for c in candidates}):
-        idx = [j for j, c in enumerate(candidates) if c[1] == d]
-        sets = [candidates[j][2] for j in idx]
-        if d == 0:
-            got = [est.mean for est, _ in estimate_spreads(graph, sets, config,
-                                                           far.phase1_sims, decay=decay)]
+def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
+                decay: DecayFunction = NO_DECAY, selector2: str = "gdd") -> list:
+    """The estimate of each (k1, d, S1) cell for a budget of k. A cell with
+    k1 = k is the single-phase arm, whatever its d: the spread of S1 over
+    ``config.single_phase_sims`` replicates. Every other cell is a two-phase
+    plan with k - k1 second-phase seeds picked by ``selector2``. Estimates
+    are those of ``run_two_phase`` on each cell alone, bit for bit; the
+    single-phase arm is scored by one ``estimate_spreads`` call, and the
+    other cells of one d by one ``_nested_run``."""
+    estimates = [None] * len(cells)
+    second = _second_phase(selector2, config.phase2_sims)
+    groups = {}
+    for j, (k1, d, _) in enumerate(cells):
+        groups.setdefault(None if k1 == k else int(d), []).append(j)
+    for d, idx in groups.items():
+        sets = [cells[j][2] for j in idx]
+        if d is None:
+            got = [est for est, _ in estimate_spreads(graph, sets, config, decay=decay)]
         else:
-            got = [est.mean for est, _, _ in _nested_run(
-                graph, sets, d, [k - candidates[j][0] for j in idx], far, decay,
-                _second_phase_heuristic("gdd"))]
-        for j, value in zip(idx, got):
-            values[j] = value
-    return values
+            got = [est for est, _, _ in _nested_run(
+                graph, sets, d, [k - cells[j][0] for j in idx], config, decay, second)]
+        for j, est in zip(idx, got):
+            estimates[j] = est
+    return estimates
 
 
 def _phase1_objective(graph, plan, config, decay):
@@ -295,7 +297,7 @@ def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> SeedSet:
     if plan.k1 == 0:
         return SeedSet(nodes=[], budget=0)
     objective = (_phase1_objective(graph, plan, config, decay)
-                 if plan.selector in OBJECTIVE_SELECTORS else None)
+                 if plan.selector not in DISCOUNT_KINDS else None)
     return SELECTORS[plan.selector](graph, plan.k1, objective, config.master_seed)
 
 
@@ -310,10 +312,7 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
         [(est, prog)] = estimate_spreads(graph, [s1.nodes], config, decay=decay,
                                          progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
-    if plan.selector2 in HEURISTIC_SELECTORS:
-        second = _second_phase_heuristic(plan.selector2)
-    else:
-        second = _second_phase_objective(plan.selector2, config.phase2_sims)
     est, prog, s2s = _nested_run(graph, [s1.nodes], plan.d, [plan.k2], config, decay,
-                                 second, collect_examples=5, progression=True)[0]
+                                 _second_phase(plan.selector2, config.phase2_sims),
+                                 collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

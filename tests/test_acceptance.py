@@ -32,7 +32,7 @@ from twophase_im.schedule import (
     golden_section_k1,
     sequential_d_search,
 )
-from twophase_im.selectors import discount_state, select_gdd, select_wd
+from twophase_im.selectors import _pick, discount_state, select_gdd, select_wd
 from twophase_im.two_phase import eval_g, eval_h
 
 TOL = 1e-9
@@ -192,8 +192,9 @@ def test_criterion_06_gdd_identities():
     for inst in instance_family(100, seed=104):
         assert select_gdd(inst, 1).nodes == select_wd(inst, 1).nodes
         k = min(3, inst.n - 1)
-        _, ops = select_gdd(inst, k, return_stats=True)
-        assert ops <= k * inst.n * max(1, inst.max_degree())
+        state = discount_state(inst, "gdd")
+        _pick(inst, state, [k])
+        assert state.ops <= k * inst.n * max(1, inst.max_degree())
     elapsed = time.perf_counter() - start
     report(6, "degree-discount identities and bounds", f"{elapsed:.0f}s")
 

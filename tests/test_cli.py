@@ -96,6 +96,27 @@ def test_farsighted_mode_is_refused_under_optimize(tmp_path, capsys, optimize):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("optimize", ["grid", "golden", "face-joint"])
+@pytest.mark.parametrize("d_max", [["--d-max", "6"], []], ids=["d-max", "auto"])
+def test_optimize_budget_above_n_is_refused_before_any_simulation(tmp_path, capsys,
+                                                                  monkeypatch, optimize, d_max):
+    # each search space holds the single-phase cell k1 = k, which n = 77
+    # nodes cannot seed; neither the delay probe nor any cell may run first
+    from twophase_im import diffusion
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(diffusion, "_cascade", no_simulation)
+    code, out, err = run(capsys, "twophase", "--graph", "lesmis", "--algorithm", "gdd",
+                         "--k", "100", "--optimize", optimize, *d_max, "--sims", "4000",
+                         "--phase1-sims", "20", "--phase2-sims", "20", "--seed", "0",
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "budget 100 out of range for n=77" in err and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [LOCK_NAME]   # no record
+
+
 def test_twophase_mismatched_split_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "twophase", "--graph", "example1", "--algorithm",
                        "gdd", "--k", "2", "--k1", "2", "--k2", "1", "--d", "0",

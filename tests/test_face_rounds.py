@@ -2,8 +2,9 @@
 replaced. ``_LoopFace`` is the cross-entropy loop as it was, scoring each
 draw as it is drawn with one objective call per new candidate, and the
 per-candidate objective is ``estimate_spread`` (d = 0) or ``eval_h``. The
-batched search and ``score_joint`` must equal them bit for bit (``==``,
-not a tolerance): every candidate reads the same streams either way."""
+batched search and its joint scorer, ``score_cells`` on
+``_farsighted(config)``, must equal them bit for bit (``==``, not a
+tolerance): every candidate reads the same streams either way."""
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from twophase_im.face import (
 from twophase_im.instances import les_miserables_wc
 from twophase_im.schedule import D_MARGIN, estimate_D
 from twophase_im.selectors import SigmaObjective, select_wd
-from twophase_im.two_phase import eval_h, score_joint
+from twophase_im.two_phase import _farsighted, eval_h, score_cells
 
 DECAYS = [NO_DECAY, DecayFunction(0.8)]
 
@@ -156,8 +157,13 @@ def _candidates(graph, k, d_max, count, seed):
     return out
 
 
+def _score_joint(graph, cands, k, config, decay):
+    """The FACE-joint value of each candidate, as ``tpim`` scores a round."""
+    return [est.mean for est in score_cells(graph, cands, k, _farsighted(config), decay)]
+
+
 def _assert_scores(graph, cands, k, config, decay):
-    got = score_joint(graph, cands, k, config, decay)
+    got = _score_joint(graph, cands, k, config, decay)
     objective = _one_call(graph, k, config, decay)
     assert got == [objective(*c) for c in cands]
 
@@ -214,7 +220,7 @@ def test_score_joint_single_phase_arm_larger_than_a_group(monkeypatch):
 
 def _assert_same_search(graph, k, d_max, config, decay):
     got = face_joint_optimize(graph, k, d_max,
-                              lambda cands: score_joint(graph, cands, k, config, decay),
+                              lambda cands: _score_joint(graph, cands, k, config, decay),
                               master_seed=config.master_seed, return_log=True)
     (k1, d, s1), log = got
     want = _LoopFace.joint(graph, k, d_max, _one_call(graph, k, config, decay),

@@ -112,7 +112,6 @@ def test_one_row_selectors_pick_what_the_old_selectors_picked():
             k = g.n - len(pre)
             mask = np.zeros((1, g.n), dtype=bool)
             mask[0, pre] = True
-            assert select_gdd(g, k, preselected=pre).nodes == _old_gdd(g, k, pre)
             for kind in ("sd", "wd", "gdd"):
                 got = select_discount(g, kind, [k], preselected=mask)[0]
                 assert got == _old_select(g, kind, k, pre)
@@ -199,15 +198,9 @@ class _LoopNested:
         return est, diffusion._trim(prog), s2_examples
 
 
-def _second_phase(selector2, sims):
-    if selector2 in two_phase.HEURISTIC_SELECTORS:
-        return two_phase._second_phase_heuristic(selector2)
-    return two_phase._second_phase_objective(selector2, sims)
-
-
 def _assert_same(graph, s1, d, k2, config, decay, selector2, sims=None):
     [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay,
-                                  _second_phase(selector2, sims), collect_examples=5,
+                                  two_phase._second_phase(selector2, sims), collect_examples=5,
                                   progression=True)
     want = _LoopNested(selector2, sims).run(graph, s1, d, k2, config, decay)
     assert got[0].mean == want[0].mean
@@ -257,7 +250,7 @@ def test_progression_is_counted_only_when_asked_for(decay):
     sets, k2s = [[11], [0, 48], [26]], [2, 1, 3]
     for selector2, m1 in (("gdd", 40), ("greedy", 6)):
         cfg = MonteCarloConfig(phase1_sims=m1, phase2_sims=8, master_seed=2)
-        second = _second_phase(selector2, 10)
+        second = two_phase._second_phase(selector2, 10)
         counted = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second,
                                         collect_examples=5, progression=True)
         plain = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second, collect_examples=5)
@@ -312,5 +305,5 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
     for selector2 in ("sd", "wd", "gdd"):
         calls.clear()
         two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY,
-                              _second_phase(selector2, None))
+                              two_phase._second_phase(selector2, None))
         assert calls == [16, 16, 8]   # the phase-1 chunks' rows, nothing per outer replicate

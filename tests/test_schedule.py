@@ -4,7 +4,8 @@ import pytest
 from conftest import instance_family
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig
 from twophase_im.graph import RawEdgeList, build_graph
-from twophase_im import schedule
+from twophase_im import schedule, two_phase
+from twophase_im.instances import les_miserables_wc
 from twophase_im.oracle import get_oracle
 from twophase_im.schedule import (
     SearchConfig,
@@ -76,6 +77,29 @@ def test_grid_single_phase_cell_equals_pipeline(example1):
     plan = TwoPhasePlan(k1=2, k2=0, d=0, selector="gdd")
     direct, _ = run_two_phase(example1, plan, mc)
     assert cell.mean == direct.spread.mean
+
+
+def test_optimizers_select_each_first_phase_once(monkeypatch):
+    # S1 is myopic, so it does not depend on d: one selection per k1 > 0,
+    # however many delays the grid or the delay search scores at that k1
+    # (GDD second phases run ``select_discount``, not counted)
+    calls = []
+    select = two_phase.select_gdd
+
+    def counted(graph, k):
+        calls.append(k)
+        return select(graph, k)
+
+    monkeypatch.setattr(two_phase, "select_gdd", counted)
+    g = les_miserables_wc()
+    mc = MonteCarloConfig(single_phase_sims=50, phase1_sims=8, phase2_sims=4, master_seed=3)
+    grid = exhaustive_grid(g, SearchConfig(k_total=4, d_max=3, mc=mc), "gdd")
+    assert len(grid.entries) == 4 * 4 + 1
+    assert sorted(calls) == [1, 2, 3, 4]
+    calls.clear()
+    search = SearchConfig(k_total=4, d_max=3, decay=DecayFunction(0.5), mc=mc)
+    golden_section_k1(g, search, "gdd")
+    assert calls and sorted(calls) == sorted(set(calls))
 
 
 def test_sequential_d_short_circuits_without_decay(example1):

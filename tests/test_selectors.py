@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import in_edges, instance_family
+from twophase_im import selectors
 from twophase_im.diffusion import MonteCarloConfig
 from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.oracle import get_oracle
 from twophase_im.selectors import (
     SeedSet,
     SigmaObjective,
+    _pick,
     discount_state,
+    select_discount,
     select_gdd,
     select_greedy,
     select_rmax,
@@ -68,16 +71,15 @@ def test_gdd_weights_on_example1(example1):
 
 def test_gdd_preselected_does_not_consume_budget(example1):
     # with B preselected: w_A = 1*(1+0) = 1.0 beats w_C = 0.2 and w_D = 0.1
-    got = select_gdd(example1, 1, preselected=[1])
-    assert got.nodes == [0]
-    assert got.budget == 1
+    assert select_discount(example1, "gdd", [1], preselected=np.arange(4)[None] == 1) == [[0]]
 
 
 def test_gdd_ops_bounded_by_edge_relaxations():
     for g in instance_family(10, seed=11):
         k = min(3, g.n - 1)
-        _, ops = select_gdd(g, k, return_stats=True)
-        assert ops <= k * g.n * max(1, g.max_degree())
+        state = discount_state(g, "gdd")
+        _pick(g, state, [k])
+        assert state.ops <= k * g.n * max(1, g.max_degree())
 
 
 def test_gdd_first_pick_matches_wd():
@@ -110,12 +112,12 @@ def test_rmax_deterministic_per_seed(example1):
     assert a.nodes == b.nodes
 
 
-def test_shapley_efficiency_property():
+def test_shapley_efficiency_property(monkeypatch):
     # per-permutation marginals telescope, so values sum to the grand value
+    monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", 50)
     g = build_graph(RawEdgeList(directed=True, pairs=[("a", "b", 1.0)]))
     orc = get_oracle(g)
-    phi = shapley_values(g, lambda s: orc.exact_sigma(s), permutations=50,
-                         master_seed=0)
+    phi = shapley_values(g, lambda s: orc.exact_sigma(s), master_seed=0)
     assert phi.sum() == pytest.approx(orc.exact_sigma([0, 1]), abs=1e-9)
     assert phi[0] > phi[1]
 
@@ -128,14 +130,15 @@ def test_spic_selects_high_value_nodes(example1):
     assert got.nodes == [0, 1]
 
 
-def test_selectors_respect_budget_and_uniqueness():
+def test_selectors_respect_budget_and_uniqueness(monkeypatch):
+    monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", 10)
     cfg = MonteCarloConfig(single_phase_sims=200, master_seed=0)
     for g in instance_family(5, seed=13):
         k = min(2, g.n - 1)
         obj = SigmaObjective(g, cfg, sims=200)
         for got in (select_sd(g, k), select_wd(g, k), select_gdd(g, k),
                     select_greedy(g, k, obj), select_rmax(g, k, obj),
-                    select_spic(g, k, obj, permutations=10)):
+                    select_spic(g, k, obj)):
             assert len(got.nodes) == k
             assert len(set(got.nodes)) == k
             assert all(0 <= v < g.n for v in got.nodes)
@@ -220,12 +223,11 @@ def _heuristic_cases():
 
 
 def test_degree_heuristics_match_loop_reference():
-    from twophase_im.selectors import select_discount
     cases = 0
     for g, pre, k in _heuristic_cases():
-        assert select_gdd(g, k, preselected=pre).nodes == _loop_gdd(g, k, pre)
         mask = np.zeros((1, g.n), dtype=bool)
         mask[0, pre] = True
+        assert select_discount(g, "gdd", [k], preselected=mask)[0] == _loop_gdd(g, k, pre)
         for weighted in (False, True):
             got = select_discount(g, "wd" if weighted else "sd", [k], preselected=mask)[0]
             assert got == _loop_discount(g, k, weighted, pre)
@@ -257,12 +259,13 @@ def _loop_spic(graph, k, value):
     return picked
 
 
-def test_spic_discounts_match_loop_reference():
+def test_spic_discounts_match_loop_reference(monkeypatch):
     from twophase_im.instances import les_miserables_wc
     cfg = MonteCarloConfig(master_seed=3)
     for g, permutations in [(g, 10) for g in instance_family(20, seed=17)] + [
             (les_miserables_wc(), 2)]:
+        monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", permutations)
         obj = SigmaObjective(g, cfg, sims=50)
         k = min(g.n, 12)
-        phi = shapley_values(g, obj, permutations, master_seed=4)
-        assert select_spic(g, k, obj, permutations, master_seed=4).nodes == _loop_spic(g, k, phi)
+        phi = shapley_values(g, obj, master_seed=4)
+        assert select_spic(g, k, obj, master_seed=4).nodes == _loop_spic(g, k, phi)

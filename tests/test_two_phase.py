@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import instance_family
+from twophase_im import diffusion, selectors
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig, estimate_spread
 from twophase_im.graph import RawEdgeList, build_graph
+from twophase_im.instances import les_miserables_wc
 from twophase_im.two_phase import (
     TwoPhasePlan,
     eval_g,
     eval_h,
     run_two_phase,
+    score_cells,
     select_phase1,
 )
 
@@ -117,3 +120,30 @@ def test_eval_h_temporal_consistency_with_trivial_decay():
         plain = eval_h(g, [0], 1, 1, cfg)
         trivial = eval_h(g, [0], 1, 1, cfg, DecayFunction(1.0))
         assert plain.mean == trivial.mean
+
+
+@pytest.mark.parametrize("cells_per_group", [None, 100], ids=["default", "small-groups"])
+@pytest.mark.parametrize("decay", [DecayFunction(1.0), DecayFunction(0.8)],
+                         ids=["delta1", "delta0.8"])
+@pytest.mark.parametrize("selector", ["sd", "gdd", "greedy", "rmax"])
+def test_score_cells_equals_run_two_phase_per_cell(monkeypatch, example1, selector, decay,
+                                                   cells_per_group):
+    # every k1 from 0 (no first phase) to k (the single-phase arm), each
+    # k1 < k at every delay; 100 cells a group splits every cascade into
+    # one or two outer replicates
+    if cells_per_group is not None:
+        monkeypatch.setattr(diffusion, "GROUP_CELLS", cells_per_group)
+    monkeypatch.setattr(selectors, "RMAX_SAMPLES", 20)
+    for graph, k, d_max in ((example1, 3, 2), (les_miserables_wc(), 2, 2)):
+        mc = MonteCarloConfig(single_phase_sims=300, phase1_sims=12, phase2_sims=6,
+                              master_seed=k)
+        cells, want = [], []
+        for k1 in range(k + 1):
+            for d in ([0] if k1 == k else range(d_max + 1)):
+                plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=selector)
+                result, s1 = run_two_phase(graph, plan, mc, decay)
+                cells.append((k1, d, s1.nodes))
+                want.append(result.spread)
+        cells.append((k, d_max, cells[-1][2]))   # k1 = k is single-phase at any d
+        want.append(want[-1])
+        assert score_cells(graph, cells, k, mc, decay, selector) == want
