@@ -27,7 +27,7 @@ from .diffusion import (
     simulate_batch,
     simulate_ic,
 )
-from .face import CeConfig, face_joint_optimize, face_select
+from .face import face_joint_optimize, face_select
 from .graph import (
     GraphError,
     InfluenceGraph,

@@ -46,6 +46,7 @@ from .records import (
     write_record,
 )
 from .schedule import SearchConfig, estimate_D, exhaustive_grid, golden_section_k1
+from .selectors import SigmaObjective
 from .two_phase import SELECTORS, TwoPhasePlan, _farsighted, run_two_phase, score_cells
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
@@ -126,13 +127,13 @@ def run_select(params, graph):
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           master_seed=params["master_seed"])
-    if k == 0:
-        est = estimate_spread(graph, [], mc, decay=decay)
-        return {"seeds": [], "seed_ids": [], "spread": est.as_dict()}
-    plan = TwoPhasePlan(k1=k, k2=0, d=0, selector=params["algorithm"])
-    result, s1 = run_two_phase(graph, plan, mc, decay)
-    return {"seeds": _labels(graph, s1.nodes), "seed_ids": list(s1.nodes),
-            "spread": result.spread.as_dict()}
+    # greedy, RMax, SPIC and FACE pick on phase1_sims worlds, as a first phase does
+    objective = SigmaObjective(graph, mc, sims=mc.phase1_sims, decay=decay)
+    seeds = []
+    if k:
+        seeds = SELECTORS[params["algorithm"]](graph, k, objective, mc.master_seed).nodes
+    est = estimate_spread(graph, seeds, mc, decay=decay)
+    return {"seeds": _labels(graph, seeds), "seed_ids": list(seeds), "spread": est.as_dict()}
 
 
 def run_oracle(params, graph):

@@ -24,7 +24,6 @@ for a coin. One estimator, ``estimate_spreads``, weights activations by a
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,15 +83,15 @@ class DecayFunction:
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
 
-    def values(self, times: np.ndarray, offset: int = 0):
+    def values(self, times: np.ndarray):
         """Per-replicate value of an activation-time array: the sum over its
-        last axis of delta**(t + offset), NEVER counting 0. At delta = 1 it is
-        the integer active count, so the plain spread builds no float array."""
+        last axis of delta**t, NEVER counting 0. At delta = 1 it is the
+        integer active count, so the plain spread builds no float array."""
         active = times >= 0
         if self.delta == 1.0:
             return active.sum(axis=-1)
-        return np.where(active, np.power(self.delta, np.maximum(times, 0) + offset,
-                                         dtype=float), 0.0).sum(axis=-1)
+        return np.where(active, np.power(self.delta, np.maximum(times, 0), dtype=float),
+                        0.0).sum(axis=-1)
 
 
 NO_DECAY = DecayFunction()
@@ -237,9 +236,6 @@ def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
     a step. Of a stream shared by several blocks only the uniforms that some
     block still reading has not passed are kept: a block asked no coin in a
     step activates nothing, so it never reads again."""
-    if len(src) == 1:   # one block reads its stream as it goes, with no bookkeeping
-        rng = rngs[src[0]]
-        return lambda key, edge: rng.random(key.size) < prob[edge]
     bounds = np.asarray(starts, dtype=np.int64) * n
     src = np.asarray(src, dtype=np.int64)
     solo = len(set(src.tolist())) == len(src)
@@ -252,9 +248,11 @@ def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
         count = np.diff(np.searchsorted(key, bounds))
         live = np.flatnonzero(count)
         count, used, at = count[live], src[live], read[live]
-        if solo:
-            draws = [rngs[s].random(c) for s, c in zip(used.tolist(), count.tolist())]
-            return np.concatenate(draws or [np.zeros(0)]) < prob[edge]
+        if solo:   # each live block draws its count into its own slice, in key order
+            u, ends = np.empty(key.size), count.cumsum()
+            for s, a, b in zip(used.tolist(), (ends - count).tolist(), ends.tolist()):
+                rngs[s].random(out=u[a:b])
+            return u < prob[edge]
         read[live] += count
         lo, hi = np.full(len(rngs), last), np.zeros(len(rngs), dtype=np.int64)
         np.minimum.at(lo, used, at)
@@ -382,27 +380,27 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
 
 
 class ByteCache:
-    """Values with an ``nbytes`` by key, least recently used first out, under
-    a byte budget. The newest entry is always kept, whatever its size."""
+    """Values with an ``nbytes`` by key under a byte budget. An entry is
+    stored while it fits (the first one whatever its size) and is never
+    evicted, so a scan in a fixed order (greedy's) cannot flush the entries
+    it stored first, as it would flush a least-recently-used cache."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._items = OrderedDict()
+        self._items = {}
 
     def __len__(self) -> int:
         return len(self._items)
 
     def get(self, key, make):
-        """The value stored under ``key``, else ``make()``, stored."""
+        """The value stored under ``key``, else ``make()``, stored if it fits."""
         got = self._items.get(key)
-        if got is not None:
-            self._items.move_to_end(key)
-            return got
-        got = self._items[key] = make()
-        self.nbytes += got.nbytes
-        while self.nbytes > self.budget and len(self._items) > 1:
-            self.nbytes -= self._items.popitem(last=False)[1].nbytes
+        if got is None:
+            got = make()
+            if not self._items or self.nbytes + got.nbytes <= self.budget:
+                self._items[key] = got
+                self.nbytes += got.nbytes
         return got
 
 

@@ -29,23 +29,6 @@ EXPLORATION_FLOOR = 0.1   # least inclusion probability of a node after a refit
 
 
 @dataclass
-class CeConfig:
-    n_min: int
-    n_max: int
-    n_elite: int
-
-    @classmethod
-    def for_graph(cls, n: int) -> "CeConfig":
-        return cls(n_min=n, n_max=20 * n, n_elite=math.ceil(n / 4))
-
-    def __post_init__(self):
-        if not (1 <= self.n_min <= self.n_max):
-            raise ValueError("need 1 <= n_min <= n_max")
-        if not (1 <= self.n_elite <= self.n_min):
-            raise ValueError("need 1 <= n_elite <= n_min")
-
-
-@dataclass
 class CeSample:
     set: tuple
     value: float
@@ -132,23 +115,25 @@ def _better(cand: CeSample, best: CeSample | None) -> bool:
     return cand.value == best.value and tuple(sorted(cand.set)) < tuple(sorted(best.set))
 
 
-def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
+def _cross_entropy(q: np.ndarray, draw, score, refit=None):
     """The CE loop of both modes; returns (best sample, iteration log).
 
     ``draw(q)`` returns one candidate (k1, d, sorted seed tuple) from the
     node probabilities q, and ``score(candidates)`` returns their values.
-    Each iteration draws n_min samples, doubling up to n_max while the elite
-    threshold fails to improve, then refits q to the value-weighted elites
-    (smoothed by ALPHA, floored) and hands the elites to ``refit``. No draw
-    depends on a value, so each round (the n_min samples, then each
-    doubling's top-up) is drawn whole and its candidates not seen before
-    are scored in one call, in the order they first appear."""
+    With n = len(q) nodes, each iteration draws n samples, doubling up to 20n
+    while the elite threshold (the value of the ceil(n / 4)-th best sample)
+    fails to improve, then refits q to the value-weighted elites (smoothed
+    by ALPHA, floored) and hands the elites to ``refit``. No draw depends on
+    a value, so each round (the first n samples, then each doubling's
+    top-up) is drawn whole and its candidates not seen before are scored in
+    one call, in the order they first appear."""
+    n_min, n_max, n_elite = len(q), 20 * len(q), math.ceil(len(q) / 4)
     best: CeSample | None = None
     prev_threshold = None
     log = []
     cache = {}
     for it in range(MAX_ITERATIONS):
-        draws = config.n_min
+        draws = n_min
         samples = []
         while True:
             fresh = [draw(q) for _ in range(draws - len(samples))]
@@ -157,12 +142,12 @@ def _cross_entropy(q: np.ndarray, config: CeConfig, draw, score, refit=None):
                 cache.update(zip(new, map(float, score(new)), strict=True))
             samples += [CeSample(set=c[2], value=cache[c], k1=c[0], d=c[1]) for c in fresh]
             samples.sort(key=lambda s: (-s.value, s.d, s.set))
-            threshold = samples[config.n_elite - 1].value
+            threshold = samples[n_elite - 1].value
             improved = prev_threshold is None or threshold > prev_threshold
-            if improved or draws >= config.n_max:
+            if improved or draws >= n_max:
                 break
-            draws = min(2 * draws, config.n_max)
-        elites = samples[:config.n_elite]
+            draws = min(2 * draws, n_max)
+        elites = samples[:n_elite]
         for s in samples:
             if _better(s, best):
                 best = s
@@ -191,7 +176,7 @@ def face_select(graph: InfluenceGraph, budget: int, objective, master_seed: int 
         raise ValueError(f"budget {budget} out of range for n={n}")
     rng = stream(master_seed, TAG_FACE)
     best, log = _cross_entropy(
-        np.full(n, budget / n, dtype=float), CeConfig.for_graph(n),
+        np.full(n, budget / n, dtype=float),
         lambda q: (budget, 0, _sample_set(q, budget, rng)),
         lambda cands: [objective(frozenset(nodes)) for _, _, nodes in cands])
     result = SeedSet(nodes=sorted(best.set), budget=budget)
@@ -233,8 +218,8 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         k1_probs = _normalized(ALPHA * k1_new + (1 - ALPHA) * k1_probs)
         d_probs = _normalized(ALPHA * d_new + (1 - ALPHA) * d_probs)
 
-    best, log = _cross_entropy(np.full(n, k / n, dtype=float), CeConfig.for_graph(n), draw,
-                               two_phase_objective, refit)
+    best, log = _cross_entropy(np.full(n, k / n, dtype=float), draw, two_phase_objective,
+                               refit)
     result = (best.k1, best.d, SeedSet(nodes=sorted(best.set), budget=best.k1))
     return (result, log) if return_log else result
 

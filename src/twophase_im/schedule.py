@@ -4,8 +4,9 @@ golden-section search over k1 with a nested sequential delay search.
 The spread surface is treated as unimodal in k1 and in d separately, never
 jointly; only nested one-dimensional searches are implemented. Under a
 selector name every cell is scored by ``two_phase.score_cells``, with S1
-selected once per k1: the grid scores all its cells in one call, the
-golden-section and delay searches one cell a call.
+selected once per k1, every k1 on one first-phase objective: the grid scores
+all its cells in one call, the golden-section and delay searches one cell a
+call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .diffusion import (
     replicate_rows,
 )
 from .graph import InfluenceGraph
-from .selectors import select_wd
-from .two_phase import TwoPhasePlan, score_cells, select_phase1
+from .selectors import SigmaObjective, select_wd
+from .two_phase import SELECTORS, score_cells
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 D_MARGIN = 2  # safety steps added past the observed stagnation point
@@ -69,14 +70,19 @@ def _make_evaluator(graph, config: SearchConfig, selector):
     ``selector`` is either a selector id or a callable (k1, d) -> float |
     SpreadEstimate for synthetic and exact objectives. Under a selector id
     the cells not scored before go to one ``score_cells`` call, each with the
-    myopic S1 of its k1, selected once: it does not depend on d."""
+    myopic S1 of its k1, selected once (it does not depend on d) on one
+    first-phase objective that every k1 shares: an objective's value depends
+    on the set alone, so a shared one picks what a fresh one would."""
     memo = {}
     k = config.k_total
+    objective = SigmaObjective(graph, config.mc, sims=config.mc.phase1_sims,
+                               decay=config.decay)
 
     @functools.cache
     def first_phase(k1):
-        plan = TwoPhasePlan(k1=k1, k2=k - k1, d=0, selector=selector)
-        return select_phase1(graph, plan, config.mc, config.decay).nodes
+        if k1 == 0:
+            return []
+        return SELECTORS[selector](graph, k1, objective, config.mc.master_seed).nodes
 
     def score(k1, d):
         got = selector(k1, d)

@@ -62,8 +62,11 @@ class SigmaObjective:
     keeps the stack's bottom part that it shares with the set before it,
     pushes the rest but its last node and scores that node by the entries it
     would improve; each step costs the activations of one node, never the
-    whole table. When the worlds or the table would pass their byte
-    budgets, each set is estimated by a forward simulation
+    whole table. The table's entries are counted per step, as integers, and
+    a value is the sum of those counts times the decay weights (numpy's
+    ``sum``, no BLAS), over sims: a function of the set and the worlds
+    alone, whatever was scored before it. When the worlds or the table would
+    pass their byte budgets, each set is estimated by a forward simulation
     (``estimate_spread``) instead."""
 
     def __init__(self, graph, config: MonteCarloConfig, sims=None, tag=TAG_SINGLE,
@@ -71,13 +74,13 @@ class SigmaObjective:
         self.graph, self.config, self.tag = graph, config, tag
         self.sims = config.single_phase_sims if sims is None else sims
         self.decay = decay
-        # decay weight of an activation at step t, and 0 at t = n (NEVER)
-        self.weights = np.append(decay.values(np.arange(graph.n)[:, None]), 0.0)
+        # decay weight of an activation at step t < n
+        self.weights = decay.values(np.arange(graph.n)[:, None]).astype(np.float64)
         self._cache = {}
         self._worlds = None                  # WorldSample, False past a budget
         self._table = None
-        self._stack = []                     # (node, keys, replaced times, total before)
-        self._total = 0.0                    # weighted count of the table
+        self._stack = []                     # (node, keys, replaced times, counts before)
+        self._counts = np.zeros(graph.n, dtype=np.int64)   # table entries per step
         self._prev = frozenset()
 
     def __call__(self, seeds) -> float:
@@ -106,27 +109,34 @@ class SigmaObjective:
             self._push(v)
         rest = sorted(key - common)
         if not rest:
-            return self._total / self.sims
+            return self._score(self._counts)
         for v in rest[:-1]:
             self._push(v)
-        value = (self._total + self._gain(rest[-1])[0]) / self.sims
+        value = self._score(self._counts + self._gain(rest[-1])[0])
         for _ in rest[:-1]:
             self._pop()
         return value
 
+    def _score(self, counts) -> float:
+        return float((counts * self.weights).sum()) / self.sims
+
     def _gain(self, v):
+        """The change of the per-step counts if v joined the table, and the
+        entries it would improve (keys, times, old times)."""
         keys, times, old = self._worlds.improve(self._table, self._worlds.node(v))
-        w = self.weights
-        return float(w[times].sum() - w[np.minimum(old, self.graph.n)].sum()), keys, times, old
+        n = self.graph.n
+        gain = (np.bincount(times, minlength=n)
+                - np.bincount(np.minimum(old, n), minlength=n + 1)[:n])
+        return gain, keys, times, old
 
     def _push(self, v):
         gain, keys, times, old = self._gain(v)
         self._table.reshape(-1)[keys] = times
-        self._stack.append((v, keys, old, self._total))
-        self._total += gain
+        self._stack.append((v, keys, old, self._counts))
+        self._counts = self._counts + gain
 
     def _pop(self):
-        _, keys, old, self._total = self._stack.pop()
+        _, keys, old, self._counts = self._stack.pop()
         self._table.reshape(-1)[keys] = old
 
 

@@ -84,18 +84,14 @@ class TwoPhasePlan:
     k2: int
     d: int
     mode: str = "myopic"  # myopic | farsighted
-    selector: str = "gdd"
-    selector2: str | None = None  # defaults to selector
+    selector: str = "gdd"         # picks both phases
     s1: SeedSet | None = None     # pre-chosen first-phase seeds, else selected
 
     def __post_init__(self):
         if self.mode not in ("myopic", "farsighted"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.selector2 is None:
-            self.selector2 = self.selector
-        for name in (self.selector, self.selector2):
-            if name not in SELECTORS:
-                raise ValueError(f"unknown selector {name!r}")
+        if self.selector not in SELECTORS:
+            raise ValueError(f"unknown selector {self.selector!r}")
         if self.k1 < 0 or self.k2 < 0 or self.d < 0:
             raise ValueError("k1, k2, d must be non-negative")
         if self.s1 is not None and len(self.s1.nodes) > self.k1:
@@ -313,6 +309,6 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
                                          progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
     est, prog, s2s = _nested_run(graph, [s1.nodes], plan.d, [plan.k2], config, decay,
-                                 _second_phase(plan.selector2, config.phase2_sims),
+                                 _second_phase(plan.selector, config.phase2_sims),
                                  collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

@@ -412,3 +412,33 @@ def test_oversized_phase2_batch_is_refused_before_allocating(tmp_path, capsys, m
     assert not list(tmp_path.glob("*.json"))
     code, _, err = run(capsys, *args, "--phase2-sims", "40")
     assert code == 0, err
+
+
+@pytest.mark.parametrize("algorithm, delta", [("gdd", "1"), ("greedy", "0.8")])
+def test_select_runs_no_two_phase_plan_and_counts_no_progression(tmp_path, capsys,
+                                                                   monkeypatch, algorithm,
+                                                                   delta):
+    # one selector call and one spread estimate, the same as the
+    # single-phase plan (k2 = 0, d = 0) that select ran through before
+    import twophase_im.cli as cli
+    from twophase_im import diffusion
+    from twophase_im.diffusion import DecayFunction, MonteCarloConfig
+    from twophase_im.instances import les_miserables_wc
+    from twophase_im.two_phase import TwoPhasePlan, run_two_phase
+
+    mc = MonteCarloConfig(single_phase_sims=300, master_seed=4)
+    plan = TwoPhasePlan(k1=3, k2=0, d=0, selector=algorithm)
+    want, s1 = run_two_phase(les_miserables_wc(), plan, mc, DecayFunction(float(delta)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("select must not count a progression or run a two-phase plan")
+
+    monkeypatch.setattr(diffusion, "_histogram_add", refuse)
+    monkeypatch.setattr(cli, "run_two_phase", refuse)
+    code, out, _ = run(capsys, "select", "--graph", "lesmis", "--algorithm", algorithm,
+                       "--k", "3", "--delta", delta, "--seed", "4", "--sims", "300",
+                       "--output-dir", str(tmp_path))
+    assert code == 0
+    got = last_json(out)
+    assert got["seed_ids"] == s1.nodes
+    assert got["spread"] == want.spread.as_dict()

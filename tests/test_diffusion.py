@@ -35,7 +35,6 @@ def test_decay_weights():
     plain = DecayFunction().values(times)
     assert plain.dtype.kind == "i" and list(plain) == [3, 1]
     assert list(DecayFunction(0.5).values(times)) == [1.75, 0.125]
-    assert list(DecayFunction(0.5).values(times, offset=1)) == [0.875, 0.0625]
     # delta = 0 still values step-0 activations at 1
     assert list(DecayFunction(0.0).values(times)) == [1.0, 0.0]
     assert DecayFunction(0.5).values(times[0]) == 1.75

@@ -1,24 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from twophase_im import face
 from twophase_im.face import (
-    CeConfig,
     _clamp_redistribute,
     _sample_set,
     face_joint_optimize,
     face_select,
 )
+from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.oracle import get_oracle
 
 
-def test_ce_config_validation():
-    with pytest.raises(ValueError):
-        CeConfig(n_min=5, n_max=4, n_elite=1)
-    with pytest.raises(ValueError):
-        CeConfig(n_min=4, n_max=8, n_elite=5)
-    cfg = CeConfig.for_graph(10)
-    assert (cfg.n_min, cfg.n_max, cfg.n_elite) == (10, 200, 3)
+def test_ce_round_sizes_follow_n(monkeypatch):
+    # on n nodes an iteration first draws n sets, its elite threshold is the
+    # value of the ceil(n / 4)-th best of them, and while the threshold does
+    # not improve the draws double, up to 20n
+    drawn = []
+    sample = face._sample_set
+    monkeypatch.setattr(face, "_sample_set", lambda *a: drawn.append(sample(*a)) or drawn[-1])
+
+    def value(s):
+        return float(sum(2.0 ** v for v in s))   # a different value for every set
+
+    for n in (10, 13):
+        g = build_graph(RawEdgeList(directed=True,
+                                    pairs=[(str(v), str(v + 1), 0.5) for v in range(n - 1)]))
+        drawn.clear()
+        _, log = face_select(g, 3, value, master_seed=0, return_log=True)
+        assert log[0].draws == n
+        first = sorted((value(s) for s in drawn[:n]), reverse=True)
+        assert log[0].elite_threshold == first[math.ceil(n / 4) - 1]
+        _, log = face_select(g, 3, lambda s: 1.0, master_seed=0, return_log=True)
+        assert [entry.draws for entry in log] == [n, 20 * n]
 
 
 def test_clamp_redistribute_hand_example():

@@ -6,6 +6,9 @@ batched search and its joint scorer, ``score_cells`` on
 ``_farsighted(config)``, must equal them bit for bit (``==``, not a
 tolerance): every candidate reads the same streams either way."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +33,6 @@ from twophase_im.face import (
     ALPHA,
     EXPLORATION_FLOOR,
     MAX_ITERATIONS,
-    CeConfig,
     CeIterationLog,
     CeSample,
     _better,
@@ -48,6 +50,12 @@ from twophase_im.selectors import SigmaObjective, select_wd
 from twophase_im.two_phase import _farsighted, eval_h, score_cells
 
 DECAYS = [NO_DECAY, DecayFunction(0.8)]
+
+
+def _ce_sizes(n):
+    """The CE round sizes on n nodes: n first draws, at most 20n, and the
+    ceil(n / 4) best as elites."""
+    return SimpleNamespace(n_min=n, n_max=20 * n, n_elite=math.ceil(n / 4))
 
 
 class _LoopFace:
@@ -93,13 +101,13 @@ class _LoopFace:
             return CeSample(set=nodes, value=cache[key], k1=budget, d=0)
 
         q = np.full(graph.n, budget / graph.n, dtype=float)
-        best, log = cls.cross_entropy(q, CeConfig.for_graph(graph.n), draw)
+        best, log = cls.cross_entropy(q, _ce_sizes(graph.n), draw)
         return sorted(best.set), log
 
     @classmethod
     def joint(cls, graph, k, D, objective, master_seed=0):
         n = graph.n
-        config = CeConfig.for_graph(n)
+        config = _ce_sizes(n)
         probs = {"k1": np.full(k, 1.0 / k), "d": np.full(D + 1, 1.0 / (D + 1))}
         rng, cache = stream(master_seed, TAG_FACE), {}
 
@@ -272,7 +280,7 @@ def test_each_round_is_scored_in_one_call():
     assert sum(len(r) for r in rounds) <= sum(e.draws for e in log)
     # an iteration's rounds: its n_min draws, then one per doubling up to
     # its logged draws (capped at n_max); a round with no new key is no call
-    config = CeConfig.for_graph(g.n)
+    config = _ce_sizes(g.n)
     draw_rounds = 0
     for entry in log:
         draws = config.n_min

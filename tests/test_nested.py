@@ -186,7 +186,8 @@ class _LoopNested:
             times = simulate_batch(res, recent_local + list(s2_local),
                                    stream(config.master_seed, TAG_PHASE2, i), m2)
             base = float(decay.values(np.where(already_mask, at, NEVER)))
-            outer_means[i] = (base + decay.values(times, offset=d)).mean()
+            absolute = np.where(times >= 0, times + d, NEVER)   # steps on the parent's clock
+            outer_means[i] = (base + decay.values(absolute)).mean()
             phase1_hist = _histogram_add(phase1_hist, at[already_mask])
             phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
         mean = float(outer_means.mean())

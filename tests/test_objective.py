@@ -101,6 +101,24 @@ def test_objective_values_do_not_depend_on_the_call_order(monkeypatch):
                     assert value == direct
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.8, 0.5])
+@pytest.mark.parametrize("graph", [*FAMILY[:4], les_miserables_wc()],
+                         ids=[*(f"family-{i}" for i in range(4)), "lesmis"])
+def test_objective_value_does_not_depend_on_the_sets_scored_before(monkeypatch, graph, delta):
+    # greedy, SPIC and random sets reach a set through different stacks of
+    # members; each value is == to a fresh objective's value of the set alone
+    monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", 3)
+    cfg, decay = MonteCarloConfig(master_seed=3), DecayFunction(delta)
+    obj = SigmaObjective(graph, cfg, sims=150, decay=decay)
+    select_greedy(graph, min(3, graph.n), obj)
+    select_spic(graph, 2, obj, master_seed=3)
+    for seeds in _random_sets(np.random.default_rng(graph.n), graph.n, 10):
+        obj(seeds)
+    keys = sorted(obj._cache, key=sorted)
+    for key in keys[::max(1, len(keys) // 40)]:
+        assert obj(key) == SigmaObjective(graph, cfg, sims=150, decay=decay)(key), sorted(key)
+
+
 def test_objective_is_deterministic_and_starts_from_the_empty_set():
     g = FAMILY[0]
     cfg = MonteCarloConfig(master_seed=7)
@@ -181,7 +199,7 @@ def test_past_a_budget_the_objective_simulates_forward(tmp_path, monkeypatch, bu
 
 def test_the_node_cache_evicts_and_recomputes(monkeypatch):
     g = les_miserables_wc()
-    monkeypatch.setattr(diffusion, "CACHE_BYTES", 1)   # keeps the newest node only
+    monkeypatch.setattr(diffusion, "CACHE_BYTES", 1)   # keeps the first node only
     small = SigmaObjective(g, MonteCarloConfig(master_seed=8), sims=100)
     got = select_greedy(g, 3, small)
     monkeypatch.undo()

@@ -374,8 +374,9 @@ def test_array_oracle_matches_loop_reference_on_sixteen_arcs():
 
 def test_max_f_leaves_a_bounded_distance_cache():
     # max_f(3, ...) on 8 nodes visits 56 seed sets; their (2^16, 8) distance
-    # tables are 512 KiB each, and the cache keeps only the newest few
-    # (the loop-reference tests above check the values with the cache in place)
+    # tables are 512 KiB each, and the cache keeps only the first few it is
+    # given (the loop-reference tests above check the values with the cache
+    # in place)
     g = _sixteen_arc_instance()
     orc = ExactOracle(g)
     first = orc.exact_f([0, 1, 2], 2, 1)
@@ -383,8 +384,8 @@ def test_max_f_leaves_a_bounded_distance_cache():
     table = (1 << g.m) * g.n
     assert len(orc._dist_from) == DIST_FROM_BYTES // table < 56
     assert orc._dist_from.nbytes <= DIST_FROM_BYTES
-    # the first seed set's table was evicted; it is rebuilt with the same values
-    assert 0b111 not in orc._dist_from._items
+    # the first seed set's table stays cached, and gives the same values
+    assert 0b111 in orc._dist_from._items
     assert orc.exact_f([0, 1, 2], 2, 1) == first
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import instance_family
-from twophase_im.diffusion import DecayFunction, MonteCarloConfig
+from twophase_im.diffusion import DecayFunction, MonteCarloConfig, SpreadEstimate
 from twophase_im.graph import RawEdgeList, build_graph
-from twophase_im import schedule, two_phase
+from twophase_im import schedule, selectors, two_phase
 from twophase_im.instances import les_miserables_wc
 from twophase_im.oracle import get_oracle
 from twophase_im.schedule import (
@@ -14,7 +14,8 @@ from twophase_im.schedule import (
     golden_section_k1,
     sequential_d_search,
 )
-from twophase_im.two_phase import TwoPhasePlan, run_two_phase
+from twophase_im.selectors import SigmaObjective
+from twophase_im.two_phase import SELECTORS, TwoPhasePlan, run_two_phase
 
 
 class CountingObjective:
@@ -100,6 +101,39 @@ def test_optimizers_select_each_first_phase_once(monkeypatch):
     search = SearchConfig(k_total=4, d_max=3, decay=DecayFunction(0.5), mc=mc)
     golden_section_k1(g, search, "gdd")
     assert calls and sorted(calls) == sorted(set(calls))
+
+
+@pytest.mark.parametrize("optimize", [exhaustive_grid, golden_section_k1],
+                         ids=["grid", "golden"])
+@pytest.mark.parametrize("delta", [1.0, 0.8])
+@pytest.mark.parametrize("selector", ["greedy", "rmax", "spic", "face"])
+def test_every_first_phase_comes_from_one_shared_objective(monkeypatch, optimize, delta,
+                                                           selector):
+    # one world sample serves every k1, and each k1's S1 is the one a fresh
+    # objective picks (the cells' scores are stubbed: only S1 is compared)
+    monkeypatch.setattr(selectors, "RMAX_SAMPLES", 30)
+    monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", 3)
+    built = []
+    world_sample = selectors.WorldSample
+    monkeypatch.setattr(selectors, "WorldSample",
+                        lambda *args: built.append(args) or world_sample(*args))
+    picked = {}
+
+    def stub(graph, cells, k, config, decay, selector2):
+        picked.update((k1, s1) for k1, _, s1 in cells)
+        return [SpreadEstimate(mean=-abs(k1 - 2) - d / 8, stderr=0.0, samples=1)
+                for k1, d, _ in cells]
+
+    monkeypatch.setattr(schedule, "score_cells", stub)
+    g = les_miserables_wc()
+    mc = MonteCarloConfig(phase1_sims=40, master_seed=2)
+    decay = DecayFunction(delta)
+    optimize(g, SearchConfig(k_total=4, d_max=2, decay=decay, mc=mc), selector)
+    assert len(built) == 1 and len(picked) > 2
+    for k1, s1 in picked.items():
+        fresh = SigmaObjective(g, mc, sims=mc.phase1_sims, decay=decay)
+        want = SELECTORS[selector](g, k1, fresh, mc.master_seed).nodes if k1 else []
+        assert s1 == want, k1
 
 
 def test_sequential_d_short_circuits_without_decay(example1):

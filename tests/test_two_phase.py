@@ -24,7 +24,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         TwoPhasePlan(k1=-1, k2=1, d=0)
     plan = TwoPhasePlan(k1=2, k2=1, d=3, selector="greedy")
-    assert plan.selector2 == "greedy" and plan.k == 3
+    assert plan.selector == "greedy" and plan.k == 3
 
 
 def test_eval_h_matches_exact_objective_on_example1(example1):
@@ -79,21 +79,22 @@ def test_second_phase_budget_shortfall_is_handled():
 
 
 def test_myopic_and_farsighted_pipelines_run(example1):
+    # a greedy first phase, then a GDD second phase (``_second_phase``)
     cfg = MonteCarloConfig(phase1_sims=60, phase2_sims=40, master_seed=1)
     for mode in ("myopic", "farsighted"):
-        plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector="greedy",
-                            selector2="gdd")
-        result, s1 = run_two_phase(example1, plan, cfg)
+        plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector="greedy")
+        s1 = select_phase1(example1, plan, cfg)
+        [spread] = score_cells(example1, [(1, 1, s1.nodes)], 2, cfg, selector2="gdd")
         assert len(s1.nodes) == 1
-        assert result.spread.mean > 0
+        assert spread.mean > 0
 
 
 def test_objective_second_phase_selectors_run(example1):
     cfg = MonteCarloConfig(phase1_sims=20, phase2_sims=30, master_seed=2)
+    s1 = select_phase1(example1, TwoPhasePlan(k1=1, k2=1, d=1, selector="gdd"), cfg)
     for sel2 in ("greedy", "rmax", "sd", "wd"):
-        plan = TwoPhasePlan(k1=1, k2=1, d=1, selector="gdd", selector2=sel2)
-        result, _ = run_two_phase(example1, plan, cfg)
-        assert result.spread.mean > 1.0
+        [spread] = score_cells(example1, [(1, 1, s1.nodes)], 2, cfg, selector2=sel2)
+        assert spread.mean > 1.0
 
 
 def test_select_phase1_heuristics(example1):
