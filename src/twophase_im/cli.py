@@ -228,17 +228,17 @@ CORE = {
 def _write_csvs(results, record_path: Path):
     stem = record_path.with_suffix("")
     if "progression" in results:
-        with open(f"{stem}-progression.csv", "w", newline="") as fh:
+        with open(f"{stem}-progression.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "new_activations_mean"])
             w.writerows(enumerate(results["progression"]))
     if "grid" in results:
-        with open(f"{stem}-grid.csv", "w", newline="") as fh:
+        with open(f"{stem}-grid.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["k1", "d", "mean", "stderr"])
             w.writerows(results["grid"])
     if "face_log" in results:
-        with open(f"{stem}-face-log.csv", "w", newline="") as fh:
+        with open(f"{stem}-face-log.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["iter", "draws", "elite_threshold", "best"])
             w.writerows(results["face_log"])

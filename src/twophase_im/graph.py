@@ -1,10 +1,28 @@
-"""Graph data model, edge-list ingestion, and WC/TV probability transforms."""
+"""Graph data model, edge-list ingestion, and WC/TV probability transforms.
+
+Ingest is array-backed. ``load_edge_list`` parses an edge list line by line
+into a ``RawEdgeList``; every graph is then built from one arc list held in
+numpy arrays. Node ids come from a single dict pass in first-appearance
+order; an undirected record (a, b) becomes the arcs (a, b) and (b, a), and
+directed input is taken as given. Self-loops are dropped with a mask and
+repeated arcs are found with one stable sort of the arc keys, first
+occurrences keeping their input order: ``build_graph`` rejects repeats (one
+probability per edge), the transforms collapse them. The weighted cascade gives arc (u, v) the
+probability 1 / in-degree of v; the trivalency model draws one of three
+values per arc, in arc order. One constructor, ``_finish``, lays the arcs
+out as CSR with a stable sort by source, so a node's out-edges keep their
+input order. The native ``.tpim`` format and the graph fingerprint share
+their edge text (``edge_lines``).
+"""
 
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
+from operator import itemgetter
 
 import numpy as np
 
@@ -109,12 +127,11 @@ def load_edge_list(path, directed: bool = True) -> RawEdgeList:
     """
     pairs = []
     arity = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("%"):
-                continue
             fields = line.split()
+            if not fields or fields[0][0] in "#%":   # blank or comment line
+                continue
             if len(fields) not in (2, 3):
                 raise GraphError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
             if arity is None:
@@ -132,114 +149,105 @@ def load_edge_list(path, directed: bool = True) -> RawEdgeList:
     return RawEdgeList(directed=directed, pairs=pairs)
 
 
-def _assign_ids(pairs):
-    """Dense node ids in first-appearance order."""
-    labels = []
-    ids = {}
-    for rec in pairs:
-        for lab in rec[:2]:
-            if lab not in ids:
-                ids[lab] = len(labels)
-                labels.append(lab)
-    return labels, ids
+def _arc_list(raw: RawEdgeList):
+    """The arcs of ``raw`` as id arrays in record order, self-loops removed.
+
+    Returns (labels, src, dst, rec, loops, repeat). Node ids follow first
+    appearance; an undirected record (a, b) gives the arcs (a, b) and (b, a),
+    in that order; ``rec[j]`` is the record arc j came from; ``loops`` counts
+    the self-loop arcs removed; ``repeat[j]`` marks an arc an earlier arc
+    already gave.
+    """
+    ids = defaultdict(count().__next__)   # a new label gets the next id
+    ends = np.fromiter(map(ids.__getitem__, chain.from_iterable(map(itemgetter(0, 1), raw.pairs))),
+                       dtype=np.int64, count=2 * len(raw.pairs)).reshape(-1, 2)
+    rec = np.arange(len(ends))
+    if not raw.directed:
+        ends = np.hstack((ends, ends[:, ::-1])).reshape(-1, 2)
+        rec = rec.repeat(2)
+    keep = (ends[:, 0] != ends[:, 1]).nonzero()[0]
+    src, dst = ends[keep].T
+    return list(ids), src, dst, rec[keep], len(ends) - len(keep), _repeats(src, dst, len(ids))
 
 
-def _finish(n, labels, directed_edges, self_loops):
-    """CSR graph from (u, v, p) triples; a node's out-edges keep their order."""
+def _repeats(src, dst, n):
+    """Mask of the arcs that an earlier arc already gave: a stable sort puts
+    each arc's first occurrence ahead of its repeats."""
+    key = src * n + dst
+    order = key.argsort(kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeat
+
+
+def _finish(n, labels, src, dst, p, self_loops):
+    """CSR graph from aligned arc arrays; a node's out-edges keep their order."""
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=3)
-    src, dst, p = zip(*directed_edges) if directed_edges else ((), (), ())
-    src = np.array(src, dtype=np.int64)
     order = src.argsort(kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.bincount(src, minlength=n).cumsum(out=indptr[1:])
-    return InfluenceGraph(n=n, labels=labels, indptr=indptr,
-                          dst=np.array(dst, dtype=np.int64)[order],
-                          p=np.array(p, dtype=np.float64)[order], self_loops_dropped=self_loops)
+    return InfluenceGraph(n=n, labels=labels, indptr=indptr, dst=dst[order], p=p[order],
+                          self_loops_dropped=self_loops)
 
 
 def build_graph(raw: RawEdgeList) -> InfluenceGraph:
     """Build an InfluenceGraph from records that carry probabilities.
 
-    Self-loops are dropped (with a count); duplicate directed edges are a
-    hard error since the cascade model has exactly one probability per edge.
+    Self-loops are dropped (with a count of arcs); a repeated directed edge
+    is a hard error since the cascade model has exactly one probability per
+    edge. The error names the first offending record.
     """
     if raw.pairs and not raw.has_probs:
         raise GraphError("edge list has no probabilities; use the wc or tv transform")
-    labels, ids = _assign_ids(raw.pairs)
-    seen = set()
-    edges = []
-    self_loops = 0
-    for a, b, p in raw.pairs:
-        if p is None or not (0.0 <= p <= 1.0):
-            raise GraphError(f"probability {p!r} outside [0, 1] on edge ({a!r}, {b!r})")
-        u, v = ids[a], ids[b]
-        arcs = [(u, v)] if raw.directed else [(u, v), (v, u)]
-        for s, t in arcs:
-            if s == t:
-                self_loops += 1
-                continue
-            if (s, t) in seen:
-                raise GraphError(f"duplicate directed edge ({labels[s]!r}, {labels[t]!r})")
-            seen.add((s, t))
-            edges.append((s, t, p))
-    return _finish(len(labels), labels, edges, self_loops)
+    labels, src, dst, rec, loops, repeat = _arc_list(raw)
+    p = np.array([r[2] for r in raw.pairs], dtype=np.float64)   # None reads as NaN
+    bad = (~((p >= 0.0) & (p <= 1.0))).nonzero()[0]
+    dup = repeat.nonzero()[0]
+    if len(bad) and (not len(dup) or bad[0] <= rec[dup[0]]):
+        a, b, q = raw.pairs[bad[0]]
+        raise GraphError(f"probability {q!r} outside [0, 1] on edge ({a!r}, {b!r})")
+    if len(dup):
+        s, t = src[dup[0]], dst[dup[0]]
+        raise GraphError(f"duplicate directed edge ({labels[s]!r}, {labels[t]!r})")
+    return _finish(len(labels), labels, src, dst, p[rec], loops)
 
 
-def _undirected_simple_edges(raw: RawEdgeList):
-    """Distinct undirected node-id pairs; duplicates collapsed, loops dropped."""
-    labels, ids = _assign_ids(raw.pairs)
-    seen = set()
-    und = []
-    self_loops = 0
-    dups = 0
-    for a, b, _ in raw.pairs:
-        u, v = ids[a], ids[b]
-        if u == v:
-            self_loops += 1
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            dups += 1
-            continue
-        seen.add(key)
-        und.append((u, v))
+def _distinct_arcs(raw: RawEdgeList):
+    """(labels, src, dst, self_loops) for a transform: repeated edges are
+    collapsed into their first occurrence, with a warning, and self-loops
+    dropped. Undirected counts are per record, not per arc."""
+    labels, src, dst, _, loops, repeat = _arc_list(raw)
+    per_record = 1 if raw.directed else 2
+    dups = int(repeat.sum()) // per_record
     if dups:
-        warnings.warn(f"collapsed {dups} duplicate undirected edge(s)", stacklevel=3)
-    return labels, und, self_loops
+        kind = "directed" if raw.directed else "undirected"
+        warnings.warn(f"collapsed {dups} duplicate {kind} edge(s)", stacklevel=3)
+    return labels, src[~repeat], dst[~repeat], loops // per_record
 
 
 def apply_wc_transform(raw: RawEdgeList) -> InfluenceGraph:
-    """Weighted-cascade transform: p_uv = 1 / undirected degree of v."""
+    """Weighted-cascade transform: p_uv = 1 / in-degree of v over the
+    distinct arcs; for undirected input, the undirected degree of v."""
     if raw.has_probs:
         raise GraphError("wc transform requires an unweighted edge list")
-    labels, und, self_loops = _undirected_simple_edges(raw)
-    deg = [0] * len(labels)
-    for u, v in und:
-        deg[u] += 1
-        deg[v] += 1
-    edges = []
-    for u, v in und:
-        edges.append((u, v, 1.0 / deg[v]))
-        edges.append((v, u, 1.0 / deg[u]))
-    return _finish(len(labels), labels, edges, self_loops)
+    labels, src, dst, self_loops = _distinct_arcs(raw)
+    p = 1.0 / np.bincount(dst, minlength=len(labels))[dst]
+    return _finish(len(labels), labels, src, dst, p, self_loops)
 
 
 TV_PROBS = (0.001, 0.01, 0.1)
 
 
 def apply_tv_transform(raw: RawEdgeList, seed: int) -> InfluenceGraph:
-    """Trivalency transform: each directed edge gets a probability drawn
-    uniformly from {0.001, 0.01, 0.1}; deterministic for a fixed seed."""
+    """Trivalency transform: each distinct arc, in input order, gets a
+    probability drawn uniformly from {0.001, 0.01, 0.1}; deterministic for a
+    fixed seed."""
     if raw.has_probs:
         raise GraphError("tv transform requires an unweighted edge list")
-    labels, und, self_loops = _undirected_simple_edges(raw)
-    rng = np.random.default_rng(seed)
-    edges = []
-    for u, v in und:
-        edges.append((u, v, TV_PROBS[rng.integers(3)]))
-        edges.append((v, u, TV_PROBS[rng.integers(3)]))
-    return _finish(len(labels), labels, edges, self_loops)
+    labels, src, dst, self_loops = _distinct_arcs(raw)
+    draws = np.random.default_rng(seed).integers(3, size=len(src))
+    return _finish(len(labels), labels, src, dst, np.array(TV_PROBS)[draws], self_loops)
 
 
 def residual_graph(graph: InfluenceGraph, already):
@@ -266,22 +274,31 @@ def residual_graph(graph: InfluenceGraph, already):
     return sub, kept
 
 
+def edge_lines(graph: InfluenceGraph) -> list:
+    """``u v repr(p)`` for every arc in (u, v) order, the text both the native
+    file and the graph fingerprint hold. ``repr`` is taken once per distinct
+    probability (by bit pattern, so 0.0 and -0.0 stay apart)."""
+    order = np.argsort(graph.src * graph.n + graph.dst, kind="stable")   # edges() order
+    bits, which = np.unique(graph.p[order].view(np.int64), return_inverse=True)
+    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
+    ids = list(map(str, range(graph.n)))
+    return [f"{ids[u]} {ids[v]} {reprs[w]}" for u, v, w in zip(
+        graph.src[order].tolist(), graph.dst[order].tolist(), which.tolist())]
+
+
 def save_graph(graph: InfluenceGraph, path) -> None:
     """Write the native serialized format (versioned header, exact floats)."""
-    with open(path, "w") as fh:
-        fh.write(f"{FORMAT_MAGIC} v{FORMAT_VERSION}\n")
-        fh.write(f"{graph.n} {graph.m}\n")
-        for lab in graph.labels:
-            fh.write(f"{lab}\n")
-        for u, v, p in graph.edges():
-            fh.write(f"{u} {v} {p!r}\n")
+    lines = [f"{FORMAT_MAGIC} v{FORMAT_VERSION}", f"{graph.n} {graph.m}",
+             *map(str, graph.labels), *edge_lines(graph), ""]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
 
 
 def load_graph(path) -> InfluenceGraph:
     """Read the native serialized format back; exact round-trip. An arc may
     appear once, as in ``build_graph``; a malformed or truncated file is a
-    ``GraphError``."""
-    with open(path) as fh:
+    ``GraphError`` naming its first bad arc line."""
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if not header or header[0] != FORMAT_MAGIC:
             raise GraphError(f"{path}: not a native graph file")
@@ -297,25 +314,33 @@ def load_graph(path) -> InfluenceGraph:
                 if not line:
                     raise ValueError("fewer labels than nodes")
                 labels.append(line.rstrip("\n"))
-            edges = []
-            seen = set()
-            for _ in range(m):
-                u, v, p = fh.readline().split()
-                arc = int(u), int(v)
-                if not (0 <= min(arc) and max(arc) < n and 0.0 <= float(p) <= 1.0):
-                    raise ValueError(f"bad arc ({u}, {v}, {p})")
-                if arc in seen:
-                    raise ValueError(f"repeated arc ({u}, {v})")
-                seen.add(arc)
-                edges.append((*arc, float(p)))
+            rows, bad = [], None
+            try:
+                for _ in range(m):
+                    u, v, p = row = fh.readline().split()
+                    arc = int(u), int(v)
+                    if not (0 <= min(arc) and max(arc) < n and 0.0 <= float(p) <= 1.0):
+                        raise ValueError(f"bad arc ({u}, {v}, {p})")
+                    rows.append(row)
+            except ValueError as exc:
+                bad = exc   # reported unless an earlier line repeats an arc
+            src = np.fromiter((int(r[0]) for r in rows), dtype=np.int64, count=len(rows))
+            dst = np.fromiter((int(r[1]) for r in rows), dtype=np.int64, count=len(rows))
+            repeat = _repeats(src, dst, n)
+            if repeat.any():
+                u, v, _ = rows[np.argmax(repeat)]
+                raise ValueError(f"repeated arc ({u}, {v})")
+            if bad is not None:
+                raise bad
         except ValueError as exc:
             raise GraphError(f"{path}: malformed native graph file: {exc}") from None
-    return _finish(n, labels, edges, 0)
+    probs = np.fromiter((float(r[2]) for r in rows), dtype=np.float64, count=len(rows))
+    return _finish(n, labels, src, dst, probs, 0)
 
 
 def is_native_graph_file(path) -> bool:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.readline().startswith(FORMAT_MAGIC)
     except OSError:
         return False

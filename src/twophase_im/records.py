@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+from .graph import edge_lines
 
 RECORD_VERSION = 3  # 2: CSR frontier sampler streams; 3: world-sampled SigmaObjective
 LOCK_NAME = ".tpim.lock"
@@ -31,17 +31,9 @@ class ReproducibilityError(RecordError):
 
 def graph_fingerprint(graph) -> str:
     """SHA-256 of the lines ``n=<n>``, each label, and ``u v repr(p)`` for
-    each edge in (u, v) order (``edges()``), each line ending in a newline.
-    The text is joined once, with ``repr`` taken once per distinct
-    probability (by bit pattern, so 0.0 and -0.0 stay apart)."""
-    order = np.lexsort((graph.dst, graph.src))   # arcs are unique: edges() order
-    bits, which = np.unique(graph.p[order].view(np.int64), return_inverse=True)
-    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
-    lines = [f"n={graph.n}", *map(str, graph.labels),
-             *(f"{u} {v} {reprs[w]}" for u, v, w in zip(graph.src[order].tolist(),
-                                                       graph.dst[order].tolist(),
-                                                       which.tolist()))]
-    lines.append("")
+    each edge in (u, v) order (``edge_lines``, as in the native file), each
+    line ending in a newline. The text is joined and hashed once."""
+    lines = [f"n={graph.n}", *map(str, graph.labels), *edge_lines(graph), ""]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -52,7 +44,7 @@ def output_lock(output_dir: Path):
     when its holder dies, so a killed run leaves no stale lock behind."""
     output_dir.mkdir(parents=True, exist_ok=True)
     lock = output_dir / LOCK_NAME
-    with open(lock, "a") as fh:
+    with open(lock, "a", encoding="utf-8") as fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -88,7 +80,7 @@ def write_record(output_dir: Path, command: str, params: dict, results: dict,
         "wall_time": wall_time,
     }
     path = _free_record_path(output_dir, f"{command}-{time.strftime('%Y%m%d-%H%M%S')}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -96,7 +88,7 @@ def write_record(output_dir: Path, command: str, params: dict, results: dict,
 
 def load_record(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordError(f"cannot read record {path}: {exc}") from None
