@@ -60,6 +60,6 @@ from .selectors import (
     select_wd,
     shapley_values,
 )
-from .two_phase import TwoPhasePlan, TwoPhaseResult, eval_g, eval_h, run_two_phase
+from .two_phase import TwoPhasePlan, TwoPhaseResult, eval_h, run_two_phase
 
 __version__ = "0.1.0"

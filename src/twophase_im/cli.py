@@ -63,6 +63,8 @@ def make_graph_spec(source, transform="none", tv_seed=0, directed=True):
     path = Path(source)
     if not path.exists():
         raise GraphError(f"graph source {source!r}: no such builtin or file")
+    if is_native_graph_file(path) and (transform != "none" or not directed):
+        raise GraphError(f"native graph file {source!r} takes no transform or --undirected")
     return {"source": f"file:{path}", "transform": transform,
             "tv_seed": tv_seed, "directed": directed}
 
@@ -78,16 +80,17 @@ def resolve_graph(spec):
         if is_native_graph_file(path):
             graph = load_graph(path)
         else:
-            raw = load_edge_list(path, directed=spec.get("directed", True))
-            graph = _transformed(raw, spec.get("transform", "none"), spec.get("tv_seed", 0))
+            graph = _edge_list_graph(path, spec.get("directed", True),
+                                     spec.get("transform", "none"), spec.get("tv_seed", 0))
     expected = spec.get("hash")
     if expected and expected != graph_fingerprint(graph):
         raise RecordError("input graph has changed since the record was written")
     return graph
 
 
-def _transformed(raw, transform, tv_seed):
-    """The graph of an edge list, its probabilities given or transformed."""
+def _edge_list_graph(path, directed, transform, tv_seed):
+    """The graph of an edge-list file, its probabilities given or transformed."""
+    raw = load_edge_list(path, directed=directed)
     if transform == "none":
         return build_graph(raw)
     if transform == "wc":
@@ -115,10 +118,10 @@ def _decay(delta):
 # -- core runners (shared by commands and rerun) ---------------------------
 
 
-def run_transform(params, _graph):
-    raw = load_edge_list(params["input"], directed=params["directed"])
-    graph = _transformed(raw, params["model"], params["seed"])
-    save_graph(graph, params["output"])
+def run_transform(params, graph):
+    if graph is None:   # a replay builds the graph again; only ``transform`` writes it
+        graph = _edge_list_graph(params["input"], params["directed"], params["model"],
+                                 params["seed"])
     return {"n": graph.n, "m": graph.m, "graph_hash": graph_fingerprint(graph)}
 
 
@@ -201,13 +204,13 @@ def run_twophase(params, graph):
             graph, k, delay,
             lambda cands: [est.mean for est in score_cells(graph, cands, k, far, decay)],
             master_seed=params["master_seed"], return_log=True)
-        plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=params["algorithm"],
-                            s1=s1)
-        result, s1 = run_two_phase(graph, plan, mc, decay)
+        # run_two_phase's estimate of the plan (k1, k - k1, d) with this S1,
+        # as FACE draws d = 0 exactly when k1 = k
+        [est] = score_cells(graph, [(k1, d, s1.nodes)], k, mc, decay, params["algorithm"])
         return {
             "best": [k1, d],
             "s1": _labels(graph, s1.nodes),
-            "spread": result.spread.as_dict(),
+            "spread": est.as_dict(),
             "face_log": [[e.iteration, e.draws, e.elite_threshold, e.best]
                          for e in log],
         }
@@ -307,7 +310,9 @@ def transform(input, output, model, seed, undirected, output_dir):
     """Assign edge probabilities to an unweighted edge list."""
     params = {"input": str(input), "output": str(output), "model": model,
               "seed": _seed_param(seed), "directed": not undirected}
-    _execute("transform", params, output_dir)
+    graph = _edge_list_graph(input, not undirected, model, params["seed"])
+    save_graph(graph, output)
+    _execute("transform", params, output_dir, graph)
 
 
 @cli.command()
@@ -401,9 +406,11 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
 def rerun(record, output_dir):
     """Replay a run record and require bit-exact numeric agreement."""
     stored = load_record(record)
-    params = stored["params"]
+    command, params = stored["command"], stored["params"]
+    if command not in CORE:
+        raise RecordError(f"record command {command!r} unknown")
     graph = resolve_graph(params["graph"]) if "graph" in params else None
-    fresh = CORE[stored["command"]](params, graph)
+    fresh = CORE[command](params, graph)
     diffs = diff_results(stored["results"], fresh)
     if diffs:
         for line in diffs:
@@ -412,7 +419,7 @@ def rerun(record, output_dir):
             f"{len(diffs)} numeric difference(s) replaying {record}")
     out = Path(output_dir) if output_dir else Path(record).parent
     with output_lock(out):
-        path = write_record(out, stored["command"], stored["params"], fresh, 0.0)
+        path = write_record(out, command, params, fresh, 0.0)
     click.echo(json.dumps({"match": True, "record": str(path)}, indent=2))
 
 

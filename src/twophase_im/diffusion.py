@@ -320,11 +320,14 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
             yield owner[a:a + fit], index[a:a + fit], times[a:a + fit]
 
 
-def _estimate(vals: np.ndarray) -> SpreadEstimate:
-    sims = len(vals)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(sims)) if sims > 1 else 0.0
-    return SpreadEstimate(mean=mean, stderr=stderr, samples=sims)
+def _estimates(vals: np.ndarray, samples: int) -> list:
+    """The estimate of each row of ``vals`` (sets, sims): its mean and standard
+    error, over ``samples`` replicates in all. A row's float sums are its
+    own, whatever the other rows."""
+    sims = vals.shape[1]
+    stderrs = vals.std(ddof=1, axis=1) / math.sqrt(sims) if sims > 1 else np.zeros(len(vals))
+    return [SpreadEstimate(mean=mean, stderr=stderr, samples=samples)
+            for mean, stderr in zip(vals.mean(axis=1).tolist(), stderrs.tolist())]
 
 
 def _histogram_add(hist, times, mask, owner, offset=0):
@@ -368,8 +371,8 @@ def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
         vals[owner, index] = decay.values(times)
         if progression:
             hist = _histogram_add(hist, times, times >= 0, owner)
-    return [(_estimate(v), _trim(h / sims) if progression else None)
-            for v, h in zip(vals, hist)]
+    return [(est, _trim(h / sims) if progression else None)
+            for est, h in zip(_estimates(vals, sims), hist)]
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,

@@ -295,9 +295,10 @@ def save_graph(graph: InfluenceGraph, path) -> None:
 
 
 def load_graph(path) -> InfluenceGraph:
-    """Read the native serialized format back; exact round-trip. An arc may
-    appear once, as in ``build_graph``; a malformed or truncated file is a
-    ``GraphError`` naming its first bad arc line."""
+    """Read the native serialized format back; exact round-trip. A label may
+    appear once, and an arc once, as in ``build_graph``; a malformed or
+    truncated file is a ``GraphError`` naming its first repeated label or its
+    first bad arc line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if not header or header[0] != FORMAT_MAGIC:
@@ -308,12 +309,16 @@ def load_graph(path) -> InfluenceGraph:
             n, m = map(int, fh.readline().split())
             if n < 0 or m < 0:
                 raise ValueError("negative size")
-            labels = []
+            labels, seen = [], set()
             for _ in range(n):
                 line = fh.readline()
                 if not line:
                     raise ValueError("fewer labels than nodes")
-                labels.append(line.rstrip("\n"))
+                label = line.rstrip("\n")
+                if label in seen:
+                    raise ValueError(f"repeated label {label!r}")
+                seen.add(label)
+                labels.append(label)
             rows, bad = [], None
             try:
                 for _ in range(m):

@@ -29,6 +29,14 @@ class ReproducibilityError(RecordError):
     """Replay produced different numbers than the stored record."""
 
 
+class RecordObject(dict):
+    """A JSON object of a loaded record (its params, say): a key it lacks is
+    a ``RecordError`` naming the key, not a ``KeyError``."""
+
+    def __missing__(self, key):
+        raise RecordError(f"record lacks {key!r}")
+
+
 def graph_fingerprint(graph) -> str:
     """SHA-256 of the lines ``n=<n>``, each label, and ``u v repr(p)`` for
     each edge in (u, v) order (``edge_lines``, as in the native file), each
@@ -89,16 +97,20 @@ def write_record(output_dir: Path, command: str, params: dict, results: dict,
 def load_record(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
+            record = json.load(fh, object_hook=RecordObject)
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordError(f"cannot read record {path}: {exc}") from None
+    if not isinstance(record, dict):
+        raise RecordError(f"record {path} is not a JSON object")
     if record.get("version") != RECORD_VERSION:
         raise RecordError(
             f"record version {record.get('version')!r} unsupported "
             f"(this build writes v{RECORD_VERSION})")
-    for key in ("command", "params", "results"):
-        if key not in record:
-            raise RecordError(f"record missing field {key!r}")
+    for key, kind in (("command", str), ("params", dict), ("results", dict)):
+        if not isinstance(record.get(key), kind):
+            raise RecordError(f"record field {key!r} missing or not a {kind.__name__}")
+    if not isinstance(record["params"].get("graph", {}), dict):
+        raise RecordError("record graph spec is not a dict")
     return record
 
 

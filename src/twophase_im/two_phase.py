@@ -1,5 +1,5 @@
-"""Two-phase pipeline: surrogate objectives g and h, the one cell scorer
-of the optimizers, and the end-to-end myopic/farsighted run.
+"""Two-phase pipeline: the surrogate objective h, the one cell scorer of
+the optimizers, and the end-to-end myopic/farsighted run of a fixed plan.
 
 Structure of every nested evaluation (``_nested_run``): simulate phase 1 to
 step d and observe it; in each outer replicate, pick second-phase seeds as
@@ -16,14 +16,14 @@ One nested run takes many first-phase sets at one d; each set reads the
 streams it would read alone, so its estimate is the same bit for bit.
 ``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_cells``
 scores many (k1, d, S1) cells, grouped by d, in one batch: the grid,
-golden-section and FACE-joint optimizers all score through it. Single-phase
-estimates (k2 = 0 and d = 0, and the k1 = k arm of ``score_cells``) are
-those of ``diffusion.estimate_spreads``.
+golden-section and FACE-joint optimizers, and FACE-joint's final estimate,
+all score through it. Single-phase estimates (k2 = 0 and d = 0, and the
+k1 = k arm of ``score_cells``) are those of ``diffusion.estimate_spreads``.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -38,6 +38,7 @@ from .diffusion import (
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
+    _estimates,
     _histogram_add,
     _trim,
     check_bytes,
@@ -85,7 +86,6 @@ class TwoPhasePlan:
     d: int
     mode: str = "myopic"  # myopic | farsighted
     selector: str = "gdd"         # picks both phases
-    s1: SeedSet | None = None     # pre-chosen first-phase seeds, else selected
 
     def __post_init__(self):
         if self.mode not in ("myopic", "farsighted"):
@@ -94,8 +94,6 @@ class TwoPhasePlan:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.k1 < 0 or self.k2 < 0 or self.d < 0:
             raise ValueError("k1, k2, d must be non-negative")
-        if self.s1 is not None and len(self.s1.nodes) > self.k1:
-            raise ValueError("s1 exceeds k1")
 
     @property
     def k(self) -> int:
@@ -118,24 +116,18 @@ def _second_phase(selector2, sims):
         return lambda graph, already, recent, budgets, master_seed: select_discount(
             graph, selector2, budgets, removed=already, preselected=recent)
 
-    def pick_one(res: InfluenceGraph, recent_local, k2_eff, master_seed):
-        cfg = MonteCarloConfig(master_seed=master_seed)
-        base = frozenset(recent_local)
-        sigma = SigmaObjective(res, cfg, sims=sims, tag=TAG_PHASE2_SELECT)
-        return SELECTORS[selector2](res, k2_eff, lambda s: sigma(base | s), master_seed).nodes
+    def pick_one(graph, gone, now, k2_eff, master_seed):
+        """Select on one outer replicate's residual graph, mapped back."""
+        res, kept = residual_graph(graph, np.flatnonzero(gone))
+        base = frozenset(np.searchsorted(kept, np.flatnonzero(now)).tolist())
+        sigma = SigmaObjective(res, MonteCarloConfig(master_seed=master_seed), sims=sims,
+                               tag=TAG_PHASE2_SELECT)
+        nodes = SELECTORS[selector2](res, k2_eff, lambda s: sigma(base | s), master_seed).nodes
+        return kept[nodes].tolist()
 
-    def pick(graph, already, recent, budgets, master_seed):
-        """Select on each outer replicate's residual graph, mapped back."""
-        picks = []
-        for gone, now, k2_eff in zip(already, recent, budgets.tolist()):
-            if k2_eff <= 0:
-                picks.append([])
-                continue
-            res, kept = residual_graph(graph, np.flatnonzero(gone))
-            recent_local = np.searchsorted(kept, np.flatnonzero(now)).tolist()
-            picks.append(kept[pick_one(res, recent_local, k2_eff, master_seed)].tolist())
-        return picks
-    return pick
+    return lambda graph, already, recent, budgets, master_seed: [
+        pick_one(graph, gone, now, k2_eff, master_seed) if k2_eff > 0 else []
+        for gone, now, k2_eff in zip(already, recent, budgets.tolist())]
 
 
 def _outer_values(blocks, at, already, decay):
@@ -201,20 +193,15 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         if progression:   # plain counts; sums to the delta = 1 mean
             phase1_hist = _histogram_add(phase1_hist, at, already, c)
             phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
-    # a row's mean and std are its own float sums, whatever the other rows
-    means = outer_means.mean(axis=1)
-    stderrs = (outer_means.std(ddof=1, axis=1) / math.sqrt(m1) if m1 > 1
-               else np.zeros(len(sets)))
     results = []
-    for mean, stderr, hist1, hist2, examples in zip(means.tolist(), stderrs.tolist(),
-                                                    phase1_hist, phase2_hist, s2_examples):
+    for est, hist1, hist2, examples in zip(_estimates(outer_means, m1 * m2),
+                                           phase1_hist, phase2_hist, s2_examples):
         prog = None
         if progression:
             prog = np.zeros(max(len(hist1), d + len(hist2)))
             prog[:len(hist1)] += hist1 / m1
             prog[d:d + len(hist2)] += hist2 / (m1 * m2)
             prog = _trim(prog)
-        est = SpreadEstimate(mean=mean, stderr=stderr, samples=m1 * m2)
         results.append((est, prog, examples))
     return results
 
@@ -222,18 +209,12 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
            decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """Two-phase surrogate with GDD second-phase selection (the production
-    objective: orders of magnitude cheaper than greedy)."""
+    objective: orders of magnitude cheaper than greedy). The farsighted
+    first-phase objective calls it with the plan's k2, which may be 0, where
+    ``score_cells`` would take its single-phase arm instead; perfbench's
+    tracer patches it by name."""
     return _nested_run(graph, [s1], d, [k2], config, decay,
                        _second_phase("gdd", None))[0][0]
-
-
-def eval_g(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
-           decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
-    """Two-phase surrogate with greedy second-phase selection, on objectives
-    of ``phase2_sims`` worlds; validation-only path (costly), restricted to
-    small graphs in practice."""
-    return _nested_run(graph, [s1], d, [k2], config, decay,
-                       _second_phase("greedy", config.phase2_sims))[0][0]
 
 
 def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
@@ -272,34 +253,23 @@ def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
     return estimates
 
 
-def _phase1_objective(graph, plan, config, decay):
-    if plan.mode == "myopic":
-        return SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
-    far = _farsighted(config)
-    cache = {}
-
-    def h_objective(s):
-        key = frozenset(s)
-        if key not in cache:
-            cache[key] = eval_h(graph, key, plan.d, plan.k2, far, decay).mean
-        return cache[key]
-
-    return h_objective
-
-
 def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> SeedSet:
-    if plan.s1 is not None:
-        return plan.s1
+    """The plan's first-phase seeds, picked on the spread (myopic) or on
+    ``eval_h`` at the plan's d and k2 (farsighted). Both objectives are lazy:
+    SD, WD and GDD never call theirs, so they draw nothing."""
     if plan.k1 == 0:
         return SeedSet(nodes=[], budget=0)
-    objective = (_phase1_objective(graph, plan, config, decay)
-                 if plan.selector not in DISCOUNT_KINDS else None)
+    if plan.mode == "myopic":
+        objective = SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
+    else:   # an objective takes a frozenset, so the cache keys on the set
+        far = _farsighted(config)
+        objective = functools.cache(lambda s: eval_h(graph, s, plan.d, plan.k2, far, decay).mean)
     return SELECTORS[plan.selector](graph, plan.k1, objective, config.master_seed)
 
 
 def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloConfig,
                   decay: DecayFunction = NO_DECAY):
-    """Full two-phase execution; returns (result, s1).
+    """Full two-phase execution of a fixed plan; returns (result, s1).
 
     With k2=0 and d=0 this reduces exactly to a single-phase run of the
     selector (same estimator streams as estimate_spread)."""

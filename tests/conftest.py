@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from twophase_im.diffusion import SpreadEstimate
 from twophase_im.instances import random_small_graph
 
 # ``pytest --hypothesis-profile=ci``: the same examples on every run, so that
@@ -27,6 +30,14 @@ def chunk_batches(graph, seeds, sims, master_seed, tag, stop_at=None):
     for idx, done in enumerate(range(0, sims, size)):
         yield diffusion.simulate_batch(graph, seeds, diffusion.stream(master_seed, tag, idx),
                                        min(size, sims - done), stop_at=stop_at)
+
+
+def estimate_1d(vals):
+    """The estimate of one 1-D sample reduced on its own, as estimates were
+    before one row-wise reducer (``diffusion._estimates``) served them all."""
+    sims = len(vals)
+    stderr = float(vals.std(ddof=1) / math.sqrt(sims)) if sims > 1 else 0.0
+    return SpreadEstimate(mean=float(vals.mean()), stderr=stderr, samples=sims)
 
 
 def in_edges(graph):

@@ -33,7 +33,7 @@ from twophase_im.schedule import (
     sequential_d_search,
 )
 from twophase_im.selectors import _pick, discount_state, select_gdd, select_wd
-from twophase_im.two_phase import eval_g, eval_h
+from twophase_im.two_phase import eval_h, score_cells
 
 TOL = 1e-9
 
@@ -163,7 +163,8 @@ def test_criterion_05_h_as_proxy_for_g():
         cfg = MonteCarloConfig(phase1_sims=200, phase2_sims=64, master_seed=5)
         cands = [(v,) for v in range(g.n)]
         cands += list(itertools.combinations(range(g.n), 2))
-        gs = [eval_g(g, s1, d_obs, k2, cfg).mean for s1 in cands]
+        gs = [score_cells(g, [(len(s1), d_obs, s1)], len(s1) + k2, cfg,
+                          selector2="greedy")[0].mean for s1 in cands]
         hs = [eval_h(g, s1, d_obs, k2, cfg).mean for s1 in cands]
         rho = scipy.stats.spearmanr(gs, hs).statistic
         if np.isnan(rho):  # constant rankings on degenerate instances

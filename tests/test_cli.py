@@ -442,3 +442,90 @@ def test_select_runs_no_two_phase_plan_and_counts_no_progression(tmp_path, capsy
     got = last_json(out)
     assert got["seed_ids"] == s1.nodes
     assert got["spread"] == want.spread.as_dict()
+
+
+def test_rerun_of_transform_never_writes_its_output(tmp_path, capsys):
+    src, out = tmp_path / "e.txt", tmp_path / "g.tpim"
+    src.write_text("a b\nb c\n")
+    code, stdout, _ = run(capsys, "transform", str(src), str(out), "--model", "wc",
+                          "--seed", "0", "--output-dir", str(tmp_path / "r"))
+    assert code == 0
+    record, written = last_json(stdout)["record"], out.read_bytes()
+    code, _, err = run(capsys, "rerun", record)
+    assert code == 0, err
+    src.write_text("a b\nb c\nc d\n")
+    code, _, err = run(capsys, "rerun", record)
+    assert code == 3 and "mismatch" in err
+    assert out.read_bytes() == written
+
+
+def _unknown_command(data):
+    return dict(data, command="bogus")
+
+
+def _missing_model(data):
+    del data["params"]["model"]
+    return data
+
+
+def _params_not_object(data):
+    return dict(data, params=[1, 2])
+
+
+def _spec_without_source(data):
+    del data["params"]["graph"]["source"]
+    return data
+
+
+def _record_not_object(data):
+    return [data]
+
+
+MALFORMED = [("transform", _unknown_command), ("transform", _missing_model),
+             ("select", _params_not_object), ("select", _spec_without_source),
+             ("select", _record_not_object)]
+
+
+@pytest.mark.parametrize("command, edit", MALFORMED,
+                         ids=[edit.__name__.strip("_") for _, edit in MALFORMED])
+def test_malformed_record_is_data_error(tmp_path, capsys, command, edit):
+    src = tmp_path / "e.txt"
+    src.write_text("a b\nb c\n")
+    if command == "transform":
+        args = ["transform", str(src), str(tmp_path / "g.tpim"), "--model", "wc"]
+    else:
+        args = ["select", "--graph", "example1", "--algorithm", "gdd", "--k", "1",
+                "--sims", "20"]
+    code, out, _ = run(capsys, *args, "--seed", "0", "--output-dir", str(tmp_path / "r"))
+    assert code == 0
+    record = Path(last_json(out)["record"])
+    record.write_text(json.dumps(edit(json.loads(record.read_text()))))
+    code, _, err = run(capsys, "rerun", str(record))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+NATIVE_RECORD = Path(__file__).parent / "data" / "native-select.json"
+
+
+def test_native_graph_file_refuses_transform_and_undirected(tmp_path, capsys, monkeypatch):
+    # a native file holds its probabilities and directions already; the
+    # record must not claim a transform or direction the run never applied
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "datasets", "export-builtin", "example1", "--output", "ex1.tpim")
+    assert code == 0
+    args = ["select", "--graph", "ex1.tpim", "--algorithm", "gdd", "--k", "1",
+            "--sims", "50", "--seed", "3", "--output-dir", "runs"]
+    for flags in (["--transform", "wc"], ["--undirected"]):
+        code, _, err = run(capsys, *args, *flags)
+        assert code == 2 and "native graph file" in err, flags
+    assert not Path("runs").exists()
+    # a valid run keeps its spec, and a record written before still replays
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    fresh = load_record(last_json(out)["record"])
+    stored = json.loads(NATIVE_RECORD.read_text())
+    assert fresh["params"] == stored["params"]
+    assert json.dumps(fresh["params"]["graph"]) == json.dumps(stored["params"]["graph"])
+    code, _, err = run(capsys, "rerun", str(NATIVE_RECORD), "--output-dir", "replay")
+    assert code == 0, err

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import instance_family
+from conftest import estimate_1d, instance_family
 from twophase_im.diffusion import (
     BATCH_BYTES,
     CHUNK,
     NEVER,
     DecayFunction,
     MonteCarloConfig,
+    _estimates,
     chunk_size,
     estimate_spread,
     simulate_batch,
@@ -149,3 +152,15 @@ def test_chunk_size_caps_times_matrix_bytes():
     n = 100_000
     assert 4 * n * chunk_size(n) <= BATCH_BYTES
     assert chunk_size(10**12) == 1
+
+
+@pytest.mark.parametrize("sims", [1, 2, 7, 8, 9, 127, 128, 129, 4097])
+def test_row_estimates_equal_each_row_reduced_alone(sims):
+    # numpy sums in blocks of 8 and pairwise past 128 elements; a row of the
+    # axis-1 reduction must take the same float sums as the row alone
+    rng = np.random.default_rng(sims)
+    vals = np.concatenate([rng.random((3, sims)) * 1e6,
+                           rng.integers(0, 77, (3, sims)).astype(np.float64),
+                           np.full((1, sims), 0.1)])
+    want = [replace(estimate_1d(row), samples=5 * sims) for row in vals]
+    assert _estimates(vals, 5 * sims) == want

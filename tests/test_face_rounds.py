@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chunk_batches, instance_family
+from conftest import chunk_batches, estimate_1d, instance_family
 from twophase_im import diffusion
 from twophase_im.diffusion import (
     NO_DECAY,
@@ -23,7 +23,6 @@ from twophase_im.diffusion import (
     TAG_SINGLE,
     DecayFunction,
     MonteCarloConfig,
-    _estimate,
     estimate_spread,
     estimate_spreads,
     replicate_rows,
@@ -302,7 +301,7 @@ def _old_single_phase_result(graph, seeds, config, decay, sims):
         if len(counts) > len(hist):
             hist = np.concatenate([hist, np.zeros(len(counts) - len(hist), dtype=np.int64)])
         hist[:len(counts)] += counts
-    return _estimate(np.concatenate(vals, dtype=np.float64)), diffusion._trim(hist / sims)
+    return estimate_1d(np.concatenate(vals, dtype=np.float64)), diffusion._trim(hist / sims)
 
 
 @pytest.mark.parametrize("cells, chunk", [

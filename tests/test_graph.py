@@ -157,6 +157,19 @@ def test_load_graph_rejects_repeated_arc(tmp_path, capsys):
     assert "repeated arc (0, 1)" in capsys.readouterr().err
 
 
+def test_load_graph_rejects_repeated_label(tmp_path, capsys):
+    # a repeated label would name only one of its nodes: the seed "a" of a
+    # query would be node 1, whatever the file meant
+    from twophase_im.cli import main
+    p = write(tmp_path, "TPIM-GRAPH v1\n2 1\na\na\n0 1 0.5\n", name="dup.tpim")
+    with pytest.raises(GraphError, match="repeated label 'a'"):
+        load_graph(p)
+    code = main(["oracle", "--graph", str(p), "--query", "nu", "--seeds", "a",
+                 "--output-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert "repeated label 'a'" in capsys.readouterr().err
+
+
 def test_load_graph_rejects_foreign_file(tmp_path):
     p = write(tmp_path, "a b 0.5\n")
     assert not is_native_graph_file(p)

@@ -6,7 +6,8 @@ tuples. On every input they accept, the array path must give the same
 labels, CSR arrays, probability bytes, self-loop count and warnings, and on
 every input they reject, the same ``GraphError`` text. The one intended
 difference is that the transforms now honour a directed edge list, so the
-transforms are compared on undirected input only.
+transforms are compared on undirected input only. ``_loop_load_graph``
+refuses a repeated label, as ``load_graph`` does.
 """
 
 import math
@@ -154,7 +155,10 @@ def _loop_load_graph(path):
                 line = fh.readline()
                 if not line:
                     raise ValueError("fewer labels than nodes")
-                labels.append(line.rstrip("\n"))
+                label = line.rstrip("\n")
+                if label in labels:
+                    raise ValueError(f"repeated label {label!r}")
+                labels.append(label)
             edges = []
             seen = set()
             for _ in range(m):

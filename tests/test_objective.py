@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import instance_family
+from conftest import estimate_1d, instance_family
 from twophase_im import diffusion, selectors
 from twophase_im.cli import main
 from twophase_im.diffusion import (
@@ -17,7 +17,6 @@ from twophase_im.diffusion import (
     DecayFunction,
     MonteCarloConfig,
     WorldSample,
-    _estimate,
     estimate_spread,
 )
 from twophase_im.instances import les_miserables_wc
@@ -161,7 +160,7 @@ def test_objective_agrees_with_the_oracle_within_the_criterion_3_rule():
             obj = SigmaObjective(g, MonteCarloConfig(master_seed=i), sims=20_000, decay=decay)
             for seeds in _random_sets(rng, g.n, 4):
                 value = obj(seeds)
-                est = _estimate(decay.values(_times(obj._worlds, seeds)).astype(float))
+                est = estimate_1d(decay.values(_times(obj._worlds, seeds)).astype(float))
                 assert value == pytest.approx(est.mean, rel=1e-12)
                 gap = abs(value - orc.exact_nu(seeds, decay))
                 assert gap <= max(3 * est.stderr, 0.01 * g.n), (i, decay, seeds, gap)

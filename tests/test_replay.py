@@ -5,8 +5,9 @@ earlier build: select (gdd; greedy with decay; face); fixed two-phase plans
 with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
 and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
 a grid, golden-section search with decay, face-joint with and without
-decay, face-joint on lesmis with rounds that span several batches, and on
-example1 with decay, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
+decay, face-joint on lesmis with rounds that span several batches, on
+example1 with decay, and with an SD (decay) and a greedy final second
+phase, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
 graph hash of the bundled Les Miserables instance.
 """
 
@@ -21,7 +22,7 @@ RECORDS = sorted((Path(__file__).parent / "data" / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 19
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)

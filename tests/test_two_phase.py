@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import instance_family
-from twophase_im import diffusion, selectors
+from twophase_im import diffusion, selectors, two_phase
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig, estimate_spread
 from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.two_phase import (
     TwoPhasePlan,
-    eval_g,
     eval_h,
     run_two_phase,
     score_cells,
@@ -34,9 +33,9 @@ def test_eval_h_matches_exact_objective_on_example1(example1):
     assert est.samples == 3_000 * 200
 
 
-def test_eval_g_matches_exact_objective_on_example1(example1):
+def test_greedy_second_phase_matches_exact_objective_on_example1(example1):
     cfg = MonteCarloConfig(phase1_sims=800, phase2_sims=200, master_seed=3)
-    est = eval_g(example1, [0], 1, 1, cfg)
+    [est] = score_cells(example1, [(1, 1, [0])], 2, cfg, selector2="greedy")
     assert abs(est.mean - 3.8) <= 3 * est.stderr + 0.02
 
 
@@ -106,13 +105,18 @@ def test_select_phase1_heuristics(example1):
     assert select_phase1(example1, plan, cfg).nodes == []
 
 
-def test_preset_s1_is_respected(example1):
-    from twophase_im.selectors import SeedSet
-    cfg = MonteCarloConfig(phase1_sims=30, phase2_sims=30, master_seed=0)
-    plan = TwoPhasePlan(k1=1, k2=1, d=1, selector="gdd",
-                        s1=SeedSet(nodes=[0], budget=1))
-    _, s1 = run_two_phase(example1, plan, cfg)
-    assert s1.nodes == [0]
+@pytest.mark.parametrize("mode", ["myopic", "farsighted"])
+def test_discount_first_phase_never_scores_a_set(example1, monkeypatch, mode):
+    # select_phase1 builds its objective for every selector; both objectives
+    # are lazy, so SD, WD and GDD draw nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("SD, WD and GDD must not call the objective")
+
+    monkeypatch.setattr(selectors.SigmaObjective, "__call__", refuse)
+    monkeypatch.setattr(two_phase, "eval_h", refuse)
+    for sel in ("sd", "wd", "gdd"):
+        plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector=sel)
+        assert select_phase1(example1, plan, MonteCarloConfig(master_seed=0)).nodes == [1]
 
 
 def test_eval_h_temporal_consistency_with_trivial_decay():
