@@ -11,10 +11,11 @@ Library layout:
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)
-- two_phase: the selector table, surrogate objectives g/h, the one (k1, d,
-  S1) cell scorer of every optimizer, and the myopic/farsighted pipeline
+- two_phase: the selector table and the one seed-selection rule, the
+  surrogate objective h, the one (k1, d, S1) cell scorer of every optimizer
+  and the (k1, d) scorer the searches take, and the myopic/farsighted pipeline
 - schedule: (k1, d) grid search, golden-section / sequential-delay search,
-  each cell scored by the two_phase cell scorer
+  plain functions of a (k1, d) cell scorer
 - cli: the ``tpim`` command-line harness with replayable run records
 """
 
@@ -44,7 +45,6 @@ from .instances import BUILTINS, example1_graph, les_miserables_wc, random_small
 from .oracle import ExactOracle, OracleCapError, get_oracle
 from .schedule import (
     GridResult,
-    SearchConfig,
     estimate_D,
     exhaustive_grid,
     golden_section_k1,

@@ -45,9 +45,17 @@ from .records import (
     output_lock,
     write_record,
 )
-from .schedule import SearchConfig, estimate_D, exhaustive_grid, golden_section_k1
-from .selectors import SigmaObjective
-from .two_phase import SELECTORS, TwoPhasePlan, _farsighted, run_two_phase, score_cells
+from .schedule import estimate_D, exhaustive_grid, golden_section_k1
+from .two_phase import (
+    SELECTORS,
+    TwoPhasePlan,
+    _farsighted,
+    cell_scorer,
+    myopic_objective,
+    run_two_phase,
+    score_cells,
+    select_seeds,
+)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
 
@@ -72,6 +80,8 @@ def make_graph_spec(source, transform="none", tv_seed=0, directed=True):
 def resolve_graph(spec):
     kind, _, name = spec["source"].partition(":")
     if kind == "builtin":
+        if name not in BUILTINS:
+            raise GraphError(f"no builtin graph {name!r}")
         graph = BUILTINS[name]()
     else:
         path = Path(name)
@@ -115,6 +125,11 @@ def _decay(delta):
     return DecayFunction(1.0 if delta is None else delta)
 
 
+def _delay(text):
+    """``--d``: a step count, or 'auto' for the probe estimate."""
+    return text if text == "auto" else int(text)
+
+
 # -- core runners (shared by commands and rerun) ---------------------------
 
 
@@ -127,14 +142,14 @@ def run_transform(params, graph):
 
 def run_select(params, graph):
     k = params["k"]
+    if k < 0:
+        raise GraphError("k must be >= 0")
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           master_seed=params["master_seed"])
     # greedy, RMax, SPIC and FACE pick on phase1_sims worlds, as a first phase does
-    objective = SigmaObjective(graph, mc, sims=mc.phase1_sims, decay=decay)
-    seeds = []
-    if k:
-        seeds = SELECTORS[params["algorithm"]](graph, k, objective, mc.master_seed).nodes
+    seeds = select_seeds(params["algorithm"], graph, k, myopic_objective(graph, mc, decay),
+                         mc.master_seed)
     est = estimate_spread(graph, seeds, mc, decay=decay)
     return {"seeds": _labels(graph, seeds), "seed_ids": list(seeds), "spread": est.as_dict()}
 
@@ -147,25 +162,31 @@ def run_oracle(params, graph):
     elif query == "nu":
         decay = DecayFunction(params["delta"])
         value = orc.exact_nu(_ids(graph, params.get("seeds", "")), decay)
-    elif query == "f":
+    else:   # f; the command and rerun refuse any other query
         value = orc.exact_f(_ids(graph, params.get("s1", "")),
                             params["d"], params["k2"])
-    else:
-        raise GraphError(f"unknown oracle query {query!r}")
     return {"query": query, "value": value}
 
 
 def run_twophase(params, graph):
-    k = params["k"]
+    k, optimize = params["k"], params["optimize"]
+    if k < 1:
+        raise GraphError("k must be >= 1")
+    if optimize == "none":
+        k1, k2 = params["k1"], params["k2"]
+        if None in (k1, k2) or k1 + k2 != k:
+            raise GraphError(f"k1 = {k1} and k2 = {k2} do not add up to k = {k}")
+    elif params["mode"] != "myopic":
+        raise click.UsageError("--mode farsighted applies to a fixed plan only, "
+                               "not with --optimize")
+    elif k > graph.n:
+        # every search space holds the single-phase cell k1 = k
+        raise GraphError(f"budget {k} out of range for n={graph.n}")
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           phase1_sims=params["phase1_sims"],
                           phase2_sims=params["phase2_sims"],
                           master_seed=params["master_seed"])
-    optimize = params["optimize"]
-    if optimize != "none" and k > graph.n:
-        # every search space holds the single-phase cell k1 = k
-        raise GraphError(f"budget {k} out of range for n={graph.n}")
     # the fixed plan's delay, or the optimizers' delay horizon
     delay = params["d"] if optimize == "none" else params.get("d_max")
     if delay in (None, "auto"):
@@ -176,28 +197,17 @@ def run_twophase(params, graph):
         check_bytes(f"a delay of {delay} steps (one float64 per step)", 8 * (delay + 1),
                     BATCH_BYTES)
     if optimize == "none":
-        plan = TwoPhasePlan(k1=params["k1"], k2=params["k2"], d=int(delay),
+        plan = TwoPhasePlan(k1=k1, k2=k2, d=int(delay),
                             mode=params["mode"], selector=params["algorithm"])
         result, s1 = run_two_phase(graph, plan, mc, decay)
         return {
             "plan": {"k1": plan.k1, "k2": plan.k2, "d": plan.d,
                      "mode": plan.mode, "selector": plan.selector},
-            "s1": _labels(graph, s1.nodes),
+            "s1": _labels(graph, s1),
             "spread": result.spread.as_dict(),
             "s2_examples": [_labels(graph, s2) for s2 in result.realized_s2_examples],
             "progression": [float(x) for x in result.progression],
         }
-    search = SearchConfig(k_total=k, d_max=delay, decay=decay, mc=mc)
-    if optimize == "grid":
-        grid = exhaustive_grid(graph, search, params["algorithm"])
-        return {
-            "best": list(grid.best),
-            "spread": grid.best_estimate().as_dict(),
-            "grid": [[k1, d, est.mean, est.stderr] for k1, d, est in grid.entries],
-        }
-    if optimize == "golden":
-        k1, d, est = golden_section_k1(graph, search, params["algorithm"])
-        return {"best": [k1, d], "spread": est.as_dict()}
     if optimize == "face-joint":
         far = _farsighted(mc)
         (k1, d, s1), log = face_joint_optimize(
@@ -214,7 +224,18 @@ def run_twophase(params, graph):
             "face_log": [[e.iteration, e.draws, e.elite_threshold, e.best]
                          for e in log],
         }
-    raise GraphError(f"unknown optimize mode {optimize!r}")
+    evaluate = cell_scorer(graph, k, mc, decay, params["algorithm"])
+    if optimize == "grid":
+        grid = exhaustive_grid(k, delay, evaluate)
+        k1, d, est = grid.best
+        return {
+            "best": [k1, d],
+            "spread": est.as_dict(),
+            "grid": [[k1, d, est.mean, est.stderr] for k1, d, est in grid.entries],
+        }
+    # golden; the command and rerun refuse any other optimize mode
+    k1, d, est = golden_section_k1(k, delay, evaluate, decay)
+    return {"best": [k1, d], "spread": est.as_dict()}
 
 
 CORE = {
@@ -327,8 +348,6 @@ def transform(input, output, model, seed, undirected, output_dir):
 def select(source, transform, tv_seed, undirected, algorithm, k, sims, delta,
            seed, output_dir):
     """Single-phase seed selection plus a Monte-Carlo spread estimate."""
-    if k < 0:
-        raise GraphError("k must be >= 0")
     spec, graph = _graph_param(source, transform, tv_seed, undirected)
     params = {"graph": spec, "algorithm": algorithm, "k": k, "sims": sims,
               "delta": delta, "master_seed": _seed_param(seed)}
@@ -359,7 +378,8 @@ def oracle(source, transform, tv_seed, undirected, query, seeds, s1, d, k2,
 @click.option("--k", type=int, required=True)
 @click.option("--k1", type=int, default=None)
 @click.option("--k2", type=int, default=None)
-@click.option("--d", default=None, help="delay step, or 'auto' for the probe estimate")
+@click.option("--d", type=_delay, default=None,
+              help="delay step, or 'auto' for the probe estimate")
 @click.option("--mode", type=click.Choice(["myopic", "farsighted"]),
               default="myopic", show_default=True,
               help="first-phase objective of a fixed plan (not with --optimize)")
@@ -377,8 +397,6 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
              mode, optimize, d_max, delta, sims, phase1_sims, phase2_sims,
              seed, output_dir):
     """Two-phase runs: fixed (k1, d) plans or budget/delay optimization."""
-    if k < 1:
-        raise GraphError("k must be >= 1")
     spec, graph = _graph_param(source, transform, tv_seed, undirected)
     params = {"graph": spec, "algorithm": algorithm, "k": k, "mode": mode,
               "optimize": optimize, "delta": delta, "sims": sims,
@@ -387,16 +405,31 @@ def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
     if optimize == "none":
         if k1 is None or k2 is None or d is None:
             raise click.UsageError("--k1, --k2 and --d are required without --optimize")
-        if k1 + k2 != k:
-            raise GraphError(f"k1 + k2 = {k1 + k2} does not match k = {k}")
-        params.update({"k1": k1, "k2": k2,
-                       "d": d if d == "auto" else int(d)})
+        params.update({"k1": k1, "k2": k2, "d": d})
     else:
-        if mode != "myopic":
-            raise click.UsageError("--mode farsighted applies to a fixed plan only, "
-                                   "not with --optimize")
         params["d_max"] = d_max
     _execute("twophase", params, output_dir, graph)
+
+
+def _check_params(command, params):
+    """Refuse a record value that the command's option of that name (for
+    ``master_seed``, ``--seed``) cannot give: one its click type turns into
+    another value or type (a string or true for an integer, 2.5 for a count),
+    or null where the option has a default, is required or is the seed."""
+    options = {param.name: param for param in command.params}
+    for name, value in params.items():
+        option = options.get("seed" if name == "master_seed" else name)
+        if option is None or (value is None and option.default is None
+                              and not option.required and option.name != "seed"):
+            continue
+        try:
+            given = option.type.convert(value, option, None)
+            valid = type(given) is type(value) and given == value
+        except (click.BadParameter, TypeError):
+            valid = False
+        if not valid:
+            raise RecordError(f"record parameter {name!r} = {value!r} is not a valid "
+                              f"{option.opts[0]}")
 
 
 @cli.command()
@@ -409,7 +442,8 @@ def rerun(record, output_dir):
     command, params = stored["command"], stored["params"]
     if command not in CORE:
         raise RecordError(f"record command {command!r} unknown")
-    graph = resolve_graph(params["graph"]) if "graph" in params else None
+    _check_params(cli.commands[command], {**params, **params.get("graph", {})})
+    graph = None if command == "transform" else resolve_graph(params["graph"])
     fresh = CORE[command](params, graph)
     diffs = diff_results(stored["results"], fresh)
     if diffs:

@@ -1,5 +1,7 @@
 """Two-phase pipeline: the surrogate objective h, the one cell scorer of
 the optimizers, and the end-to-end myopic/farsighted run of a fixed plan.
+Every seed selection, of a single phase, a first phase or a replicate's
+second phase, goes through ``select_seeds``.
 
 Structure of every nested evaluation (``_nested_run``): simulate phase 1 to
 step d and observe it; in each outer replicate, pick second-phase seeds as
@@ -51,7 +53,6 @@ from .face import face_select
 from .graph import InfluenceGraph, residual_graph
 from .selectors import (
     DISCOUNT_KINDS,
-    SeedSet,
     SigmaObjective,
     select_discount,
     select_gdd,
@@ -77,6 +78,18 @@ SELECTORS = {
     "spic": lambda graph, k, objective, seed: select_spic(graph, k, objective, master_seed=seed),
     "face": lambda graph, k, objective, seed: face_select(graph, k, objective, master_seed=seed),
 }
+
+
+def select_seeds(selector, graph, k, objective, master_seed) -> list:
+    """The k seeds that selector ``selector`` picks on ``objective``; no
+    seeds, and no selector call, at k = 0."""
+    return SELECTORS[selector](graph, k, objective, master_seed).nodes if k else []
+
+
+def myopic_objective(graph, config: MonteCarloConfig, decay: DecayFunction = NO_DECAY):
+    """The spread objective a myopic first phase (and a single phase)
+    selects on: ``config.phase1_sims`` worlds."""
+    return SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
 
 
 @dataclass
@@ -122,8 +135,8 @@ def _second_phase(selector2, sims):
         base = frozenset(np.searchsorted(kept, np.flatnonzero(now)).tolist())
         sigma = SigmaObjective(res, MonteCarloConfig(master_seed=master_seed), sims=sims,
                                tag=TAG_PHASE2_SELECT)
-        nodes = SELECTORS[selector2](res, k2_eff, lambda s: sigma(base | s), master_seed).nodes
-        return kept[nodes].tolist()
+        return kept[select_seeds(selector2, res, k2_eff, lambda s: sigma(base | s),
+                                 master_seed)].tolist()
 
     return lambda graph, already, recent, budgets, master_seed: [
         pick_one(graph, gone, now, k2_eff, master_seed) if k2_eff > 0 else []
@@ -253,32 +266,59 @@ def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
     return estimates
 
 
-def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> SeedSet:
+def cell_scorer(graph: InfluenceGraph, k: int, config: MonteCarloConfig,
+                decay: DecayFunction = NO_DECAY, selector: str = "gdd"):
+    """The memoized scorer of (k1, d) cells for a budget of k that the grid,
+    golden-section and delay searches take: evaluate(cells) ->
+    [SpreadEstimate]. A cell k1 = k leaves no second phase, so its delay is
+    read as 0. The cells not scored before go to one ``score_cells`` call,
+    each with the myopic S1 of its k1, selected once (it does not depend on
+    d) on one first-phase objective that every k1 shares: an objective's
+    value depends on the set alone, so a shared one picks what a fresh one
+    would."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    memo = {}
+    objective = myopic_objective(graph, config, decay)
+    first_phase = functools.cache(
+        lambda k1: select_seeds(selector, graph, k1, objective, config.master_seed))
+
+    def evaluate(cells):
+        for k1, _ in cells:
+            if not (0 <= k1 <= k):
+                raise ValueError(f"k1 {k1} outside [0, {k}]")
+        cells = [(k1, 0 if k1 == k else d) for k1, d in cells]
+        new = [cell for cell in dict.fromkeys(cells) if cell not in memo]
+        memo.update(zip(new, score_cells(graph, [(k1, d, first_phase(k1)) for k1, d in new],
+                                         k, config, decay, selector)))
+        return [memo[cell] for cell in cells]
+
+    return evaluate
+
+
+def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> list:
     """The plan's first-phase seeds, picked on the spread (myopic) or on
     ``eval_h`` at the plan's d and k2 (farsighted). Both objectives are lazy:
     SD, WD and GDD never call theirs, so they draw nothing."""
-    if plan.k1 == 0:
-        return SeedSet(nodes=[], budget=0)
     if plan.mode == "myopic":
-        objective = SigmaObjective(graph, config, sims=config.phase1_sims, decay=decay)
+        objective = myopic_objective(graph, config, decay)
     else:   # an objective takes a frozenset, so the cache keys on the set
         far = _farsighted(config)
         objective = functools.cache(lambda s: eval_h(graph, s, plan.d, plan.k2, far, decay).mean)
-    return SELECTORS[plan.selector](graph, plan.k1, objective, config.master_seed)
+    return select_seeds(plan.selector, graph, plan.k1, objective, config.master_seed)
 
 
 def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloConfig,
                   decay: DecayFunction = NO_DECAY):
-    """Full two-phase execution of a fixed plan; returns (result, s1).
+    """Full two-phase execution of a fixed plan; returns (result, S1 nodes).
 
     With k2=0 and d=0 this reduces exactly to a single-phase run of the
     selector (same estimator streams as estimate_spread)."""
     s1 = select_phase1(graph, plan, config, decay)
     if plan.k2 == 0 and plan.d == 0:
-        [(est, prog)] = estimate_spreads(graph, [s1.nodes], config, decay=decay,
-                                         progression=True)
+        [(est, prog)] = estimate_spreads(graph, [s1], config, decay=decay, progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
-    est, prog, s2s = _nested_run(graph, [s1.nodes], plan.d, [plan.k2], config, decay,
+    est, prog, s2s = _nested_run(graph, [s1], plan.d, [plan.k2], config, decay,
                                  _second_phase(plan.selector, config.phase2_sims),
                                  collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

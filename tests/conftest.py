@@ -40,6 +40,14 @@ def estimate_1d(vals):
     return SpreadEstimate(mean=float(vals.mean()), stderr=stderr, samples=sims)
 
 
+def cell_values(objective):
+    """The cell scorer that the searches take, evaluate(cells) ->
+    [SpreadEstimate], over a synthetic or exact objective (k1, d) -> value:
+    each cell's value as a mean of zero stderr."""
+    return lambda cells: [SpreadEstimate(mean=float(objective(k1, d)), stderr=0.0, samples=0)
+                          for k1, d in cells]
+
+
 def in_edges(graph):
     """in_edges[v] = [(u, p), ...] ordered by source id, from the graph's
     reverse index: the adjacency list the loop references walk."""

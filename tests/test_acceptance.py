@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 import pytest
-import scipy.stats
 
-from conftest import instance_family
+from conftest import cell_values, instance_family
 from twophase_im.cli import main
 from twophase_im.diffusion import (
+    NO_DECAY,
     DecayFunction,
     MonteCarloConfig,
     estimate_spread,
@@ -27,7 +27,6 @@ from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.instances import example1_graph
 from twophase_im.oracle import ExactOracle, get_oracle
 from twophase_im.schedule import (
-    SearchConfig,
     exhaustive_grid,
     golden_section_k1,
     sequential_d_search,
@@ -155,6 +154,26 @@ def test_criterion_04_oracle_property_suite():
     report(4, "oracle property suite, zero violations", f"{elapsed:.0f}s")
 
 
+def _average_ranks(x):
+    """Ranks 1..n of x, ties sharing the mean of the ranks they span."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    starts = np.r_[True, x[order][1:] != x[order][:-1]]
+    bounds = np.r_[np.flatnonzero(starts), len(x)]   # each tie run's first position, and n
+    run = np.cumsum(starts) - 1
+    ranks = np.empty(len(x))
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
+
+
+def spearman_rho(a, b):
+    """Spearman's rho: the Pearson correlation of the average ranks; NaN
+    when either input is constant, as ``scipy.stats.spearmanr`` gives."""
+    ra, rb = (_average_ranks(x) - (len(x) + 1) / 2 for x in (a, b))
+    scale = math.sqrt((ra @ ra) * (rb @ rb))
+    return float(ra @ rb / scale) if scale else math.nan
+
+
 def test_criterion_05_h_as_proxy_for_g():
     start = time.perf_counter()
     d_obs, k2 = 1, 1
@@ -166,7 +185,7 @@ def test_criterion_05_h_as_proxy_for_g():
         gs = [score_cells(g, [(len(s1), d_obs, s1)], len(s1) + k2, cfg,
                           selector2="greedy")[0].mean for s1 in cands]
         hs = [eval_h(g, s1, d_obs, k2, cfg).mean for s1 in cands]
-        rho = scipy.stats.spearmanr(gs, hs).statistic
+        rho = spearman_rho(gs, hs)
         if np.isnan(rho):  # constant rankings on degenerate instances
             rho = 1.0
         rhos.append(rho)
@@ -289,18 +308,16 @@ def test_criterion_09_scheduler_consistency():
                 return orc.max_f(k, 0, 0)[0]
             return orc.max_f(k1, d, k - k1)[0]
 
-        cfg = SearchConfig(k_total=k, d_max=2, mc=MonteCarloConfig(master_seed=0))
-        grid = exhaustive_grid(g, cfg, exact)
-        _, d_found, est = golden_section_k1(g, cfg, exact)
+        grid = exhaustive_grid(k, 2, cell_values(exact))
+        _, d_found, est = golden_section_k1(k, 2, cell_values(exact), NO_DECAY)
         best = max(e.mean for _, _, e in grid.entries)
         assert est.mean >= best - max(0.01 * abs(best), 0.0) - TOL
         # trivial decay short-circuits straight to the horizon
-        d_direct, _ = sequential_d_search(g, 1, cfg, exact)
-        assert d_direct == cfg.d_max
-    cfg = SearchConfig(k_total=10, d_max=0, mc=MonteCarloConfig(master_seed=0))
-    g = example1_graph()
+        d_direct, _ = sequential_d_search(1, 2, cell_values(exact), NO_DECAY)
+        assert d_direct == 2
     for peak in range(0, 11):
-        k1, _, _ = golden_section_k1(g, cfg, lambda k1, d, p=peak: -(k1 - p) ** 2)
+        k1, _, _ = golden_section_k1(10, 0, cell_values(lambda k1, d, p=peak: -(k1 - p) ** 2),
+                                     NO_DECAY)
         assert k1 == peak
     elapsed = time.perf_counter() - start
     report(9, "scheduler search consistency", f"{elapsed:.0f}s")

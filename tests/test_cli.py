@@ -93,7 +93,7 @@ def test_farsighted_mode_is_refused_under_optimize(tmp_path, capsys, optimize):
                          "--mode", "farsighted", "--output-dir", str(tmp_path))
     assert code == 1
     assert "--mode farsighted" in err and out == ""
-    assert not list(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == [LOCK_NAME]   # no record
 
 
 @pytest.mark.parametrize("optimize", ["grid", "golden", "face-joint"])
@@ -319,8 +319,8 @@ def test_rerun_rejects_older_record_version(tmp_path, capsys):
 
 
 def test_select_does_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency and networkx/requests are not needed at
-    # all (lesmis ships as package data); the package must run without them
+    # scipy, networkx and requests are no dependencies, not even of the tests
+    # (lesmis ships as package data); the package must run without them
     import subprocess
     import sys
     code = ("import sys\n"
@@ -440,7 +440,7 @@ def test_select_runs_no_two_phase_plan_and_counts_no_progression(tmp_path, capsy
                        "--output-dir", str(tmp_path))
     assert code == 0
     got = last_json(out)
-    assert got["seed_ids"] == s1.nodes
+    assert got["seed_ids"] == s1
     assert got["spread"] == want.spread.as_dict()
 
 
@@ -529,3 +529,56 @@ def test_native_graph_file_refuses_transform_and_undirected(tmp_path, capsys, mo
     assert json.dumps(fresh["params"]["graph"]) == json.dumps(stored["params"]["graph"])
     code, _, err = run(capsys, "rerun", str(NATIVE_RECORD), "--output-dir", "replay")
     assert code == 0, err
+
+
+FIXTURES = Path(__file__).parent / "data" / "records"
+
+
+def _drop_graph(params):
+    del params["graph"]
+
+
+# (fixture record, edit of its params, what the error names)
+BAD_PARAMS = {
+    "select-k-string": ("select-gdd", lambda p: p.update(k="1"), "'k'"),
+    "select-k-true": ("select-gdd", lambda p: p.update(k=True), "'k'"),
+    "select-sims-null": ("select-gdd", lambda p: p.update(sims=None), "'sims'"),
+    "select-delta-string": ("select-gdd", lambda p: p.update(delta="0.5"), "'delta'"),
+    "select-seed-null": ("select-gdd", lambda p: p.update(master_seed=None), "'master_seed'"),
+    "twophase-phase1-sims-float": ("twophase-decay", lambda p: p.update(phase1_sims=2.5),
+                                   "'phase1_sims'"),
+    "twophase-d-string": ("twophase-decay", lambda p: p.update(d="7"), "'d'"),
+    "twophase-algorithm-int": ("twophase-decay", lambda p: p.update(algorithm=3),
+                               "'algorithm'"),
+    "twophase-split-not-k": ("twophase-decay", lambda p: p.update(k=3), "add up to k = 3"),
+    "twophase-k1-null": ("twophase-decay", lambda p: p.update(k1=None), "add up to k"),
+    "select-no-graph": ("select-gdd", _drop_graph, "'graph'"),
+    "oracle-no-graph": ("oracle-f", _drop_graph, "'graph'"),
+    "unknown-builtin": ("select-gdd", lambda p: p["graph"].update(source="builtin:nope"),
+                        "no builtin graph 'nope'"),
+    "oracle-query-int": ("oracle-f", lambda p: p.update(query=1), "'query'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PARAMS))
+def test_record_with_a_bad_parameter_is_data_error(tmp_path, capsys, case):
+    # a parameter the command would refuse, or could not have recorded,
+    # ends the replay with exit 2 and an error line, never a traceback
+    name, edit, named = BAD_PARAMS[case]
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    edit(data["params"])
+    record = tmp_path / f"{name}.json"
+    record.write_text(json.dumps(data))
+    code, _, err = run(capsys, "rerun", str(record), "--output-dir", str(tmp_path / "out"))
+    assert code == 2, err
+    assert err.startswith("error: ") and named in err
+
+
+def test_record_of_farsighted_optimizer_is_refused_as_the_command_is(tmp_path, capsys):
+    data = json.loads((FIXTURES / "golden-decay.json").read_text())
+    data["params"]["mode"] = "farsighted"
+    record = tmp_path / "golden.json"
+    record.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rerun", str(record), "--output-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "--mode farsighted" in err and out == ""

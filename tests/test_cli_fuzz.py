@@ -3,11 +3,14 @@ with valid and invalid values, missing and malformed files, a directory
 where a file belongs and an output directory under a file. Every input must
 end in a documented exit code (0 ok, 1 usage, 2 data, 3 reproducibility),
 never in an exception or a traceback. Sizes stay tiny so that a run takes
-milliseconds; ``datasets fetch`` is left out because it opens a URL."""
+milliseconds; ``datasets fetch`` is left out because it opens a URL. Run
+records are fuzzed too: a fixture record with one parameter of another JSON
+type must replay (0), or be refused as data (2) or as irreproducible (3)."""
 
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,3 +155,29 @@ def test_every_cli_input_exits_with_a_documented_code(files, data):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+# fast fixture records of each command that replays a graph
+RECORDS = Path(__file__).parent / "data" / "records"
+FAST_RECORDS = ["select-gdd", "select-greedy-decay", "oracle-f", "oracle-nu", "twophase-sd",
+                "twophase-farsighted", "grid", "golden-decay"]
+JSON_VALUES = ["x", None, 2.5, True, [], {}]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_record_param_of_another_type_exits_with_a_documented_code(files, data):
+    record = json.loads((RECORDS / f"{data.draw(_pick(FAST_RECORDS))}.json").read_text())
+    params = record["params"]
+    keys = [(params, key) for key in sorted(params)]
+    keys += [(params["graph"], key) for key in sorted(params["graph"])]
+    owner, key = data.draw(_pick(keys))
+    owner[key] = data.draw(_pick([v for v in JSON_VALUES if type(v) is not type(owner[key])]))
+    path = Path(files["out"]) / "edited.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(record))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["rerun", str(path), "--output-dir", str(path.parent / "replay")])
+    assert code in (0, 2, 3), (key, owner[key], code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (key, owner[key], err.getvalue())

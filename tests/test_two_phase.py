@@ -54,10 +54,10 @@ def test_single_phase_reduction_is_bit_exact(example1):
     cfg = MonteCarloConfig(single_phase_sims=5_000, master_seed=4)
     plan = TwoPhasePlan(k1=1, k2=0, d=0, selector="gdd")
     result, s1 = run_two_phase(example1, plan, cfg)
-    direct = estimate_spread(example1, s1.nodes, cfg)
+    direct = estimate_spread(example1, s1, cfg)
     assert result.spread.mean == direct.mean
     assert result.spread.stderr == direct.stderr
-    assert s1.nodes == [1]
+    assert s1 == [1]
 
 
 def test_progression_sums_to_spread_mean(example1):
@@ -83,8 +83,8 @@ def test_myopic_and_farsighted_pipelines_run(example1):
     for mode in ("myopic", "farsighted"):
         plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector="greedy")
         s1 = select_phase1(example1, plan, cfg)
-        [spread] = score_cells(example1, [(1, 1, s1.nodes)], 2, cfg, selector2="gdd")
-        assert len(s1.nodes) == 1
+        [spread] = score_cells(example1, [(1, 1, s1)], 2, cfg, selector2="gdd")
+        assert len(s1) == 1
         assert spread.mean > 0
 
 
@@ -92,7 +92,7 @@ def test_objective_second_phase_selectors_run(example1):
     cfg = MonteCarloConfig(phase1_sims=20, phase2_sims=30, master_seed=2)
     s1 = select_phase1(example1, TwoPhasePlan(k1=1, k2=1, d=1, selector="gdd"), cfg)
     for sel2 in ("greedy", "rmax", "sd", "wd"):
-        [spread] = score_cells(example1, [(1, 1, s1.nodes)], 2, cfg, selector2=sel2)
+        [spread] = score_cells(example1, [(1, 1, s1)], 2, cfg, selector2=sel2)
         assert spread.mean > 1.0
 
 
@@ -100,9 +100,9 @@ def test_select_phase1_heuristics(example1):
     cfg = MonteCarloConfig(master_seed=0)
     for sel in ("sd", "wd", "gdd"):
         plan = TwoPhasePlan(k1=1, k2=1, d=1, selector=sel)
-        assert select_phase1(example1, plan, cfg).nodes == [1]
+        assert select_phase1(example1, plan, cfg) == [1]
     plan = TwoPhasePlan(k1=0, k2=2, d=1)
-    assert select_phase1(example1, plan, cfg).nodes == []
+    assert select_phase1(example1, plan, cfg) == []
 
 
 @pytest.mark.parametrize("mode", ["myopic", "farsighted"])
@@ -116,7 +116,7 @@ def test_discount_first_phase_never_scores_a_set(example1, monkeypatch, mode):
     monkeypatch.setattr(two_phase, "eval_h", refuse)
     for sel in ("sd", "wd", "gdd"):
         plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector=sel)
-        assert select_phase1(example1, plan, MonteCarloConfig(master_seed=0)).nodes == [1]
+        assert select_phase1(example1, plan, MonteCarloConfig(master_seed=0)) == [1]
 
 
 def test_eval_h_temporal_consistency_with_trivial_decay():
@@ -147,7 +147,7 @@ def test_score_cells_equals_run_two_phase_per_cell(monkeypatch, example1, select
             for d in ([0] if k1 == k else range(d_max + 1)):
                 plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=selector)
                 result, s1 = run_two_phase(graph, plan, mc, decay)
-                cells.append((k1, d, s1.nodes))
+                cells.append((k1, d, s1))
                 want.append(result.spread)
         cells.append((k, d_max, cells[-1][2]))   # k1 = k is single-phase at any d
         want.append(want[-1])
