@@ -64,34 +64,42 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REPRO = 0, 1, 2, 3
 
 
 def make_graph_spec(source, transform="none", tv_seed=0, directed=True):
-    if source in BUILTINS:
+    """The record's spec of the graph options, for ``resolve_graph`` to check."""
+    if source in BUILTINS:   # a builtin's spec holds an option only off its default
+        spec = {"source": f"builtin:{source}"}
         if transform != "none":
-            raise GraphError(f"builtin graph {source!r} takes no transform")
-        return {"source": f"builtin:{source}"}
-    path = Path(source)
-    if not path.exists():
-        raise GraphError(f"graph source {source!r}: no such builtin or file")
-    if is_native_graph_file(path) and (transform != "none" or not directed):
-        raise GraphError(f"native graph file {source!r} takes no transform or --undirected")
-    return {"source": f"file:{path}", "transform": transform,
+            spec["transform"] = transform
+        if directed is not True:
+            spec["directed"] = directed
+        return spec
+    return {"source": f"file:{Path(source)}", "transform": transform,
             "tv_seed": tv_seed, "directed": directed}
 
 
 def resolve_graph(spec):
+    """The graph of a spec. A ``GraphError`` naming the source refuses a spec no
+    command writes: a source not ``builtin:NAME`` or ``file:PATH``, or no such
+    file or builtin, or a transform or ``directed: false`` on a builtin or
+    native file. A hash must match the graph."""
     kind, _, name = spec["source"].partition(":")
+    path = Path(name)
+    transform, directed = spec.get("transform", "none"), spec.get("directed", True)
     if kind == "builtin":
         if name not in BUILTINS:
             raise GraphError(f"no builtin graph {name!r}")
-        graph = BUILTINS[name]()
-    else:
-        path = Path(name)
+        fixed, graph = "builtin graph", BUILTINS[name]()
+    elif kind == "file":
         if not path.exists():
-            raise GraphError(f"graph file not found: {path}")
+            raise GraphError(f"graph source {name!r}: no such builtin or file")
         if is_native_graph_file(path):
-            graph = load_graph(path)
+            fixed, graph = "native graph file", load_graph(path)
         else:
-            graph = _edge_list_graph(path, spec.get("directed", True),
-                                     spec.get("transform", "none"), spec.get("tv_seed", 0))
+            fixed, graph = None, _edge_list_graph(path, directed, transform,
+                                                  spec.get("tv_seed", 0))
+    else:
+        raise GraphError(f"graph source {spec['source']!r} is not builtin:NAME or file:PATH")
+    if fixed and (transform != "none" or directed is not True):
+        raise GraphError(f"{fixed} {name!r} takes no transform or --undirected")
     expected = spec.get("hash")
     if expected and expected != graph_fingerprint(graph):
         raise RecordError("input graph has changed since the record was written")
@@ -289,12 +297,16 @@ def _seed_param(seed):
     return int(seed)
 
 
-def _graph_param(source, transform, tv_seed, undirected):
-    """(spec, graph): the record's graph spec with the loaded graph's hash."""
-    spec = make_graph_spec(source, transform, tv_seed, directed=not undirected)
+def _execute_on_graph(command, params, output_dir):
+    """``_execute`` on the graph options' graph, which the record holds as a
+    spec with its hash, and on a drawn seed if none was given."""
+    spec = make_graph_spec(*(params.pop(key) for key in
+                             ("source", "transform", "tv_seed", "directed")))
     graph = resolve_graph(spec)
     spec["hash"] = graph_fingerprint(graph)
-    return spec, graph
+    if "master_seed" in params:
+        params["master_seed"] = _seed_param(params["master_seed"])
+    _execute(command, {"graph": spec, **params}, output_dir, graph)
 
 
 def graph_options(fn):
@@ -304,7 +316,7 @@ def graph_options(fn):
         click.option("--transform", type=click.Choice(["none", "wc", "tv"]),
                      default="none", show_default=True),
         click.option("--tv-seed", type=int, default=0, show_default=True),
-        click.option("--undirected", is_flag=True,
+        click.option("--undirected", "directed", flag_value=False, default=True,
                      help="treat edge-list records as undirected"),
     ]):
         fn = opt(fn)
@@ -325,14 +337,14 @@ def cli():
 @click.argument("output", type=click.Path(dir_okay=False))
 @click.option("--model", type=click.Choice(["wc", "tv"]), required=True)
 @click.option("--seed", type=int, default=None, help="master seed (tv draws)")
-@click.option("--undirected", is_flag=True)
+@click.option("--undirected", "directed", flag_value=False, default=True)
 @click.option("--output-dir", default="runs", show_default=True)
-def transform(input, output, model, seed, undirected, output_dir):
+def transform(output_dir, **params):
     """Assign edge probabilities to an unweighted edge list."""
-    params = {"input": str(input), "output": str(output), "model": model,
-              "seed": _seed_param(seed), "directed": not undirected}
-    graph = _edge_list_graph(input, not undirected, model, params["seed"])
-    save_graph(graph, output)
+    params["seed"] = _seed_param(params["seed"])
+    graph = _edge_list_graph(params["input"], params["directed"], params["model"],
+                             params["seed"])
+    save_graph(graph, params["output"])
     _execute("transform", params, output_dir, graph)
 
 
@@ -343,15 +355,11 @@ def transform(input, output, model, seed, undirected, output_dir):
 @click.option("--sims", type=int, default=10_000, show_default=True)
 @click.option("--delta", type=float, default=None,
               help="decay factor; omitted or 1 means plain spread")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", "master_seed", type=int, default=None)
 @click.option("--output-dir", default="runs", show_default=True)
-def select(source, transform, tv_seed, undirected, algorithm, k, sims, delta,
-           seed, output_dir):
+def select(output_dir, **params):
     """Single-phase seed selection plus a Monte-Carlo spread estimate."""
-    spec, graph = _graph_param(source, transform, tv_seed, undirected)
-    params = {"graph": spec, "algorithm": algorithm, "k": k, "sims": sims,
-              "delta": delta, "master_seed": _seed_param(seed)}
-    _execute("select", params, output_dir, graph)
+    _execute_on_graph("select", params, output_dir)
 
 
 @cli.command()
@@ -363,13 +371,9 @@ def select(source, transform, tv_seed, undirected, algorithm, k, sims, delta,
 @click.option("--k2", type=int, default=0)
 @click.option("--delta", type=float, default=1.0, show_default=True)
 @click.option("--output-dir", default="runs", show_default=True)
-def oracle(source, transform, tv_seed, undirected, query, seeds, s1, d, k2,
-           delta, output_dir):
+def oracle(output_dir, **params):
     """Exact values on small graphs by live-graph enumeration."""
-    spec, graph = _graph_param(source, transform, tv_seed, undirected)
-    params = {"graph": spec, "query": query, "seeds": seeds, "s1": s1, "d": d,
-              "k2": k2, "delta": delta}
-    _execute("oracle", params, output_dir, graph)
+    _execute_on_graph("oracle", params, output_dir)
 
 
 @cli.command()
@@ -391,41 +395,34 @@ def oracle(source, transform, tv_seed, undirected, query, seeds, s1, d, k2,
 @click.option("--sims", type=int, default=10_000, show_default=True)
 @click.option("--phase1-sims", type=int, default=1_000, show_default=True)
 @click.option("--phase2-sims", type=int, default=1_000, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", "master_seed", type=int, default=None)
 @click.option("--output-dir", default="runs", show_default=True)
-def twophase(source, transform, tv_seed, undirected, algorithm, k, k1, k2, d,
-             mode, optimize, d_max, delta, sims, phase1_sims, phase2_sims,
-             seed, output_dir):
+def twophase(output_dir, **params):
     """Two-phase runs: fixed (k1, d) plans or budget/delay optimization."""
-    spec, graph = _graph_param(source, transform, tv_seed, undirected)
-    params = {"graph": spec, "algorithm": algorithm, "k": k, "mode": mode,
-              "optimize": optimize, "delta": delta, "sims": sims,
-              "phase1_sims": phase1_sims, "phase2_sims": phase2_sims,
-              "master_seed": _seed_param(seed)}
-    if optimize == "none":
-        if k1 is None or k2 is None or d is None:
+    if params["optimize"] == "none":
+        if None in (params["k1"], params["k2"], params["d"]):
             raise click.UsageError("--k1, --k2 and --d are required without --optimize")
-        params.update({"k1": k1, "k2": k2, "d": d})
+        del params["d_max"]
     else:
-        params["d_max"] = d_max
-    _execute("twophase", params, output_dir, graph)
+        del params["k1"], params["k2"], params["d"]
+    _execute_on_graph("twophase", params, output_dir)
 
 
 def _check_params(command, params):
-    """Refuse a record value that the command's option of that name (for
-    ``master_seed``, ``--seed``) cannot give: one its click type turns into
-    another value or type (a string or true for an integer, 2.5 for a count),
-    or null where the option has a default, is required or is the seed."""
+    """Refuse a record value that the command's option of that name cannot
+    give: one its click type fails to convert or turns into another value or
+    type (a string or true for an integer, 2.5 for a count, 1 for a flag), or
+    null where the option has a default, is required or is ``--seed``."""
     options = {param.name: param for param in command.params}
     for name, value in params.items():
-        option = options.get("seed" if name == "master_seed" else name)
+        option = options.get(name)
         if option is None or (value is None and option.default is None
-                              and not option.required and option.name != "seed"):
+                              and not option.required and "--seed" not in option.opts):
             continue
         try:
             given = option.type.convert(value, option, None)
             valid = type(given) is type(value) and given == value
-        except (click.BadParameter, TypeError):
+        except Exception:   # click's BOOL raises AttributeError on a number or null
             valid = False
         if not valid:
             raise RecordError(f"record parameter {name!r} = {value!r} is not a valid "

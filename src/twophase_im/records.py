@@ -109,8 +109,11 @@ def load_record(path) -> dict:
     for key, kind in (("command", str), ("params", dict), ("results", dict)):
         if not isinstance(record.get(key), kind):
             raise RecordError(f"record field {key!r} missing or not a {kind.__name__}")
-    if not isinstance(record["params"].get("graph", {}), dict):
-        raise RecordError("record graph spec is not a dict")
+    # a transform record has none; without its hash a spec replays any graph
+    spec = record["params"].get("graph")
+    if "graph" in record["params"] and not (
+            isinstance(spec, dict) and isinstance(spec.get("hash"), str) and spec["hash"]):
+        raise RecordError("record graph spec is not an object with a 'hash' string")
     return record
 
 

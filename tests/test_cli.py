@@ -519,7 +519,18 @@ def test_native_graph_file_refuses_transform_and_undirected(tmp_path, capsys, mo
     for flags in (["--transform", "wc"], ["--undirected"]):
         code, _, err = run(capsys, *args, *flags)
         assert code == 2 and "native graph file" in err, flags
+    # a builtin is refused the same way
+    code, _, err = run(capsys, "select", "--graph", "example1", *args[3:], "--undirected")
+    assert code == 2 and "builtin graph 'example1'" in err
     assert not Path("runs").exists()
+    # and so is a record edited to claim what the command refuses
+    for edit in ({"transform": "wc"}, {"directed": False}, {"directed": "x"}):
+        data = json.loads(NATIVE_RECORD.read_text())
+        data["params"]["graph"].update(edit)
+        Path("edited.json").write_text(json.dumps(data))
+        code, _, err = run(capsys, "rerun", "edited.json", "--output-dir", "edited")
+        assert code == 2 and err.startswith("error: "), edit
+    assert not Path("edited").exists()
     # a valid run keeps its spec, and a record written before still replays
     code, out, _ = run(capsys, *args)
     assert code == 0
@@ -557,6 +568,14 @@ BAD_PARAMS = {
     "unknown-builtin": ("select-gdd", lambda p: p["graph"].update(source="builtin:nope"),
                         "no builtin graph 'nope'"),
     "oracle-query-int": ("oracle-f", lambda p: p.update(query=1), "'query'"),
+    "builtin-transform": ("select-gdd", lambda p: p["graph"].update(transform="wc"),
+                          "builtin graph 'lesmis'"),
+    "builtin-undirected": ("select-gdd", lambda p: p["graph"].update(directed=False),
+                           "builtin graph 'lesmis'"),
+    "source-without-kind": ("select-gdd", lambda p: p["graph"].update(source="lesmis"),
+                            "graph source 'lesmis'"),
+    "hash-null": ("select-gdd", lambda p: p["graph"].update(hash=None), "'hash'"),
+    "hash-deleted": ("select-gdd", lambda p: p["graph"].pop("hash"), "'hash'"),
 }
 
 
