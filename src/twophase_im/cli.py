@@ -119,8 +119,6 @@ def _edge_list_graph(path, directed, transform, tv_seed):
 
 
 def _ids(graph, text):
-    if not text:
-        return []
     return [graph.node_id(tok) for tok in text.split(",") if tok]
 
 
@@ -316,7 +314,8 @@ def graph_options(fn):
         click.option("--transform", type=click.Choice(["none", "wc", "tv"]),
                      default="none", show_default=True),
         click.option("--tv-seed", type=int, default=0, show_default=True),
-        click.option("--undirected", "directed", flag_value=False, default=True,
+        click.option("--undirected", "directed", is_flag=True,
+                     callback=lambda _ctx, _opt, undirected: not undirected,
                      help="treat edge-list records as undirected"),
     ]):
         fn = opt(fn)
@@ -337,7 +336,8 @@ def cli():
 @click.argument("output", type=click.Path(dir_okay=False))
 @click.option("--model", type=click.Choice(["wc", "tv"]), required=True)
 @click.option("--seed", type=int, default=None, help="master seed (tv draws)")
-@click.option("--undirected", "directed", flag_value=False, default=True)
+@click.option("--undirected", "directed", is_flag=True,
+              callback=lambda _ctx, _opt, undirected: not undirected)
 @click.option("--output-dir", default="runs", show_default=True)
 def transform(output_dir, **params):
     """Assign edge probabilities to an unweighted edge list."""
@@ -422,8 +422,8 @@ def _check_params(command, params):
         try:
             given = option.type.convert(value, option, None)
             valid = type(given) is type(value) and given == value
-        except Exception:   # click's BOOL raises AttributeError on a number or null
-            valid = False
+        except (click.BadParameter, TypeError, AttributeError, OverflowError):
+            valid = False   # BOOL raises AttributeError on 1, Path OverflowError on 10**30
         if not valid:
             raise RecordError(f"record parameter {name!r} = {value!r} is not a valid "
                               f"{option.opts[0]}")

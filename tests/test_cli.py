@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twophase_im.cli import main
+from twophase_im.cli import cli, main
 from twophase_im.graph import load_graph
 from twophase_im.records import LOCK_NAME, load_record
 
@@ -468,6 +468,11 @@ def _missing_model(data):
     return data
 
 
+def _input_past_any_fd(data):
+    data["params"]["input"] = 10 ** 30   # click's Path stats an int as a file descriptor
+    return data
+
+
 def _params_not_object(data):
     return dict(data, params=[1, 2])
 
@@ -482,6 +487,7 @@ def _record_not_object(data):
 
 
 MALFORMED = [("transform", _unknown_command), ("transform", _missing_model),
+             ("transform", _input_past_any_fd),
              ("select", _params_not_object), ("select", _spec_without_source),
              ("select", _record_not_object)]
 
@@ -503,6 +509,22 @@ def test_malformed_record_is_data_error(tmp_path, capsys, command, edit):
     code, _, err = run(capsys, "rerun", str(record))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("select", ["--graph", "g", "--algorithm", "gdd", "--k", "1"]),
+    ("oracle", ["--graph", "g", "--query", "sigma"]),
+    ("twophase", ["--graph", "g", "--algorithm", "gdd", "--k", "1"]),
+    ("transform", ["in.txt", "out.tpim", "--model", "wc"]),
+])
+def test_directed_is_true_unless_undirected_is_given(name, argv, tmp_path, monkeypatch):
+    # the record key is the option's dest, so its default must be the
+    # directed graph that a record without the key replays
+    monkeypatch.chdir(tmp_path)
+    Path("in.txt").write_text("0 1\n")
+    command = cli.commands[name]
+    assert command.make_context(name, list(argv)).params["directed"] is True
+    assert command.make_context(name, [*argv, "--undirected"]).params["directed"] is False
 
 
 NATIVE_RECORD = Path(__file__).parent / "data" / "native-select.json"
