@@ -69,33 +69,43 @@ def make_graph_spec(source, transform="none", tv_seed=0, directed=True):
         spec = {"source": f"builtin:{source}"}
         if transform != "none":
             spec["transform"] = transform
+        if tv_seed != 0:
+            spec["tv_seed"] = tv_seed
         if directed is not True:
             spec["directed"] = directed
         return spec
-    return {"source": f"file:{Path(source)}", "transform": transform,
+    # Path("") is ".": an empty source stays empty, for resolve_graph to refuse
+    return {"source": f"file:{Path(source) if source else ''}", "transform": transform,
             "tv_seed": tv_seed, "directed": directed}
 
 
 def resolve_graph(spec):
     """The graph of a spec. A ``GraphError`` naming the source refuses a spec no
     command writes: a source not ``builtin:NAME`` or ``file:PATH``, or no such
-    file or builtin, or a transform or ``directed: false`` on a builtin or
-    native file. A hash must match the graph."""
+    file or builtin, or an empty path or one that is not a file, or a transform
+    or ``directed: false`` on a builtin or native file, or a non-zero
+    ``tv_seed`` without the tv transform. A hash must match the graph."""
     kind, _, name = spec["source"].partition(":")
     path = Path(name)
     transform, directed = spec.get("transform", "none"), spec.get("directed", True)
+    tv_seed = spec.get("tv_seed", 0)
+    if tv_seed != 0 and transform != "tv":
+        raise GraphError(f"graph source {name!r}: --tv-seed {tv_seed} applies to "
+                         f"--transform tv only")
     if kind == "builtin":
         if name not in BUILTINS:
             raise GraphError(f"no builtin graph {name!r}")
         fixed, graph = "builtin graph", BUILTINS[name]()
     elif kind == "file":
-        if not path.exists():
+        if not name or not path.exists():
             raise GraphError(f"graph source {name!r}: no such builtin or file")
+        if not path.is_file():
+            what = "Is a directory" if path.is_dir() else "not a regular file"
+            raise GraphError(f"graph source {name!r}: {what}")
         if is_native_graph_file(path):
             fixed, graph = "native graph file", load_graph(path)
         else:
-            fixed, graph = None, _edge_list_graph(path, directed, transform,
-                                                  spec.get("tv_seed", 0))
+            fixed, graph = None, _edge_list_graph(path, directed, transform, tv_seed)
     else:
         raise GraphError(f"graph source {spec['source']!r} is not builtin:NAME or file:PATH")
     if fixed and (transform != "none" or directed is not True):
@@ -184,6 +194,9 @@ def run_twophase(params, graph):
             raise GraphError(f"k1 = {k1} and k2 = {k2} do not add up to k = {k}")
     elif params["mode"] != "myopic":
         raise click.UsageError("--mode farsighted applies to a fixed plan only, "
+                               "not with --optimize")
+    elif any(params.get(key) is not None for key in ("k1", "k2", "d")):
+        raise click.UsageError("--k1, --k2 and --d apply to a fixed plan only, "
                                "not with --optimize")
     elif k > graph.n:
         # every search space holds the single-phase cell k1 = k
@@ -403,8 +416,10 @@ def twophase(output_dir, **params):
         if None in (params["k1"], params["k2"], params["d"]):
             raise click.UsageError("--k1, --k2 and --d are required without --optimize")
         del params["d_max"]
-    else:
-        del params["k1"], params["k2"], params["d"]
+    else:   # run_twophase refuses any of them that was given
+        for key in ("k1", "k2", "d"):
+            if params[key] is None:
+                del params[key]
     _execute_on_graph("twophase", params, output_dir)
 
 

@@ -11,8 +11,12 @@ plus edge e, and a shortest path uses that edge at most once, so each live
 graph's tables follow exactly from those of the graph with one edge fewer.
 After an observation, the residual of a live graph is the edge subset that
 avoids the already-active nodes, itself a live graph, so ``exact_f`` answers
-every residual reach query with a lookup into ``reach``. Every table is
-checked against ``ORACLE_BYTES`` before it is allocated.
+every residual reach query with a lookup into ``reach``. The edges that touch
+a node set come from per-byte incidence tables, ``touch[b, j]`` for byte b of
+the node mask holding j: ceil(n/8) lookups per live graph. A candidate's
+reach is OR-ed into one base mask per class, the reach of the recent nodes.
+``exact_f`` values are memoized per oracle. Every table is checked against
+``ORACLE_BYTES`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -78,14 +82,19 @@ class ExactOracle:
         self.live = slice(None) if len(nonzero) == len(probs) else nonzero
         self.live_x = nonzero.astype(np.uint64)
         self.live_p = probs[self.live]
-        # each edge's tail and head, as indices into a node axis
-        self.edge_src = np.array([u for u, _, _ in self.edges], dtype=np.intp)
-        self.edge_dst = np.array([v for _, v, _ in self.edges], dtype=np.intp)
+        # touch[b, j]: the edges with an end among the nodes 8b + i, i a bit of j
+        node_edges = np.zeros(8 * -(-self.n // 8), dtype=np.uint64)
+        for e, (u, v, _) in enumerate(self.edges):
+            node_edges[[u, v]] |= np.uint64(1 << e)
+        self.touch = np.zeros((len(node_edges) // 8, 256), dtype=np.uint64)
+        for i in range(8):
+            self.touch[:, 1 << i:2 << i] = self.touch[:, :1 << i] | node_edges[i::8, None]
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
         self._dist_from = ByteCache(DIST_FROM_BYTES)   # seed bitmask -> (2^m, n) int8
         self._tables = {}          # delta -> value per node subset
+        self._f = {}               # (seed bitmask, min(d, UNREACHED - 1), k2) -> exact_f
 
     # -- distances ---------------------------------------------------------
 
@@ -165,7 +174,7 @@ class ExactOracle:
             per_x = np.bitwise_count(np.bitwise_or.reduce(self.reach[:, srcs], axis=1))
         else:
             per_x = self._gamma_table(decay)[self.dist_from(seed_mask)].sum(axis=1)
-        return float(math.fsum((self.mask_p * per_x).tolist()))
+        return float(math.fsum(memoryview(self.mask_p * per_x)))
 
     def exact_sigma(self, seeds) -> float:
         """Exact expected spread: sum over live graphs of p(X) * |reachable|."""
@@ -200,17 +209,28 @@ class ExactOracle:
         residual edge mask form one class whose probability is summed in
         ascending x. A candidate's value sums, over the classes in order of
         first occurrence, class probability times the number of nodes the
-        recent and candidate nodes reach in the residual."""
+        recent and candidate nodes reach in the residual.
+
+        Values are kept per (seed set, step d, k2); a step past every
+        distance observes what step ``UNREACHED - 1`` does. A query with
+        ``return_details`` computes its value again."""
         if k2 < 0 or k2 > self.n:
             raise ValueError("k2 out of range")
         if d < 0:
             raise ValueError("d must be >= 0")
-        d_eff = min(d, UNREACHED - 1)
-        dist = self.dist_from(_to_mask(s1))[self.live]
-        already_in = dist < d_eff
-        already, recent = _pack(already_in), _pack(dist == d_eff)
-        # the residual drops every edge with an already-active end
-        res = self.live_x & ~_pack(already_in[:, self.edge_src] | already_in[:, self.edge_dst])
+        seed_mask, d_eff = _to_mask(s1), min(d, UNREACHED - 1)
+        key = (seed_mask, d_eff, k2)
+        if key in self._f and not return_details:
+            return self._f[key]
+        dist = self.dist_from(seed_mask)[self.live]
+        already, recent = _pack(dist < d_eff), _pack(dist == d_eff)
+        # the residual drops every edge with an already-active end: one
+        # touch-table lookup per byte of the already-active mask
+        touched = np.zeros_like(already)
+        parts = already.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
+        for table, part in zip(self.touch, parts):
+            touched |= table.take(part)
+        res = self.live_x & ~touched
 
         # classes: runs of equal (already, recent, res) in sorted order, with
         # x ascending within each run
@@ -223,7 +243,7 @@ class ExactOracle:
         new_cls[1:] |= res[1:] != res[:-1]
         starts = new_cls.nonzero()[0]
         cls_w = np.bincount(new_cls.cumsum(), weights=self.live_p[order])[1:]
-        cls_reach = self.reach[res[starts]]        # (class, source)
+        cls_reach = self.reach.take(res[starts], axis=0)   # (class, source)
         heads = new_obs[starts].nonzero()[0]       # each observation's first class
         bounds = heads.tolist() + [len(starts)]
         a_masks = already[starts[heads]].tolist()
@@ -239,7 +259,7 @@ class ExactOracle:
         for g in order[starts[heads]].argsort().tolist():
             lo, hi, a_mask, r_mask = bounds[g], bounds[g + 1], a_masks[g], r_masks[g]
             w = cls_w[lo:hi]
-            group_p = math.fsum(w.tolist())
+            group_p = math.fsum(memoryview(w))
             avail = list(_bits(self.full_nodes & ~(a_mask | r_mask)))
             cands = list(combinations(avail, min(k2, len(avail))))
             if len(cands) > SUBSET_CAP:
@@ -248,7 +268,7 @@ class ExactOracle:
             # the recent nodes spread in the residual along with each candidate
             spreaders = list(_bits(r_mask))
             best_val, best_i = _best_candidate(
-                w, cls_reach[lo:hi], np.array([spreaders + list(c) for c in cands], dtype=np.intp))
+                w, cls_reach[lo:hi], spreaders, np.array(cands, dtype=np.intp))
             terms.append(group_p * a_mask.bit_count() + best_val)
             if return_details:
                 details.append({
@@ -257,7 +277,7 @@ class ExactOracle:
                     "probability": group_p,
                     "s2": list(cands[best_i]),
                 })
-        value = math.fsum(terms)
+        value = self._f[key] = math.fsum(terms)
         if return_details:
             return value, details
         return value
@@ -272,15 +292,19 @@ class ExactOracle:
         return best
 
 
-def _best_candidate(w, reach, cands):
+def _best_candidate(w, reach, spreaders, cands):
     """(value, index) of the first candidate with the largest value
-    sum_c w[c] * |union of reach[c, v] over v in the candidate|, summed over
-    the classes c in order. Candidates are scored a chunk at a time, so the
-    temporaries stay within the byte budget."""
+    sum_c w[c] * |union of reach[c, v] over v in the spreaders and the
+    candidate|, summed over the classes c in order. The spreaders' reach is
+    one base mask per class, which each candidate's columns are OR-ed into.
+    Candidates are scored a chunk at a time, so the temporaries stay within
+    the byte budget."""
+    base = np.bitwise_or.reduce(reach[:, spreaders], axis=1)
     step = ORACLE_BYTES // (8 * len(w) * (cands.shape[1] + 3)) or 1
     best_val, best_i = -math.inf, 0
     for lo in range(0, len(cands), step):
         covered = np.bitwise_or.reduce(reach.take(cands[lo:lo + step], axis=1), axis=2)
+        covered |= base[:, None]
         vals = (w[:, None] * np.bitwise_count(covered)).cumsum(axis=0)[-1]
         i = vals.argmax()   # the first maximum wins ties
         if vals[i] > best_val:

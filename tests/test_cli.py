@@ -97,6 +97,71 @@ def test_farsighted_mode_is_refused_under_optimize(tmp_path, capsys, optimize):
 
 
 @pytest.mark.parametrize("optimize", ["grid", "golden", "face-joint"])
+@pytest.mark.parametrize("given", [["--k1", "1"], ["--k2", "1"], ["--d", "3"],
+                                   ["--k1", "1", "--k2", "1", "--d", "3"]],
+                         ids=["k1", "k2", "d", "all"])
+def test_fixed_plan_options_are_refused_under_optimize(tmp_path, capsys, optimize, given):
+    # an optimizer picks k1 and d itself; a record that dropped the given
+    # values would not say what was asked for
+    code, out, err = run(capsys, "twophase", "--graph", "example1", "--algorithm", "gdd",
+                         "--k", "2", *given, "--optimize", optimize, "--d-max", "1",
+                         "--sims", "20", "--phase1-sims", "10", "--phase2-sims", "5",
+                         "--seed", "0", "--output-dir", str(tmp_path))
+    assert code == 1
+    assert "--k1, --k2 and --d apply to a fixed plan only" in err and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [LOCK_NAME]   # no record
+
+
+def test_record_of_an_optimizer_with_a_fixed_plan_option_is_refused(tmp_path, capsys):
+    for key, value in (("k1", 1), ("k2", 1), ("d", 1)):
+        data = json.loads((FIXTURES / "golden-decay.json").read_text())
+        data["params"][key] = value
+        record = tmp_path / "golden.json"
+        record.write_text(json.dumps(data))
+        code, out, err = run(capsys, "rerun", str(record), "--output-dir", str(tmp_path / "out"))
+        assert code == 1, key
+        assert "apply to a fixed plan only" in err and out == ""
+
+
+def test_tv_seed_is_refused_without_the_tv_transform(tmp_path, capsys, monkeypatch):
+    # the seed draws tv probabilities only; recorded elsewhere it changes nothing
+    monkeypatch.chdir(tmp_path)
+    Path("e.txt").write_text("a b\nb c\nc a\n")
+    args = ["select", "--algorithm", "gdd", "--k", "1", "--sims", "20", "--seed", "1",
+            "--output-dir", "runs"]
+    for graph in (["--graph", "e.txt", "--transform", "wc"], ["--graph", "e.txt"],
+                  ["--graph", "example1"]):
+        code, out, err = run(capsys, *args, *graph, "--tv-seed", "7")
+        assert code == 2 and out == "", graph
+        assert "--tv-seed 7 applies to --transform tv only" in err
+    assert not Path("runs").exists()
+    # with the tv transform, or at its default 0, the seed is valid
+    for extra in (["--transform", "tv", "--tv-seed", "7"], ["--transform", "wc", "--tv-seed", "0"]):
+        code, out, err = run(capsys, *args, "--graph", "e.txt", *extra)
+        assert code == 0, err
+        record = last_json(out)["record"]
+        code, _, err = run(capsys, "rerun", record, "--output-dir", "replay")
+        assert code == 0, err
+    # a wc record edited to carry a tv seed is refused on replay
+    data = json.loads(Path(record).read_text())
+    data["params"]["graph"]["tv_seed"] = 7
+    Path("edited.json").write_text(json.dumps(data))
+    code, _, err = run(capsys, "rerun", "edited.json", "--output-dir", "edited")
+    assert code == 2 and "--tv-seed 7 applies to --transform tv only" in err
+    assert not Path("edited").exists()
+
+
+@pytest.mark.parametrize("source", ["", "/", "/dev/null"])
+def test_graph_source_that_is_not_a_file_is_refused_naming_it(tmp_path, capsys, source):
+    # Path("") is ".", which read as a file gave "Is a directory: '.'"
+    code, out, err = run(capsys, "select", "--graph", source, "--algorithm", "gdd", "--k", "1",
+                         "--seed", "1", "--output-dir", str(tmp_path / "runs"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: graph source {source!r}: ")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("optimize", ["grid", "golden", "face-joint"])
 @pytest.mark.parametrize("d_max", [["--d-max", "6"], []], ids=["d-max", "auto"])
 def test_optimize_budget_above_n_is_refused_before_any_simulation(tmp_path, capsys,
                                                                   monkeypatch, optimize, d_max):
@@ -596,6 +661,12 @@ BAD_PARAMS = {
                            "builtin graph 'lesmis'"),
     "source-without-kind": ("select-gdd", lambda p: p["graph"].update(source="lesmis"),
                             "graph source 'lesmis'"),
+    "builtin-tv-seed": ("select-gdd", lambda p: p["graph"].update(tv_seed=7),
+                        "--tv-seed 7 applies to --transform tv only"),
+    "source-empty-file": ("select-gdd", lambda p: p["graph"].update(source="file:"),
+                          "graph source '': no such builtin or file"),
+    "source-directory": ("select-gdd", lambda p: p["graph"].update(source="file:/"),
+                         "graph source '/': Is a directory"),
     "hash-null": ("select-gdd", lambda p: p["graph"].update(hash=None), "'hash'"),
     "hash-deleted": ("select-gdd", lambda p: p["graph"].pop("hash"), "'hash'"),
 }

@@ -389,6 +389,71 @@ def test_max_f_leaves_a_bounded_distance_cache():
     assert orc.exact_f([0, 1, 2], 2, 1) == first
 
 
+def test_exact_f_memo_returns_the_computed_values():
+    g = _sixteen_arc_instance()
+    orc = ExactOracle(g)
+    queries = [([0], 1, 1), ([0], 1, 2), ([3], 2, 1), ([1, 5], 1, 2), ([], 0, 1), ([2], 0, 0)]
+    first = [orc.exact_f(*q) for q in queries]
+    assert len(orc._f) == len(queries)
+    fresh = ExactOracle(g)
+    for q, value in zip(queries, first):
+        assert orc.exact_f(*q) == value            # from the memo
+        assert orc.exact_f(*q, return_details=True)[0] == value
+        assert fresh.exact_f(*q) == value
+    assert len(orc._f) == len(queries)
+
+
+def test_max_f_after_a_singleton_sweep_reads_the_memo():
+    for g in instance_family(6, seed=211):
+        orc = ExactOracle(g)
+        sweep = [orc.exact_f([v], 2, 1) for v in range(g.n)]
+        # every singleton value is stored, so max_f computes nothing again
+        orc.dist_from = None
+        best = orc.max_f(1, 2, 1)
+        assert best == ExactOracle(g).max_f(1, 2, 1) == _LoopOracle(g).max_f(1, 2, 1)
+        assert best[0] == max(sweep)
+
+
+def test_steps_past_every_distance_share_one_memo_entry():
+    orc = ExactOracle(_sixteen_arc_instance())
+    values = {orc.exact_f([0, 4], d, 1) for d in (UNREACHED - 1, UNREACHED, 1000)}
+    assert len(values) == 1 and len(orc._f) == 1
+    assert orc.exact_f([0, 4], 8, 1) == values.pop()   # no distance reaches 8 on 8 nodes
+    assert len(orc._f) == 2
+
+
+def _touch_brute(g, mask):
+    """The edge mask of the edges with an end in the node mask, by a loop."""
+    return sum(1 << e for e, (u, v, _) in enumerate(g.edges()) if (mask >> u | mask >> v) & 1)
+
+
+def _touch_lookup(orc, mask):
+    out = 0
+    for b, table in enumerate(orc.touch):
+        out |= int(table[(mask >> 8 * b) & 255])
+    return out
+
+
+def test_touch_tables_with_parallel_edges_and_past_one_mask_byte(tmp_path):
+    parallel = InfluenceGraph(n=4, labels=list("0123"), indptr=np.array([0, 2, 3, 5, 5]),
+                              dst=np.array([1, 1, 2, 3, 3]), p=np.array([0.5, 0.3, 0.6, 0.5, 0.9]))
+    nine = _nine_node_graph(tmp_path / "nine.tpim")
+    twenty = _sparse_graph(tmp_path / "twenty.tpim", 20,
+                           [(0, 1), (1, 9), (6, 7), (7, 8), (8, 17), (12, 13), (13, 14),
+                            (14, 15), (15, 16), (16, 19), (19, 0)])
+    rng = np.random.default_rng(5)
+    for g, n_bytes in ((parallel, 1), (nine, 2), (twenty, 3)):
+        orc = ExactOracle(g)
+        assert orc.touch.shape == (n_bytes, 256)
+        masks = {0, orc.full_nodes, *(1 << v for v in range(g.n)),
+                 *(int(x) for x in rng.integers(0, orc.full_nodes + 1, size=200))}
+        for mask in masks:
+            assert _touch_lookup(orc, mask) == _touch_brute(g, mask), (g.n, mask)
+    # both coins of the repeated arc 0 -> 1 touch node 0 and node 1; arc 1 -> 2 touches 1
+    orc = ExactOracle(parallel)
+    assert (int(orc.touch[0, 0b0001]), int(orc.touch[0, 0b0010])) == (0b011, 0b111)
+
+
 def _sparse_graph(path, n, arcs):
     """n nodes and the given arcs; the probabilities cycle through a few values."""
     probs = (0.5, 0.3, 0.8, 0.65)

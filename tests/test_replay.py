@@ -9,6 +9,11 @@ decay, face-joint on lesmis with rounds that span several batches, on
 example1 with decay, and with an SD (decay) and a greedy final second
 phase, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
 graph hash of the bundled Les Miserables instance.
+
+The ``oracle-family-*`` records beside them hold exact ``f`` and ``sigma``
+queries on ``family8.tpim``, a native 8-node, 16-arc graph: 2^16 live graphs,
+where the example1 records have 8. Their source is relative, so they replay
+from ``tests/data``.
 """
 
 from pathlib import Path
@@ -16,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from twophase_im.cli import main
+from twophase_im.graph import load_graph
 from twophase_im.records import RECORD_VERSION, load_record
 
-RECORDS = sorted((Path(__file__).parent / "data" / "records").glob("*.json"))
+DATA = Path(__file__).parent / "data"
+RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
@@ -28,6 +35,19 @@ def test_fixture_records_exist():
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
 def test_fixture_record_replays(record, tmp_path, capsys):
     assert load_record(record)["version"] == RECORD_VERSION == 3
+    code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("name", ["oracle-family-f", "oracle-family-sigma"])
+def test_oracle_record_on_sixteen_arcs_replays(name, tmp_path, capsys, monkeypatch):
+    record = DATA / f"{name}.json"
+    params = load_record(record)["params"]
+    assert params["graph"]["source"] == "file:family8.tpim"
+    graph = load_graph(DATA / "family8.tpim")
+    assert (graph.n, graph.m) == (8, 16)
+    monkeypatch.chdir(DATA)
     code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0, err
