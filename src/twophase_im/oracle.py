@@ -22,6 +22,7 @@ reach is OR-ed into one base mask per class, the reach of the recent nodes.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +39,7 @@ DIST_FROM_BYTES = 8 << 20      # budget for the cached per-seed-set distance tab
 UNREACHED = 127  # int8 sentinel distance
 
 _NODE_BITS = np.uint64(1) << np.arange(NODE_CAP, dtype=np.uint64)
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)   # [j, i]: bit i of j
 
 
 class OracleCapError(ValueError):
@@ -82,13 +84,6 @@ class ExactOracle:
         self.live = slice(None) if len(nonzero) == len(probs) else nonzero
         self.live_x = nonzero.astype(np.uint64)
         self.live_p = probs[self.live]
-        # touch[b, j]: the edges with an end among the nodes 8b + i, i a bit of j
-        node_edges = np.zeros(8 * -(-self.n // 8), dtype=np.uint64)
-        for e, (u, v, _) in enumerate(self.edges):
-            node_edges[[u, v]] |= np.uint64(1 << e)
-        self.touch = np.zeros((len(node_edges) // 8, 256), dtype=np.uint64)
-        for i in range(8):
-            self.touch[:, 1 << i:2 << i] = self.touch[:, :1 << i] | node_edges[i::8, None]
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
@@ -145,6 +140,17 @@ class ExactOracle:
         """(2^m, n) uint64: the nodes each source reaches in each live graph."""
         self.dist   # one enumeration fills both tables
         return self._reach
+
+    @cached_property
+    def touch(self) -> np.ndarray:
+        """(ceil(n/8), 256) uint64: ``touch[b, j]`` masks the edges with an end
+        among the nodes 8b + i for the bits i of j."""
+        node_edges = [0] * (8 * -(-self.n // 8))
+        for e, (u, v, _) in enumerate(self.edges):
+            node_edges[u] |= 1 << e
+            node_edges[v] |= 1 << e
+        by_byte = np.array(node_edges, dtype=np.uint64).reshape(-1, 1, 8)
+        return np.bitwise_or.reduce(np.where(_BYTE_BITS, by_byte, np.uint64(0)), axis=2)
 
     def dist_from(self, seed_mask: int) -> np.ndarray:
         """Per-live-graph distances from a seed set (min over members)."""
