@@ -2,8 +2,9 @@
 
 Deliberately exhaustive: every quantity is a sum over all 2^m live graphs.
 Live graph x keeps edge e (in ``graph.edges()`` order) when bit e of x is
-set, so a live graph is its own index. Node sets are uint64 bitmasks, which
-caps n at 64.
+set, so a live graph is its own index. Node sets are bitmasks of up to 64
+bits, which caps n at 64; edge and node masks are kept in the narrowest
+unsigned dtype that holds them.
 
 The distance table ``dist[x, v, w]`` and the reach masks ``reach[x, v]`` are
 built by edge doubling: live graph x with top bit e is live graph x - 2^e
@@ -12,17 +13,15 @@ graph's tables follow exactly from those of the graph with one edge fewer.
 After an observation, the residual of a live graph is the edge subset that
 avoids the already-active nodes, itself a live graph, so ``exact_f`` answers
 every residual reach query with a lookup into ``reach``. The edges that touch
-a node set come from per-byte incidence tables, ``touch[b, j]`` for byte b of
+a node set come from per-byte incidence tables, ``touch[b][j]`` for byte b of
 the node mask holding j: ceil(n/8) lookups per live graph. A candidate's
 reach is OR-ed into one base mask per class, the reach of the recent nodes.
-``exact_f`` values are memoized per oracle. Every table is checked against
-``ORACLE_BYTES`` before it is allocated.
+Every table is checked against ``ORACLE_BYTES`` before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +38,6 @@ DIST_FROM_BYTES = 8 << 20      # budget for the cached per-seed-set distance tab
 UNREACHED = 127  # int8 sentinel distance
 
 _NODE_BITS = np.uint64(1) << np.arange(NODE_CAP, dtype=np.uint64)
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)   # [j, i]: bit i of j
 
 
 class OracleCapError(ValueError):
@@ -82,14 +80,14 @@ class ExactOracle:
         # probabilities; a basic slice copies nothing when every one is live
         nonzero = probs.nonzero()[0]
         self.live = slice(None) if len(nonzero) == len(probs) else nonzero
-        self.live_x = nonzero.astype(np.uint64)
+        self.live_x = nonzero.astype(np.min_scalar_type(probs.size - 1))
         self.live_p = probs[self.live]
 
         self._dist = None          # (2^m, n, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
+        self._touch = None         # per mask byte, the edges touching each node subset
         self._dist_from = ByteCache(DIST_FROM_BYTES)   # seed bitmask -> (2^m, n) int8
         self._tables = {}          # delta -> value per node subset
-        self._f = {}               # (seed bitmask, min(d, UNREACHED - 1), k2) -> exact_f
 
     # -- distances ---------------------------------------------------------
 
@@ -141,16 +139,25 @@ class ExactOracle:
         self.dist   # one enumeration fills both tables
         return self._reach
 
-    @cached_property
-    def touch(self) -> np.ndarray:
-        """(ceil(n/8), 256) uint64: ``touch[b, j]`` masks the edges with an end
-        among the nodes 8b + i for the bits i of j."""
-        node_edges = [0] * (8 * -(-self.n // 8))
-        for e, (u, v, _) in enumerate(self.edges):
-            node_edges[u] |= 1 << e
-            node_edges[v] |= 1 << e
-        by_byte = np.array(node_edges, dtype=np.uint64).reshape(-1, 1, 8)
-        return np.bitwise_or.reduce(np.where(_BYTE_BITS, by_byte, np.uint64(0)), axis=2)
+    @property
+    def touch(self) -> list[np.ndarray]:
+        """One edge-mask table per byte of a node mask, of the dtype of
+        ``live_x``: ``touch[b][j]`` masks the edges with an end among the nodes
+        8b + i for the bits i of j. Byte b holds k <= 8 nodes, so its table
+        has 2^k entries, each subset's mask being the one without its top node
+        OR-ed with that node's edges."""
+        if self._touch is None:
+            node_edges = [0] * self.n
+            for e, (u, v, _) in enumerate(self.edges):
+                node_edges[u] |= 1 << e
+                node_edges[v] |= 1 << e
+            self._touch = []
+            for b in range(0, self.n, 8):
+                table = [0]
+                for edges in node_edges[b:b + 8]:
+                    table += [t | edges for t in table]
+                self._touch.append(np.array(table, dtype=self.live_x.dtype))
+        return self._touch
 
     def dist_from(self, seed_mask: int) -> np.ndarray:
         """Per-live-graph distances from a seed set (min over members)."""
@@ -215,31 +222,24 @@ class ExactOracle:
         residual edge mask form one class whose probability is summed in
         ascending x. A candidate's value sums, over the classes in order of
         first occurrence, class probability times the number of nodes the
-        recent and candidate nodes reach in the residual.
-
-        Values are kept per (seed set, step d, k2); a step past every
-        distance observes what step ``UNREACHED - 1`` does. A query with
-        ``return_details`` computes its value again."""
+        recent and candidate nodes reach in the residual."""
         if k2 < 0 or k2 > self.n:
             raise ValueError("k2 out of range")
         if d < 0:
             raise ValueError("d must be >= 0")
-        seed_mask, d_eff = _to_mask(s1), min(d, UNREACHED - 1)
-        key = (seed_mask, d_eff, k2)
-        if key in self._f and not return_details:
-            return self._f[key]
-        dist = self.dist_from(seed_mask)[self.live]
+        d_eff = min(d, UNREACHED - 1)
+        dist = self.dist_from(_to_mask(s1))[self.live]
         already, recent = _pack(dist < d_eff), _pack(dist == d_eff)
         # the residual drops every edge with an already-active end: one
         # touch-table lookup per byte of the already-active mask
-        touched = np.zeros_like(already)
-        parts = already.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
+        touched = np.zeros_like(self.live_x)
+        parts = already.view(np.uint8).reshape(-1, already.itemsize).T
         for table, part in zip(self.touch, parts):
             touched |= table.take(part)
         res = self.live_x & ~touched
 
         # classes: runs of equal (already, recent, res) in sorted order, with
-        # x ascending within each run
+        # x ascending within each run; keys of 16 bits or fewer sort by radix
         order = np.lexsort((res, recent, already))
         already, recent, res = already[order], recent[order], res[order]
         new_obs = np.empty(len(order), dtype=bool)
@@ -283,7 +283,7 @@ class ExactOracle:
                     "probability": group_p,
                     "s2": list(cands[best_i]),
                 })
-        value = self._f[key] = math.fsum(terms)
+        value = math.fsum(terms)
         if return_details:
             return value, details
         return value
@@ -319,9 +319,9 @@ def _best_candidate(w, reach, spreaders, cands):
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """(rows, k) bool with k <= 64 -> (rows,) uint64 masks, bit j set where
-    column j is. Each row is padded to a whole uint of 8, 16, 32 or 64 bits,
-    so one flat ``packbits`` packs every row into its own uint."""
+    """(rows, k) bool with k <= 64 -> (rows,) masks, bit j set where column
+    j is. Each row is padded to a whole little-endian uint of 8, 16, 32 or 64
+    bits, so one flat ``packbits`` packs every row into its own uint."""
     rows, k = bits.shape
     width = max(8, 1 << (k - 1).bit_length())
     if width != k:
@@ -329,7 +329,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
         padded[:, :k] = bits
         bits = padded
     packed = np.packbits(bits.reshape(-1), bitorder="little")
-    return packed.view(f"<u{width // 8}").astype(np.uint64)
+    return packed.view(f"<u{width // 8}")
 
 
 def _to_mask(nodes) -> int:

@@ -389,37 +389,11 @@ def test_max_f_leaves_a_bounded_distance_cache():
     assert orc.exact_f([0, 1, 2], 2, 1) == first
 
 
-def test_exact_f_memo_returns_the_computed_values():
-    g = _sixteen_arc_instance()
-    orc = ExactOracle(g)
-    queries = [([0], 1, 1), ([0], 1, 2), ([3], 2, 1), ([1, 5], 1, 2), ([], 0, 1), ([2], 0, 0)]
-    first = [orc.exact_f(*q) for q in queries]
-    assert len(orc._f) == len(queries)
-    fresh = ExactOracle(g)
-    for q, value in zip(queries, first):
-        assert orc.exact_f(*q) == value            # from the memo
-        assert orc.exact_f(*q, return_details=True)[0] == value
-        assert fresh.exact_f(*q) == value
-    assert len(orc._f) == len(queries)
-
-
-def test_max_f_after_a_singleton_sweep_reads_the_memo():
-    for g in instance_family(6, seed=211):
-        orc = ExactOracle(g)
-        sweep = [orc.exact_f([v], 2, 1) for v in range(g.n)]
-        # every singleton value is stored, so max_f computes nothing again
-        orc.dist_from = None
-        best = orc.max_f(1, 2, 1)
-        assert best == ExactOracle(g).max_f(1, 2, 1) == _LoopOracle(g).max_f(1, 2, 1)
-        assert best[0] == max(sweep)
-
-
-def test_steps_past_every_distance_share_one_memo_entry():
+def test_steps_past_every_distance_observe_the_same():
     orc = ExactOracle(_sixteen_arc_instance())
     values = {orc.exact_f([0, 4], d, 1) for d in (UNREACHED - 1, UNREACHED, 1000)}
-    assert len(values) == 1 and len(orc._f) == 1
+    assert len(values) == 1
     assert orc.exact_f([0, 4], 8, 1) == values.pop()   # no distance reaches 8 on 8 nodes
-    assert len(orc._f) == 2
 
 
 def _touch_brute(g, mask):
@@ -444,14 +418,15 @@ def test_touch_tables_with_parallel_edges_and_past_one_mask_byte(tmp_path):
     rng = np.random.default_rng(5)
     for g, n_bytes in ((parallel, 1), (nine, 2), (twenty, 3)):
         orc = ExactOracle(g)
-        assert orc.touch.shape == (n_bytes, 256)
+        sizes = [len(table) for table in orc.touch]   # 2^k for the k nodes of a byte
+        assert sizes == [256] * (n_bytes - 1) + [1 << (g.n - 8 * (n_bytes - 1))]
         masks = {0, orc.full_nodes, *(1 << v for v in range(g.n)),
                  *(int(x) for x in rng.integers(0, orc.full_nodes + 1, size=200))}
         for mask in masks:
             assert _touch_lookup(orc, mask) == _touch_brute(g, mask), (g.n, mask)
     # both coins of the repeated arc 0 -> 1 touch node 0 and node 1; arc 1 -> 2 touches 1
     orc = ExactOracle(parallel)
-    assert (int(orc.touch[0, 0b0001]), int(orc.touch[0, 0b0010])) == (0b011, 0b111)
+    assert (orc.touch[0][0b0001], orc.touch[0][0b0010]) == (0b011, 0b111)
 
 
 def _sparse_graph(path, n, arcs):
@@ -477,6 +452,24 @@ def test_array_oracle_matches_loop_reference_past_one_mask_byte(tmp_path):
                          (14, 15), (15, 16), (16, 19), (19, 0)])
     queries = [([0], 2, 1), ([6], 3, 1), ([17], 1, 1), ([12, 19], 1, 2), ([16], 0, 1)]
     _assert_matches_loop(g20, queries)
+
+
+def test_array_oracle_matches_loop_reference_on_wide_masks(tmp_path):
+    # 34 nodes: node masks of 64 bits; 17 coins on three nodes: edge masks
+    # of 32 bits (the masks sort in the narrowest dtype that holds them)
+    g34 = _sparse_graph(tmp_path / "wide.tpim", 34,
+                        [(0, 33), (33, 1), (30, 31), (31, 32), (32, 33), (7, 8)])
+    queries = [([0], 2, 1), ([30], 1, 1), ([30], 3, 2), ([7, 31], 1, 1)]
+    orc, _ = _assert_matches_loop(g34, queries)
+    assert orc.live_x.dtype == np.uint8
+    assert [len(table) for table in orc.touch] == [256] * 4 + [4]
+    arcs = [(0, 1), (1, 2), (0, 2), (2, 0)] * 4 + [(1, 0)]
+    src = np.array([u for u, _ in sorted(arcs)])
+    coins = InfluenceGraph(n=3, labels=list("012"), indptr=np.searchsorted(src, [0, 1, 2, 3]),
+                           dst=np.array([v for _, v in sorted(arcs)]),
+                           p=np.linspace(0.1, 0.9, len(arcs)))
+    orc, _ = _assert_matches_loop(coins, [([0], 1, 1), ([1], 0, 1), ([2], 1, 0)])
+    assert orc.m == 17 and orc.live_x.dtype == np.uint32
 
 
 def test_array_oracle_matches_loop_reference_without_edges(tmp_path):
