@@ -229,6 +229,8 @@ def run_twophase(params, graph):
         }
     if optimize == "face-joint":
         far = _farsighted(mc)
+        # the search scores its second phase with GDD whatever --algorithm
+        # says; only the final estimate below uses --algorithm
         (k1, d, s1), log = face_joint_optimize(
             graph, k, delay,
             lambda cands: [est.mean for est in score_cells(graph, cands, k, far, decay)],

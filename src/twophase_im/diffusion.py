@@ -41,11 +41,12 @@ TAG_FACE = 3
 TAG_RMAX = 4
 TAG_SPIC = 5
 TAG_PROBE = 6
+TAG_PHASE2_SELECT = 7
 
 CHUNK = 4096             # most replicates per derived RNG stream in batch simulation
 BATCH_BYTES = 32 << 20   # budget for one chunk's (reps, n) int32 times matrix
 GROUP_CELLS = 1 << 16    # most cells (rows x cells per row) a group of rows takes downstream
-WORLD_BYTES = 256 << 20  # budget for one world sample's (sims, m) live-edge mask
+WORLD_BYTES = 256 << 20  # budget for a (sims, m) live-edge mask or (sets, sims) replicate values
 TABLE_BYTES = 64 << 20   # budget for the (sims, n) time table an objective composes sets in
 CACHE_BYTES = 64 << 20   # budget for one world sample's cached per-node activations
 DRAW_BYTES = 1 << 20     # uniforms held at once while a live-edge mask is drawn
@@ -364,6 +365,8 @@ def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
+    check_bytes("the per-replicate values (sets x sims float64)", 8 * len(seed_sets) * sims,
+                WORLD_BYTES)
     vals = np.empty((len(seed_sets), sims))
     hist = np.zeros((len(seed_sets), 0), dtype=np.int64)
     for owner, index, times in replicate_rows(graph, seed_sets, sims, config.master_seed,

@@ -6,11 +6,15 @@ set, so a live graph is its own index. Node sets are bitmasks of up to 64
 bits, which caps n at 64; edge and node masks are kept in the narrowest
 unsigned dtype that holds them.
 
-The distance table ``dist[x, v, w]`` and the reach masks ``reach[x, v]`` are
-built by edge doubling: live graph x with top bit e is live graph x - 2^e
-plus edge e, and a shortest path uses that edge at most once, so each live
-graph's tables follow exactly from those of the graph with one edge fewer.
-After an observation, the residual of a live graph is the edge subset that
+The distance table ``dist[v, x, w]`` (source v, live graph x, node w) and
+the reach masks ``reach[x, v]`` are built by edge doubling: live graph x
+with top bit e is live graph x - 2^e plus edge e, and a shortest path uses
+that edge at most once, so each live graph's tables follow exactly from
+those of the graph with one edge fewer. Both tables are read-only once
+built. Source-major, ``dist[v]`` is node v's distances in every live graph,
+one contiguous block; a seed set's distances are the running minimum of its
+members' blocks, computed per query and cached nowhere. After an
+observation, the residual of a live graph is the edge subset that
 avoids the already-active nodes, itself a live graph, so ``exact_f`` answers
 every residual reach query with a lookup into ``reach``. The edges that touch
 a node set come from per-byte incidence tables, ``touch[b][j]`` for byte b of
@@ -26,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diffusion import NO_DECAY, ByteCache, DecayFunction, check_bytes
+from .diffusion import NO_DECAY, DecayFunction, check_bytes
 from .graph import InfluenceGraph
 
 EDGE_CAP = 24                  # most edges: 2^m live graphs are enumerated
@@ -34,7 +38,6 @@ SUBSET_CAP = 200_000           # most candidate second-phase sets per observatio
 NODE_CAP = 64                  # node sets are uint64 bitmasks
 ORACLE_BYTES = 512 << 20       # largest table (or temporary) the oracle allocates
 BLOCK_CELLS = 1 << 16          # live graphs x sources x nodes per doubling block
-DIST_FROM_BYTES = 8 << 20      # budget for the cached per-seed-set distance tables
 UNREACHED = 127  # int8 sentinel distance
 
 _NODE_BITS = np.uint64(1) << np.arange(NODE_CAP, dtype=np.uint64)
@@ -65,7 +68,7 @@ class ExactOracle:
         if self.n > NODE_CAP:
             raise OracleCapError(
                 f"graph has {self.n} nodes, above the node cap of {NODE_CAP}")
-        # dist is int8 (2^m, n, n); reach is uint64 (2^m, n)
+        # dist is int8 (n, 2^m, n); reach is uint64 (2^m, n)
         check_bytes("the distance and reach tables", (1 << self.m) * self.n * (self.n + 8),
                     ORACLE_BYTES, OracleCapError)
         self.full_nodes = (1 << self.n) - 1
@@ -83,11 +86,9 @@ class ExactOracle:
         self.live_x = nonzero.astype(np.min_scalar_type(probs.size - 1))
         self.live_p = probs[self.live]
 
-        self._dist = None          # (2^m, n, n) int8 single-source distances
+        self._dist = None          # (n, 2^m, n) int8 single-source distances
         self._reach = None         # (2^m, n) uint64 reached-node masks
         self._touch = None         # per mask byte, the edges touching each node subset
-        self._dist_from = ByteCache(DIST_FROM_BYTES)   # seed bitmask -> (2^m, n) int8
-        self._tables = {}          # delta -> value per node subset
 
     # -- distances ---------------------------------------------------------
 
@@ -99,18 +100,18 @@ class ExactOracle:
         A shortest path uses that edge at most once, its prefix and suffix
         lie in the smaller graph, so for all live graphs [2^e, 2^(e+1)) at once
 
-            dist'[s, w] = min(dist[s, w], dist[s, u] + 1 + dist[v, w])
-            reach'[s]   = reach[s] | (reach[v] if u in reach[s])
+            dist'[s, x, w] = min(dist[s, x, w], dist[s, x, u] + 1 + dist[v, x, w])
+            reach'[x, s]   = reach[x, s] | (reach[x, v] if u in reach[x, s])
 
         which are exactly the values a BFS in the larger graph finds. The sums
         run in uint8: at most 127 + 1 + 127 = 255, and the min with a value of
         at most 127 keeps ``UNREACHED``. Each step writes the upper half of both
         tables from the lower half, at most ``BLOCK_CELLS`` cells at a time."""
         n, size = self.n, 1 << self.m
-        dist = np.empty((size, n, n), dtype=np.int8)
+        dist = np.empty((n, size, n), dtype=np.int8)
         reach = np.empty((size, n), dtype=np.uint64)
-        dist[0] = UNREACHED
-        np.fill_diagonal(dist[0], 0)    # the edgeless graph: each source alone
+        dist[:, 0] = UNREACHED
+        np.fill_diagonal(dist[:, 0], 0)    # the edgeless graph: each source alone
         reach[0] = self.node_bits
         d8 = dist.view(np.uint8)
         block = max(1, BLOCK_CELLS // max(1, n * n))
@@ -118,24 +119,28 @@ class ExactOracle:
             half = 1 << e
             for lo in range(0, half, block):
                 hi = min(lo + block, half)
-                src, out = d8[lo:hi], d8[half + lo:half + hi]
-                to_u = src[:, :, u]                 # (block, source)
-                np.add((to_u + np.uint8(1))[:, :, None], src[:, None, v, :], out=out)
+                src, out = d8[:, lo:hi], d8[:, half + lo:half + hi]
+                to_u = src[:, :, u]                 # (source, block)
+                np.add((to_u + np.uint8(1))[:, :, None], src[v], out=out)
                 np.minimum(out, src, out=out)
                 r = reach[lo:hi]
-                np.bitwise_or(r, np.where(to_u < UNREACHED, r[:, v, None], np.uint64(0)),
+                np.bitwise_or(r, np.where(to_u.T < UNREACHED, r[:, v, None], np.uint64(0)),
                               out=reach[half + lo:half + hi])
+        dist.flags.writeable = reach.flags.writeable = False
         return dist, reach
 
     @property
     def dist(self) -> np.ndarray:
+        """(n, 2^m, n) int8, read-only: ``dist[v, x, w]`` is the distance
+        from source v to node w in live graph x, ``UNREACHED`` if none."""
         if self._dist is None:
             self._dist, self._reach = self._enumerate()
         return self._dist
 
     @property
     def reach(self) -> np.ndarray:
-        """(2^m, n) uint64: the nodes each source reaches in each live graph."""
+        """(2^m, n) uint64, read-only: the nodes each source reaches in each
+        live graph."""
         self.dist   # one enumeration fills both tables
         return self._reach
 
@@ -160,22 +165,19 @@ class ExactOracle:
         return self._touch
 
     def dist_from(self, seed_mask: int) -> np.ndarray:
-        """Per-live-graph distances from a seed set (min over members)."""
-        def make():
-            srcs = list(_bits(seed_mask))
-            if not srcs:
-                return np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
-            return self.dist[:, srcs, :].min(axis=1)
-
-        return self._dist_from.get(seed_mask, make)
+        """(2^m, n) int8: each live graph's distances from a seed set, the
+        minimum over its members. A single member's is ``dist[v]`` itself, a
+        read-only view."""
+        srcs = list(_bits(seed_mask))
+        if not srcs:
+            return np.full((1 << self.m, self.n), UNREACHED, dtype=np.int8)
+        dist = self.dist
+        out = dist[srcs[0]]
+        for s in srcs[1:]:
+            out = np.minimum(out, dist[s])
+        return out
 
     # -- sigma / nu --------------------------------------------------------
-
-    def _gamma_table(self, decay: DecayFunction) -> np.ndarray:
-        tab = np.zeros(UNREACHED + 1)
-        ts = np.arange(UNREACHED)
-        tab[:UNREACHED] = decay.delta ** ts
-        return tab
 
     def exact_nu(self, seeds, decay: DecayFunction) -> float:
         """Exact decay-weighted spread: sum over live graphs of p(X) times
@@ -186,30 +188,14 @@ class ExactOracle:
             srcs = list(_bits(seed_mask))
             per_x = np.bitwise_count(np.bitwise_or.reduce(self.reach[:, srcs], axis=1))
         else:
-            per_x = self._gamma_table(decay)[self.dist_from(seed_mask)].sum(axis=1)
+            gamma = np.zeros(UNREACHED + 1)    # an unreached node weighs 0
+            gamma[:UNREACHED] = decay.delta ** np.arange(UNREACHED)
+            per_x = gamma[self.dist_from(seed_mask)].sum(axis=1)
         return float(math.fsum(memoryview(self.mask_p * per_x)))
 
     def exact_sigma(self, seeds) -> float:
         """Exact expected spread: sum over live graphs of p(X) * |reachable|."""
         return self.exact_nu(seeds, NO_DECAY)
-
-    def value_table(self, decay: DecayFunction = NO_DECAY) -> np.ndarray:
-        """sigma (or nu) for every node subset, indexed by bitmask."""
-        got = self._tables.get(decay.delta)
-        if got is None:
-            # int8 distances plus float64 values for every (subset, live graph)
-            check_bytes("the value table", (1 << self.n) * (1 << self.m) * (self.n + 8),
-                        ORACLE_BYTES, OracleCapError)
-            gtab = self._gamma_table(decay)
-            dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
-            vals = np.zeros((1 << self.n, 1 << self.m))
-            for s in range(1, 1 << self.n):
-                low = s & -s
-                dsub[s] = np.minimum(dsub[s ^ low], self.dist[:, low.bit_length() - 1, :])
-                vals[s] = gtab[dsub[s]].sum(axis=1)
-            got = vals @ self.mask_p
-            self._tables[decay.delta] = got
-        return got
 
     # -- two-phase objective f --------------------------------------------
 

@@ -37,6 +37,8 @@ from .diffusion import (
     NO_DECAY,
     TAG_PHASE1,
     TAG_PHASE2,
+    TAG_PHASE2_SELECT,
+    WORLD_BYTES,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
@@ -62,8 +64,6 @@ from .selectors import (
     select_spic,
     select_wd,
 )
-
-TAG_PHASE2_SELECT = 7
 
 # Every selector by name, as (graph, k, objective, master_seed) -> SeedSet;
 # SD, WD and GDD use neither the objective nor the seed. Each entry looks its
@@ -179,6 +179,8 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
     m1, m2 = config.phase1_sims, config.phase2_sims
     check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
                 4 * m2 * n, BATCH_BYTES)
+    check_bytes("the outer-replicate values (sets x phase1_sims float64)", 8 * len(sets) * m1,
+                WORLD_BYTES)
     k2s = np.asarray(k2s, dtype=np.int64)
     outer_means = np.empty((len(sets), m1))
     phase1_hist = np.zeros((len(sets), 0), dtype=np.int64)   # activations per step

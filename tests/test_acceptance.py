@@ -126,8 +126,10 @@ def test_criterion_04_oracle_property_suite():
         orc = get_oracle(g)
         n = g.n
         for delta in (0.5, 0.9, 1.0):
+            decay = DecayFunction(delta)
             _check_monotone_submodular(
-                orc.value_table(DecayFunction(delta)), n)
+                [orc.exact_nu([v for v in range(n) if (s >> v) & 1], decay)
+                 for s in range(1 << n)], n)
         f1 = {(): orc.exact_f([], d_obs, k2)}
         for v in range(n):
             f1[(v,)] = orc.exact_f([v], d_obs, k2)

@@ -357,6 +357,20 @@ def test_huge_delay_is_refused_before_allocating(tmp_path, capsys, plan):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("cmd", [
+    ["select", "--k", "1", "--sims", "1000000000"],
+    ["twophase", "--k", "2", "--k1", "1", "--k2", "1", "--d", "1",
+     "--phase1-sims", "1000000000"],
+], ids=["sims", "phase1-sims"])
+def test_huge_replicate_count_is_refused_before_allocating(tmp_path, capsys, cmd):
+    # one float64 per replicate would be 7.5 GiB, past WORLD_BYTES
+    code, _, err = run(capsys, *cmd, "--graph", "example1", "--algorithm", "gdd",
+                       "--seed", "1", "--output-dir", str(tmp_path))
+    assert code == 2 and "budget of 256.0 MiB" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan"])
 def test_out_of_range_delta_is_data_error(tmp_path, capsys, delta):
     common = ["--graph", "example1", "--algorithm", "gdd", "--delta", delta,
@@ -412,6 +426,30 @@ def test_select_resolves_its_graph_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     code, _, _ = run(capsys, "rerun", last_json(out)["record"])
     assert code == 0 and len(calls) == 2
+
+
+def test_face_joint_searches_on_gdd_whatever_the_algorithm(tmp_path, capsys, monkeypatch):
+    # the search's second phase is score_cells' default, GDD; only the final
+    # estimate of the chosen plan uses --algorithm
+    import inspect
+
+    import twophase_im.cli as cli
+    selectors, original = [], cli.score_cells
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        bound.apply_defaults()
+        selectors.append(bound.arguments["selector2"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_cells", recording)
+    code, _, err = run(capsys, "twophase", "--graph", "lesmis", "--algorithm", "sd",
+                       "--k", "3", "--d-max", "2", "--sims", "20", "--phase1-sims", "10",
+                       "--phase2-sims", "5", "--seed", "0", "--optimize", "face-joint",
+                       "--output-dir", str(tmp_path))
+    assert code == 0, err
+    assert len(selectors) >= 2
+    assert selectors == ["gdd"] * (len(selectors) - 1) + ["sd"]
 
 
 def _fetch(capsys, source, digest, output):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import estimate_1d, instance_family
+from twophase_im import diffusion
 from twophase_im.diffusion import (
     BATCH_BYTES,
     CHUNK,
@@ -25,6 +26,12 @@ from twophase_im.oracle import get_oracle
 def chain(k, p=1.0):
     pairs = [(str(i), str(i + 1), p) for i in range(k)]
     return build_graph(RawEdgeList(directed=True, pairs=pairs))
+
+
+def test_stream_tags_are_distinct():
+    tags = {name: value for name, value in vars(diffusion).items() if name.startswith("TAG_")}
+    assert len(tags) >= 8 and tags["TAG_PHASE2_SELECT"] == 7
+    assert len(set(tags.values())) == len(tags)
 
 
 def test_decay_validation():

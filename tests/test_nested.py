@@ -16,6 +16,7 @@ from twophase_im.diffusion import (
     NO_DECAY,
     TAG_PHASE1,
     TAG_PHASE2,
+    TAG_PHASE2_SELECT,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
@@ -161,7 +162,7 @@ class _LoopNested:
         if self.selector2 != "greedy":
             return _old_select(res, self.selector2, k2_eff, recent_local)
         sigma = SigmaObjective(res, MonteCarloConfig(master_seed=master_seed),
-                               sims=self.sims, tag=two_phase.TAG_PHASE2_SELECT)
+                               sims=self.sims, tag=TAG_PHASE2_SELECT)
         base = frozenset(recent_local)
         return select_greedy(res, k2_eff, lambda s: sigma(base | s)).nodes
 

@@ -12,7 +12,6 @@ from twophase_im.diffusion import NO_DECAY, DecayFunction
 from twophase_im.graph import InfluenceGraph, RawEdgeList, build_graph, load_graph
 from twophase_im.instances import example1_graph, random_small_graph
 from twophase_im.oracle import (
-    DIST_FROM_BYTES,
     ORACLE_BYTES,
     UNREACHED,
     ExactOracle,
@@ -74,14 +73,6 @@ def test_exact_nu_trivial_decay_equals_sigma(example1):
             orc.exact_sigma(seeds), abs=1e-12)
 
 
-def test_value_table_matches_pointwise_sigma(example1):
-    orc = get_oracle(example1)
-    table = orc.value_table()
-    for mask in range(1 << example1.n):
-        seeds = [v for v in range(example1.n) if (mask >> v) & 1]
-        assert table[mask] == pytest.approx(orc.exact_sigma(seeds), abs=1e-9)
-
-
 def test_exact_f_zero_k2_zero_d_is_sigma(example1):
     for seeds in ([0], [1], [0, 1]):
         orc = get_oracle(example1)
@@ -137,12 +128,6 @@ def test_oracle_byte_budget_checked_before_allocating(tmp_path):
     arcs = [(u, v, 0.5) for u in range(7) for v in range(7) if u != v][:24]
     with pytest.raises(OracleCapError, match="distance and reach tables"):
         ExactOracle(_native_graph(tmp_path / "deep.tpim", 64, arcs))
-    # 30 nodes and one edge: the distance table is tiny, but the value table
-    # would hold 2^30 subsets x 2 live graphs x 38 bytes
-    orc = ExactOracle(_native_graph(tmp_path / "wide.tpim", 30, [(0, 1, 0.5)]))
-    assert orc.dist.nbytes == 2 * 30 * 30
-    with pytest.raises(OracleCapError, match="value table"):
-        orc.value_table()
 
 
 # -- loop reference for the array enumeration ------------------------------
@@ -226,15 +211,6 @@ class _LoopOracle:
         per_x = gtab[self.dist_from(seeds)].sum(axis=1)
         return float(math.fsum(self.mask_p * per_x))
 
-    def value_table(self, decay):
-        gtab = np.zeros(UNREACHED + 1)
-        gtab[:UNREACHED] = decay.delta ** np.arange(UNREACHED)
-        dsub = np.full((1 << self.n, 1 << self.m, self.n), UNREACHED, dtype=np.int8)
-        for s in range(1, 1 << self.n):
-            low = s & -s
-            dsub[s] = np.minimum(dsub[s ^ low], self.dist[:, low.bit_length() - 1, :])
-        return gtab[dsub].sum(axis=2) @ self.mask_p
-
     def _reach_res(self, res, src):
         key = (res, src)
         if key not in self._res_reach:
@@ -313,7 +289,7 @@ def _sixteen_arc_instance():
 
 def _assert_matches_loop(g, queries):
     orc, ref = ExactOracle(g), _LoopOracle(g)
-    assert np.array_equal(orc.dist, ref.dist)
+    assert np.array_equal(orc.dist, ref.dist.transpose(1, 0, 2))   # source-major
     assert np.array_equal(orc.reach, ref.reach)
     for v in range(g.n):
         assert orc.exact_sigma([v]) == ref.exact_nu([v], NO_DECAY)
@@ -323,12 +299,19 @@ def _assert_matches_loop(g, queries):
     return orc, ref
 
 
+def _assert_every_subset_matches_loop(orc, ref):
+    # sigma (delta = 1) and nu (delta = 0.5) of every node subset
+    for decay in (NO_DECAY, DecayFunction(0.5)):
+        for mask in range(1 << orc.n):
+            seeds = list(_mask_bits(mask))
+            assert orc.exact_nu(seeds, decay) == ref.exact_nu(seeds, decay), (mask, decay)
+
+
 def test_array_oracle_matches_loop_reference_on_example1(example1):
     queries = [(s1, d, k2) for s1 in ([], [0], [1], [0, 1], [2, 3])
                for d in range(4) for k2 in range(3)]
     orc, ref = _assert_matches_loop(example1, queries)
-    for decay in (NO_DECAY, DecayFunction(0.5)):
-        assert np.array_equal(orc.value_table(decay), ref.value_table(decay))
+    _assert_every_subset_matches_loop(orc, ref)
     assert orc.max_f(1, 3, 1) == ref.max_f(1, 3, 1)
     assert orc.max_f(2, 1, 2) == ref.max_f(2, 1, 2)
 
@@ -342,7 +325,7 @@ def test_array_oracle_matches_loop_reference_on_family():
             s1 = sorted(rng.choice(g.n, size=size, replace=False).tolist())
             queries.append((s1, int(rng.integers(0, 4)), int(rng.integers(0, 3))))
         orc, ref = _assert_matches_loop(g, queries)
-        assert np.array_equal(orc.value_table(), ref.value_table(NO_DECAY))
+        _assert_every_subset_matches_loop(orc, ref)
         assert orc.max_f(1, 1, 1) == ref.max_f(1, 1, 1)
 
 
@@ -372,21 +355,27 @@ def test_array_oracle_matches_loop_reference_on_sixteen_arcs():
     assert orc.max_f(1, 2, 1) == ref.max_f(1, 2, 1)
 
 
-def test_max_f_leaves_a_bounded_distance_cache():
-    # max_f(3, ...) on 8 nodes visits 56 seed sets; their (2^16, 8) distance
-    # tables are 512 KiB each, and the cache keeps only the first few it is
-    # given (the loop-reference tests above check the values with the cache
-    # in place)
+def test_singleton_distances_are_a_read_only_view_of_the_table():
+    orc = ExactOracle(_sixteen_arc_instance())
+    for v in (0, 5):
+        got = orc.dist_from(1 << v)
+        assert np.shares_memory(got, orc.dist)
+        assert np.array_equal(got, orc.dist[v])
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0
+    assert not orc.dist.flags.writeable and not orc.reach.flags.writeable
+
+
+def test_seed_set_distances_are_the_members_minimum():
     g = _sixteen_arc_instance()
-    orc = ExactOracle(g)
-    first = orc.exact_f([0, 1, 2], 2, 1)
-    orc.max_f(3, 2, 1)
-    table = (1 << g.m) * g.n
-    assert len(orc._dist_from) == DIST_FROM_BYTES // table < 56
-    assert orc._dist_from.nbytes <= DIST_FROM_BYTES
-    # the first seed set's table stays cached, and gives the same values
-    assert 0b111 in orc._dist_from._items
-    assert orc.exact_f([0, 1, 2], 2, 1) == first
+    orc, ref = ExactOracle(g), _LoopOracle(g)
+    for seeds in ([0, 3], [1, 5, 6], [2, 4, 6, 7], list(range(8))):
+        got = orc.dist_from(sum(1 << v for v in seeds))
+        assert np.array_equal(got, ref.dist_from(seeds))
+        assert not np.shares_memory(got, orc.dist)
+    empty = orc.dist_from(0)
+    assert empty.shape == ((1 << g.m), g.n) and (empty == UNREACHED).all()
 
 
 def test_steps_past_every_distance_observe_the_same():

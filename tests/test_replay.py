@@ -16,15 +16,21 @@ where the example1 records have 8. Their source is relative, so they replay
 from ``tests/data``.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
+
+import twophase_im
 
 from twophase_im.cli import main
 from twophase_im.graph import load_graph
 from twophase_im.records import RECORD_VERSION, load_record
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(twophase_im.__file__).parent
+# numpy hands these to the BLAS build, whose sums may differ between builds
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
 RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
@@ -51,3 +57,19 @@ def test_oracle_record_on_sixteen_arcs_replays(name, tmp_path, capsys, monkeypat
     code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0, err
+
+
+def test_package_source_makes_no_blas_call():
+    # replay must not depend on which BLAS numpy was built with
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in BLAS_CALLS:
+                    found.append((path.name, node.lineno, name))
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []
