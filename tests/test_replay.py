@@ -1,7 +1,7 @@
 """Stored run records must replay bit-exactly.
 
 Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
-earlier build: select (gdd; greedy with decay; face); fixed two-phase plans
+earlier build: select (gdd; greedy with decay; face; rmax); fixed two-phase plans
 with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
 and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
 a grid, golden-section search with decay, face-joint with and without
@@ -12,8 +12,8 @@ graph hash of the bundled Les Miserables instance.
 
 The ``oracle-family-*`` records beside them hold exact ``f`` and ``sigma``
 queries on ``family8.tpim``, a native 8-node, 16-arc graph: 2^16 live graphs,
-where the example1 records have 8. Their source is relative, so they replay
-from ``tests/data``.
+where the example1 records have 8; ``select-spic`` is a SPIC selection on the
+same graph. Their source is relative, so they replay from ``tests/data``.
 """
 
 import ast
@@ -35,7 +35,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
@@ -46,7 +46,7 @@ def test_fixture_record_replays(record, tmp_path, capsys):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("name", ["oracle-family-f", "oracle-family-sigma"])
+@pytest.mark.parametrize("name", ["oracle-family-f", "oracle-family-sigma", "select-spic"])
 def test_oracle_record_on_sixteen_arcs_replays(name, tmp_path, capsys, monkeypatch):
     record = DATA / f"{name}.json"
     params = load_record(record)["params"]
