@@ -7,14 +7,14 @@ frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
 CSR arrays, from the seeds at step 0 or from any frontier at a later step.
 
 Every fresh replicate comes from one sampler, ``simulate_blocks``: blocks
-of (seed set, rows, stream) as one cascade whose coin draws one uniform per
-edge tested, each block reading its stream from the start at its own
-offset (``_block_coin``), so that many blocks can share one stream.
-``simulate_batch`` is its one-block case (``simulate_ic`` a one-replicate
-view), and ``replicate_rows`` the row source over it: chunk j of every set
-reads ``stream(master_seed, tag, j)``, and as many chunks as fit
-``GROUP_CELLS`` run as one cascade. ``continue_blocks`` continues stopped
-replicates with the same coin (the second phase of a two-phase run).
+of (seed set, rows, generator) as one cascade whose coin draws one uniform
+per edge tested, each block from its own generator (``_block_coin``), so
+blocks of one stream each build a generator of it and read it from the
+start. ``simulate_batch`` is its one-block case (``simulate_ic`` a
+one-replicate view), and ``replicate_rows`` the row source over it: chunk j
+of every set reads ``stream(master_seed, tag, j)``, and as many chunks as
+fit ``GROUP_CELLS`` run as one cascade. ``continue_blocks`` continues
+stopped replicates with the same coin (the second phase of a two-phase run).
 ``WorldSample`` runs the loop in live-edge worlds drawn once, with a lookup
 for a coin. One estimator, ``estimate_spreads``, weights activations by a
 ``DecayFunction`` (delta = 1, the default, is the plain spread);
@@ -57,10 +57,12 @@ class BudgetError(ValueError):
 
 
 def check_bytes(what: str, nbytes: int, budget: int, error=BudgetError):
-    """Raise ``error`` before an allocation of ``nbytes`` that passes ``budget``."""
+    """Raise ``error`` before an allocation of ``nbytes`` that passes ``budget``.
+    The message rounds the request up and the budget down to 0.1 MiB, so
+    the two never read as equal, and gives both in bytes."""
     if nbytes > budget:
-        raise error(f"{what}: {nbytes / 2**20:.1f} MiB, above the budget "
-                    f"of {budget / 2**20:.1f} MiB")
+        raise error(f"{what}: {-(-nbytes * 10 // 2**20) / 10:.1f} MiB ({nbytes} bytes), "
+                    f"above the budget of {budget * 10 // 2**20 / 10:.1f} MiB ({budget} bytes)")
 
 
 def chunk_size(n: int) -> int:
@@ -197,12 +199,11 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
     return steps
 
 
-def simulate_blocks(graph: InfluenceGraph, blocks, rngs: list,
-                    stop_at: int | None = None) -> np.ndarray:
+def simulate_blocks(graph: InfluenceGraph, blocks, stop_at: int | None = None) -> np.ndarray:
     """IC replicates in blocks, as one (rows, n) activation-time matrix from
-    one cascade: block (seeds, rows, s) is ``rows`` replicates of ``seeds``
-    whose coins come from ``rngs[s]``, read from its position at the call as
-    if the block ran alone (``_block_coin``).
+    one cascade: block (seeds, rows, rng) is ``rows`` replicates of ``seeds``
+    whose coins come from ``rng``, read from its position at the call as if
+    the block ran alone (``_block_coin``).
 
     Each edge tested draws one uniform and fires when ``u < p``, so the
     draws are fixed by the stream alone."""
@@ -214,7 +215,7 @@ def simulate_blocks(graph: InfluenceGraph, blocks, rngs: list,
                           for first, (_, rows, _), seeds in zip(starts.tolist(), blocks, sets)
                           if seeds] or [np.zeros(0, np.int64)])
     times.reshape(-1)[key] = 0
-    coin = _block_coin(graph.p, n, starts, [s for _, _, s in blocks], rngs)
+    coin = _block_coin(graph.p, n, starts, [rng for _, _, rng in blocks])
     _cascade(graph, times, key, n if stop_at is None else stop_at, coin)
     return times
 
@@ -223,70 +224,40 @@ def simulate_batch(graph: InfluenceGraph, seeds, rng: np.random.Generator,
                    reps: int, stop_at: int | None = None) -> np.ndarray:
     """IC replicates; returns a (reps, n) activation-time matrix, the one
     block of ``simulate_blocks``."""
-    return simulate_blocks(graph, [(seeds, reps, 0)], [rng], stop_at)
+    return simulate_blocks(graph, [(seeds, reps, rng)], stop_at)
 
 
-def _block_coin(prob: np.ndarray, n: int, starts, src, rngs: list):
+def _block_coin(prob: np.ndarray, n: int, starts, rngs: list):
     """The coin of a cascade whose rows come in blocks: block b, rows
-    ``starts[b]`` to ``starts[b + 1] - 1``, draws one uniform per edge tested
-    from ``rngs[src[b]]``, in key order, at its own offset. So each block
-    reads its stream from the start, as it would in a cascade of its own,
-    however many blocks share the stream.
-
-    A stream read by one block is drawn as it is read, ``rng.random(count)``
-    a step. Of a stream shared by several blocks only the uniforms that some
-    block still reading has not passed are kept: a block asked no coin in a
-    step activates nothing, so it never reads again."""
+    ``starts[b]`` to ``starts[b + 1] - 1``, draws one uniform per edge it
+    tests from its own generator ``rngs[b]``, in key order, so it reads its
+    stream as it would in a cascade of its own. A block tests no edge in a
+    step after one that activated nothing in it, so it draws nothing more."""
     bounds = np.asarray(starts, dtype=np.int64) * n
-    src = np.asarray(src, dtype=np.int64)
-    solo = len(set(src.tolist())) == len(src)
-    read = np.zeros(len(src), dtype=np.int64)     # uniforms each block has read
-    base = np.zeros(len(rngs), dtype=np.int64)    # stream position of kept[s][0]
-    kept = [np.zeros(0)] * len(rngs)
-    last = np.iinfo(np.int64).max
 
     def coin(key, edge):
-        count = np.diff(np.searchsorted(key, bounds))
-        live = np.flatnonzero(count)
-        count, used, at = count[live], src[live], read[live]
-        if solo:   # each live block draws its count into its own slice, in key order
-            u, ends = np.empty(key.size), count.cumsum()
-            for s, a, b in zip(used.tolist(), (ends - count).tolist(), ends.tolist()):
-                rngs[s].random(out=u[a:b])
-            return u < prob[edge]
-        read[live] += count
-        lo, hi = np.full(len(rngs), last), np.zeros(len(rngs), dtype=np.int64)
-        np.minimum.at(lo, used, at)
-        np.maximum.at(hi, used, at + count)
-        start = np.zeros(len(rngs), dtype=np.int64)   # pool position of stream position 0
-        pool, size = [], 0
-        for s in np.flatnonzero(hi).tolist():
-            keep = kept[s][lo[s] - base[s]:]
-            need = int(hi[s] - lo[s]) - keep.size
-            if need > 0:
-                keep = np.concatenate((keep, rngs[s].random(need)))
-            kept[s], base[s] = keep, lo[s]
-            start[s], size = size - lo[s], size + keep.size
-            pool.append(keep)
-        u = np.concatenate(pool or [np.zeros(0)])
-        return u[_edge_ids(start[used] + at, np.arange(live.size), count)] < prob[edge]
+        at = np.searchsorted(key, bounds)
+        u = np.empty(key.size)
+        for b in np.flatnonzero(np.diff(at)).tolist():
+            rngs[b].random(out=u[at[b]:at[b + 1]])
+        return u < prob[edge]
 
     return coin
 
 
 def continue_blocks(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, t: int,
-                    block: int, src, rngs: list) -> None:
+                    rngs: list) -> None:
     """Continue IC replicates in place to their end: the (reps, n) ``times``
     matrix, from the sorted flat keys ``key`` activated at step ``t``.
 
-    The rows come in blocks of ``block``; block b reads ``rngs[src[b]]``
-    (``_block_coin``). Edges into nodes already active are dropped before
-    any draw and the rest keep their CSR order, so a block draws what
-    ``simulate_batch`` with its stream would draw on the graph with those
-    nodes cut out (``residual_graph``), from the frontier.
+    The rows come in ``len(rngs)`` blocks of ``reps // len(rngs)``; block b
+    reads ``rngs[b]`` (``_block_coin``). Edges into nodes already active are
+    dropped before any draw and the rest keep their CSR order, so a block
+    draws what ``simulate_batch`` with its stream would draw on the graph
+    with those nodes cut out (``residual_graph``), from the frontier.
     """
     reps, n = times.shape
-    coin = _block_coin(graph.p, n, range(0, reps + 1, block), src, rngs)
+    coin = _block_coin(graph.p, n, range(0, reps + 1, reps // len(rngs)), rngs)
     _cascade(graph, times, key, t + n, coin, t)   # a cascade on n nodes ends within n steps
 
 
@@ -296,9 +267,9 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
     replicate index, times) rows, sets in order and replicates in order.
 
     A set's replicates come in chunks of ``chunk_size(n)``; chunk j is a
-    block (``simulate_blocks``) that reads ``stream(master_seed, tag, j)``
-    from its start, so a replicate's row does not depend on how the chunks
-    are batched. One cascade runs consecutive chunks, as many as fit
+    block (``simulate_blocks``) with a generator of ``stream(master_seed,
+    tag, j)`` of its own, so a replicate's row does not depend on how the
+    chunks are batched. One cascade runs consecutive chunks, as many as fit
     ``GROUP_CELLS`` at ``cells`` per row (what a row takes downstream), and
     at least one; its rows come in groups of at most that many rows."""
     size = chunk_size(graph.n)
@@ -312,9 +283,8 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
             rows += chunks[hi][2]
             hi += 1
         batch = chunks[lo:hi]
-        used, src = np.unique([first // size for _, first, _ in batch], return_inverse=True)
-        times = simulate_blocks(graph, [(seed_sets[c], r, s) for (c, _, r), s in zip(batch, src)],
-                                [stream(master_seed, tag, j) for j in used.tolist()], stop_at)
+        times = simulate_blocks(graph, [(seed_sets[c], r, stream(master_seed, tag, first // size))
+                                        for c, first, r in batch], stop_at)
         owner = np.repeat([c for c, _, _ in batch], [r for _, _, r in batch])
         index = np.concatenate([np.arange(first, first + r) for _, first, r in batch])
         for a in range(0, rows, fit):

@@ -333,15 +333,12 @@ def select_spic(graph: InfluenceGraph, k: int, objective, master_seed: int = 0) 
     _check_budget(graph, k)
     value = shapley_values(graph, objective, master_seed).copy()
     picked = []
-    selected = set()
+    selected = np.zeros(graph.n, dtype=bool)
     for _ in range(k):
-        best = -1
-        for v in range(graph.n):
-            if v not in selected and (best < 0 or value[v] > value[best]):
-                best = v
+        best = int(np.where(selected, -np.inf, value).argmax())   # ties: the lowest id
         phi_y = value[best]
         picked.append(best)
-        selected.add(best)
+        selected[best] = True
         out = slice(graph.indptr[best], graph.indptr[best + 1])
         np.multiply.at(value, graph.dst[out], 1.0 - graph.p[out])
         in_indptr, in_src, in_p = graph.in_index

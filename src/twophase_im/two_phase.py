@@ -199,9 +199,8 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         frontier = frontier.repeat(m2, axis=0)
         times = at.repeat(m2, axis=0)
         times[frontier] = d
-        outer, src = np.unique(i, return_inverse=True)
-        continue_blocks(graph, times, np.flatnonzero(frontier), d, m2, src,
-                        [stream(config.master_seed, TAG_PHASE2, j) for j in outer.tolist()])
+        continue_blocks(graph, times, np.flatnonzero(frontier), d,
+                        [stream(config.master_seed, TAG_PHASE2, j) for j in i.tolist()])
         outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(sorted(s2[r]))

@@ -1,6 +1,7 @@
 import fcntl
 import hashlib
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -369,6 +370,18 @@ def test_huge_replicate_count_is_refused_before_allocating(tmp_path, capsys, cmd
     assert code == 2 and "budget of 256.0 MiB" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_replicate_count_just_past_the_budget_reads_past_it(tmp_path, capsys):
+    # 33 554 433 float64 values are 8 bytes past WORLD_BYTES
+    code, _, err = run(capsys, "select", "--graph", "example1", "--algorithm", "gdd",
+                       "--k", "1", "--sims", "33554433", "--seed", "1",
+                       "--output-dir", str(tmp_path))
+    assert code == 2 and "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+    sizes = re.search(r"([\d.]+) MiB \((\d+) bytes\), above the budget of "
+                      r"([\d.]+) MiB \((\d+) bytes\)", err)
+    assert sizes.groups() == ("256.1", "268435464", "256.0", "268435456")
 
 
 @pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan"])

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import estimate_1d, instance_family
 from twophase_im import diffusion
@@ -15,6 +16,7 @@ from twophase_im.diffusion import (
     chunk_size,
     estimate_spread,
     simulate_batch,
+    simulate_blocks,
     simulate_ic,
     stream,
 )
@@ -32,6 +34,29 @@ def test_stream_tags_are_distinct():
     tags = {name: value for name, value in vars(diffusion).items() if name.startswith("TAG_")}
     assert len(tags) >= 8 and tags["TAG_PHASE2_SELECT"] == 7
     assert len(set(tags.values())) == len(tags)
+
+
+LESMIS = les_miserables_wc()
+# few streams, so that drawn blocks often read one stream in one cascade
+STREAMS = [(3, 1, 0), (3, 1, 1), (3, 2, 0), (8, 1, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, LESMIS.n - 1), max_size=4),
+                          st.integers(1, 9), st.sampled_from(STREAMS)),
+                min_size=1, max_size=6),
+       st.sampled_from([None, 2]))
+def test_each_block_draws_what_it_draws_alone(blocks, stop_at):
+    # every block holds a generator of its own, also when its stream is the
+    # stream of another block in the cascade
+    times = simulate_blocks(LESMIS, [(seeds, rows, stream(*key)) for seeds, rows, key in blocks],
+                            stop_at)
+    first = 0
+    for seeds, rows, key in blocks:
+        alone = simulate_batch(LESMIS, seeds, stream(*key), rows, stop_at=stop_at)
+        assert np.array_equal(times[first:first + rows], alone)
+        first += rows
+    assert first == len(times)
 
 
 def test_decay_validation():

@@ -355,7 +355,7 @@ def test_replicate_rows_stack_the_batches_of_each_set(monkeypatch):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(0, 300))
 def test_stream_uniforms_do_not_depend_on_how_they_are_drawn(seed, a, b):
-    # what a stream shared by several blocks relies on: a stream's uniforms
-    # are one sequence, however it is cut into draws
+    # what a block reading its stream over many cascade steps relies on: a
+    # stream's uniforms are one sequence, however it is cut into draws
     g, h = stream(seed, 2, 1), stream(seed, 2, 1)
     assert np.array_equal(np.concatenate([g.random(a), g.random(b)]), h.random(a + b))
