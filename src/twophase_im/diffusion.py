@@ -231,8 +231,7 @@ def _block_coin(prob: np.ndarray, n: int, starts, rngs: list):
     """The coin of a cascade whose rows come in blocks: block b, rows
     ``starts[b]`` to ``starts[b + 1] - 1``, draws one uniform per edge it
     tests from its own generator ``rngs[b]``, in key order, so it reads its
-    stream as it would in a cascade of its own. A block tests no edge in a
-    step after one that activated nothing in it, so it draws nothing more."""
+    stream as it would in a cascade of its own."""
     bounds = np.asarray(starts, dtype=np.int64) * n
 
     def coin(key, edge):
