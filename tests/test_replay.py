@@ -7,8 +7,10 @@ and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
 a grid, golden-section search with decay, face-joint with and without
 decay, face-joint on lesmis with rounds that span several batches, on
 example1 with decay, and with an SD (decay) and a greedy final second
-phase, and exact ``nu`` and ``f`` oracle queries. The lesmis records also pin the
-graph hash of the bundled Les Miserables instance.
+phase, the benchmark's lesmis face-joint search (k = 6, d-max 6), a k = 1
+face-joint search whose budget split has a single option, and exact ``nu``
+and ``f`` oracle queries. The lesmis records also pin the graph hash of
+the bundled Les Miserables instance.
 
 The ``oracle-family-*`` records beside them hold exact ``f`` and ``sigma``
 queries on ``family8.tpim``, a native 8-node, 16-arc graph: 2^16 live graphs,
@@ -35,7 +37,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 22
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
