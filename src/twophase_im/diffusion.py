@@ -13,8 +13,12 @@ blocks of one stream each build a generator of it and read it from the
 start. ``simulate_batch`` is its one-block case (``simulate_ic`` a
 one-replicate view), and ``replicate_rows`` the row source over it: chunk j
 of every set reads ``stream(master_seed, tag, j)``, and as many chunks as
-fit ``GROUP_CELLS`` run as one cascade. ``continue_blocks`` continues
-stopped replicates with the same coin (the second phase of a two-phase run).
+fit ``GROUP_CELLS`` run as one cascade. A call that builds many generators
+of one (master_seed, tag), some of one index, takes them from a
+``stream_source`` of its own, which hashes each index's seed once and is
+dropped with the call, so a run costs the same whatever ran before it in
+the process. ``continue_blocks`` continues stopped replicates with the
+same coin (the second phase of a two-phase run).
 ``WorldSample`` runs the loop in live-edge worlds drawn once, with a lookup
 for a coin. One estimator, ``estimate_spreads``, weights activations by a
 ``DecayFunction`` (delta = 1, the default, is the plain spread);
@@ -73,6 +77,36 @@ def chunk_size(n: int) -> int:
 def stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Derived RNG stream for (master_seed, tag, index); order-insensitive."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(tag, index)))
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose words are hashed at their first request and
+    handed out again at each later one."""
+
+    def __init__(self, seq: np.random.SeedSequence):
+        self._seq, self._words = seq, {}
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        key = (n_words, np.dtype(dtype))
+        if key not in self._words:
+            self._words[key] = self._seq.generate_state(n_words, dtype)
+        return self._words[key]
+
+
+def stream_source(master_seed: int, tag: int):
+    """index -> a fresh generator equal to ``stream(master_seed, tag,
+    index)``. Each index's seed is hashed once, at its first call, and kept
+    as long as the source is."""
+    seeds = {}
+
+    def source(index: int) -> np.random.Generator:
+        seed = seeds.get(index)
+        if seed is None:
+            seed = seeds[index] = _HashedSeed(
+                np.random.SeedSequence(master_seed, spawn_key=(tag, index)))
+        return np.random.Generator(np.random.PCG64(seed))
+
+    return source
 
 
 @dataclass(frozen=True)
@@ -268,11 +302,14 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
     A set's replicates come in chunks of ``chunk_size(n)``; chunk j is a
     block (``simulate_blocks``) with a generator of ``stream(master_seed,
     tag, j)`` of its own, so a replicate's row does not depend on how the
-    chunks are batched. One cascade runs consecutive chunks, as many as fit
-    ``GROUP_CELLS`` at ``cells`` per row (what a row takes downstream), and
-    at least one; its rows come in groups of at most that many rows."""
+    chunks are batched. The call takes them from one ``stream_source``, so
+    chunk j's seed is hashed once, however many sets read it. One cascade
+    runs consecutive chunks, as many as fit ``GROUP_CELLS`` at ``cells`` per
+    row (what a row takes downstream), and at least one; its rows come in
+    groups of at most that many rows."""
     size = chunk_size(graph.n)
     fit = max(1, GROUP_CELLS // max(cells, 1))
+    streams = stream_source(master_seed, tag)
     chunks = [(c, first, min(size, sims - first))
               for c in range(len(seed_sets)) for first in range(0, sims, size)]
     hi = 0
@@ -282,7 +319,7 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
             rows += chunks[hi][2]
             hi += 1
         batch = chunks[lo:hi]
-        times = simulate_blocks(graph, [(seed_sets[c], r, stream(master_seed, tag, first // size))
+        times = simulate_blocks(graph, [(seed_sets[c], r, streams(first // size))
                                         for c, first, r in batch], stop_at)
         owner = np.repeat([c for c, _, _ in batch], [r for _, _, r in batch])
         index = np.concatenate([np.arange(first, first + r) for _, first, r in batch])

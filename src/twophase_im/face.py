@@ -3,11 +3,14 @@
 Iterates: sample candidate sets from a per-node product distribution, rank
 by objective value, refit the distribution to the value-weighted elites with
 smoothing, repeat until the elite threshold stabilizes. Optional joint mode
-also samples the budget split k1 and the delay d. Each draw round is drawn
-whole before any of it is scored, and its new candidates are scored in one
-objective call, so a batched objective can score a round at once: ``tpim
-twophase --optimize face-joint`` scores it with ``two_phase.score_cells``,
-the cell scorer of the grid and golden-section searches too.
+also samples the delay d and the budget split k1, each by one uniform from
+a CDF built once per refit, as ``Generator.choice`` draws it, and the seeds
+from the node probabilities scaled to k1 members once per iteration and
+k1. Each draw round is drawn whole before any of it is scored, and its new
+candidates are scored in one objective call, so a batched objective can
+score a round at once: ``tpim twophase --optimize face-joint`` scores it
+with ``two_phase.score_cells``, the cell scorer of the grid and
+golden-section searches too.
 """
 
 from __future__ import annotations
@@ -201,27 +204,48 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
         raise ValueError("max_delay must be >= 1")
     k1_probs = np.full(k, 1.0 / k)        # over {1..k}
     d_probs = np.full(D + 1, 1.0 / (D + 1))  # over {0..D}; d=0 forces k1=k
+    k1_cdf, d_cdf = _cdf(k1_probs), _cdf(d_probs)
+    scaled = {}   # k1 -> (q, q scaled to k1 members) for the q last drawn from
     rng = stream(master_seed, TAG_FACE)
 
     def draw(q):
-        d = int(rng.choice(D + 1, p=d_probs))
-        k1 = k if d == 0 else int(rng.choice(np.arange(1, k + 1), p=k1_probs))
+        """One candidate: d, then k1 unless d = 0, each from one uniform as
+        ``rng.choice`` would draw it, then k1 nodes from q scaled to k1
+        members (scaled once per q and k1)."""
+        d = _categorical(d_cdf, rng)
+        k1 = k if d == 0 else 1 + _categorical(k1_cdf, rng)
         if k1 == k:
             d = 0  # no second phase left, the delay is meaningless
-        scale = _clamp_redistribute(q * (k1 / max(q.sum(), 1e-12)), k1)
-        return k1, d, _sample_set(scale, k1, rng)
+        got = scaled.get(k1)
+        if got is None or got[0] is not q:
+            got = scaled[k1] = q, _clamp_redistribute(q * (k1 / max(q.sum(), 1e-12)), k1)
+        return k1, d, _sample_set(got[1], k1, rng)
 
     def refit(elites):
-        nonlocal k1_probs, d_probs
+        nonlocal k1_probs, d_probs, k1_cdf, d_cdf
         k1_new = _weighted_refit(elites, k, lambda s: (s.k1 - 1,))
         d_new = _weighted_refit(elites, D + 1, lambda s: (s.d,))
         k1_probs = _normalized(ALPHA * k1_new + (1 - ALPHA) * k1_probs)
         d_probs = _normalized(ALPHA * d_new + (1 - ALPHA) * d_probs)
+        k1_cdf, d_cdf = _cdf(k1_probs), _cdf(d_probs)
 
     best, log = _cross_entropy(np.full(n, k / n, dtype=float), draw, two_phase_objective,
                                refit)
     result = (best.k1, best.d, SeedSet(nodes=sorted(best.set), budget=best.k1))
     return (result, log) if return_log else result
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from the probabilities p."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _categorical(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, given the ``_cdf`` of p:
+    from the one uniform ``choice`` reads, also when p has one entry."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ from .diffusion import (
     continue_blocks,
     estimate_spreads,
     replicate_rows,
-    stream,
+    stream_source,
 )
 from .face import face_select
 from .graph import InfluenceGraph, residual_graph
@@ -171,7 +171,9 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
     then outer replicate i of every set is repeated m2 times with its seeds
     written in at step d and continued on the parent graph with the coins of
     ``stream(master_seed, TAG_PHASE2, i)``, each block from the stream's
-    start, as if alone. One replicate's (m2, n) times are checked against
+    start, as if alone. The call takes those generators from one
+    ``stream_source``, so outer replicate i's seed is hashed once, however
+    many sets read it. One replicate's (m2, n) times are checked against
     ``BATCH_BYTES`` first: they cannot be split without changing its
     stream."""
     sets = [sorted(set(int(v) for v in s1)) for s1 in s1s]
@@ -186,6 +188,7 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
     phase1_hist = np.zeros((len(sets), 0), dtype=np.int64)   # activations per step
     phase2_hist = np.zeros((len(sets), 0), dtype=np.int64)   # per step - d
     s2_examples = [[] for _ in sets]
+    phase2 = stream_source(config.master_seed, TAG_PHASE2)
     for c, i, at in replicate_rows(graph, sets, m1, config.master_seed, TAG_PHASE1, m2 * n,
                                    stop_at=d):
         reps = len(at)
@@ -200,7 +203,7 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         times = at.repeat(m2, axis=0)
         times[frontier] = d
         continue_blocks(graph, times, np.flatnonzero(frontier), d,
-                        [stream(config.master_seed, TAG_PHASE2, j) for j in i.tolist()])
+                        [phase2(j) for j in i.tolist()])
         outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(sorted(s2[r]))

@@ -19,6 +19,7 @@ from twophase_im.diffusion import (
     simulate_blocks,
     simulate_ic,
     stream,
+    stream_source,
 )
 from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.instances import example1_graph, les_miserables_wc
@@ -57,6 +58,31 @@ def test_each_block_draws_what_it_draws_alone(blocks, stop_at):
         assert np.array_equal(times[first:first + rows], alone)
         first += rows
     assert first == len(times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**63), st.integers(0, 7),
+       st.lists(st.integers(0, 40), min_size=1, max_size=30))
+def test_stream_source_builds_the_stream_of_each_index(seed, tag, indices):
+    # indices repeat, and a repeated index builds its generator from the
+    # seed words hashed at its first call
+    source = stream_source(seed, tag)
+    for j in indices:
+        got, want = source(j), stream(seed, tag, j)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(5), want.random(5))
+        assert got.integers(2**62) == want.integers(2**62)
+
+
+def test_stream_source_generators_of_one_index_are_separate():
+    source = stream_source(3, 2)
+    a, b = source(5), source(5)
+    first = a.random(4)
+    assert np.array_equal(b.random(4), first)   # a's draws left b where it was
+    ref = stream(3, 2, 5)
+    ref.random(4)
+    assert np.array_equal(a.random(4), ref.random(4))
+    assert np.array_equal(source(5).random(4), first)   # and a fresh one starts over
 
 
 def test_decay_validation():

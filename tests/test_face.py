@@ -6,7 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from twophase_im import face
 from twophase_im.face import (
+    _categorical,
+    _cdf,
     _clamp_redistribute,
+    _normalized,
     _sample_set,
     face_joint_optimize,
     face_select,
@@ -162,3 +165,17 @@ def test_face_joint_finds_two_phase_optimum(example1):
         if objective(k1, d, tuple(s1.nodes)) == pytest.approx(3.84, abs=1e-9):
             hits += 1
     assert hits >= 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=50),
+       st.integers(0, 2**63))
+def test_categorical_draws_what_choice_draws(weights, seed):
+    # FACE-joint's d and k1 probabilities, normalized as its refit does (all
+    # zero weights give the uniform); one entry still reads one uniform
+    p = _normalized(np.array(weights))
+    cdf = _cdf(p)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        assert _categorical(cdf, ours) == theirs.choice(len(p), p=p)
+    assert ours.random() == theirs.random()

@@ -247,6 +247,13 @@ def test_face_joint_search_equals_the_per_candidate_loop(decay):
                             decay)
 
 
+def test_face_joint_search_at_one_seed_equals_the_per_candidate_loop():
+    # at k = 1 the k1 draw has one option, yet ``rng.choice`` reads a uniform
+    _assert_same_search(les_miserables_wc(), 1, 2,
+                        MonteCarloConfig(phase1_sims=10, phase2_sims=10, master_seed=9),
+                        NO_DECAY)
+
+
 def test_face_select_objective_sees_the_calls_of_the_loop():
     g = les_miserables_wc()
     calls = {"batched": [], "loop": []}

@@ -17,6 +17,7 @@ from twophase_im.diffusion import (
     TAG_PHASE1,
     TAG_PHASE2,
     TAG_PHASE2_SELECT,
+    TAG_SINGLE,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
@@ -309,3 +310,20 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
         two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY,
                               two_phase._second_phase(selector2, None))
         assert calls == [16, 16, 8]   # the phase-1 chunks' rows, nothing per outer replicate
+
+
+def test_a_multi_set_score_cells_call_hashes_each_stream_once(monkeypatch):
+    # three two-phase sets at one d read phase-1 chunk 0 and the phase-2
+    # streams of the same 20 outer replicates, and two single-phase sets
+    # read chunk 0 of the single-phase tag: one seed hash each
+    hashed = []
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **kw: hashed.append(kw["spawn_key"]) or real(*a, **kw))
+    cfg = MonteCarloConfig(single_phase_sims=30, phase1_sims=20, phase2_sims=10, master_seed=4)
+    cells = [(2, 3, (0, 11)), (3, 3, (1, 5, 48)), (1, 3, (7,)),
+             (6, 0, (0, 1, 2, 3, 4, 5)), (6, 0, (10, 11, 12, 13, 14, 15))]
+    estimates = two_phase.score_cells(les_miserables_wc(), cells, 6, cfg)
+    assert len(estimates) == len(cells)
+    assert sorted(hashed) == sorted({(TAG_SINGLE, 0), (TAG_PHASE1, 0)}
+                                    | {(TAG_PHASE2, i) for i in range(20)})
