@@ -27,6 +27,7 @@ for a coin. One estimator, ``estimate_spreads``, weights activations by a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -84,13 +85,10 @@ class _HashedSeed(np.random.bit_generator.ISeedSequence):
     handed out again at each later one."""
 
     def __init__(self, seq: np.random.SeedSequence):
-        self._seq, self._words = seq, {}
+        self._words = functools.cache(seq.generate_state)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        key = (n_words, np.dtype(dtype))
-        if key not in self._words:
-            self._words[key] = self._seq.generate_state(n_words, dtype)
-        return self._words[key]
+        return self._words(n_words, dtype)
 
 
 def stream_source(master_seed: int, tag: int):

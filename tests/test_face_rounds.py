@@ -241,17 +241,14 @@ def test_face_joint_search_equals_the_per_candidate_loop(decay):
     _assert_same_search(les_miserables_wc(), 4, 3,
                         MonteCarloConfig(phase1_sims=20, phase2_sims=20, master_seed=seed),
                         decay)
+    # at k = 1 the k1 draw has one option, yet ``rng.choice`` reads a uniform
+    _assert_same_search(les_miserables_wc(), 1, 2,
+                        MonteCarloConfig(phase1_sims=10, phase2_sims=10, master_seed=9),
+                        decay)
     for j, g in enumerate(instance_family(4, seed=72)):
         _assert_same_search(g, min(3, g.n), 3,
                             MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=j),
                             decay)
-
-
-def test_face_joint_search_at_one_seed_equals_the_per_candidate_loop():
-    # at k = 1 the k1 draw has one option, yet ``rng.choice`` reads a uniform
-    _assert_same_search(les_miserables_wc(), 1, 2,
-                        MonteCarloConfig(phase1_sims=10, phase2_sims=10, master_seed=9),
-                        NO_DECAY)
 
 
 def test_face_select_objective_sees_the_calls_of_the_loop():
