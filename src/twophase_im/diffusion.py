@@ -95,16 +95,9 @@ def stream_source(master_seed: int, tag: int):
     """index -> a fresh generator equal to ``stream(master_seed, tag,
     index)``. Each index's seed is hashed once, at its first call, and kept
     as long as the source is."""
-    seeds = {}
-
-    def source(index: int) -> np.random.Generator:
-        seed = seeds.get(index)
-        if seed is None:
-            seed = seeds[index] = _HashedSeed(
-                np.random.SeedSequence(master_seed, spawn_key=(tag, index)))
-        return np.random.Generator(np.random.PCG64(seed))
-
-    return source
+    seed = functools.cache(lambda index: _HashedSeed(
+        np.random.SeedSequence(master_seed, spawn_key=(tag, index))))
+    return lambda index: np.random.Generator(np.random.PCG64(seed(index)))
 
 
 @dataclass(frozen=True)
