@@ -27,7 +27,6 @@ for a coin. One estimator, ``estimate_spreads``, weights activations by a
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -85,19 +84,29 @@ class _HashedSeed(np.random.bit_generator.ISeedSequence):
     handed out again at each later one."""
 
     def __init__(self, seq: np.random.SeedSequence):
-        self._words = functools.cache(seq.generate_state)
+        self._seq, self._words = seq, {}
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self._words(n_words, dtype)
+        words = self._words.get((n_words, dtype))
+        if words is None:
+            words = self._words[n_words, dtype] = self._seq.generate_state(n_words, dtype)
+        return words
 
 
 def stream_source(master_seed: int, tag: int):
     """index -> a fresh generator equal to ``stream(master_seed, tag,
     index)``. Each index's seed is hashed once, at its first call, and kept
     as long as the source is."""
-    seed = functools.cache(lambda index: _HashedSeed(
-        np.random.SeedSequence(master_seed, spawn_key=(tag, index))))
-    return lambda index: np.random.Generator(np.random.PCG64(seed(index)))
+    seeds = {}
+
+    def source(index: int) -> np.random.Generator:
+        seed = seeds.get(index)
+        if seed is None:
+            seed = seeds[index] = _HashedSeed(
+                np.random.SeedSequence(master_seed, spawn_key=(tag, index)))
+        return np.random.Generator(np.random.PCG64(seed))
+
+    return source
 
 
 @dataclass(frozen=True)
