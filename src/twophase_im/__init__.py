@@ -6,8 +6,9 @@ Library layout:
   residual graphs sliced from the parent's arrays
 - diffusion: one per-edge frontier IC sampler, the only source of fresh
   replicates (block, batch and one-replicate views, and the row source over
-  it), the continuation of stopped replicates, live-edge world samples, and
-  one (decay-weighted) spread estimator over many seed sets
+  it), the continuation of stopped replicates, one (decay-weighted) spread
+  estimator over many seed sets, and the selectors' spread objective on
+  live-edge worlds drawn once (``SigmaObjective``)
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)

@@ -19,17 +19,18 @@ of one (master_seed, tag), some of one index, takes them from a
 dropped with the call, so a run costs the same whatever ran before it in
 the process. ``continue_blocks`` continues stopped replicates with the
 same coin (the second phase of a two-phase run).
-``WorldSample`` runs the loop in live-edge worlds drawn once, with a lookup
-for a coin. One estimator, ``estimate_spreads``, weights activations by a
+One estimator, ``estimate_spreads``, weights activations by a
 ``DecayFunction`` (delta = 1, the default, is the plain spread);
-``estimate_spread`` is its one-set case.
+``estimate_spread`` is its one-set case. ``SigmaObjective``, the
+objective of the selectors, runs the loop in live-edge worlds drawn once,
+with a lookup for a coin, and falls back to that estimator when the worlds
+or their time table would pass a byte budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -391,95 +392,93 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
     return estimate_spreads(graph, [seeds], config, sims, tag, decay)[0][0]
 
 
-class ByteCache:
-    """Values with an ``nbytes`` by key under a byte budget. An entry is
-    stored while it fits (the first one whatever its size) and is never
-    evicted, so a scan in a fixed order (greedy's) cannot flush the entries
-    it stored first, as it would flush a least-recently-used cache."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._items = {}
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def get(self, key, make):
-        """The value stored under ``key``, else ``make()``, stored if it fits."""
-        got = self._items.get(key)
-        if got is None:
-            got = make()
-            if not self._items or self.nbytes + got.nbytes <= self.budget:
-                self._items[key] = got
-                self.nbytes += got.nbytes
-        return got
-
-
-def _time_dtype(n: int) -> np.dtype:
-    """Smallest unsigned dtype whose signed view holds the times 0..n-1."""
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if n <= np.iinfo(t).max // 2 + 1)
-
-
-class Activations(NamedTuple):
-    """Every activation of a cascade over a world sample, as flat keys
-    world * n + node and the step of each."""
-
-    keys: np.ndarray
-    times: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.times.nbytes
-
-
-class WorldSample:
-    """``sims`` live-edge worlds of a graph, drawn once, and the activations
-    of a cascade in them.
+class SigmaObjective:
+    """The Monte-Carlo (decay-weighted) spread of a seed set on ``sims``
+    live-edge worlds drawn once, on first use, so every set scored sees the
+    same worlds: the mean over the worlds of the decay-weighted count of the
+    nodes the members' BFS reach, each at its earliest time. It is the
+    objective, frozenset -> float, that greedy, RMax, SPIC and FACE select
+    on.
 
     World w keeps edge e when u < p[e]; the uniforms of the c-th chunk of
     ``chunk_size(n)`` worlds come from ``stream(master_seed, tag, c)``, one
-    world (row) after another. In a fixed world a cascade is a BFS over the
+    world (row) after another, at most ``DRAW_BYTES`` of them at a time, into
+    ``live``, a (sims, m) mask. In a fixed world a cascade is a BFS over the
     kept edges (``_cascade`` with a lookup for a coin), so the activation
     time of a node from a set is the minimum of its times from the members.
-    A node's activations are computed on first use and kept in a
-    ``ByteCache`` of ``CACHE_BYTES``; each costs the edges its BFS tests.
-    A dense (sims, n) table of the unsigned ``dtype``, NEVER stored as its
-    largest value, composes them. The mask is checked against
-    ``WORLD_BYTES`` and one table against ``TABLE_BYTES`` before anything
-    is allocated (``BudgetError``).
+    A node's activations, flat keys world * n + node and the step of each,
+    are computed on first use and stored while they fit ``CACHE_BYTES`` (the
+    first node always); none is evicted, so greedy's scan in id order cannot
+    flush the nodes it stored first, as it would flush a least-recently-used
+    cache.
+
+    One dense (sims, n) table of activation times, of the smallest unsigned
+    dtype whose signed view holds the steps 0..n-1 and with NEVER stored as
+    its largest value, holds a stack of members, each pushed with the
+    entries it improved and the values they had, so a pop restores the
+    table. A set keeps the stack's bottom part that it shares with the set
+    before it, pushes the rest but its last node and scores that node by the
+    entries it would improve; each step costs the activations of one node,
+    never the whole table. The table's entries are counted per step, as
+    integers, and a value is the sum of those counts times the decay weights
+    (numpy's ``sum``, no BLAS), over sims: a function of the set and the
+    worlds alone, whatever was scored before it.
+
+    The worlds are checked against ``WORLD_BYTES`` and the table against
+    ``TABLE_BYTES`` before anything is allocated; past either budget, each
+    set is estimated by a forward simulation (``estimate_spread``) instead.
     """
 
-    def __init__(self, graph: InfluenceGraph, sims: int, master_seed: int, tag: int):
-        if sims < 1:
+    def __init__(self, graph: InfluenceGraph, config: MonteCarloConfig,
+                 sims: int | None = None, tag: int = TAG_SINGLE,
+                 decay: DecayFunction = NO_DECAY):
+        self.graph, self.config, self.tag = graph, config, tag
+        self.sims = config.single_phase_sims if sims is None else sims
+        if self.sims < 1:
             raise ValueError("sims must be >= 1")
+        self.decay = decay
+        # decay weight of an activation at step t < n
+        self.weights = decay.values(np.arange(graph.n)[:, None]).astype(np.float64)
+        self.live = None                     # the worlds, False past a budget
+        self._cache = {}
+        self._nodes, self._node_bytes = {}, 0   # node -> its activations (keys, times)
+        self._stack = []                     # (node, keys, replaced times, counts before)
+        self._counts = np.zeros(graph.n, dtype=np.int64)   # table entries per step
+        self._prev = frozenset()
+
+    def __call__(self, seeds) -> float:
+        key = frozenset(seeds)
+        if key not in self._cache:
+            self._cache[key] = self._value(key) if key else 0.0
+        return self._cache[key]
+
+    def _draw(self):
+        """Draw the worlds and allocate the table and the BFS work matrix,
+        once both fit their budgets."""
+        graph, sims = self.graph, self.sims
         n, m = graph.n, graph.m
-        self.graph, self.sims = graph, sims
-        self.dtype = _time_dtype(n)
-        self.signed = np.dtype(self.dtype.str.replace("u", "i"))
-        self.never = np.iinfo(self.dtype).max
+        dtype = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if n <= np.iinfo(t).max // 2 + 1)
         check_bytes("the live-edge worlds", sims * m, WORLD_BYTES)
-        check_bytes("an activation-time table", sims * n * self.dtype.itemsize, TABLE_BYTES)
+        check_bytes("an activation-time table", sims * n * dtype.itemsize, TABLE_BYTES)
         self.live = np.empty((sims, m), dtype=bool)
         size = chunk_size(n)
         rows = max(1, DRAW_BYTES // (8 * max(m, 1)))
         for idx, lo in enumerate(range(0, sims, size)):
-            rng, hi = stream(master_seed, tag, idx), min(lo + size, sims)
+            rng, hi = stream(self.config.master_seed, self.tag, idx), min(lo + size, sims)
             for a in range(lo, hi, rows):
                 b = min(a + rows, hi)
                 np.less(rng.random((b - a, m)), graph.p, out=self.live[a:b])
         self._key_dtype = np.int32 if sims * n <= np.iinfo(np.int32).max else np.int64
         # one chunk of BFS times, all NEVER between calls
-        self._work = np.full((min(sims, size), n), NEVER, dtype=self.signed)
-        self._nodes = ByteCache(CACHE_BYTES)
+        self._work = np.full((min(sims, size), n), NEVER, dtype=dtype.str.replace("u", "i"))
+        self._table = np.full((sims, n), np.iinfo(dtype).max, dtype=dtype)
 
-    def activations(self, seeds) -> Activations:
-        """The activations from ``seeds`` in every world, by one BFS."""
+    def _activations(self, seeds):
+        """The activations from ``seeds`` in every world, by one BFS, as
+        (flat keys, steps)."""
         seeds = _check_seeds(self.graph, seeds)
         n, m = self.graph.n, self.graph.m
-        if not seeds:
-            return Activations(np.zeros(0, self._key_dtype), np.zeros(0, self.dtype))
         keys, times = [], []
         for lo in range(0, self.sims, len(self._work)):
             work = self._work[:self.sims - lo]
@@ -490,27 +489,69 @@ class WorldSample:
             found = np.concatenate(steps)
             work.reshape(-1)[found] = NEVER
             keys.append(found + lo * n)
-            times.append(np.arange(len(steps), dtype=self.dtype).repeat(
+            times.append(np.arange(len(steps), dtype=self._table.dtype).repeat(
                 [len(step) for step in steps]))
-        return Activations(np.concatenate(keys).astype(self._key_dtype),
-                           np.concatenate(times))
+        return np.concatenate(keys).astype(self._key_dtype), np.concatenate(times)
 
-    def node(self, v: int) -> Activations:
-        """``activations([v])``, cached."""
-        return self._nodes.get(v, lambda: self.activations([v]))
+    def _node(self, v: int):
+        """``_activations([v])``, stored if it fits."""
+        got = self._nodes.get(v)
+        if got is None:
+            got = self._activations([v])
+            nbytes = got[0].nbytes + got[1].nbytes
+            if not self._nodes or self._node_bytes + nbytes <= CACHE_BYTES:
+                self._nodes[v] = got
+                self._node_bytes += nbytes
+        return got
 
-    def table(self, *found: Activations) -> np.ndarray:
-        """A (sims, n) times table with the given activations written in."""
-        table = np.full((self.sims, self.graph.n), self.never, dtype=self.dtype)
-        for acts in found:
-            keys, times, _ = self.improve(table, acts)
-            table.reshape(-1)[keys] = times
-        return table
+    def _value(self, key) -> float:
+        if self.live is None:
+            try:
+                self._draw()
+            except BudgetError:
+                self.live = False
+        if self.live is False:
+            return estimate_spread(self.graph, key, self.config, sims=self.sims,
+                                   tag=self.tag, decay=self.decay).mean
+        common, self._prev = key & self._prev, key
+        kept = next((i for i, entry in enumerate(self._stack) if entry[0] not in common),
+                    len(self._stack))
+        while len(self._stack) > kept:
+            self._pop()
+        for v in sorted(common - {entry[0] for entry in self._stack}):
+            self._push(v)
+        rest = sorted(key - common)
+        if not rest:
+            return self._score(self._counts)
+        for v in rest[:-1]:
+            self._push(v)
+        value = self._score(self._counts + self._gain(rest[-1])[0])
+        for _ in rest[:-1]:
+            self._pop()
+        return value
 
-    def improve(self, table: np.ndarray, acts: Activations):
-        """The activations in ``acts`` earlier than ``table``'s, as (keys,
-        times, the table's times there)."""
-        old = table.reshape(-1)[acts.keys]
-        better = acts.times < old
-        return acts.keys[better], acts.times[better], old[better]
+    def _score(self, counts) -> float:
+        return float((counts * self.weights).sum()) / self.sims
 
+    def _gain(self, v):
+        """The change of the per-step counts if v joined the table, and the
+        entries it would improve (keys, times, old times); an old NEVER
+        counts past the last step."""
+        keys, times = self._node(v)
+        old = self._table.reshape(-1)[keys]
+        better = times < old
+        keys, times, old = keys[better], times[better], old[better]
+        n = self.graph.n
+        gain = (np.bincount(times, minlength=n)
+                - np.bincount(np.minimum(old, n), minlength=n + 1)[:n])
+        return gain, keys, times, old
+
+    def _push(self, v):
+        gain, keys, times, old = self._gain(v)
+        self._table.reshape(-1)[keys] = times
+        self._stack.append((v, keys, old, self._counts))
+        self._counts = self._counts + gain
+
+    def _pop(self):
+        _, keys, old, self._counts = self._stack.pop()
+        self._table.reshape(-1)[keys] = old

@@ -104,8 +104,6 @@ def golden_section_k1(k: int, d_max: int, evaluate, decay: DecayFunction):
         span = hi - lo
         c = hi - max(1, round(INVPHI * span))
         d_probe = lo + max(1, round(INVPHI * span))
-        if not (lo < c <= d_probe < hi):
-            break
         if c == d_probe:
             d_probe = c + 1
         if value(c) >= value(d_probe):

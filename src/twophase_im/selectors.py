@@ -1,7 +1,10 @@
 """Single-phase seed-selection algorithms: SD, WD, GDD, greedy, RMax, SPIC.
 
 Every selector is deterministic given (graph, config, master seed); ties are
-always broken toward the lowest node id.
+always broken toward the lowest node id. Greedy, RMax and SPIC take an
+objective, any callable frozenset -> float that is deterministic for a fixed
+master seed (repeat calls with the same set return the same value); the one
+they are run with is ``diffusion.SigmaObjective``.
 """
 
 from __future__ import annotations
@@ -10,19 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    NO_DECAY,
-    TAG_RMAX,
-    TAG_SINGLE,
-    TAG_SPIC,
-    DecayFunction,
-    BudgetError,
-    MonteCarloConfig,
-    WorldSample,
-    _edge_ids,
-    estimate_spread,
-    stream,
-)
+from .diffusion import TAG_RMAX, TAG_SPIC, _edge_ids, stream
+from .diffusion import SigmaObjective  # noqa: F401  (named here for the selectors' callers)
 from .graph import InfluenceGraph
 
 # How many random k-subsets RMax scores, and how many permutations SPIC's
@@ -43,101 +35,6 @@ class SeedSet:
             raise ValueError("duplicate nodes in seed set")
         if len(self.nodes) > self.budget:
             raise ValueError("seed set exceeds its budget")
-
-
-# -- objective evaluators --------------------------------------------------
-#
-# An objective is any callable frozenset -> float that is deterministic for
-# a fixed master seed (repeat calls with the same set return the same value).
-
-
-class SigmaObjective:
-    """Monte-Carlo (decay-weighted) spread on ``sims`` live-edge worlds drawn
-    once, on first use (``WorldSample``): every evaluated set sees the same
-    worlds. The value of S is the mean over the worlds of the decay-weighted
-    count of the nodes the members' BFS reach, each at its earliest time.
-
-    One times table holds a stack of members, each pushed with the entries
-    it improved and the values they had, so a pop restores the table. A set
-    keeps the stack's bottom part that it shares with the set before it,
-    pushes the rest but its last node and scores that node by the entries it
-    would improve; each step costs the activations of one node, never the
-    whole table. The table's entries are counted per step, as integers, and
-    a value is the sum of those counts times the decay weights (numpy's
-    ``sum``, no BLAS), over sims: a function of the set and the worlds
-    alone, whatever was scored before it. When the worlds or the table would
-    pass their byte budgets, each set is estimated by a forward simulation
-    (``estimate_spread``) instead."""
-
-    def __init__(self, graph, config: MonteCarloConfig, sims=None, tag=TAG_SINGLE,
-                 decay: DecayFunction = NO_DECAY):
-        self.graph, self.config, self.tag = graph, config, tag
-        self.sims = config.single_phase_sims if sims is None else sims
-        self.decay = decay
-        # decay weight of an activation at step t < n
-        self.weights = decay.values(np.arange(graph.n)[:, None]).astype(np.float64)
-        self._cache = {}
-        self._worlds = None                  # WorldSample, False past a budget
-        self._table = None
-        self._stack = []                     # (node, keys, replaced times, counts before)
-        self._counts = np.zeros(graph.n, dtype=np.int64)   # table entries per step
-        self._prev = frozenset()
-
-    def __call__(self, seeds) -> float:
-        key = frozenset(seeds)
-        if key not in self._cache:
-            self._cache[key] = self._value(key) if key else 0.0
-        return self._cache[key]
-
-    def _value(self, key) -> float:
-        if self._worlds is None:
-            try:
-                self._worlds = WorldSample(self.graph, self.sims, self.config.master_seed,
-                                           self.tag)
-                self._table = self._worlds.table()
-            except BudgetError:
-                self._worlds = False
-        if not self._worlds:
-            return estimate_spread(self.graph, key, self.config, sims=self.sims,
-                                   tag=self.tag, decay=self.decay).mean
-        common, self._prev = key & self._prev, key
-        kept = next((i for i, entry in enumerate(self._stack) if entry[0] not in common),
-                    len(self._stack))
-        while len(self._stack) > kept:
-            self._pop()
-        for v in sorted(common - {entry[0] for entry in self._stack}):
-            self._push(v)
-        rest = sorted(key - common)
-        if not rest:
-            return self._score(self._counts)
-        for v in rest[:-1]:
-            self._push(v)
-        value = self._score(self._counts + self._gain(rest[-1])[0])
-        for _ in rest[:-1]:
-            self._pop()
-        return value
-
-    def _score(self, counts) -> float:
-        return float((counts * self.weights).sum()) / self.sims
-
-    def _gain(self, v):
-        """The change of the per-step counts if v joined the table, and the
-        entries it would improve (keys, times, old times)."""
-        keys, times, old = self._worlds.improve(self._table, self._worlds.node(v))
-        n = self.graph.n
-        gain = (np.bincount(times, minlength=n)
-                - np.bincount(np.minimum(old, n), minlength=n + 1)[:n])
-        return gain, keys, times, old
-
-    def _push(self, v):
-        gain, keys, times, old = self._gain(v)
-        self._table.reshape(-1)[keys] = times
-        self._stack.append((v, keys, old, self._counts))
-        self._counts = self._counts + gain
-
-    def _pop(self):
-        _, keys, old, self._counts = self._stack.pop()
-        self._table.reshape(-1)[keys] = old
 
 
 def _check_budget(graph, k):

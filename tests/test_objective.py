@@ -16,9 +16,9 @@ from twophase_im.diffusion import (
     BudgetError,
     DecayFunction,
     MonteCarloConfig,
-    WorldSample,
     estimate_spread,
 )
+from twophase_im.graph import RawEdgeList, build_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.oracle import get_oracle
 from twophase_im.selectors import SigmaObjective, select_greedy, select_spic
@@ -51,16 +51,33 @@ def _random_sets(rng, n, count):
         yield sorted(int(v) for v in rng.choice(n, size=size, replace=False))
 
 
-def _times(worlds, seeds):
+def _drawn(graph, sims, master_seed, decay=DecayFunction(1.0)):
+    """An objective whose worlds are drawn."""
+    obj = SigmaObjective(graph, MonteCarloConfig(master_seed=master_seed), sims=sims,
+                         decay=decay)
+    obj._draw()
+    return obj
+
+
+def _table(obj, activations):
+    """A (sims, n) table like the objective's, NEVER as its dtype's largest
+    value, with the activations (keys, steps) written in."""
+    table = np.full_like(obj._table, np.iinfo(obj._table.dtype).max)
+    keys, times = activations
+    table.reshape(-1)[keys] = times
+    return table
+
+
+def _times(obj, seeds):
     """The (sims, n) signed times table of one BFS from ``seeds``."""
-    return worlds.table(worlds.activations(seeds)).view(worlds.signed)
+    return _table(obj, obj._activations(seeds)).view(obj._work.dtype)
 
 
 def test_world_bfs_matches_a_queue_bfs_in_each_world(monkeypatch):
     monkeypatch.setattr(diffusion, "CHUNK", 16)   # 40 worlds in three chunks
     rng = np.random.default_rng(502)
     for g in FAMILY[:6]:
-        worlds = WorldSample(g, 40, master_seed=3, tag=0)
+        worlds = _drawn(g, 40, master_seed=3)
         for seeds in _random_sets(rng, g.n, 3):
             got = _times(worlds, seeds)
             for w in range(worlds.sims):
@@ -70,13 +87,47 @@ def test_world_bfs_matches_a_queue_bfs_in_each_world(monkeypatch):
 @pytest.mark.parametrize("graph", [*FAMILY, les_miserables_wc()],
                          ids=[*(f"family-{i}" for i in range(len(FAMILY))), "lesmis"])
 def test_table_composed_by_min_equals_direct_bfs_from_the_set(graph):
+    # the objective's table, with each member pushed in turn, and the
+    # elementwise minimum of the members' tables both equal one BFS from the set
     rng = np.random.default_rng(graph.n)
-    worlds = WorldSample(graph, 300, master_seed=4, tag=0)
+    worlds = _drawn(graph, 300, master_seed=4)
+    empty = worlds._table.copy()
     for seeds in _random_sets(rng, graph.n, 8):
-        direct = worlds.table(worlds.activations(seeds))
-        assert np.array_equal(worlds.table(*(worlds.node(v) for v in seeds)), direct)
-        by_min = reduce(np.minimum, [worlds.table(worlds.node(v)) for v in seeds])
+        direct = _table(worlds, worlds._activations(seeds))
+        for v in seeds:
+            worlds._push(v)
+        assert np.array_equal(worlds._table, direct)
+        for _ in seeds:
+            worlds._pop()
+        assert np.array_equal(worlds._table, empty)
+        by_min = reduce(np.minimum, [_table(worlds, worlds._node(v)) for v in seeds])
         assert np.array_equal(by_min, direct)
+
+
+def _path(n, p):
+    """The directed path 0 -> 1 -> ... -> n-1, each arc of probability p."""
+    return build_graph(RawEdgeList(directed=True, pairs=[(str(i), str(i + 1), p)
+                                                          for i in range(n - 1)]))
+
+
+@pytest.mark.parametrize("n, dtype", [(128, np.uint8), (129, np.uint16)])
+def test_the_time_table_holds_every_step_at_its_dtype_boundary(n, dtype):
+    # a path of n nodes reaches its last node at step n - 1: 127 is the
+    # largest step a uint8 table holds, so one more node takes uint16
+    g = _path(n, 1.0)
+    assert list(g.labels) == [str(i) for i in range(n)]
+    plain = _drawn(g, 20, master_seed=1)
+    decayed = _drawn(g, 20, master_seed=1, decay=DecayFunction(0.99))
+    assert plain._table.dtype == decayed._table.dtype == dtype
+    assert plain({0}) == n
+    assert decayed({0}) == pytest.approx(sum(0.99 ** t for t in range(n)), rel=1e-12)
+    g = _path(n, 0.97)
+    worlds = _drawn(g, 30, master_seed=2, decay=DecayFunction(0.99))
+    for seeds in ([0], [0, n // 2], [3, n - 40, n - 1]):
+        got = _times(worlds, seeds)
+        for w in range(worlds.sims):
+            assert np.array_equal(got[w], _bfs_times(g, worlds.live[w], seeds))
+        assert worlds(seeds) == pytest.approx(worlds.decay.values(got).mean(), rel=1e-12)
 
 
 def test_objective_values_do_not_depend_on_the_call_order(monkeypatch):
@@ -91,10 +142,9 @@ def test_objective_values_do_not_depend_on_the_call_order(monkeypatch):
         select_spic(g, 2, obj, master_seed=5)
         for seeds in _random_sets(np.random.default_rng(6), g.n, 5):
             obj(seeds)
-        worlds = obj._worlds
         for key, value in obj._cache.items():
             if key:
-                direct = decay.values(_times(worlds, sorted(key))).mean()
+                direct = decay.values(_times(obj, sorted(key))).mean()
                 assert value == pytest.approx(direct, rel=1e-12)
                 if decay.delta == 1.0:
                     assert value == direct
@@ -127,7 +177,7 @@ def test_objective_is_deterministic_and_starts_from_the_empty_set():
     assert a({0, 1}) == b({1, 0}) == a(frozenset({0, 1}))
     other = SigmaObjective(g, cfg, sims=100, tag=9)
     other({0})
-    assert not np.array_equal(a._worlds.live, other._worlds.live)
+    assert not np.array_equal(a.live, other.live)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +210,7 @@ def test_objective_agrees_with_the_oracle_within_the_criterion_3_rule():
             obj = SigmaObjective(g, MonteCarloConfig(master_seed=i), sims=20_000, decay=decay)
             for seeds in _random_sets(rng, g.n, 4):
                 value = obj(seeds)
-                est = estimate_1d(decay.values(_times(obj._worlds, seeds)).astype(float))
+                est = estimate_1d(decay.values(_times(obj, seeds)).astype(float))
                 assert value == pytest.approx(est.mean, rel=1e-12)
                 gap = abs(value - orc.exact_nu(seeds, decay))
                 assert gap <= max(3 * est.stderr, 0.01 * g.n), (i, decay, seeds, gap)
@@ -182,14 +232,14 @@ def test_past_a_budget_the_objective_simulates_forward(tmp_path, monkeypatch, bu
     monkeypatch.setattr(diffusion, budget, {"WORLD_BYTES": 5079, "TABLE_BYTES": 769}[budget])
     with pytest.raises(BudgetError, match="live-edge worlds" if budget == "WORLD_BYTES"
                        else "activation-time table"):
-        WorldSample(g, 10, master_seed=0, tag=0)
+        SigmaObjective(g, MonteCarloConfig(), sims=10)._draw()
     assert not drawn
     cfg = MonteCarloConfig(master_seed=9)
     decay = DecayFunction(0.8)
     obj = SigmaObjective(g, cfg, sims=10, decay=decay)
     forward = _forward(g, cfg, 10, decay)
     assert select_greedy(g, 2, obj).nodes == select_greedy(g, 2, forward).nodes
-    assert obj._worlds is False
+    assert obj.live is False and not drawn
     assert all(value == forward(key) for key, value in obj._cache.items())
     if budget == "WORLD_BYTES":
         # the command's objective takes 1000 worlds, 508 000 mask bytes; a
@@ -210,4 +260,4 @@ def test_the_node_cache_evicts_and_recomputes(monkeypatch):
     full = SigmaObjective(g, MonteCarloConfig(master_seed=8), sims=100)
     assert select_greedy(g, 3, full).nodes == got.nodes
     assert small._cache == full._cache
-    assert len(small._worlds._nodes) == 1 < len(full._worlds._nodes) == g.n
+    assert len(small._nodes) == 1 < len(full._nodes) == g.n

@@ -146,9 +146,8 @@ def test_every_first_phase_comes_from_one_shared_objective(monkeypatch, optimize
     monkeypatch.setattr(selectors, "RMAX_SAMPLES", 30)
     monkeypatch.setattr(selectors, "SPIC_PERMUTATIONS", 3)
     built = []
-    world_sample = selectors.WorldSample
-    monkeypatch.setattr(selectors, "WorldSample",
-                        lambda *args: built.append(args) or world_sample(*args))
+    draw = SigmaObjective._draw
+    monkeypatch.setattr(SigmaObjective, "_draw", lambda self: built.append(self) or draw(self))
     picked = {}
 
     def stub(graph, cells, k, config, decay, selector2):
