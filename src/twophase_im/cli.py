@@ -271,22 +271,19 @@ CORE = {
 
 
 def _write_csvs(results, record_path: Path):
+    """One CSV per table the results hold; the progression's rows are
+    numbered by step."""
     stem = record_path.with_suffix("")
-    if "progression" in results:
-        with open(f"{stem}-progression.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "new_activations_mean"])
-            w.writerows(enumerate(results["progression"]))
-    if "grid" in results:
-        with open(f"{stem}-grid.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k1", "d", "mean", "stderr"])
-            w.writerows(results["grid"])
-    if "face_log" in results:
-        with open(f"{stem}-face-log.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "draws", "elite_threshold", "best"])
-            w.writerows(results["face_log"])
+    for key, suffix, header in (("progression", "progression", ["t", "new_activations_mean"]),
+                                ("grid", "grid", ["k1", "d", "mean", "stderr"]),
+                                ("face_log", "face-log",
+                                 ["iter", "draws", "elite_threshold", "best"])):
+        if key in results:
+            rows = results[key]
+            with open(f"{stem}-{suffix}.csv", "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(enumerate(rows) if key == "progression" else rows)
 
 
 def _execute(command, params, output_dir, graph=None):

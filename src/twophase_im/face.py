@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,7 @@ EXPLORATION_FLOOR = 0.1   # least inclusion probability of a node after a refit
 
 @dataclass
 class CeSample:
-    set: tuple
+    set: tuple   # sorted, as ``_sample_set`` returns it
     value: float
     k1: int   # first-phase budget; the whole budget in plain mode
     d: int    # delay; 0 in plain mode
@@ -87,20 +88,16 @@ def _sample_set(q: np.ndarray, budget: int, rng: np.random.Generator) -> tuple:
 
 def _weighted_refit(samples, n, getter):
     """q_new[v] = sum of elite values over samples containing v / total elite
-    value; falls back to plain membership frequency when all values are 0."""
+    value; falls back to plain membership frequency when all values are 0.
+    One ``bincount`` over the members in sample order adds each node's values
+    in that order."""
+    members = [getter(s) for s in samples]
+    nodes = np.fromiter(chain.from_iterable(members), np.int64)
     total = math.fsum(s.value for s in samples)
-    q_new = np.zeros(n)
     if total > 0:
-        for s in samples:
-            for v in getter(s):
-                q_new[v] += s.value
-        q_new /= total
-    else:
-        for s in samples:
-            for v in getter(s):
-                q_new[v] += 1.0
-        q_new /= len(samples)
-    return q_new
+        values = np.repeat([s.value for s in samples], [len(m) for m in members])
+        return np.bincount(nodes, weights=values, minlength=n) / total
+    return np.bincount(nodes, minlength=n) / len(samples)
 
 
 def _reliable(threshold, prev_threshold, q):
@@ -115,7 +112,7 @@ def _reliable(threshold, prev_threshold, q):
 def _better(cand: CeSample, best: CeSample | None) -> bool:
     if best is None or cand.value > best.value:
         return True
-    return cand.value == best.value and tuple(sorted(cand.set)) < tuple(sorted(best.set))
+    return cand.value == best.value and cand.set < best.set   # sorted tuples
 
 
 def _cross_entropy(q: np.ndarray, draw, score, refit=None):

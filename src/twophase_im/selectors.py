@@ -1,5 +1,11 @@
 """Single-phase seed-selection algorithms: SD, WD, GDD, greedy, RMax, SPIC.
 
+SD, WD and GDD share one discount path: ``discount_state`` builds the state
+of rows of a graph (each with nodes cut out and nodes taken for free), and
+``select_discount`` picks on every row at once. A single phase is its
+one-row case; a nested run's second phase picks on a row per outer
+replicate.
+
 Every selector is deterministic given (graph, config, master seed); ties are
 always broken toward the lowest node id. Greedy, RMax and SPIC take an
 objective, any callable frozenset -> float that is deterministic for a fixed
@@ -105,27 +111,23 @@ def discount_state(graph: InfluenceGraph, kind: str, removed=None,
     n = graph.n
     masks = [mask for mask in (removed, preselected) if mask is not None]
     rows = len(masks[0]) if masks else 1
+    taken = np.zeros((rows, n), dtype=bool) if removed is None else removed.copy()
     weight = graph.p if kind != "sd" else np.ones(graph.m)
-    if removed is None or not removed.any():
-        outsum = np.tile(np.bincount(graph.src, weights=weight, minlength=n), (rows, 1))
-        taken = np.zeros((rows, n), dtype=bool)
-    else:
-        flat = (np.arange(0, rows * n, n)[:, None] + graph.src).reshape(-1)
-        outsum = np.bincount(flat, weights=(weight * ~removed[:, graph.dst]).reshape(-1),
-                             minlength=rows * n).reshape(rows, n)
-        taken = removed.copy()
-    state = DiscountState(kind, outsum.astype(np.float64, copy=False), taken,
-                          np.ones((rows, n)) if kind == "gdd" else None)
+    flat = (np.arange(0, rows * n, n)[:, None] + graph.src).reshape(-1)
+    outsum = np.bincount(flat, weights=(weight * ~taken[:, graph.dst]).reshape(-1),
+                         minlength=rows * n).reshape(rows, n)
+    state = DiscountState(kind, outsum, taken, np.ones((rows, n)) if kind == "gdd" else None)
     if preselected is not None:
         state.take(graph, *np.nonzero(preselected))
     return state
 
 
-def select_discount(graph: InfluenceGraph, kind: str, budgets, removed=None,
-                    preselected=None) -> list:
-    """SD, WD or GDD on every row of ``discount_state``: row r takes
+def select_discount(graph: InfluenceGraph, state: DiscountState, budgets) -> np.ndarray:
+    """SD, WD or GDD on every row of a ``discount_state``: row r takes
     ``budgets[r]`` nodes, each time the one of largest score, ties to the
-    lowest id, and applies its discounts. Returns each row's picks, in order.
+    lowest id, and applies its discounts to ``state``. Returns the (rows,
+    max budget) picks in the order taken, -1 past a row's budget; a row's
+    picks are also the nodes its ``state.taken`` gained.
 
     SD scores a node by its residual out-degree, WD by its residual
     outgoing probability mass, GDD by its expected direct contribution w
@@ -133,37 +135,36 @@ def select_discount(graph: InfluenceGraph, kind: str, budgets, removed=None,
     outgoing probability mass). On taking u, SD and WD discount each
     in-neighbor by the edge's weight; GDD also multiplies the survival of
     each out-neighbor v by (1 - p_uv)."""
-    return _pick(graph, discount_state(graph, kind, removed, preselected), budgets)
-
-
-def _pick(graph: InfluenceGraph, state: DiscountState, budgets) -> list:
     budgets = np.asarray(budgets, dtype=np.int64)
-    picks = np.zeros((len(budgets), int(budgets.max(initial=0))), dtype=np.int64)
+    picks = np.full((len(budgets), int(budgets.max(initial=0))), -1, dtype=np.int64)
     for j in range(picks.shape[1]):
         rows = np.flatnonzero(budgets > j)
         best = np.where(state.taken[rows], -np.inf, state.w[rows]).argmax(axis=1)
         picks[rows, j] = best
         state.take(graph, rows, best)
-    return [row[:k].tolist() for row, k in zip(picks, budgets)]
+    return picks
+
+
+def _select_one(graph: InfluenceGraph, kind: str, k: int) -> SeedSet:
+    _check_budget(graph, k)
+    return SeedSet(nodes=select_discount(graph, discount_state(graph, kind), [k])[0].tolist(),
+                   budget=k)
 
 
 def select_sd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Single discount: residual out-degree, removing picked nodes."""
-    _check_budget(graph, k)
-    return SeedSet(nodes=select_discount(graph, "sd", [k])[0], budget=k)
+    return _select_one(graph, "sd", k)
 
 
 def select_wd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Weighted discount: residual sum of outgoing probabilities."""
-    _check_budget(graph, k)
-    return SeedSet(nodes=select_discount(graph, "wd", [k])[0], budget=k)
+    return _select_one(graph, "wd", k)
 
 
 def select_gdd(graph: InfluenceGraph, k: int) -> SeedSet:
     """Generalized degree discount (``select_discount`` on one row): take k
     nodes by w, ties to the lowest id."""
-    _check_budget(graph, k)
-    return SeedSet(nodes=select_discount(graph, "gdd", [k])[0], budget=k)
+    return _select_one(graph, "gdd", k)
 
 
 # -- objective-driven selectors -------------------------------------------

@@ -10,9 +10,11 @@ recently-activated nodes as a free partial seed set; then continue the
 diffusion on the parent graph from the recent nodes and the second-phase
 seeds, m2 times per outer replicate, and aggregate. The phase-1 replicates
 come from the row source of ``diffusion`` (``replicate_rows``) in groups of
-outer replicates: one batched SD/WD/GDD selection and one continued cascade
-per group. Already-active nodes take no part in the continuation, so it
-draws exactly what a simulation on the residual graph would.
+outer replicates: one ``_second_phase`` call, which returns the group's
+second-phase seeds as a mask (one batched selection for SD/WD/GDD), and
+one continued cascade per group. Already-active nodes take no part in the
+continuation, so it draws exactly what a simulation on the residual graph
+would.
 
 One nested run takes many first-phase sets at one d; each set reads the
 streams it would read alone, so its estimate is the same bit for bit.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .graph import InfluenceGraph, residual_graph
 from .selectors import (
     DISCOUNT_KINDS,
     SigmaObjective,
+    discount_state,
     select_discount,
     select_gdd,
     select_greedy,
@@ -120,27 +122,26 @@ class TwoPhaseResult:
     progression: np.ndarray  # expected newly-activated count per time step
 
 
-def _second_phase(selector2, sims):
-    """The second-phase picker of ``selector2``: (graph, already, recent,
-    budgets, master_seed) -> the seeds of each outer replicate. SD, WD and
-    GDD pick for every replicate at once; an objective selector picks on
-    each replicate's residual graph, on objectives of ``sims`` worlds."""
+def _second_phase(graph, selector2, already, recent, budgets, config) -> np.ndarray:
+    """The (reps, n) mask of each outer replicate's second-phase seeds:
+    ``budgets[r]`` nodes picked by ``selector2`` as if on the residual graph
+    of row r (the nodes of ``already[r]`` cut out), with the nodes of
+    ``recent[r]`` a free partial seed set. SD, WD and GDD pick for every
+    row in one ``select_discount`` on a ``discount_state`` of all rows; an
+    objective selector picks on row r's ``residual_graph``, on an objective
+    of ``config.phase2_sims`` worlds, and its picks are mapped back."""
     if selector2 in DISCOUNT_KINDS:
-        return lambda graph, already, recent, budgets, master_seed: select_discount(
-            graph, selector2, budgets, removed=already, preselected=recent)
-
-    def pick_one(graph, gone, now, k2_eff, master_seed):
-        """Select on one outer replicate's residual graph, mapped back."""
-        res, kept = residual_graph(graph, np.flatnonzero(gone))
-        base = frozenset(np.searchsorted(kept, np.flatnonzero(now)).tolist())
-        sigma = SigmaObjective(res, MonteCarloConfig(master_seed=master_seed), sims=sims,
-                               tag=TAG_PHASE2_SELECT)
-        return kept[select_seeds(selector2, res, k2_eff, lambda s: sigma(base | s),
-                                 master_seed)].tolist()
-
-    return lambda graph, already, recent, budgets, master_seed: [
-        pick_one(graph, gone, now, k2_eff, master_seed) if k2_eff > 0 else []
-        for gone, now, k2_eff in zip(already, recent, budgets.tolist())]
+        state = discount_state(graph, selector2, removed=already, preselected=recent)
+        select_discount(graph, state, budgets)
+        return state.taken & ~(already | recent)
+    picked = np.zeros_like(already)
+    for r in np.flatnonzero(budgets).tolist():
+        res, kept = residual_graph(graph, np.flatnonzero(already[r]))
+        base = frozenset(np.searchsorted(kept, np.flatnonzero(recent[r])).tolist())
+        sigma = SigmaObjective(res, config, sims=config.phase2_sims, tag=TAG_PHASE2_SELECT)
+        picked[r, kept[select_seeds(selector2, res, int(budgets[r]),
+                                    lambda s: sigma(base | s), config.master_seed)]] = True
+    return picked
 
 
 def _outer_values(blocks, at, already, decay):
@@ -158,16 +159,18 @@ def _outer_values(blocks, at, already, decay):
             for b, block, gone in zip(base, blocks, already)]
 
 
-def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_examples=0,
+def _nested_run(graph, s1s, d, k2s, config, decay, selector2, collect_examples=0,
                 progression=False):
     """Shared nested Monte-Carlo engine over first-phase sets at one delay
-    d, set c with k2s[c] second-phase seeds; returns (estimate, progression,
-    first s2 examples) for each set. The progression, the expected new
-    activations per step, is counted only when asked for (else None).
+    d, set c with k2s[c] second-phase seeds picked by ``selector2``; returns
+    (estimate, progression, first s2 examples, each a sorted list) for each
+    set. The progression, the expected new activations per step, is counted
+    only when asked for (else None).
 
     The phase-1 replicates come from ``replicate_rows`` in groups of whole
     outer replicates, at most ``GROUP_CELLS`` phase-2 times (or one outer
-    replicate) each. A group's second-phase seeds are selected at once;
+    replicate) each. A group's second-phase seeds come from one
+    ``_second_phase`` call, as a mask with a row per outer replicate;
     then outer replicate i of every set is repeated m2 times with its seeds
     written in at step d and continued on the parent graph with the coins of
     ``stream(master_seed, TAG_PHASE2, i)``, each block from the stream's
@@ -194,19 +197,15 @@ def _nested_run(graph, s1s, d, k2s, config, decay, second_phase, collect_example
         reps = len(at)
         already, recent = (at >= 0) & (at < d), at == d
         budgets = np.minimum(k2s[c], n - already.sum(axis=1) - recent.sum(axis=1))
-        s2 = second_phase(graph, already, recent, budgets, config.master_seed)
-        frontier = recent.copy()
-        picked = [len(seeds) for seeds in s2]
-        frontier[np.arange(reps).repeat(picked),
-                 np.fromiter(chain.from_iterable(s2), np.int64, sum(picked))] = True
-        frontier = frontier.repeat(m2, axis=0)
+        picked = _second_phase(graph, selector2, already, recent, budgets, config)
+        frontier = (recent | picked).repeat(m2, axis=0)
         times = at.repeat(m2, axis=0)
         times[frontier] = d
         continue_blocks(graph, times, np.flatnonzero(frontier), d,
                         [phase2(j) for j in i.tolist()])
         outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
         for r in np.flatnonzero(i < collect_examples).tolist():
-            s2_examples[c[r]].append(sorted(s2[r]))
+            s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
         if progression:   # plain counts; sums to the delta = 1 mean
             phase1_hist = _histogram_add(phase1_hist, at, already, c)
             phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
@@ -230,8 +229,7 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
     first-phase objective calls it with the plan's k2, which may be 0, where
     ``score_cells`` would take its single-phase arm instead; perfbench's
     tracer patches it by name."""
-    return _nested_run(graph, [s1], d, [k2], config, decay,
-                       _second_phase("gdd", None))[0][0]
+    return _nested_run(graph, [s1], d, [k2], config, decay, "gdd")[0][0]
 
 
 def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
@@ -254,7 +252,6 @@ def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
     single-phase arm is scored by one ``estimate_spreads`` call, and the
     other cells of one d by one ``_nested_run``."""
     estimates = [None] * len(cells)
-    second = _second_phase(selector2, config.phase2_sims)
     groups = {}
     for j, (k1, d, _) in enumerate(cells):
         groups.setdefault(None if k1 == k else int(d), []).append(j)
@@ -264,7 +261,7 @@ def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
             got = [est for est, _ in estimate_spreads(graph, sets, config, decay=decay)]
         else:
             got = [est for est, _, _ in _nested_run(
-                graph, sets, d, [k - cells[j][0] for j in idx], config, decay, second)]
+                graph, sets, d, [k - cells[j][0] for j in idx], config, decay, selector2)]
         for j, est in zip(idx, got):
             estimates[j] = est
     return estimates
@@ -322,7 +319,6 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
     if plan.k2 == 0 and plan.d == 0:
         [(est, prog)] = estimate_spreads(graph, [s1], config, decay=decay, progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
-    est, prog, s2s = _nested_run(graph, [s1], plan.d, [plan.k2], config, decay,
-                                 _second_phase(plan.selector, config.phase2_sims),
+    est, prog, s2s = _nested_run(graph, [s1], plan.d, [plan.k2], config, decay, plan.selector,
                                  collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

@@ -31,7 +31,7 @@ from twophase_im.schedule import (
     golden_section_k1,
     sequential_d_search,
 )
-from twophase_im.selectors import _pick, discount_state, select_gdd, select_wd
+from twophase_im.selectors import discount_state, select_discount, select_gdd, select_wd
 from twophase_im.two_phase import eval_h, score_cells
 
 TOL = 1e-9
@@ -215,7 +215,7 @@ def test_criterion_06_gdd_identities():
         assert select_gdd(inst, 1).nodes == select_wd(inst, 1).nodes
         k = min(3, inst.n - 1)
         state = discount_state(inst, "gdd")
-        _pick(inst, state, [k])
+        select_discount(inst, state, [k])
         assert state.ops <= k * inst.n * max(1, inst.max_degree())
     elapsed = time.perf_counter() - start
     report(6, "degree-discount identities and bounds", f"{elapsed:.0f}s")

@@ -78,6 +78,23 @@ def test_twophase_fixed_plan_writes_progression_csv(tmp_path, capsys):
     assert header == "t,new_activations_mean"
 
 
+@pytest.mark.parametrize("optimize, key, suffix, header", [
+    ("grid", "grid", "grid", "k1,d,mean,stderr"),
+    ("face-joint", "face_log", "face-log", "iter,draws,elite_threshold,best")])
+def test_optimizer_writes_its_table_as_csv(tmp_path, capsys, optimize, key, suffix, header):
+    code, out, _ = run(capsys, "twophase", "--graph", "example1", "--algorithm", "gdd",
+                       "--k", "2", "--optimize", optimize, "--d-max", "1", "--sims", "20",
+                       "--phase1-sims", "10", "--phase2-sims", "5", "--seed", "0",
+                       "--output-dir", str(tmp_path))
+    assert code == 0
+    rows = load_record(last_json(out)["record"])["results"][key]
+    assert rows
+    [path] = tmp_path.glob(f"*-{suffix}.csv")
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    assert [[float(x) for x in line.split(",")] for line in lines[1:]] == rows
+
+
 def test_twophase_requires_plan_without_optimize(tmp_path, capsys):
     code, _, err = run(capsys, "twophase", "--graph", "example1", "--algorithm",
                        "gdd", "--k", "2", "--output-dir", str(tmp_path))

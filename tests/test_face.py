@@ -6,11 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from twophase_im import face
 from twophase_im.face import (
+    CeSample,
     _categorical,
     _cdf,
     _clamp_redistribute,
     _normalized,
     _sample_set,
+    _weighted_refit,
     face_joint_optimize,
     face_select,
 )
@@ -98,6 +100,34 @@ def test_sample_set_repairs_as_the_node_loop_did(q, data, seed):
     assert got == _loop_sample_set(q, budget, old)
     assert len(got) == budget
     assert new.random() == old.random()   # both read the same uniforms
+
+
+def _loop_weighted_refit(samples, n, getter):
+    """``_weighted_refit`` as it was: one addition per member, sample by
+    sample."""
+    total = math.fsum(s.value for s in samples)
+    q_new = np.zeros(n)
+    for s in samples:
+        for v in getter(s):
+            q_new[v] += s.value if total > 0 else 1.0
+    return q_new / (total if total > 0 else len(samples))
+
+
+VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e-300, 1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 9), max_size=10, unique=True), VALUES),
+                min_size=1, max_size=30))
+@example([((0, 3), 0.0), ((3,), 0.0), ((), 0.0)])   # all zero: membership frequency
+@example([((0, 3), 0.1), ((3,), 0.2), ((3, 9), 0.7)])
+def test_weighted_refit_adds_as_the_member_loop_did(rows):
+    samples = [CeSample(set=tuple(sorted(m)), value=v, k1=len(m), d=len(m) % 3)
+               for m, v in rows]
+    for n, getter in ((10, lambda s: s.set), (11, lambda s: (s.k1,)), (3, lambda s: (s.d,))):
+        got = _weighted_refit(samples, n, getter)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _loop_weighted_refit(samples, n, getter).tobytes()
 
 
 def test_face_full_budget_returns_all_nodes(example1):

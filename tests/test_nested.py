@@ -28,6 +28,7 @@ from twophase_im.graph import RawEdgeList, build_graph, residual_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.selectors import (
     SigmaObjective,
+    discount_state,
     select_discount,
     select_gdd,
     select_greedy,
@@ -115,7 +116,8 @@ def test_one_row_selectors_pick_what_the_old_selectors_picked():
             mask = np.zeros((1, g.n), dtype=bool)
             mask[0, pre] = True
             for kind in ("sd", "wd", "gdd"):
-                got = select_discount(g, kind, [k], preselected=mask)[0]
+                state = discount_state(g, kind, preselected=mask)
+                got = select_discount(g, state, [k])[0].tolist()
                 assert got == _old_select(g, kind, k, pre)
                 cases += 1
     assert cases == 198
@@ -130,12 +132,15 @@ def test_batched_rows_pick_what_the_old_selectors_picked_on_residual_graphs():
         budgets = np.minimum(rng.integers(0, 5, rows),
                              g.n - removed.sum(axis=1) - recent.sum(axis=1))
         for kind in ("sd", "wd", "gdd"):
-            got = select_discount(g, kind, budgets, removed=removed, preselected=recent)
+            state = discount_state(g, kind, removed=removed, preselected=recent)
+            got = select_discount(g, state, budgets)
             for r in range(rows):
                 res, kept = residual_graph(g, np.flatnonzero(removed[r]))
                 pre = np.searchsorted(kept, np.flatnonzero(recent[r])).tolist()
                 want = kept[_old_select(res, kind, int(budgets[r]), pre)].tolist()
-                assert got[r] == want, (kind, r)
+                assert got[r, :budgets[r]].tolist() == want, (kind, r)
+                gained = state.taken[r] & ~removed[r] & ~recent[r]
+                assert np.flatnonzero(gained).tolist() == sorted(want)
 
 
 # -- the nested run as it was: one residual graph per outer replicate --------
@@ -154,16 +159,17 @@ class _LoopNested:
     """The nested two-phase estimate as one Python pass per outer replicate:
     cut the already-active nodes out with ``residual_graph``, select on the
     copy with the one-graph selector, and simulate m2 fresh replicates of it
-    with ``stream(master_seed, TAG_PHASE2, i)``."""
+    with ``stream(master_seed, TAG_PHASE2, i)``. A greedy second phase
+    selects on an objective of ``config.phase2_sims`` worlds."""
 
-    def __init__(self, selector2, sims=None):
-        self.selector2, self.sims = selector2, sims
+    def __init__(self, selector2):
+        self.selector2 = selector2
 
-    def select(self, res, recent_local, k2_eff, master_seed):
+    def select(self, res, recent_local, k2_eff, config):
         if self.selector2 != "greedy":
             return _old_select(res, self.selector2, k2_eff, recent_local)
-        sigma = SigmaObjective(res, MonteCarloConfig(master_seed=master_seed),
-                               sims=self.sims, tag=TAG_PHASE2_SELECT)
+        sigma = SigmaObjective(res, MonteCarloConfig(master_seed=config.master_seed),
+                               sims=config.phase2_sims, tag=TAG_PHASE2_SELECT)
         base = frozenset(recent_local)
         return select_greedy(res, k2_eff, lambda s: sigma(base | s)).nodes
 
@@ -181,7 +187,7 @@ class _LoopNested:
             res, kept = residual_graph(graph, np.flatnonzero(already_mask))
             recent_local = np.searchsorted(kept, np.flatnonzero(at == d)).tolist()
             k2_eff = min(k2, res.n - len(recent_local))
-            s2_local = (self.select(res, recent_local, k2_eff, config.master_seed)
+            s2_local = (self.select(res, recent_local, k2_eff, config)
                         if k2_eff > 0 else [])
             if len(s2_examples) < collect_examples:
                 s2_examples.append(sorted(int(kept[v]) for v in s2_local))
@@ -201,11 +207,10 @@ class _LoopNested:
         return est, diffusion._trim(prog), s2_examples
 
 
-def _assert_same(graph, s1, d, k2, config, decay, selector2, sims=None):
-    [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay,
-                                  two_phase._second_phase(selector2, sims), collect_examples=5,
-                                  progression=True)
-    want = _LoopNested(selector2, sims).run(graph, s1, d, k2, config, decay)
+def _assert_same(graph, s1, d, k2, config, decay, selector2):
+    [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay, selector2,
+                                  collect_examples=5, progression=True)
+    want = _LoopNested(selector2).run(graph, s1, d, k2, config, decay)
     assert got[0].mean == want[0].mean
     assert got[0].stderr == want[0].stderr
     assert got[0].samples == want[0].samples
@@ -241,9 +246,9 @@ def test_continuation_equals_residual_loop_on_lesmis(selector2, decay):
 def test_objective_second_phase_equals_residual_loop(decay):
     for j, g in enumerate(instance_family(3, seed=65)):
         cfg = MonteCarloConfig(phase1_sims=8, phase2_sims=5, master_seed=j)
-        _assert_same(g, [0], 1, 2, cfg, decay, "greedy", sims=20)
+        _assert_same(g, [0], 1, 2, cfg, decay, "greedy")
     cfg = MonteCarloConfig(phase1_sims=3, phase2_sims=6, master_seed=4)
-    _assert_same(les_miserables_wc(), [11], 1, 1, cfg, decay, "greedy", sims=8)
+    _assert_same(les_miserables_wc(), [11], 1, 1, cfg, decay, "greedy")
 
 
 @pytest.mark.parametrize("decay", DECAYS, ids=["delta1", "delta0.8"])
@@ -253,10 +258,10 @@ def test_progression_is_counted_only_when_asked_for(decay):
     sets, k2s = [[11], [0, 48], [26]], [2, 1, 3]
     for selector2, m1 in (("gdd", 40), ("greedy", 6)):
         cfg = MonteCarloConfig(phase1_sims=m1, phase2_sims=8, master_seed=2)
-        second = two_phase._second_phase(selector2, 10)
-        counted = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second,
+        counted = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, selector2,
                                         collect_examples=5, progression=True)
-        plain = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, second, collect_examples=5)
+        plain = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, selector2,
+                                      collect_examples=5)
         assert [est for est, _, _ in counted] == [est for est, _, _ in plain]
         assert [ex for _, _, ex in counted] == [ex for _, _, ex in plain]
         assert all(prog is not None for _, prog, _ in counted)
@@ -269,7 +274,7 @@ def test_second_phase_shortfall_equals_residual_loop():
                                                       ("c", "d", 0.5)]))
     for d in (1, 2, 3):
         cfg = MonteCarloConfig(phase1_sims=20, phase2_sims=4, master_seed=d)
-        for selector2 in ("sd", "gdd"):
+        for selector2 in ("sd", "gdd", "greedy"):
             _assert_same(g, [0], d, 3, cfg, DecayFunction(0.8), selector2)
 
 
@@ -307,8 +312,7 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
     cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=1)
     for selector2 in ("sd", "wd", "gdd"):
         calls.clear()
-        two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY,
-                              two_phase._second_phase(selector2, None))
+        two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY, selector2)
         assert calls == [16, 16, 8]   # the phase-1 chunks' rows, nothing per outer replicate
 
 

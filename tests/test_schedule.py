@@ -116,7 +116,9 @@ def test_grid_single_phase_cell_equals_pipeline(example1):
 def test_optimizers_select_each_first_phase_once(monkeypatch):
     # S1 is myopic, so it does not depend on d: one selection per k1 > 0,
     # however many delays the grid or the delay search scores at that k1
-    # (GDD second phases run ``select_discount``, not counted)
+    # (a GDD second phase is one ``select_discount`` over the outer
+    # replicates' rows in ``two_phase._second_phase``, not a ``select_gdd``
+    # call, so it is not counted)
     calls = []
     select = two_phase.select_gdd
 

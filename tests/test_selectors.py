@@ -9,7 +9,6 @@ from twophase_im.oracle import get_oracle
 from twophase_im.selectors import (
     SeedSet,
     SigmaObjective,
-    _pick,
     discount_state,
     select_discount,
     select_gdd,
@@ -71,14 +70,15 @@ def test_gdd_weights_on_example1(example1):
 
 def test_gdd_preselected_does_not_consume_budget(example1):
     # with B preselected: w_A = 1*(1+0) = 1.0 beats w_C = 0.2 and w_D = 0.1
-    assert select_discount(example1, "gdd", [1], preselected=np.arange(4)[None] == 1) == [[0]]
+    state = discount_state(example1, "gdd", preselected=np.arange(4)[None] == 1)
+    assert select_discount(example1, state, [1]).tolist() == [[0]]
 
 
 def test_gdd_ops_bounded_by_edge_relaxations():
     for g in instance_family(10, seed=11):
         k = min(3, g.n - 1)
         state = discount_state(g, "gdd")
-        _pick(g, state, [k])
+        select_discount(g, state, [k])
         assert state.ops <= k * g.n * max(1, g.max_degree())
 
 
@@ -206,6 +206,12 @@ def _loop_gdd(graph, k, preselected=()):
     return picked
 
 
+def _pick_after(graph, kind, k, preselected):
+    """The k nodes one row picks with the nodes of ``preselected`` taken."""
+    state = discount_state(graph, kind, preselected=preselected)
+    return select_discount(graph, state, [k])[0].tolist()
+
+
 def _heuristic_cases():
     from twophase_im.instances import les_miserables_wc
     # a uniform cycle and two identical stars: every pick is decided by ties
@@ -227,9 +233,9 @@ def test_degree_heuristics_match_loop_reference():
     for g, pre, k in _heuristic_cases():
         mask = np.zeros((1, g.n), dtype=bool)
         mask[0, pre] = True
-        assert select_discount(g, "gdd", [k], preselected=mask)[0] == _loop_gdd(g, k, pre)
+        assert _pick_after(g, "gdd", k, mask) == _loop_gdd(g, k, pre)
         for weighted in (False, True):
-            got = select_discount(g, "wd" if weighted else "sd", [k], preselected=mask)[0]
+            got = _pick_after(g, "wd" if weighted else "sd", k, mask)
             assert got == _loop_discount(g, k, weighted, pre)
         cases += 1
     assert cases == 129
