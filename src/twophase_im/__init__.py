@@ -6,15 +6,17 @@ Library layout:
   residual graphs sliced from the parent's arrays
 - diffusion: one per-edge frontier IC sampler, the only source of fresh
   replicates (block, batch and one-replicate views, and the row source over
-  it), the continuation of stopped replicates, one (decay-weighted) spread
-  estimator over many seed sets, and the selectors' spread objective on
-  live-edge worlds drawn once (``SigmaObjective``)
+  it), one (decay-weighted) spread estimator over many seed sets, the
+  nested two-phase estimator that continues stopped replicates, and the
+  selectors' spread objective on live-edge worlds drawn once
+  (``SigmaObjective``)
 - oracle: exact small-instance values by live-graph enumeration
 - selectors: SD, WD, GDD, greedy, RMax, SPIC seed selection
 - face: fully adaptive cross-entropy optimization (plain and joint modes)
 - two_phase: the selector table and the one seed-selection rule, the
-  surrogate objective h, the one (k1, d, S1) cell scorer of every optimizer
-  and the (k1, d) scorer the searches take, and the myopic/farsighted pipeline
+  second phase of a nested run, the surrogate objective h, the one
+  (k1, d, S1) cell scorer of every optimizer and the (k1, d) scorer the
+  searches take, and the myopic/farsighted pipeline
 - schedule: (k1, d) grid search, golden-section / sequential-delay search,
   plain functions of a (k1, d) cell scorer
 - cli: the ``tpim`` command-line harness with replayable run records

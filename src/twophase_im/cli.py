@@ -49,8 +49,8 @@ from .schedule import estimate_D, exhaustive_grid, golden_section_k1
 from .two_phase import (
     SELECTORS,
     TwoPhasePlan,
-    _farsighted,
     cell_scorer,
+    farsighted_config,
     myopic_objective,
     run_two_phase,
     score_cells,
@@ -228,7 +228,7 @@ def run_twophase(params, graph):
             "progression": [float(x) for x in result.progression],
         }
     if optimize == "face-joint":
-        far = _farsighted(mc)
+        far = farsighted_config(mc)
         # the search scores its second phase with GDD whatever --algorithm
         # says; only the final estimate below uses --algorithm
         (k1, d, s1), log = face_joint_optimize(
@@ -364,7 +364,10 @@ def transform(output_dir, **params):
 @graph_options
 @click.option("--algorithm", type=click.Choice(list(SELECTORS)), required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--sims", type=int, default=10_000, show_default=True)
+@click.option("--sims", type=int, default=10_000, show_default=True,
+              help="replicates of the printed spread estimate only; greedy, RMax, SPIC "
+                   f"and FACE select on {MonteCarloConfig.phase1_sims} live-edge worlds "
+                   "whatever it is")
 @click.option("--delta", type=float, default=None,
               help="decay factor; omitted or 1 means plain spread")
 @click.option("--seed", "master_seed", type=int, default=None)

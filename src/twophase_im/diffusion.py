@@ -1,4 +1,4 @@
-"""Monte-Carlo independent-cascade simulation and the spread estimator.
+"""Monte-Carlo independent-cascade simulation and the spread estimators.
 
 Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
@@ -6,6 +6,7 @@ on-activation, which is equivalent to pre-sampling a live graph. One
 frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
 CSR arrays, from the seeds at step 0 or from any frontier at a later step.
 
+This module alone decides which stream each replicate's coins come from.
 Every fresh replicate comes from one sampler, ``simulate_blocks``: blocks
 of (seed set, rows, generator) as one cascade whose coin draws one uniform
 per edge tested, each block from its own generator (``_block_coin``), so
@@ -17,14 +18,16 @@ fit ``GROUP_CELLS`` run as one cascade. A call that builds many generators
 of one (master_seed, tag), some of one index, takes them from a
 ``stream_source`` of its own, which hashes each index's seed once and is
 dropped with the call, so a run costs the same whatever ran before it in
-the process. ``continue_blocks`` continues stopped replicates with the
-same coin (the second phase of a two-phase run).
-One estimator, ``estimate_spreads``, weights activations by a
-``DecayFunction`` (delta = 1, the default, is the plain spread);
-``estimate_spread`` is its one-set case. ``SigmaObjective``, the
-objective of the selectors, runs the loop in live-edge worlds drawn once,
-with a lookup for a coin, and falls back to that estimator when the worlds
-or their time table would pass a byte budget.
+the process.
+Two estimators run on those replicates. ``estimate_spreads`` weights
+activations by a ``DecayFunction`` (delta = 1, the default, is the plain
+spread); ``estimate_spread`` is its one-set case. ``nested_spreads`` is
+the two-phase estimate: phase 1 stopped at d, a second phase picked on each
+observation by a caller's ``pick``, and the cascade continued from it with
+the same coin. ``SigmaObjective``, the objective of the selectors, runs
+the loop in live-edge worlds drawn once, with a lookup for a coin, and
+falls back to ``estimate_spread`` when the worlds or their time table would
+pass a byte budget.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InfluenceGraph
+from .graph import InfluenceGraph, edge_ids
 
 NEVER = -1
 
@@ -183,15 +186,6 @@ def _seed_keys(reps: int, n: int, seeds: list) -> np.ndarray:
     return (np.arange(0, reps * n, n)[:, None] + np.asarray(seeds)).ravel()
 
 
-def _edge_ids(indptr: np.ndarray, nodes: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ids indptr[v] + 0..count_v-1 of each node's CSR range, node after
-    node; ``count`` is the nodes' range lengths."""
-    ends = count.cumsum()
-    edge = (indptr[nodes] - ends + count).repeat(count)
-    edge += np.arange(edge.size)
-    return edge
-
-
 def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at: int,
              coin, t: int = 0) -> list:
     """The IC frontier loop, in place on a (reps, n) times matrix, from the
@@ -215,7 +209,7 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
         t += 1
         node = key % n
         count = degree[node]
-        edge = _edge_ids(indptr, node, count)
+        edge = edge_ids(indptr, node, count)
         if edge.size == 0:
             break
         key = (key - node).repeat(count)
@@ -277,22 +271,6 @@ def _block_coin(prob: np.ndarray, n: int, starts, rngs: list):
         return u < prob[edge]
 
     return coin
-
-
-def continue_blocks(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, t: int,
-                    rngs: list) -> None:
-    """Continue IC replicates in place to their end: the (reps, n) ``times``
-    matrix, from the sorted flat keys ``key`` activated at step ``t``.
-
-    The rows come in ``len(rngs)`` blocks of ``reps // len(rngs)``; block b
-    reads ``rngs[b]`` (``_block_coin``). Edges into nodes already active are
-    dropped before any draw and the rest keep their CSR order, so a block
-    draws what ``simulate_batch`` with its stream would draw on the graph
-    with those nodes cut out (``residual_graph``), from the frontier.
-    """
-    reps, n = times.shape
-    coin = _block_coin(graph.p, n, range(0, reps + 1, reps // len(rngs)), rngs)
-    _cascade(graph, times, key, t + n, coin, t)   # a cascade on n nodes ends within n steps
 
 
 def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int, tag: int,
@@ -390,6 +368,87 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
                     decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """The estimate of ``estimate_spreads`` for one seed set."""
     return estimate_spreads(graph, [seeds], config, sims, tag, decay)[0][0]
+
+
+def _outer_values(blocks, at, already, decay):
+    """The mean value of each outer replicate: its phase-1 value before d
+    plus that of each of its continuations (``blocks``, (reps, m2, n)) on
+    the nodes not already active. At delta < 1 a continuation's values are
+    summed over a C-ordered gather of those nodes, the residual graph's
+    columns, so the float sums are the residual graph's; at delta = 1 they
+    are counts."""
+    base = decay.values(np.where(already, at, NEVER)).astype(np.float64)
+    if decay.delta == 1.0:
+        counts = (blocks >= 0).sum(axis=2) - already.sum(axis=1)[:, None]
+        return (base[:, None] + counts).mean(axis=1)
+    return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
+            for b, block, gone in zip(base, blocks, already)]
+
+
+def nested_spreads(graph: InfluenceGraph, s1s, d: int, config: MonteCarloConfig,
+                   decay: DecayFunction, pick, collect_examples: int = 0,
+                   progression: bool = False) -> list:
+    """The nested Monte-Carlo estimate of a two-phase run from each
+    first-phase set at one delay d, as (estimate, progression, first
+    ``collect_examples`` second-phase sets, each a sorted list) per set. The
+    progression, the expected new activations per step, is counted only
+    when asked for (else None).
+
+    ``config.phase1_sims`` outer replicates of each set run to step d
+    (``replicate_rows``, ``TAG_PHASE1``) in groups of whole outer
+    replicates, at most ``GROUP_CELLS`` phase-2 times (or one replicate)
+    each. ``pick(owner, already, recent)`` returns the (reps, n) mask of a
+    group's second-phase seeds from each row's set index and its nodes
+    activated before d and at d. Outer replicate i of every set is then
+    repeated ``phase2_sims`` times with the recent nodes and its seeds at
+    step d, and continued to its end with the coins of ``stream(master_seed,
+    TAG_PHASE2, i)``, from the stream's start, as if alone; one
+    ``stream_source`` hashes i's seed once, however many sets read it. Edges
+    into active nodes are dropped before any draw and the rest keep their
+    CSR order, so a continuation draws what ``simulate_batch`` would draw on
+    the residual graph (the already-active nodes cut out). One replicate's
+    (phase2_sims, n) times are checked against ``BATCH_BYTES`` first: they
+    cannot be split without changing its stream."""
+    n = graph.n
+    m1, m2 = config.phase1_sims, config.phase2_sims
+    check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
+                4 * m2 * n, BATCH_BYTES)
+    check_bytes("the outer-replicate values (sets x phase1_sims float64)", 8 * len(s1s) * m1,
+                WORLD_BYTES)
+    outer_means = np.empty((len(s1s), m1))
+    phase1_hist = np.zeros((len(s1s), 0), dtype=np.int64)   # activations per step
+    phase2_hist = np.zeros((len(s1s), 0), dtype=np.int64)   # per step - d
+    s2_examples = [[] for _ in s1s]
+    phase2 = stream_source(config.master_seed, TAG_PHASE2)
+    for c, i, at in replicate_rows(graph, s1s, m1, config.master_seed, TAG_PHASE1, m2 * n,
+                                   stop_at=d):
+        reps = len(at)
+        already, recent = (at >= 0) & (at < d), at == d
+        picked = pick(c, already, recent)
+        frontier = (recent | picked).repeat(m2, axis=0)
+        times = at.repeat(m2, axis=0)
+        times[frontier] = d
+        coin = _block_coin(graph.p, n, range(0, reps * m2 + 1, m2),
+                           [phase2(j) for j in i.tolist()])
+        # a cascade on n nodes ends within n steps
+        _cascade(graph, times, np.flatnonzero(frontier), d + n, coin, d)
+        outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
+        for r in np.flatnonzero(i < collect_examples).tolist():
+            s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
+        if progression:   # plain counts; sums to the delta = 1 mean
+            phase1_hist = _histogram_add(phase1_hist, at, already, c)
+            phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
+    results = []
+    for est, hist1, hist2, examples in zip(_estimates(outer_means, m1 * m2),
+                                           phase1_hist, phase2_hist, s2_examples):
+        prog = None
+        if progression:
+            prog = np.zeros(max(len(hist1), d + len(hist2)))
+            prog[:len(hist1)] += hist1 / m1
+            prog[d:d + len(hist2)] += hist2 / (m1 * m2)
+            prog = _trim(prog)
+        results.append((est, prog, examples))
+    return results
 
 
 class SigmaObjective:

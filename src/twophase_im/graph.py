@@ -119,6 +119,15 @@ class InfluenceGraph:
             raise GraphError(f"unknown node label: {label!r}") from None
 
 
+def edge_ids(indptr: np.ndarray, nodes: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ids indptr[v] + 0..count_v-1 of each node's CSR range, node after
+    node; ``count`` is the nodes' range lengths."""
+    ends = count.cumsum()
+    edge = (indptr[nodes] - ends + count).repeat(count)
+    edge += np.arange(edge.size)
+    return edge
+
+
 def load_edge_list(path, directed: bool = True) -> RawEdgeList:
     """Parse a whitespace-separated edge list with '#'/'%' comment lines.
 

@@ -6,7 +6,8 @@ jointly; only nested one-dimensional searches are implemented. Each search
 takes a scorer of (k1, d) cells, evaluate(cells) -> [SpreadEstimate]: for a
 graph and a selector it is ``two_phase.cell_scorer``, and the grid scores all
 its cells in one call, the golden-section and delay searches one cell a
-call.
+call. ``estimate_D``, the delay horizon when none is given, reads the
+progression of a ``diffusion.estimate_spreads`` probe.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diffusion import TAG_PROBE, DecayFunction, MonteCarloConfig, replicate_rows
+from .diffusion import TAG_PROBE, DecayFunction, MonteCarloConfig, estimate_spreads
 from .graph import InfluenceGraph
 from .selectors import select_wd
 
@@ -121,12 +122,12 @@ def golden_section_k1(k: int, d_max: int, evaluate, decay: DecayFunction):
 
 
 def estimate_D(graph: InfluenceGraph, k: int, mc: MonteCarloConfig | None = None) -> int:
-    """Empirical delay horizon: latest activation step over probe replicates
-    seeded by weighted discount, plus ``D_MARGIN``; capped at n."""
+    """Empirical delay horizon: the latest activation step over
+    ``mc.phase1_sims`` probe replicates seeded by weighted discount (the
+    last step of their progression), plus ``D_MARGIN``; capped at n."""
     mc = mc or MonteCarloConfig()
     k = max(1, min(k, graph.n))
     seeds = select_wd(graph, k).nodes
-    latest = max(int(times.max()) for _, _, times in
-                 replicate_rows(graph, [seeds], mc.phase1_sims, mc.master_seed, TAG_PROBE,
-                                graph.n))
-    return max(1, min(latest + D_MARGIN, graph.n))
+    [(_, progression)] = estimate_spreads(graph, [seeds], mc, mc.phase1_sims, TAG_PROBE,
+                                          progression=True)
+    return max(1, min(len(progression) - 1 + D_MARGIN, graph.n))

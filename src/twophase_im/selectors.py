@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import TAG_RMAX, TAG_SPIC, _edge_ids, stream
+from .diffusion import TAG_RMAX, TAG_SPIC, stream
 from .diffusion import SigmaObjective  # noqa: F401  (named here for the selectors' callers)
-from .graph import InfluenceGraph
+from .graph import InfluenceGraph, edge_ids
 
 # How many random k-subsets RMax scores, and how many permutations SPIC's
 # Shapley estimate samples; None is 5 per node of the graph.
@@ -83,13 +83,13 @@ class DiscountState:
         self.taken[rows, nodes] = True
         if self.survival is not None:
             count = graph.out_degrees[nodes]
-            edge = _edge_ids(graph.indptr, nodes, count)
+            edge = edge_ids(graph.indptr, nodes, count)
             np.multiply.at(self.survival.reshape(-1), rows.repeat(count) * n + graph.dst[edge],
                            1.0 - graph.p[edge])
             self.ops += edge.size
         in_indptr, in_src, in_p = graph.in_index
         count = in_indptr[nodes + 1] - in_indptr[nodes]
-        edge = _edge_ids(in_indptr, nodes, count)
+        edge = edge_ids(in_indptr, nodes, count)
         np.subtract.at(self.outsum.reshape(-1), rows.repeat(count) * n + in_src[edge],
                        1.0 if self.kind == "sd" else in_p[edge])
         self.ops += edge.size

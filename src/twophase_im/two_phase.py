@@ -3,18 +3,15 @@ the optimizers, and the end-to-end myopic/farsighted run of a fixed plan.
 Every seed selection, of a single phase, a first phase or a replicate's
 second phase, goes through ``select_seeds``.
 
-Structure of every nested evaluation (``_nested_run``): simulate phase 1 to
-step d and observe it; in each outer replicate, pick second-phase seeds as
-if on the residual graph (already-activated nodes cut out), with the
+Every nested evaluation is ``_nested_run``: simulate phase 1 to step d and
+observe it; in each outer replicate, pick second-phase seeds as if on the
+residual graph (already-activated nodes cut out), with the
 recently-activated nodes as a free partial seed set; then continue the
-diffusion on the parent graph from the recent nodes and the second-phase
-seeds, m2 times per outer replicate, and aggregate. The phase-1 replicates
-come from the row source of ``diffusion`` (``replicate_rows``) in groups of
-outer replicates: one ``_second_phase`` call, which returns the group's
-second-phase seeds as a mask (one batched selection for SD/WD/GDD), and
-one continued cascade per group. Already-active nodes take no part in the
-continuation, so it draws exactly what a simulation on the residual graph
-would.
+diffusion from the recent nodes and the second-phase seeds, m2 times per
+outer replicate, and aggregate. The sampling is ``diffusion.nested_spreads``;
+this module gives it the second phase, ``_second_phase`` under the budget
+rule min(k2, nodes left), which returns a group of outer replicates' seeds
+as a mask (one batched selection for SD/WD/GDD).
 
 One nested run takes many first-phase sets at one d; each set reads the
 streams it would read alone, so its estimate is the same bit for bit.
@@ -33,24 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import (
-    BATCH_BYTES,
-    NEVER,
     NO_DECAY,
-    TAG_PHASE1,
-    TAG_PHASE2,
     TAG_PHASE2_SELECT,
-    WORLD_BYTES,
     DecayFunction,
     MonteCarloConfig,
     SpreadEstimate,
-    _estimates,
-    _histogram_add,
-    _trim,
-    check_bytes,
-    continue_blocks,
     estimate_spreads,
-    replicate_rows,
-    stream_source,
+    nested_spreads,
 )
 from .face import face_select
 from .graph import InfluenceGraph, residual_graph
@@ -144,82 +130,18 @@ def _second_phase(graph, selector2, already, recent, budgets, config) -> np.ndar
     return picked
 
 
-def _outer_values(blocks, at, already, decay):
-    """The mean value of each outer replicate: its phase-1 value before d
-    plus that of each of its continuations (``blocks``, (reps, m2, n)) on
-    the nodes not already active. At delta < 1 a continuation's values are
-    summed over a C-ordered gather of those nodes, the residual graph's
-    columns, so the float sums are the residual graph's; at delta = 1 they
-    are counts."""
-    base = decay.values(np.where(already, at, NEVER)).astype(np.float64)
-    if decay.delta == 1.0:
-        counts = (blocks >= 0).sum(axis=2) - already.sum(axis=1)[:, None]
-        return (base[:, None] + counts).mean(axis=1)
-    return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
-            for b, block, gone in zip(base, blocks, already)]
-
-
 def _nested_run(graph, s1s, d, k2s, config, decay, selector2, collect_examples=0,
                 progression=False):
-    """Shared nested Monte-Carlo engine over first-phase sets at one delay
-    d, set c with k2s[c] second-phase seeds picked by ``selector2``; returns
-    (estimate, progression, first s2 examples, each a sorted list) for each
-    set. The progression, the expected new activations per step, is counted
-    only when asked for (else None).
-
-    The phase-1 replicates come from ``replicate_rows`` in groups of whole
-    outer replicates, at most ``GROUP_CELLS`` phase-2 times (or one outer
-    replicate) each. A group's second-phase seeds come from one
-    ``_second_phase`` call, as a mask with a row per outer replicate;
-    then outer replicate i of every set is repeated m2 times with its seeds
-    written in at step d and continued on the parent graph with the coins of
-    ``stream(master_seed, TAG_PHASE2, i)``, each block from the stream's
-    start, as if alone. The call takes those generators from one
-    ``stream_source``, so outer replicate i's seed is hashed once, however
-    many sets read it. One replicate's (m2, n) times are checked against
-    ``BATCH_BYTES`` first: they cannot be split without changing its
-    stream."""
-    sets = [sorted(set(int(v) for v in s1)) for s1 in s1s]
-    n = graph.n
-    m1, m2 = config.phase1_sims, config.phase2_sims
-    check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
-                4 * m2 * n, BATCH_BYTES)
-    check_bytes("the outer-replicate values (sets x phase1_sims float64)", 8 * len(sets) * m1,
-                WORLD_BYTES)
+    """``diffusion.nested_spreads`` of the first-phase sets at delay d, set
+    c with a budget of k2s[c] second-phase seeds picked by ``selector2``
+    (``_second_phase``), or as many as the nodes not yet active leave."""
     k2s = np.asarray(k2s, dtype=np.int64)
-    outer_means = np.empty((len(sets), m1))
-    phase1_hist = np.zeros((len(sets), 0), dtype=np.int64)   # activations per step
-    phase2_hist = np.zeros((len(sets), 0), dtype=np.int64)   # per step - d
-    s2_examples = [[] for _ in sets]
-    phase2 = stream_source(config.master_seed, TAG_PHASE2)
-    for c, i, at in replicate_rows(graph, sets, m1, config.master_seed, TAG_PHASE1, m2 * n,
-                                   stop_at=d):
-        reps = len(at)
-        already, recent = (at >= 0) & (at < d), at == d
-        budgets = np.minimum(k2s[c], n - already.sum(axis=1) - recent.sum(axis=1))
-        picked = _second_phase(graph, selector2, already, recent, budgets, config)
-        frontier = (recent | picked).repeat(m2, axis=0)
-        times = at.repeat(m2, axis=0)
-        times[frontier] = d
-        continue_blocks(graph, times, np.flatnonzero(frontier), d,
-                        [phase2(j) for j in i.tolist()])
-        outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
-        for r in np.flatnonzero(i < collect_examples).tolist():
-            s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
-        if progression:   # plain counts; sums to the delta = 1 mean
-            phase1_hist = _histogram_add(phase1_hist, at, already, c)
-            phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
-    results = []
-    for est, hist1, hist2, examples in zip(_estimates(outer_means, m1 * m2),
-                                           phase1_hist, phase2_hist, s2_examples):
-        prog = None
-        if progression:
-            prog = np.zeros(max(len(hist1), d + len(hist2)))
-            prog[:len(hist1)] += hist1 / m1
-            prog[d:d + len(hist2)] += hist2 / (m1 * m2)
-            prog = _trim(prog)
-        results.append((est, prog, examples))
-    return results
+
+    def pick(owner, already, recent):
+        budgets = np.minimum(k2s[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
+        return _second_phase(graph, selector2, already, recent, budgets, config)
+
+    return nested_spreads(graph, s1s, d, config, decay, pick, collect_examples, progression)
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
@@ -232,7 +154,7 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
     return _nested_run(graph, [s1], d, [k2], config, decay, "gdd")[0][0]
 
 
-def _farsighted(config: MonteCarloConfig) -> MonteCarloConfig:
+def farsighted_config(config: MonteCarloConfig) -> MonteCarloConfig:
     """The cheaper config of a nested objective: a tenth of the outer and
     inner replicates, the same master seed. A single-phase estimate on it
     takes as many replicates as its outer ones."""
@@ -304,7 +226,7 @@ def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> list:
     if plan.mode == "myopic":
         objective = myopic_objective(graph, config, decay)
     else:   # an objective takes a frozenset, so the cache keys on the set
-        far = _farsighted(config)
+        far = farsighted_config(config)
         objective = functools.cache(lambda s: eval_h(graph, s, plan.d, plan.k2, far, decay).mean)
     return select_seeds(plan.selector, graph, plan.k1, objective, config.master_seed)
 

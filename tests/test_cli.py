@@ -534,9 +534,9 @@ def test_directory_given_as_graph_is_data_error(tmp_path):
 
 
 def test_oversized_phase2_batch_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
-    from twophase_im import two_phase
+    from twophase_im import diffusion
     # one outer replicate's block is phase2_sims x 77 int32 on lesmis
-    monkeypatch.setattr(two_phase, "BATCH_BYTES", 4 * 77 * 40)
+    monkeypatch.setattr(diffusion, "BATCH_BYTES", 4 * 77 * 40)
     args = ["twophase", "--graph", "lesmis", "--algorithm", "gdd", "--k", "2", "--k1", "1",
             "--k2", "1", "--d", "1", "--sims", "10", "--phase1-sims", "3", "--seed", "1",
             "--output-dir", str(tmp_path)]
@@ -545,6 +545,57 @@ def test_oversized_phase2_batch_is_refused_before_allocating(tmp_path, capsys, m
     assert not list(tmp_path.glob("*.json"))
     code, _, err = run(capsys, *args, "--phase2-sims", "40")
     assert code == 0, err
+
+
+def test_auto_delay_refuses_oversized_phase1_sims_before_simulating(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the probe's values are sets x phase1_sims float64, checked before any
+    # replicate is drawn
+    from twophase_im import diffusion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe simulated past its values budget")
+
+    monkeypatch.setattr(diffusion, "WORLD_BYTES", 8 * 1000)
+    monkeypatch.setattr(diffusion, "_cascade", refuse)
+    code, _, err = run(capsys, "twophase", "--graph", "lesmis", "--algorithm", "gdd",
+                       "--k", "4", "--k1", "2", "--k2", "2", "--d", "auto",
+                       "--phase1-sims", "1001", "--phase2-sims", "10", "--sims", "100",
+                       "--seed", "1", "--output-dir", str(tmp_path))
+    assert code == 2 and "budget" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_auto_delay_on_eight_nodes_runs_past_n_steps_and_replays(tmp_path, capsys,
+                                                                   monkeypatch):
+    # d + the phase-2 steps pass n + 1 = 9 steps, where --d auto once failed
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    code, out, err = run(capsys, "twophase", "--graph", "family8.tpim", "--algorithm", "gdd",
+                         "--k", "2", "--k1", "1", "--k2", "1", "--d", "auto", "--seed", "0",
+                         "--output-dir", str(tmp_path))
+    assert code == 0, err
+    got = last_json(out)
+    assert got["plan"]["d"] == 6 and len(got["progression"]) > 9
+    code, _, err = run(capsys, "rerun", got["record"], "--output-dir", str(tmp_path / "rerun"))
+    assert code == 0, err
+
+
+def test_select_sims_does_not_size_the_objective(tmp_path, capsys, monkeypatch):
+    # --sims sizes the printed estimate; greedy picks on phase1_sims worlds
+    from twophase_im.diffusion import SigmaObjective
+
+    sizes, draw = [], SigmaObjective._draw
+
+    def recorded(self):
+        sizes.append(self.sims)
+        return draw(self)
+
+    monkeypatch.setattr(SigmaObjective, "_draw", recorded)
+    code, out, err = run(capsys, "select", "--graph", "lesmis", "--algorithm", "greedy",
+                         "--k", "1", "--sims", "50", "--seed", "1",
+                         "--output-dir", str(tmp_path))
+    assert code == 0, err
+    assert sizes == [1000] and last_json(out)["spread"]["samples"] == 50
 
 
 @pytest.mark.parametrize("algorithm, delta", [("gdd", "1"), ("greedy", "0.8")])

@@ -3,7 +3,7 @@ replaced. ``_LoopFace`` is the cross-entropy loop as it was, scoring each
 draw as it is drawn with one objective call per new candidate, and the
 per-candidate objective is ``estimate_spread`` (d = 0) or ``eval_h``. The
 batched search and its joint scorer, ``score_cells`` on
-``_farsighted(config)``, must equal them bit for bit (``==``, not a
+``farsighted_config(config)``, must equal them bit for bit (``==``, not a
 tolerance): every candidate reads the same streams either way."""
 
 import math
@@ -46,7 +46,7 @@ from twophase_im.face import (
 from twophase_im.instances import les_miserables_wc
 from twophase_im.schedule import D_MARGIN, estimate_D
 from twophase_im.selectors import SigmaObjective, select_wd
-from twophase_im.two_phase import _farsighted, eval_h, score_cells
+from twophase_im.two_phase import eval_h, farsighted_config, score_cells
 
 DECAYS = [NO_DECAY, DecayFunction(0.8)]
 
@@ -166,7 +166,7 @@ def _candidates(graph, k, d_max, count, seed):
 
 def _score_joint(graph, cands, k, config, decay):
     """The FACE-joint value of each candidate, as ``tpim`` scores a round."""
-    return [est.mean for est in score_cells(graph, cands, k, _farsighted(config), decay)]
+    return [est.mean for est in score_cells(graph, cands, k, farsighted_config(config), decay)]
 
 
 def _assert_scores(graph, cands, k, config, decay):

@@ -61,17 +61,42 @@ def test_oracle_record_on_sixteen_arcs_replays(name, tmp_path, capsys, monkeypat
     assert code == 0, err
 
 
+def _source_nodes():
+    """(module file name, node) for every ast node of the package source."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_package_source_makes_no_blas_call():
     # replay must not depend on which BLAS numpy was built with
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                found.append((path.name, node.lineno, "@"))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in BLAS_CALLS:
-                    found.append((path.name, node.lineno, name))
+    for module, node in _source_nodes():
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((module, node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                found.append((module, node.lineno, name))
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore is used only where it is defined
+    found = [(module, node.lineno, alias.name) for module, node in _source_nodes()
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("twophase_im"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_only_diffusion_names_the_replicate_streams():
+    # one module decides which stream every replicate's coins come from
+    streams = {"replicate_rows", "simulate_blocks", "stream_source", "TAG_PHASE1", "TAG_PHASE2"}
+    found = {(module, getattr(node, key)) for module, node in _source_nodes()
+             if module != "diffusion.py"
+             for key in ("id", "attr", "name")   # Name, Attribute, alias and def
+             if getattr(node, key, None) in streams}
+    assert found == set()
