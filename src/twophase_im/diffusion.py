@@ -19,15 +19,16 @@ of one (master_seed, tag), some of one index, takes them from a
 ``stream_source`` of its own, which hashes each index's seed once and is
 dropped with the call, so a run costs the same whatever ran before it in
 the process.
-Two estimators run on those replicates. ``estimate_spreads`` weights
-activations by a ``DecayFunction`` (delta = 1, the default, is the plain
-spread); ``estimate_spread`` is its one-set case. ``nested_spreads`` is
-the two-phase estimate: phase 1 stopped at d, a second phase picked on each
-observation by a caller's ``pick``, and the cascade continued from it with
-the same coin. ``SigmaObjective``, the objective of the selectors, runs
-the loop in live-edge worlds drawn once, with a lookup for a coin, and
-falls back to ``estimate_spread`` when the worlds or their time table would
-pass a byte budget.
+One estimator loop, ``_spreads``, runs on those replicates, each group of
+rows turned into times and values by a caller's ``rows``.
+``estimate_spreads`` values the rows as they are by a ``DecayFunction``
+(delta = 1, the default, is the plain spread); ``estimate_spread`` is its
+one-set case. ``nested_spreads``, the two-phase estimate, stops them at d,
+picks a second phase on each observation by a caller's ``pick`` and
+continues the cascade from it with the same coin. ``SigmaObjective``, the
+objective of the selectors, runs ``_cascade`` in live-edge worlds drawn
+once, with a lookup for a coin, and falls back to ``estimate_spread`` when
+the worlds or their time table would pass a byte budget.
 """
 
 from __future__ import annotations
@@ -316,14 +317,15 @@ def _estimates(vals: np.ndarray, samples: int) -> list:
             for mean, stderr in zip(vals.mean(axis=1).tolist(), stderrs.tolist())]
 
 
-def _histogram_add(hist, times, mask, owner, offset=0):
-    """hist, (sets, steps), plus the count of each step ``times - offset``
-    at the entries of ``mask``, those of row r counted in row ``owner[r]``
-    (ascending) of hist, which is widened to fit the largest step."""
-    steps = times[mask] - offset if offset else times[mask]
+def _histogram_add(hist, times, owner):
+    """hist, (sets, steps), plus the count of each activation step of
+    ``times``, those of row r counted in row ``owner[r]`` (ascending) of
+    hist, which is widened to fit the largest step."""
+    active = times >= 0
+    steps = times[active]
     lo, hi = int(owner[0]), int(owner[-1]) + 1
     width = int(steps.max()) + 1 if steps.size else 0
-    flat = (owner - lo).repeat(mask.sum(axis=1)) * width + steps
+    flat = (owner - lo).repeat(active.sum(axis=1)) * width + steps
     counts = np.bincount(flat, minlength=(hi - lo) * width).reshape(hi - lo, width)
     if counts.shape[1] > hist.shape[1]:
         grow = np.zeros((len(hist), counts.shape[1] - hist.shape[1]), dtype=hist.dtype)
@@ -338,29 +340,42 @@ def _trim(prog):
     return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
 
 
+def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, cells: int,
+             stop_at, rows, progression: bool) -> list:
+    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``),
+    each group turned by ``rows(owner, index, at)`` into the (rows x per, n)
+    times of its samples, ``per`` a replicate, and each replicate's value.
+    Returns each set's (estimate, progression) over sims x per samples; the
+    progression, the mean new activations per step, is counted only when
+    asked for (else None). The values are checked before anything runs."""
+    check_bytes("the per-replicate values (sets x sims float64)", 8 * len(sets) * sims,
+                WORLD_BYTES)
+    vals = np.empty((len(sets), sims))
+    hist = np.zeros((len(sets), 0), dtype=np.int64)
+    per = 1
+    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, cells,
+                                           stop_at):
+        times, vals[owner, index] = rows(owner, index, at)
+        per = len(times) // len(at)
+        if progression:
+            hist = _histogram_add(hist, times, owner.repeat(per))
+    return [(est, _trim(h / (sims * per)) if progression else None)
+            for est, h in zip(_estimates(vals, sims * per), hist)]
+
+
 def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
                      sims: int | None = None, tag: int = TAG_SINGLE,
                      decay: DecayFunction = NO_DECAY, progression: bool = False) -> list:
     """Monte-Carlo estimate of the expected decay-weighted active count (the
     final active count under the default, delta = 1) of each seed set, as
-    (estimate, progression) pairs: the progression, the expected new
-    activations per step, is counted only when asked for (else None). A
-    set's pair is deterministic given (graph, set, master_seed, sims, tag),
-    whatever the other sets; every decay sees the same traces."""
+    the (estimate, progression) pairs of ``_spreads`` on plain replicates.
+    A set's pair is deterministic given (graph, set, master_seed, sims,
+    tag), whatever the other sets; every decay sees the same traces."""
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    check_bytes("the per-replicate values (sets x sims float64)", 8 * len(seed_sets) * sims,
-                WORLD_BYTES)
-    vals = np.empty((len(seed_sets), sims))
-    hist = np.zeros((len(seed_sets), 0), dtype=np.int64)
-    for owner, index, times in replicate_rows(graph, seed_sets, sims, config.master_seed,
-                                              tag, graph.n):
-        vals[owner, index] = decay.values(times)
-        if progression:
-            hist = _histogram_add(hist, times, times >= 0, owner)
-    return [(est, _trim(h / sims) if progression else None)
-            for est, h in zip(_estimates(vals, sims), hist)]
+    return _spreads(graph, seed_sets, sims, config.master_seed, tag, graph.n, None,
+                    lambda owner, index, times: (times, decay.values(times)), progression)
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
@@ -371,16 +386,15 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
 
 
 def _outer_values(blocks, at, already, decay):
-    """The mean value of each outer replicate: its phase-1 value before d
-    plus that of each of its continuations (``blocks``, (reps, m2, n)) on
-    the nodes not already active. At delta < 1 a continuation's values are
-    summed over a C-ordered gather of those nodes, the residual graph's
-    columns, so the float sums are the residual graph's; at delta = 1 they
-    are counts."""
-    base = decay.values(np.where(already, at, NEVER)).astype(np.float64)
+    """The mean value of each outer replicate's continuations (``blocks``,
+    (reps, m2, n)), which hold its already-active nodes. At delta = 1 that
+    is their mean active count. At delta < 1 the already-active nodes are
+    valued once, from ``at``, and each continuation over a C-ordered gather
+    of the other nodes, the residual graph's columns, so the float sums are
+    the residual graph's."""
     if decay.delta == 1.0:
-        counts = (blocks >= 0).sum(axis=2) - already.sum(axis=1)[:, None]
-        return (base[:, None] + counts).mean(axis=1)
+        return decay.values(blocks).mean(axis=1)
+    base = decay.values(np.where(already, at, NEVER))
     return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
             for b, block, gone in zip(base, blocks, already)]
 
@@ -390,9 +404,8 @@ def nested_spreads(graph: InfluenceGraph, s1s, d: int, config: MonteCarloConfig,
                    progression: bool = False) -> list:
     """The nested Monte-Carlo estimate of a two-phase run from each
     first-phase set at one delay d, as (estimate, progression, first
-    ``collect_examples`` second-phase sets, each a sorted list) per set. The
-    progression, the expected new activations per step, is counted only
-    when asked for (else None).
+    ``collect_examples`` second-phase sets, each a sorted list) per set:
+    ``_spreads`` over phase-1 rows, each valued by its continuations.
 
     ``config.phase1_sims`` outer replicates of each set run to step d
     (``replicate_rows``, ``TAG_PHASE1``) in groups of whole outer
@@ -406,22 +419,17 @@ def nested_spreads(graph: InfluenceGraph, s1s, d: int, config: MonteCarloConfig,
     ``stream_source`` hashes i's seed once, however many sets read it. Edges
     into active nodes are dropped before any draw and the rest keep their
     CSR order, so a continuation draws what ``simulate_batch`` would draw on
-    the residual graph (the already-active nodes cut out). One replicate's
-    (phase2_sims, n) times are checked against ``BATCH_BYTES`` first: they
-    cannot be split without changing its stream."""
-    n = graph.n
-    m1, m2 = config.phase1_sims, config.phase2_sims
+    the residual graph (the already-active nodes cut out). The progression
+    counts the continued times over phase1_sims x phase2_sims samples. One
+    replicate's (phase2_sims, n) times are checked against ``BATCH_BYTES``
+    first: they cannot be split without changing its stream."""
+    n, m2 = graph.n, config.phase2_sims
     check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
                 4 * m2 * n, BATCH_BYTES)
-    check_bytes("the outer-replicate values (sets x phase1_sims float64)", 8 * len(s1s) * m1,
-                WORLD_BYTES)
-    outer_means = np.empty((len(s1s), m1))
-    phase1_hist = np.zeros((len(s1s), 0), dtype=np.int64)   # activations per step
-    phase2_hist = np.zeros((len(s1s), 0), dtype=np.int64)   # per step - d
     s2_examples = [[] for _ in s1s]
     phase2 = stream_source(config.master_seed, TAG_PHASE2)
-    for c, i, at in replicate_rows(graph, s1s, m1, config.master_seed, TAG_PHASE1, m2 * n,
-                                   stop_at=d):
+
+    def rows(c, i, at):
         reps = len(at)
         already, recent = (at >= 0) & (at < d), at == d
         picked = pick(c, already, recent)
@@ -432,23 +440,13 @@ def nested_spreads(graph: InfluenceGraph, s1s, d: int, config: MonteCarloConfig,
                            [phase2(j) for j in i.tolist()])
         # a cascade on n nodes ends within n steps
         _cascade(graph, times, np.flatnonzero(frontier), d + n, coin, d)
-        outer_means[c, i] = _outer_values(times.reshape(reps, m2, n), at, already, decay)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
-        if progression:   # plain counts; sums to the delta = 1 mean
-            phase1_hist = _histogram_add(phase1_hist, at, already, c)
-            phase2_hist = _histogram_add(phase2_hist, times, times >= d, c.repeat(m2), d)
-    results = []
-    for est, hist1, hist2, examples in zip(_estimates(outer_means, m1 * m2),
-                                           phase1_hist, phase2_hist, s2_examples):
-        prog = None
-        if progression:
-            prog = np.zeros(max(len(hist1), d + len(hist2)))
-            prog[:len(hist1)] += hist1 / m1
-            prog[d:d + len(hist2)] += hist2 / (m1 * m2)
-            prog = _trim(prog)
-        results.append((est, prog, examples))
-    return results
+        return times, _outer_values(times.reshape(reps, m2, n), at, already, decay)
+
+    pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, m2 * n,
+                     d, rows, progression)
+    return [(est, prog, examples) for (est, prog), examples in zip(pairs, s2_examples)]
 
 
 class SigmaObjective:
