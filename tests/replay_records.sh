@@ -1,8 +1,9 @@
 #!/bin/sh
 # Replay every fixture record through the installed tpim script, under
 # PYTHONHASHSEED 0 and 1: bit-exact replay must not depend on the string
-# hashing of the process. Exits non-zero at the first record that does not
-# replay. Run it from the repository root:
+# hashing of the process. Without an installed tpim it runs the package in
+# src/ as python -m twophase_im.cli. Exits non-zero at the first record
+# that does not replay. Run it from the repository root:
 #
 #   sh tests/replay_records.sh [output-dir]
 #
@@ -12,6 +13,10 @@
 # graph beside them.
 set -eu
 data="$PWD/tests/data"
+src="$PWD/src"
+if ! command -v tpim > /dev/null; then
+    tpim() { PYTHONPATH="$src" python -m twophase_im.cli "$@"; }
+fi
 out="${1:-$(mktemp -d)}"
 mkdir -p "$out/native"
 (cd "$out/native" && tpim datasets export-builtin example1 --output ex1.tpim > /dev/null)
