@@ -18,7 +18,7 @@ streams it would read alone, so its estimate is the same bit for bit.
 ``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_cells``
 scores many (k1, d, S1) cells, grouped by d, in one batch: the grid,
 golden-section and FACE-joint optimizers, and FACE-joint's final estimate,
-all score through it. Single-phase estimates (k2 = 0 and d = 0, and the
+all score through it. Single-phase estimates (k2 = 0 at any d, so the
 k1 = k arm of ``score_cells``) are those of ``diffusion.estimate_spreads``.
 """
 
@@ -108,14 +108,14 @@ class TwoPhaseResult:
     progression: np.ndarray  # expected newly-activated count per time step
 
 
-def _second_phase(graph, selector2, already, recent, budgets, config) -> np.ndarray:
+def _second_phase(graph, selector2, already, recent, budgets, config, decay) -> np.ndarray:
     """The (reps, n) mask of each outer replicate's second-phase seeds:
     ``budgets[r]`` nodes picked by ``selector2`` as if on the residual graph
     of row r (the nodes of ``already[r]`` cut out), with the nodes of
     ``recent[r]`` a free partial seed set. SD, WD and GDD pick for every
     row in one ``select_discount`` on a ``discount_state`` of all rows; an
-    objective selector picks on row r's ``residual_graph``, on an objective
-    of ``config.phase2_sims`` worlds, and its picks are mapped back."""
+    objective selector picks on row r's ``residual_graph``, on ``decay``
+    over ``config.phase2_sims`` worlds, and its picks are mapped back."""
     if selector2 in DISCOUNT_KINDS:
         state = discount_state(graph, selector2, removed=already, preselected=recent)
         select_discount(graph, state, budgets)
@@ -124,7 +124,8 @@ def _second_phase(graph, selector2, already, recent, budgets, config) -> np.ndar
     for r in np.flatnonzero(budgets).tolist():
         res, kept = residual_graph(graph, np.flatnonzero(already[r]))
         base = frozenset(np.searchsorted(kept, np.flatnonzero(recent[r])).tolist())
-        sigma = SigmaObjective(res, config, sims=config.phase2_sims, tag=TAG_PHASE2_SELECT)
+        sigma = SigmaObjective(res, config, sims=config.phase2_sims, tag=TAG_PHASE2_SELECT,
+                               decay=decay)
         picked[r, kept[select_seeds(selector2, res, int(budgets[r]),
                                     lambda s: sigma(base | s), config.master_seed)]] = True
     return picked
@@ -139,7 +140,7 @@ def _nested_run(graph, s1s, d, k2s, config, decay, selector2, collect_examples=0
 
     def pick(owner, already, recent):
         budgets = np.minimum(k2s[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
-        return _second_phase(graph, selector2, already, recent, budgets, config)
+        return _second_phase(graph, selector2, already, recent, budgets, config, decay)
 
     return nested_spreads(graph, s1s, d, config, decay, pick, collect_examples, progression)
 
@@ -166,13 +167,13 @@ def farsighted_config(config: MonteCarloConfig) -> MonteCarloConfig:
 
 def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
                 decay: DecayFunction = NO_DECAY, selector2: str = "gdd") -> list:
-    """The estimate of each (k1, d, S1) cell for a budget of k. A cell with
-    k1 = k is the single-phase arm, whatever its d: the spread of S1 over
-    ``config.single_phase_sims`` replicates. Every other cell is a two-phase
-    plan with k - k1 second-phase seeds picked by ``selector2``. Estimates
-    are those of ``run_two_phase`` on each cell alone, bit for bit; the
-    single-phase arm is scored by one ``estimate_spreads`` call, and the
-    other cells of one d by one ``_nested_run``."""
+    """The estimate of each (k1, d, S1) cell for a budget of k, bit for bit
+    that of ``run_two_phase`` on the cell alone. A cell with k1 = k has no
+    second phase, so whatever its d it is single-phase: the spread of S1
+    over ``config.single_phase_sims`` replicates, one ``estimate_spreads``
+    call for all of them. Every other cell is a two-phase plan with k - k1
+    second-phase seeds picked by ``selector2``, one ``_nested_run`` for the
+    cells of each d."""
     estimates = [None] * len(cells)
     groups = {}
     for j, (k1, d, _) in enumerate(cells):
@@ -235,10 +236,10 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
                   decay: DecayFunction = NO_DECAY):
     """Full two-phase execution of a fixed plan; returns (result, S1 nodes).
 
-    With k2=0 and d=0 this reduces exactly to a single-phase run of the
-    selector (same estimator streams as estimate_spread)."""
+    A plan with k2 = 0 is a single-phase run of the selector at any d, the
+    estimate of ``estimate_spreads``, as in ``score_cells``."""
     s1 = select_phase1(graph, plan, config, decay)
-    if plan.k2 == 0 and plan.d == 0:
+    if plan.k2 == 0:
         [(est, prog)] = estimate_spreads(graph, [s1], config, decay=decay, progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
     est, prog, s2s = _nested_run(graph, [s1], plan.d, [plan.k2], config, decay, plan.selector,

@@ -160,16 +160,17 @@ class _LoopNested:
     cut the already-active nodes out with ``residual_graph``, select on the
     copy with the one-graph selector, and simulate m2 fresh replicates of it
     with ``stream(master_seed, TAG_PHASE2, i)``. A greedy second phase
-    selects on an objective of ``config.phase2_sims`` worlds."""
+    selects on an objective of the run's decay on ``config.phase2_sims``
+    worlds."""
 
     def __init__(self, selector2):
         self.selector2 = selector2
 
-    def select(self, res, recent_local, k2_eff, config):
+    def select(self, res, recent_local, k2_eff, config, decay):
         if self.selector2 != "greedy":
             return _old_select(res, self.selector2, k2_eff, recent_local)
         sigma = SigmaObjective(res, MonteCarloConfig(master_seed=config.master_seed),
-                               sims=config.phase2_sims, tag=TAG_PHASE2_SELECT)
+                               sims=config.phase2_sims, tag=TAG_PHASE2_SELECT, decay=decay)
         base = frozenset(recent_local)
         return select_greedy(res, k2_eff, lambda s: sigma(base | s)).nodes
 
@@ -187,7 +188,7 @@ class _LoopNested:
             res, kept = residual_graph(graph, np.flatnonzero(already_mask))
             recent_local = np.searchsorted(kept, np.flatnonzero(at == d)).tolist()
             k2_eff = min(k2, res.n - len(recent_local))
-            s2_local = (self.select(res, recent_local, k2_eff, config)
+            s2_local = (self.select(res, recent_local, k2_eff, config, decay)
                         if k2_eff > 0 else [])
             if len(s2_examples) < collect_examples:
                 s2_examples.append(sorted(int(kept[v]) for v in s2_local))

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import instance_family
 from twophase_im import diffusion, selectors, two_phase
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig, estimate_spread
-from twophase_im.graph import RawEdgeList, build_graph
+from twophase_im.graph import RawEdgeList, build_graph, load_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.two_phase import (
     TwoPhasePlan,
@@ -13,6 +15,8 @@ from twophase_im.two_phase import (
     score_cells,
     select_phase1,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_plan_validation():
@@ -60,12 +64,51 @@ def test_single_phase_reduction_is_bit_exact(example1):
     assert s1 == [1]
 
 
-def test_progression_sums_to_spread_mean(example1):
-    cfg = MonteCarloConfig(phase1_sims=400, phase2_sims=100, master_seed=6)
-    plan = TwoPhasePlan(k1=1, k2=1, d=1, selector="gdd")
-    result, _ = run_two_phase(example1, plan, cfg)
+# example1's cascades end by step 2, so d = 9 starts the second phase after
+# every first phase has ended
+@pytest.mark.parametrize("graph, k1, k2, d", [
+    ("example1", 1, 1, 0), ("example1", 1, 1, 1), ("example1", 1, 1, 9),
+    ("example1", 2, 0, 2), ("family8", 2, 1, 1)],
+    ids=["example1-d0", "example1-d1", "example1-past-end", "example1-k2zero", "family8"])
+def test_progression_sums_to_spread_mean(example1, graph, k1, k2, d):
+    g = example1 if graph == "example1" else load_graph(DATA / "family8.tpim")
+    cfg = MonteCarloConfig(single_phase_sims=2000, phase1_sims=400, phase2_sims=100,
+                           master_seed=6)
+    plan = TwoPhasePlan(k1=k1, k2=k2, d=d, selector="gdd")
+    result, _ = run_two_phase(g, plan, cfg)
     assert result.progression.sum() == pytest.approx(result.spread.mean, abs=1e-9)
-    assert len(result.realized_s2_examples) == 5
+    assert result.progression[-1] != 0
+    assert len(result.realized_s2_examples) == (5 if k2 else 0)
+
+
+def test_a_plan_without_a_second_phase_is_single_phase_at_any_delay():
+    # score_cells scores a k1 = k cell as single-phase whatever its d, and
+    # run_two_phase must give the same estimate
+    g = les_miserables_wc()
+    cfg = MonteCarloConfig(single_phase_sims=400, phase1_sims=40, phase2_sims=10,
+                           master_seed=2)
+    late, s1 = run_two_phase(g, TwoPhasePlan(k1=3, k2=0, d=2), cfg)
+    now, _ = run_two_phase(g, TwoPhasePlan(k1=3, k2=0, d=0), cfg)
+    assert late.spread == now.spread == score_cells(g, [(3, 2, s1)], 3, cfg)[0]
+    assert late.spread.samples == 400
+    assert np.array_equal(late.progression, now.progression)
+    assert late.realized_s2_examples == []
+
+
+@pytest.mark.parametrize("selector2", ["greedy", "rmax", "face"])
+def test_objective_second_phase_picks_on_the_decay(selector2):
+    # p = 1 everywhere: S1 = {s} reaches nothing, a heads a 4-node chain and b
+    # a 3-leaf star. Both reach 4 nodes, but at delta = 0.1 and d = 0 the
+    # star is worth 1.3 and the chain 1.111
+    pairs = [("s", "s", 1.0), ("a", "x1", 1.0), ("x1", "x2", 1.0), ("x2", "x3", 1.0),
+             ("b", "l1", 1.0), ("b", "l2", 1.0), ("b", "l3", 1.0)]
+    with pytest.warns(UserWarning, match="self-loop"):   # the loop keeps s a node
+        g = build_graph(RawEdgeList(directed=True, pairs=pairs))
+    cfg = MonteCarloConfig(phase1_sims=4, phase2_sims=3, master_seed=0)
+    [(est, _, examples)] = two_phase._nested_run(g, [[0]], 0, [1], cfg, DecayFunction(0.1),
+                                                 selector2, collect_examples=2)
+    assert examples == [[g.label_to_id["b"]]] * 2
+    assert est.mean == pytest.approx(2.3)
 
 
 def test_second_phase_budget_shortfall_is_handled():
