@@ -322,7 +322,7 @@ def _histogram_add(hist, times, owner):
     ``times``, those of row r counted in row ``owner[r]`` (ascending) of
     hist, which is widened to fit the largest step."""
     active = times >= 0
-    steps = times[active]
+    steps = times.compress(active.ravel())   # far faster than times[active] on 2-D times
     lo, hi = int(owner[0]), int(owner[-1]) + 1
     width = int(steps.max()) + 1 if steps.size else 0
     flat = (owner - lo).repeat(active.sum(axis=1)) * width + steps
