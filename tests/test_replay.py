@@ -4,7 +4,8 @@ Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
 earlier build: select (gdd; greedy with decay; face; rmax); fixed two-phase plans
 with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
 and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
-a grid, golden-section search with decay, face-joint with and without
+a grid, a grid at delta < 1 (``grid-decay``, whose cells continue from
+several delays), golden-section search with decay, face-joint with and without
 decay, face-joint on lesmis with rounds that span several batches, on
 example1 with decay, and with an SD (decay) and a greedy final second
 phase, the benchmark's lesmis face-joint search (k = 6, d-max 6), a k = 1
@@ -37,7 +38,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
