@@ -4,7 +4,8 @@ Discrete-step IC semantics: a node activated at step t-1 gets one chance to
 activate each inactive out-neighbor at step t. Edges are sampled
 on-activation, which is equivalent to pre-sampling a live graph. One
 frontier loop, ``_cascade``, walks the frontier's out-edges in the graph's
-CSR arrays, from the seeds at step 0 or from any frontier at a later step.
+CSR arrays, from the seeds at step 0 or from frontiers that enter at later
+steps, each replicate's at its own.
 
 This module alone decides which stream each replicate's coins come from.
 Every fresh replicate comes from one sampler, ``simulate_blocks``: blocks
@@ -14,21 +15,22 @@ blocks of one stream each build a generator of it and read it from the
 start. ``simulate_batch`` is its one-block case (``simulate_ic`` a
 one-replicate view), and ``replicate_rows`` the row source over it: chunk j
 of every set reads ``stream(master_seed, tag, j)``, and as many chunks as
-fit ``GROUP_CELLS`` run as one cascade. A call that builds many generators
-of one (master_seed, tag), some of one index, takes them from a
-``stream_source`` of its own, which hashes each index's seed once and is
-dropped with the call, so a run costs the same whatever ran before it in
-the process.
+fit ``GROUP_CELLS`` run as one cascade, to the latest stop of their sets.
+A call that builds many generators of one (master_seed, tag), some of one
+index, takes them from a ``stream_source`` of its own, which hashes each
+index's seed once and is dropped with the call, so a run costs the same
+whatever ran before it in the process.
 One estimator loop, ``_spreads``, runs on those replicates, each group of
 rows turned into times and values by a caller's ``rows``.
 ``estimate_spreads`` values the rows as they are by a ``DecayFunction``
 (delta = 1, the default, is the plain spread); ``estimate_spread`` is its
-one-set case. ``nested_spreads``, the two-phase estimate, stops them at d,
-picks a second phase on each observation by a caller's ``pick`` and
-continues the cascade from it with the same coin. ``SigmaObjective``, the
-objective of the selectors, runs ``_cascade`` in live-edge worlds drawn
-once, with a lookup for a coin, and falls back to ``estimate_spread`` when
-the worlds or their time table would pass a byte budget.
+one-set case. ``nested_spreads``, the two-phase estimate, stops each
+set's rows at the set's own delay, picks a second phase on each observation
+by a caller's ``pick`` and continues the cascade from it with the same coin,
+every set of a call in one run. ``SigmaObjective``, the objective of the
+selectors, runs ``_cascade`` in live-edge worlds drawn once, with a lookup
+for a coin, and falls back to ``estimate_spread`` when the worlds or their
+time table would pass a byte budget.
 """
 
 from __future__ import annotations
@@ -188,36 +190,45 @@ def _seed_keys(reps: int, n: int, seeds: list) -> np.ndarray:
 
 
 def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at: int,
-             coin, t: int = 0) -> list:
+             coin) -> list:
     """The IC frontier loop, in place on a (reps, n) times matrix, from the
-    sorted flat keys ``key`` (replicate * n + node) activated at step ``t``
-    and written in; returns the keys activated at each step, ``key`` first.
-    No step past ``stop_at`` runs.
+    sorted flat keys ``key`` (replicate * n + node), each already written in
+    at the step it enters the frontier; returns the keys activated at each
+    step from the first of those steps, entering keys included. No step
+    past ``stop_at`` runs.
 
     Each step gathers the out-edges of every (replicate, node) activated in
     the previous step, drops edges into nodes already active in that
     replicate (any non-NEVER entry), asks ``coin(key, edge)`` which of the
     remaining edges fire (``key`` is replicate * n + target, ordered by
-    replicate) and activates the targets of the hits, each once. Frontier
-    entries are kept sorted by (replicate, node) and edges in CSR order, so
-    the coins are asked in a fixed order.
+    replicate) and activates the targets of the hits, each once, beside the
+    keys that enter at that step. Frontier entries are kept sorted by
+    (replicate, node) and edges in CSR order, so the coins are asked in a
+    fixed order; a replicate whose keys all enter at one step asks what it
+    would ask alone.
     """
     reps, n = times.shape
     flat = times.reshape(-1)
     indptr, degree, dst = graph.indptr, graph.out_degrees, graph.dst
+    entering, enter = key, flat[key]
+    t, last = (int(enter.min()), int(enter.max())) if key.size else (0, 0)
+    if last > t:   # the keys of a later step join the frontier at that step
+        key = entering[enter == t]
     steps = [key]
-    while key.size and t < stop_at:
+    while (key.size or t < last) and t < stop_at:
         t += 1
         node = key % n
         count = degree[node]
         edge = edge_ids(indptr, node, count)
-        if edge.size == 0:
+        if edge.size == 0 and t > last:
             break
         key = (key - node).repeat(count)
         key += dst[edge]
         open_ = flat[key] == NEVER
         key = key[open_]
         key = key[coin(key, edge[open_])]
+        if t <= last:
+            key = np.concatenate((key, entering[enter == t]))
         key.sort()
         if key.size > 1:
             fresh = np.empty(key.size, dtype=bool)
@@ -275,7 +286,7 @@ def _block_coin(prob: np.ndarray, n: int, starts, rngs: list):
 
 
 def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int, tag: int,
-                   cells: int, stop_at: int | None = None):
+                   cells: int, stops=None):
     """``sims`` IC replicates of each seed set, as groups of (set index,
     replicate index, times) rows, sets in order and replicates in order.
 
@@ -286,7 +297,10 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
     chunk j's seed is hashed once, however many sets read it. One cascade
     runs consecutive chunks, as many as fit ``GROUP_CELLS`` at ``cells`` per
     row (what a row takes downstream), and at least one; its rows come in
-    groups of at most that many rows."""
+    groups of at most that many rows. Set c's replicates stop at step
+    ``stops[c]`` (or run to their end without ``stops``); a cascade stops at
+    the largest stop among its sets, so a row may hold steps past its set's
+    stop, and its steps up to that stop read the same uniforms either way."""
     size = chunk_size(graph.n)
     fit = max(1, GROUP_CELLS // max(cells, 1))
     streams = stream_source(master_seed, tag)
@@ -300,7 +314,8 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
             hi += 1
         batch = chunks[lo:hi]
         times = simulate_blocks(graph, [(seed_sets[c], r, streams(first // size))
-                                        for c, first, r in batch], stop_at)
+                                        for c, first, r in batch],
+                                None if stops is None else max(stops[c] for c, _, _ in batch))
         owner = np.repeat([c for c, _, _ in batch], [r for _, _, r in batch])
         index = np.concatenate([np.arange(first, first + r) for _, first, r in batch])
         for a in range(0, rows, fit):
@@ -341,8 +356,9 @@ def _trim(prog):
 
 
 def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, cells: int,
-             stop_at, rows, progression: bool) -> list:
-    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``),
+             stops, rows, progression: bool) -> list:
+    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``,
+    set c stopped at ``stops[c]``, or run to its end without ``stops``),
     each group turned by ``rows(owner, index, at)`` into the (rows x per, n)
     times of its samples, ``per`` a replicate, and each replicate's value.
     Returns each set's (estimate, progression) over sims x per samples; the
@@ -353,8 +369,7 @@ def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int,
     vals = np.empty((len(sets), sims))
     hist = np.zeros((len(sets), 0), dtype=np.int64)
     per = 1
-    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, cells,
-                                           stop_at):
+    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, cells, stops):
         times, vals[owner, index] = rows(owner, index, at)
         per = len(times) // len(at)
         if progression:
@@ -389,63 +404,72 @@ def _outer_values(blocks, at, already, decay):
     """The mean value of each outer replicate's continuations (``blocks``,
     (reps, m2, n)), which hold its already-active nodes. At delta = 1 that
     is their mean active count. At delta < 1 the already-active nodes are
-    valued once, from ``at``, and each continuation over a C-ordered gather
-    of the other nodes, the residual graph's columns, so the float sums are
-    the residual graph's."""
+    valued once, from ``at`` (which holds them alone), and each
+    continuation over a C-ordered gather of the other nodes, the residual
+    graph's columns, so the float sums are the residual graph's."""
     if decay.delta == 1.0:
         return decay.values(blocks).mean(axis=1)
-    base = decay.values(np.where(already, at, NEVER))
     return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
-            for b, block, gone in zip(base, blocks, already)]
+            for b, block, gone in zip(decay.values(at), blocks, already)]
 
 
-def nested_spreads(graph: InfluenceGraph, s1s, d: int, config: MonteCarloConfig,
+def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
                    decay: DecayFunction, pick, collect_examples: int = 0,
                    progression: bool = False) -> list:
     """The nested Monte-Carlo estimate of a two-phase run from each
-    first-phase set at one delay d, as (estimate, progression, first
-    ``collect_examples`` second-phase sets, each a sorted list) per set:
-    ``_spreads`` over phase-1 rows, each valued by its continuations.
+    first-phase set, set c at delay ``ds[c]`` (a negative one raises
+    ``ValueError``), as (estimate, progression, first ``collect_examples``
+    second-phase sets, each a sorted list) per set: ``_spreads`` over
+    phase-1 rows, each valued by its continuations.
 
-    ``config.phase1_sims`` outer replicates of each set run to step d
+    ``config.phase1_sims`` outer replicates of each set run to its delay
     (``replicate_rows``, ``TAG_PHASE1``) in groups of whole outer
     replicates, at most ``GROUP_CELLS`` phase-2 times (or one replicate)
-    each. ``pick(owner, already, recent)`` returns the (reps, n) mask of a
-    group's second-phase seeds from each row's set index and its nodes
-    activated before d and at d. Outer replicate i of every set is then
+    each; a row's steps past its delay are cleared before it is observed.
+    ``pick(owner, already, recent)`` returns the (reps, n) mask of a group's
+    second-phase seeds from each row's set index and its nodes activated
+    before its delay and at it. Outer replicate i of every set is then
     repeated ``phase2_sims`` times with the recent nodes and its seeds at
-    step d, and continued to its end with the coins of ``stream(master_seed,
-    TAG_PHASE2, i)``, from the stream's start, as if alone; one
-    ``stream_source`` hashes i's seed once, however many sets read it. Edges
-    into active nodes are dropped before any draw and the rest keep their
-    CSR order, so a continuation draws what ``simulate_batch`` would draw on
-    the residual graph (the already-active nodes cut out). The progression
-    counts the continued times over phase1_sims x phase2_sims samples. One
-    replicate's (phase2_sims, n) times are checked against ``BATCH_BYTES``
-    first: they cannot be split without changing its stream."""
+    its delay, and continued to its end with the coins of
+    ``stream(master_seed, TAG_PHASE2, i)``, from the stream's start; one
+    ``stream_source`` hashes i's seed once, however many sets read it. A
+    group continues in one cascade, each row from its own delay; the rows
+    of an outer replicate share their delay, so they draw what they would
+    draw alone. Edges into active nodes are dropped before any draw and the
+    rest keep their CSR order, so a continuation draws what
+    ``simulate_batch`` would draw on the residual graph (the already-active
+    nodes cut out). The progression counts the continued times over
+    phase1_sims x phase2_sims samples. One replicate's (phase2_sims, n)
+    times are checked against ``BATCH_BYTES`` first: they cannot be split
+    without changing its stream. Sets in order of delay share phase-1
+    cascades with sets of near delays, so few steps run past a row's delay."""
     n, m2 = graph.n, config.phase2_sims
+    ds = np.asarray(ds, dtype=np.int32)
+    if ds.size and ds.min() < 0:
+        raise ValueError(f"delay {int(ds.min())} is negative")
     check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
                 4 * m2 * n, BATCH_BYTES)
     s2_examples = [[] for _ in s1s]
     phase2 = stream_source(config.master_seed, TAG_PHASE2)
 
     def rows(c, i, at):
-        reps = len(at)
+        reps, d = len(at), ds[c][:, None]
         already, recent = (at >= 0) & (at < d), at == d
+        at = np.where(already, at, NEVER)
         picked = pick(c, already, recent)
-        frontier = (recent | picked).repeat(m2, axis=0)
-        times = at.repeat(m2, axis=0)
-        times[frontier] = d
+        start = recent | picked
+        times = np.where(start, d, at).repeat(m2, axis=0)
         coin = _block_coin(graph.p, n, range(0, reps * m2 + 1, m2),
                            [phase2(j) for j in i.tolist()])
-        # a cascade on n nodes ends within n steps
-        _cascade(graph, times, np.flatnonzero(frontier), d + n, coin, d)
+        # a cascade on n nodes ends within n steps of its last delay
+        _cascade(graph, times, np.flatnonzero(start.repeat(m2, axis=0)), int(d.max()) + n,
+                 coin)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
         return times, _outer_values(times.reshape(reps, m2, n), at, already, decay)
 
     pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, m2 * n,
-                     d, rows, progression)
+                     ds, rows, progression)
     return [(est, prog, examples) for (est, prog), examples in zip(pairs, s2_examples)]
 
 

@@ -13,12 +13,13 @@ this module gives it the second phase, ``_second_phase`` under the budget
 rule min(k2, nodes left), which returns a group of outer replicates' seeds
 as a mask (one batched selection for SD/WD/GDD).
 
-One nested run takes many first-phase sets at one d; each set reads the
-streams it would read alone, so its estimate is the same bit for bit.
-``eval_h`` and ``run_two_phase`` are its one-set case, and ``score_cells``
-scores many (k1, d, S1) cells, grouped by d, in one batch: the grid,
-golden-section and FACE-joint optimizers, and FACE-joint's final estimate,
-all score through it. Single-phase estimates (k2 = 0 at any d, so the
+One nested run takes many first-phase sets, each at its own d; each set
+reads the streams it would read alone, so its estimate is the same bit for
+bit. ``eval_h`` and ``run_two_phase`` are its one-set case, and
+``score_cells`` scores many (k1, d, S1) cells in at most two estimator
+calls, one nested run for all two-phase cells: the grid, golden-section and
+FACE-joint optimizers, and FACE-joint's final estimate, all score through
+it. Single-phase estimates (k2 = 0 at any d, so the
 k1 = k arm of ``score_cells``) are those of ``diffusion.estimate_spreads``.
 """
 
@@ -131,10 +132,10 @@ def _second_phase(graph, selector2, already, recent, budgets, config, decay) -> 
     return picked
 
 
-def _nested_run(graph, s1s, d, k2s, config, decay, selector2, collect_examples=0,
+def _nested_run(graph, s1s, ds, k2s, config, decay, selector2, collect_examples=0,
                 progression=False):
-    """``diffusion.nested_spreads`` of the first-phase sets at delay d, set
-    c with a budget of k2s[c] second-phase seeds picked by ``selector2``
+    """``diffusion.nested_spreads`` of the first-phase sets, set c at delay
+    ds[c] with a budget of k2s[c] second-phase seeds picked by ``selector2``
     (``_second_phase``), or as many as the nodes not yet active leave."""
     k2s = np.asarray(k2s, dtype=np.int64)
 
@@ -142,7 +143,7 @@ def _nested_run(graph, s1s, d, k2s, config, decay, selector2, collect_examples=0
         budgets = np.minimum(k2s[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
         return _second_phase(graph, selector2, already, recent, budgets, config, decay)
 
-    return nested_spreads(graph, s1s, d, config, decay, pick, collect_examples, progression)
+    return nested_spreads(graph, s1s, ds, config, decay, pick, collect_examples, progression)
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
@@ -152,7 +153,7 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
     first-phase objective calls it with the plan's k2, which may be 0, where
     ``score_cells`` would take its single-phase arm instead; perfbench's
     tracer patches it by name."""
-    return _nested_run(graph, [s1], d, [k2], config, decay, "gdd")[0][0]
+    return _nested_run(graph, [s1], [d], [k2], config, decay, "gdd")[0][0]
 
 
 def farsighted_config(config: MonteCarloConfig) -> MonteCarloConfig:
@@ -172,20 +173,20 @@ def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
     second phase, so whatever its d it is single-phase: the spread of S1
     over ``config.single_phase_sims`` replicates, one ``estimate_spreads``
     call for all of them. Every other cell is a two-phase plan with k - k1
-    second-phase seeds picked by ``selector2``, one ``_nested_run`` for the
-    cells of each d."""
+    second-phase seeds picked by ``selector2``, one ``_nested_run`` for all
+    of them, in order of delay."""
+    single = [j for j, (k1, _, _) in enumerate(cells) if k1 == k]
+    nested = sorted((j for j, (k1, _, _) in enumerate(cells) if k1 != k),
+                    key=lambda j: cells[j][1])
     estimates = [None] * len(cells)
-    groups = {}
-    for j, (k1, d, _) in enumerate(cells):
-        groups.setdefault(None if k1 == k else int(d), []).append(j)
-    for d, idx in groups.items():
-        sets = [cells[j][2] for j in idx]
-        if d is None:
-            got = [est for est, _ in estimate_spreads(graph, sets, config, decay=decay)]
-        else:
-            got = [est for est, _, _ in _nested_run(
-                graph, sets, d, [k - cells[j][0] for j in idx], config, decay, selector2)]
-        for j, est in zip(idx, got):
+    if single:
+        got = estimate_spreads(graph, [cells[j][2] for j in single], config, decay=decay)
+        for j, (est, _) in zip(single, got):
+            estimates[j] = est
+    if nested:
+        got = _nested_run(graph, [cells[j][2] for j in nested], [cells[j][1] for j in nested],
+                          [k - cells[j][0] for j in nested], config, decay, selector2)
+        for j, (est, _, _) in zip(nested, got):
             estimates[j] = est
     return estimates
 
@@ -242,6 +243,6 @@ def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloC
     if plan.k2 == 0:
         [(est, prog)] = estimate_spreads(graph, [s1], config, decay=decay, progression=True)
         return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
-    est, prog, s2s = _nested_run(graph, [s1], plan.d, [plan.k2], config, decay, plan.selector,
+    est, prog, s2s = _nested_run(graph, [s1], [plan.d], [plan.k2], config, decay, plan.selector,
                                  collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

@@ -60,6 +60,66 @@ def test_each_block_draws_what_it_draws_alone(blocks, stop_at):
     assert first == len(times)
 
 
+def _recording(coin, starts, n, log):
+    """``coin`` that first logs, per block and per call, the block's part of
+    the request: (keys relative to the block's first row, edges)."""
+    bounds = np.asarray(starts) * n
+
+    def recorded(key, edge):
+        at = np.searchsorted(key, bounds)
+        for b in np.flatnonzero(np.diff(at)).tolist():
+            lo, hi = at[b], at[b + 1]
+            log[b].append(((key[lo:hi] - bounds[b]).tolist(), edge[lo:hi].tolist()))
+        return coin(key, edge)
+
+    return recorded
+
+
+@pytest.mark.parametrize("stop_at", [4, LESMIS.n + 5])
+def test_rows_that_start_at_different_steps_cascade_as_one_cascade_per_step(stop_at):
+    # blocks of 3 rows whose frontier enters at steps 2, 0, 3, 0, 5 and 2,
+    # out of order, each with nodes active before that step: one cascade of
+    # every row asks each block's coin for the (key, edge) requests that one
+    # cascade per start step asks it, call by call, and ends at the same
+    # times. A stop at 4 leaves the block that starts at 5 as it was
+    rng = np.random.default_rng(31)
+    n, rows, enter = LESMIS.n, 3, [2, 0, 3, 0, 5, 2]
+    times = np.full((rows * len(enter), n), NEVER, dtype=np.int32)
+    for b, s in enumerate(enter):
+        draw = rng.random((rows, n))
+        block = times[b * rows:(b + 1) * rows]
+        block[draw < 0.2] = rng.integers(0, max(s, 1), size=int((draw < 0.2).sum()))
+        block[draw > 0.93] = s
+    before = times.copy()
+
+    def run(blocks):
+        sub = np.concatenate([times[b * rows:(b + 1) * rows] for b in blocks])
+        starts = range(0, len(sub) + 1, rows)
+        log = [[] for _ in blocks]
+        coin = diffusion._block_coin(LESMIS.p, n, starts,
+                                     [stream(7, 2, b % 4) for b in blocks])
+        key = np.flatnonzero(sub == np.repeat([enter[b] for b in blocks], rows)[:, None])
+        diffusion._cascade(LESMIS, sub, key, stop_at, _recording(coin, starts, n, log))
+        return sub, dict(zip(blocks, log))
+
+    merged, merged_log = run(list(range(len(enter))))
+    for s in sorted(set(enter)):
+        blocks = [b for b, e in enumerate(enter) if e == s]
+        alone, alone_log = run(blocks)
+        for j, b in enumerate(blocks):
+            assert np.array_equal(merged[b * rows:(b + 1) * rows], alone[j * rows:(j + 1) * rows])
+            assert merged_log[b] == alone_log[b]
+    ran = [b for b, e in enumerate(enter) if e < stop_at]
+    assert all(merged_log[b] for b in ran)
+    for b, s in enumerate(enter):   # each block's steps follow its own start, up to the stop
+        block, was = merged[b * rows:(b + 1) * rows], before[b * rows:(b + 1) * rows]
+        wrote = block[block != was]
+        assert (wrote.size > 0) == (b in ran)
+        assert wrote.size == 0 or s < wrote.min() <= wrote.max() <= stop_at
+    late = slice(4 * rows, 5 * rows)
+    assert np.array_equal(merged[late], before[late]) == (stop_at == 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**63), st.integers(0, 7),
        st.lists(st.integers(0, 40), min_size=1, max_size=30))

@@ -348,7 +348,8 @@ def test_replicate_rows_stack_the_batches_of_each_set(monkeypatch):
             for stop_at in (None, 2):
                 want = np.concatenate([t for s in sets
                                        for t in chunk_batches(g, s, 10, 7, TAG_PHASE1, stop_at)])
-                got = list(replicate_rows(g, sets, 10, 7, TAG_PHASE1, cells, stop_at=stop_at))
+                stops = None if stop_at is None else [stop_at] * len(sets)
+                got = list(replicate_rows(g, sets, 10, 7, TAG_PHASE1, cells, stops))
                 assert all(len(times) <= fit for _, _, times in got)
                 owner, index, times = (np.concatenate(part) for part in zip(*got))
                 assert np.array_equal(times, want)

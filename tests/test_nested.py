@@ -26,6 +26,7 @@ from twophase_im.diffusion import (
 )
 from twophase_im.graph import RawEdgeList, build_graph, residual_graph
 from twophase_im.instances import les_miserables_wc
+from twophase_im.schedule import exhaustive_grid
 from twophase_im.selectors import (
     SigmaObjective,
     discount_state,
@@ -209,7 +210,7 @@ class _LoopNested:
 
 
 def _assert_same(graph, s1, d, k2, config, decay, selector2):
-    [got] = two_phase._nested_run(graph, [s1], d, [k2], config, decay, selector2,
+    [got] = two_phase._nested_run(graph, [s1], [d], [k2], config, decay, selector2,
                                   collect_examples=5, progression=True)
     want = _LoopNested(selector2).run(graph, s1, d, k2, config, decay)
     assert got[0].mean == want[0].mean
@@ -259,9 +260,9 @@ def test_progression_is_counted_only_when_asked_for(decay):
     sets, k2s = [[11], [0, 48], [26]], [2, 1, 3]
     for selector2, m1 in (("gdd", 40), ("greedy", 6)):
         cfg = MonteCarloConfig(phase1_sims=m1, phase2_sims=8, master_seed=2)
-        counted = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, selector2,
+        counted = two_phase._nested_run(g, sets, [2] * 3, k2s, cfg, decay, selector2,
                                         collect_examples=5, progression=True)
-        plain = two_phase._nested_run(g, sets, 2, k2s, cfg, decay, selector2,
+        plain = two_phase._nested_run(g, sets, [2] * 3, k2s, cfg, decay, selector2,
                                       collect_examples=5)
         assert [est for est, _, _ in counted] == [est for est, _, _ in plain]
         assert [ex for _, _, ex in counted] == [ex for _, _, ex in plain]
@@ -313,7 +314,7 @@ def test_heuristic_second_phase_simulates_only_phase_one(monkeypatch):
     cfg = MonteCarloConfig(phase1_sims=40, phase2_sims=30, master_seed=1)
     for selector2 in ("sd", "wd", "gdd"):
         calls.clear()
-        two_phase._nested_run(les_miserables_wc(), [[11]], 2, [2], cfg, NO_DECAY, selector2)
+        two_phase._nested_run(les_miserables_wc(), [[11]], [2], [2], cfg, NO_DECAY, selector2)
         assert calls == [16, 16, 8]   # the phase-1 chunks' rows, nothing per outer replicate
 
 
@@ -332,3 +333,34 @@ def test_a_multi_set_score_cells_call_hashes_each_stream_once(monkeypatch):
     assert len(estimates) == len(cells)
     assert sorted(hashed) == sorted({(TAG_SINGLE, 0), (TAG_PHASE1, 0)}
                                     | {(TAG_PHASE2, i) for i in range(20)})
+
+
+def test_score_cells_at_several_delays_hashes_each_stream_once(monkeypatch):
+    # the two-phase cells sit at d = 0, 1 and 3, and one nested run holds
+    # them all: phase-1 chunk 0 and each outer replicate's phase-2 stream
+    # are hashed once, not once per delay
+    hashed = []
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **kw: hashed.append(kw["spawn_key"]) or real(*a, **kw))
+    cfg = MonteCarloConfig(single_phase_sims=30, phase1_sims=20, phase2_sims=10, master_seed=4)
+    cells = [(2, 0, (0, 11)), (3, 1, (1, 5, 48)), (1, 3, (7,)),
+             (6, 0, (0, 1, 2, 3, 4, 5)), (6, 0, (10, 11, 12, 13, 14, 15))]
+    estimates = two_phase.score_cells(les_miserables_wc(), cells, 6, cfg)
+    assert len(estimates) == len(cells)
+    assert sorted(hashed) == sorted({(TAG_SINGLE, 0), (TAG_PHASE1, 0)}
+                                    | {(TAG_PHASE2, i) for i in range(20)})
+
+
+def test_an_exhaustive_grid_makes_one_nested_run(monkeypatch, example1):
+    # every two-phase cell of the grid, at every delay, in one nested run
+    # whose sets come in order of delay
+    calls = []
+    real = two_phase.nested_spreads
+    monkeypatch.setattr(two_phase, "nested_spreads",
+                        lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    cfg = MonteCarloConfig(single_phase_sims=100, phase1_sims=20, phase2_sims=5, master_seed=3)
+    grid = exhaustive_grid(3, 2, two_phase.cell_scorer(example1, 3, cfg))
+    assert len(grid.entries) == 3 * 3 + 1
+    assert len(calls) == 1
+    assert list(calls[0]) == [0, 0, 0, 1, 1, 1, 2, 2, 2]

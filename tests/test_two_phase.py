@@ -10,6 +10,7 @@ from twophase_im.graph import RawEdgeList, build_graph, load_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.two_phase import (
     TwoPhasePlan,
+    cell_scorer,
     eval_h,
     run_two_phase,
     score_cells,
@@ -105,7 +106,7 @@ def test_objective_second_phase_picks_on_the_decay(selector2):
     with pytest.warns(UserWarning, match="self-loop"):   # the loop keeps s a node
         g = build_graph(RawEdgeList(directed=True, pairs=pairs))
     cfg = MonteCarloConfig(phase1_sims=4, phase2_sims=3, master_seed=0)
-    [(est, _, examples)] = two_phase._nested_run(g, [[0]], 0, [1], cfg, DecayFunction(0.1),
+    [(est, _, examples)] = two_phase._nested_run(g, [[0]], [0], [1], cfg, DecayFunction(0.1),
                                                  selector2, collect_examples=2)
     assert examples == [[g.label_to_id["b"]]] * 2
     assert est.mean == pytest.approx(2.3)
@@ -177,8 +178,10 @@ def test_eval_h_temporal_consistency_with_trivial_decay():
 def test_score_cells_equals_run_two_phase_per_cell(monkeypatch, example1, selector, decay,
                                                    cells_per_group):
     # every k1 from 0 (no first phase) to k (the single-phase arm), each
-    # k1 < k at every delay; 100 cells a group splits every cascade into
-    # one or two outer replicates
+    # k1 < k at every delay, so one S1 at several delays; the cells are not
+    # in order of delay, and d = n is past the end of every cascade. By
+    # default a group's rows straddle delays; 100 cells a group splits
+    # every cascade into one or two outer replicates
     if cells_per_group is not None:
         monkeypatch.setattr(diffusion, "GROUP_CELLS", cells_per_group)
     monkeypatch.setattr(selectors, "RMAX_SAMPLES", 20)
@@ -187,7 +190,7 @@ def test_score_cells_equals_run_two_phase_per_cell(monkeypatch, example1, select
                               master_seed=k)
         cells, want = [], []
         for k1 in range(k + 1):
-            for d in ([0] if k1 == k else range(d_max + 1)):
+            for d in ([0] if k1 == k else (d_max, 0, graph.n, 1)):
                 plan = TwoPhasePlan(k1=k1, k2=k - k1, d=d, selector=selector)
                 result, s1 = run_two_phase(graph, plan, mc, decay)
                 cells.append((k1, d, s1))
@@ -195,3 +198,18 @@ def test_score_cells_equals_run_two_phase_per_cell(monkeypatch, example1, select
         cells.append((k, d_max, cells[-1][2]))   # k1 = k is single-phase at any d
         want.append(want[-1])
         assert score_cells(graph, cells, k, mc, decay, selector) == want
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_a_negative_delay_is_refused(example1, d):
+    # before the check, d = -1 read every never-active node as recent
+    cfg = MonteCarloConfig(single_phase_sims=100, phase1_sims=50, phase2_sims=5, master_seed=1)
+    with pytest.raises(ValueError, match=f"delay {d} is negative"):
+        score_cells(example1, [(1, 2, [0]), (1, d, [0])], 2, cfg)
+    with pytest.raises(ValueError, match=f"delay {d} is negative"):
+        cell_scorer(example1, 2, cfg)([(1, d)])
+    with pytest.raises(ValueError, match=f"delay {d} is negative"):
+        eval_h(example1, [0], d, 1, cfg)
+    # a cell with no second phase is single-phase whatever its d
+    [est] = score_cells(example1, [(2, d, [0, 1])], 2, cfg)
+    assert est == score_cells(example1, [(2, 0, [0, 1])], 2, cfg)[0]
