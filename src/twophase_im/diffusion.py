@@ -210,10 +210,10 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
     reps, n = times.shape
     flat = times.reshape(-1)
     indptr, degree, dst = graph.indptr, graph.out_degrees, graph.dst
-    entering, enter = key, flat[key]
-    t, last = (int(enter.min()), int(enter.max())) if key.size else (0, 0)
+    start_key, start = key, flat[key]
+    t, last = (int(start.min()), int(start.max())) if key.size else (0, 0)
     if last > t:   # the keys of a later step join the frontier at that step
-        key = entering[enter == t]
+        key = start_key[start == t]
     steps = [key]
     while (key.size or t < last) and t < stop_at:
         t += 1
@@ -228,7 +228,7 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
         key = key[open_]
         key = key[coin(key, edge[open_])]
         if t <= last:
-            key = np.concatenate((key, entering[enter == t]))
+            key = np.concatenate((key, start_key[start == t]))
         key.sort()
         if key.size > 1:
             fresh = np.empty(key.size, dtype=bool)

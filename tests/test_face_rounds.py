@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import chunk_batches, estimate_1d, instance_family
 from twophase_im import diffusion
 from twophase_im.diffusion import (
+    NEVER,
     NO_DECAY,
     TAG_FACE,
     TAG_PHASE1,
@@ -345,13 +346,19 @@ def test_replicate_rows_stack_the_batches_of_each_set(monkeypatch):
         # of 4 do not fit, so one ends inside a set); one row a group
         for cells in (diffusion.GROUP_CELLS // 50, diffusion.GROUP_CELLS // 6, 10 ** 6):
             fit = max(1, diffusion.GROUP_CELLS // cells)
-            for stop_at in (None, 2):
-                want = np.concatenate([t for s in sets
-                                       for t in chunk_batches(g, s, 10, 7, TAG_PHASE1, stop_at)])
-                stops = None if stop_at is None else [stop_at] * len(sets)
+            # no stop, one for every set, or one per set: a row runs to the
+            # latest stop of its cascade, and up to its own set's stop it
+            # holds what the set's rows alone hold
+            for stops in (None, [2] * len(sets), [2, 0, 3, 1, 0]):
+                want = np.concatenate([
+                    t for c, s in enumerate(sets)
+                    for t in chunk_batches(g, s, 10, 7, TAG_PHASE1,
+                                           None if stops is None else stops[c])])
                 got = list(replicate_rows(g, sets, 10, 7, TAG_PHASE1, cells, stops))
                 assert all(len(times) <= fit for _, _, times in got)
                 owner, index, times = (np.concatenate(part) for part in zip(*got))
+                if stops is not None:
+                    times = np.where(times > np.asarray(stops)[owner][:, None], NEVER, times)
                 assert np.array_equal(times, want)
                 assert np.array_equal(owner, np.arange(len(sets)).repeat(10))
                 assert np.array_equal(index, np.tile(np.arange(10), len(sets)))
