@@ -20,17 +20,18 @@ A call that builds many generators of one (master_seed, tag), some of one
 index, takes them from a ``stream_source`` of its own, which hashes each
 index's seed once and is dropped with the call, so a run costs the same
 whatever ran before it in the process.
-One estimator loop, ``_spreads``, runs on those replicates, each group of
-rows turned into times and values by a caller's ``rows``.
-``estimate_spreads`` values the rows as they are by a ``DecayFunction``
-(delta = 1, the default, is the plain spread); ``estimate_spread`` is its
-one-set case. ``nested_spreads``, the two-phase estimate, stops each
-set's rows at the set's own delay, picks a second phase on each observation
-by a caller's ``pick`` and continues the cascade from it with the same coin,
-every set of a call in one run. ``SigmaObjective``, the objective of the
-selectors, runs ``_cascade`` in live-edge worlds drawn once, with a lookup
-for a coin, and falls back to ``estimate_spread`` when the worlds or their
-time table would pass a byte budget.
+One estimator loop, ``_spreads``, runs on those replicates and values each
+one, the mean over its samples (the rows, or the times a caller's ``rows``
+makes of them) of a ``DecayFunction`` summed over all n columns (delta = 1,
+the default, is the plain spread). ``estimate_spreads`` runs it on plain
+replicates; ``estimate_spread`` is its one-set case. ``nested_spreads``, the
+two-phase estimate, stops each set's rows at the set's own delay, picks a
+second phase on each observation by a caller's ``pick`` and continues the
+cascade from it with the same coin, every set of a call in one run.
+``SigmaObjective``, the objective of the selectors, runs ``_cascade`` in
+live-edge worlds drawn once, with a lookup for a coin, and falls back to
+``estimate_spread`` when the worlds or their time table would pass a byte
+budget.
 """
 
 from __future__ import annotations
@@ -356,22 +357,24 @@ def _trim(prog):
 
 
 def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, cells: int,
-             stops, rows, progression: bool) -> list:
+             stops, decay: DecayFunction, progression: bool, rows=None) -> list:
     """The estimator loop: ``sims`` replicates of each set (``replicate_rows``,
     set c stopped at ``stops[c]``, or run to its end without ``stops``),
-    each group turned by ``rows(owner, index, at)`` into the (rows x per, n)
-    times of its samples, ``per`` a replicate, and each replicate's value.
-    Returns each set's (estimate, progression) over sims x per samples; the
-    progression, the mean new activations per step, is counted only when
-    asked for (else None). The values are checked before anything runs."""
+    each group kept as it is or turned by ``rows(owner, index, at)`` into the
+    (rows x per, n) times of its samples, ``per`` a replicate, whose value is
+    the mean of their ``decay`` values over all n columns. Returns each set's
+    (estimate, progression) over sims x per samples; the progression, the
+    mean new activations per step, is counted only when asked for (else
+    None). The values are checked before anything runs."""
     check_bytes("the per-replicate values (sets x sims float64)", 8 * len(sets) * sims,
                 WORLD_BYTES)
     vals = np.empty((len(sets), sims))
     hist = np.zeros((len(sets), 0), dtype=np.int64)
     per = 1
     for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, cells, stops):
-        times, vals[owner, index] = rows(owner, index, at)
+        times = at if rows is None else rows(owner, index, at)
         per = len(times) // len(at)
+        vals[owner, index] = decay.values(times).reshape(len(at), per).mean(axis=1)
         if progression:
             hist = _histogram_add(hist, times, owner.repeat(per))
     return [(est, _trim(h / (sims * per)) if progression else None)
@@ -389,8 +392,8 @@ def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    return _spreads(graph, seed_sets, sims, config.master_seed, tag, graph.n, None,
-                    lambda owner, index, times: (times, decay.values(times)), progression)
+    return _spreads(graph, seed_sets, sims, config.master_seed, tag, graph.n, None, decay,
+                    progression)
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
@@ -398,19 +401,6 @@ def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
                     decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """The estimate of ``estimate_spreads`` for one seed set."""
     return estimate_spreads(graph, [seeds], config, sims, tag, decay)[0][0]
-
-
-def _outer_values(blocks, at, already, decay):
-    """The mean value of each outer replicate's continuations (``blocks``,
-    (reps, m2, n)), which hold its already-active nodes. At delta = 1 that
-    is their mean active count. At delta < 1 the already-active nodes are
-    valued once, from ``at`` (which holds them alone), and each
-    continuation over a C-ordered gather of the other nodes, the residual
-    graph's columns, so the float sums are the residual graph's."""
-    if decay.delta == 1.0:
-        return decay.values(blocks).mean(axis=1)
-    return [(b + decay.values(np.ascontiguousarray(block[:, ~gone]))).mean()
-            for b, block, gone in zip(decay.values(at), blocks, already)]
 
 
 def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
@@ -438,11 +428,13 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
     draw alone. Edges into active nodes are dropped before any draw and the
     rest keep their CSR order, so a continuation draws what
     ``simulate_batch`` would draw on the residual graph (the already-active
-    nodes cut out). The progression counts the continued times over
-    phase1_sims x phase2_sims samples. One replicate's (phase2_sims, n)
-    times are checked against ``BATCH_BYTES`` first: they cannot be split
-    without changing its stream. Sets in order of delay share phase-1
-    cascades with sets of near delays, so few steps run past a row's delay."""
+    nodes cut out), and its times are that graph's plus the delay; they keep
+    the already-active nodes' phase-1 steps, and ``_spreads`` values them
+    over all n columns and counts them in the progression, over phase1_sims
+    x phase2_sims samples. One replicate's (phase2_sims, n) times are
+    checked against ``BATCH_BYTES`` first: they cannot be split without
+    changing its stream. Sets in order of delay share phase-1 cascades with
+    sets of near delays, so few steps run past a row's delay."""
     n, m2 = graph.n, config.phase2_sims
     ds = np.asarray(ds, dtype=np.int32)
     if ds.size and ds.min() < 0:
@@ -455,10 +447,9 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
     def rows(c, i, at):
         reps, d = len(at), ds[c][:, None]
         already, recent = (at >= 0) & (at < d), at == d
-        at = np.where(already, at, NEVER)
         picked = pick(c, already, recent)
         start = recent | picked
-        times = np.where(start, d, at).repeat(m2, axis=0)
+        times = np.where(start, d, np.where(already, at, NEVER)).repeat(m2, axis=0)
         coin = _block_coin(graph.p, n, range(0, reps * m2 + 1, m2),
                            [phase2(j) for j in i.tolist()])
         # a cascade on n nodes ends within n steps of its last delay
@@ -466,10 +457,10 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
                  coin)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
-        return times, _outer_values(times.reshape(reps, m2, n), at, already, decay)
+        return times
 
     pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, m2 * n,
-                     ds, rows, progression)
+                     ds, decay, progression, rows)
     return [(est, prog, examples) for (est, prog), examples in zip(pairs, s2_examples)]
 
 

@@ -71,8 +71,8 @@ SELECTORS = {
 
 def select_seeds(selector, graph, k, objective, master_seed) -> list:
     """The k seeds that selector ``selector`` picks on ``objective``; no
-    seeds, and no selector call, at k = 0."""
-    return SELECTORS[selector](graph, k, objective, master_seed).nodes if k else []
+    seeds, and no selector call, at k <= 0 (callers refuse k < 0)."""
+    return SELECTORS[selector](graph, k, objective, master_seed).nodes if k > 0 else []
 
 
 def myopic_objective(graph, config: MonteCarloConfig, decay: DecayFunction = NO_DECAY):
@@ -138,6 +138,8 @@ def _nested_run(graph, s1s, ds, k2s, config, decay, selector2, collect_examples=
     ds[c] with a budget of k2s[c] second-phase seeds picked by ``selector2``
     (``_second_phase``), or as many as the nodes not yet active leave."""
     k2s = np.asarray(k2s, dtype=np.int64)
+    if k2s.size and k2s.min() < 0:
+        raise ValueError(f"second-phase budget {int(k2s.min())} is negative")
 
     def pick(owner, already, recent):
         budgets = np.minimum(k2s[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
@@ -150,9 +152,8 @@ def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
            decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """Two-phase surrogate with GDD second-phase selection (the production
     objective: orders of magnitude cheaper than greedy). The farsighted
-    first-phase objective calls it with the plan's k2, which may be 0, where
-    ``score_cells`` would take its single-phase arm instead; perfbench's
-    tracer patches it by name."""
+    first-phase objective calls it with the plan's k2 >= 1 (a negative one
+    raises ``ValueError``); perfbench's tracer patches it by name."""
     return _nested_run(graph, [s1], [d], [k2], config, decay, "gdd")[0][0]
 
 
@@ -169,12 +170,16 @@ def farsighted_config(config: MonteCarloConfig) -> MonteCarloConfig:
 def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
                 decay: DecayFunction = NO_DECAY, selector2: str = "gdd") -> list:
     """The estimate of each (k1, d, S1) cell for a budget of k, bit for bit
-    that of ``run_two_phase`` on the cell alone. A cell with k1 = k has no
+    that of ``run_two_phase`` on the cell alone; a k1 outside [0, k] raises
+    ``ValueError`` before anything runs. A cell with k1 = k has no
     second phase, so whatever its d it is single-phase: the spread of S1
     over ``config.single_phase_sims`` replicates, one ``estimate_spreads``
     call for all of them. Every other cell is a two-phase plan with k - k1
     second-phase seeds picked by ``selector2``, one ``_nested_run`` for all
     of them, in order of delay."""
+    for k1, _, _ in cells:
+        if not (0 <= k1 <= k):
+            raise ValueError(f"k1 {k1} outside [0, {k}]")
     single = [j for j, (k1, _, _) in enumerate(cells) if k1 == k]
     nested = sorted((j for j, (k1, _, _) in enumerate(cells) if k1 != k),
                     key=lambda j: cells[j][1])
@@ -209,9 +214,6 @@ def cell_scorer(graph: InfluenceGraph, k: int, config: MonteCarloConfig,
         lambda k1: select_seeds(selector, graph, k1, objective, config.master_seed))
 
     def evaluate(cells):
-        for k1, _ in cells:
-            if not (0 <= k1 <= k):
-                raise ValueError(f"k1 {k1} outside [0, {k}]")
         cells = [(k1, 0 if k1 == k else d) for k1, d in cells]
         new = [cell for cell in dict.fromkeys(cells) if cell not in memo]
         memo.update(zip(new, score_cells(graph, [(k1, d, first_phase(k1)) for k1, d in new],
@@ -223,9 +225,10 @@ def cell_scorer(graph: InfluenceGraph, k: int, config: MonteCarloConfig,
 
 def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> list:
     """The plan's first-phase seeds, picked on the spread (myopic) or on
-    ``eval_h`` at the plan's d and k2 (farsighted). Both objectives are lazy:
-    SD, WD and GDD never call theirs, so they draw nothing."""
-    if plan.mode == "myopic":
+    ``eval_h`` at the plan's d and k2 (farsighted, unless k2 = 0 leaves no
+    second phase to look ahead to). Both objectives are lazy: SD, WD and
+    GDD never call theirs, so they draw nothing."""
+    if plan.mode == "myopic" or plan.k2 == 0:
         objective = myopic_objective(graph, config, decay)
     else:   # an objective takes a frozenset, so the cache keys on the set
         far = farsighted_config(config)

@@ -2,8 +2,10 @@
 # Replay every fixture record through the installed tpim script, under
 # PYTHONHASHSEED 0 and 1: bit-exact replay must not depend on the string
 # hashing of the process. Without an installed tpim it runs the package in
-# src/ as python -m twophase_im.cli. Exits non-zero at the first record
-# that does not replay. Run it from the repository root:
+# src/ as python -m twophase_im.cli. Every record is replayed, whatever
+# fails before it; the script then lists the records that did not replay,
+# with their hash seed, and exits non-zero if there is any. Run it from the
+# repository root:
 #
 #   sh tests/replay_records.sh [output-dir]
 #
@@ -20,14 +22,26 @@ fi
 out="${1:-$(mktemp -d)}"
 mkdir -p "$out/native"
 (cd "$out/native" && tpim datasets export-builtin example1 --output ex1.tpim > /dev/null)
+failed=""
+# replay DIR RECORD OUTPUT: rerun RECORD from DIR, noting it if it fails
+replay() {
+    if ! (cd "$1" && tpim rerun "$2" --output-dir "$3"); then
+        failed="$failed
+PYTHONHASHSEED=$PYTHONHASHSEED $2"
+    fi
+}
 for hash_seed in 0 1; do
     export PYTHONHASHSEED=$hash_seed
     for r in "$data"/records/*.json; do
-        tpim rerun "$r" --output-dir "$out/replay"
+        replay "$PWD" "$r" "$out/replay"
     done
-    (cd "$out/native" && tpim rerun "$data/native-select.json" --output-dir replay)
+    replay "$out/native" "$data/native-select.json" replay
     for r in oracle-family-f.json oracle-family-sigma.json select-spic.json; do
-        (cd "$data" && tpim rerun "$r" --output-dir "$out/oracle-family")
+        replay "$data" "$r" "$out/oracle-family"
     done
-    echo "PYTHONHASHSEED=$hash_seed: every fixture record replays"
 done
+if [ -n "$failed" ]; then
+    echo "records that did not replay:$failed" >&2
+    exit 1
+fi
+echo "every fixture record replays under PYTHONHASHSEED 0 and 1"

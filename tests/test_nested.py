@@ -160,9 +160,9 @@ class _LoopNested:
     """The nested two-phase estimate as one Python pass per outer replicate:
     cut the already-active nodes out with ``residual_graph``, select on the
     copy with the one-graph selector, and simulate m2 fresh replicates of it
-    with ``stream(master_seed, TAG_PHASE2, i)``. A greedy second phase
-    selects on an objective of the run's decay on ``config.phase2_sims``
-    worlds."""
+    with ``stream(master_seed, TAG_PHASE2, i)``, each valued over the
+    parent's n columns. A greedy second phase selects on an objective of the
+    run's decay on ``config.phase2_sims`` worlds."""
 
     def __init__(self, selector2):
         self.selector2 = selector2
@@ -195,9 +195,11 @@ class _LoopNested:
                 s2_examples.append(sorted(int(kept[v]) for v in s2_local))
             times = simulate_batch(res, recent_local + list(s2_local),
                                    stream(config.master_seed, TAG_PHASE2, i), m2)
-            base = float(decay.values(np.where(already_mask, at, NEVER)))
-            absolute = np.where(times >= 0, times + d, NEVER)   # steps on the parent's clock
-            outer_means[i] = (base + decay.values(absolute)).mean()
+            # each continuation on the parent's n columns and clock, the
+            # already-active nodes at their phase-1 steps
+            full = np.tile(np.where(already_mask, at, NEVER), (m2, 1))
+            full[:, kept] = np.where(times >= 0, times + d, NEVER)
+            outer_means[i] = decay.values(full).mean()
             phase1_hist = _histogram_add(phase1_hist, at[already_mask])
             phase2_hist = _histogram_add(phase2_hist, times[times >= 0])
         mean = float(outer_means.mean())

@@ -8,6 +8,7 @@ from twophase_im import diffusion, selectors, two_phase
 from twophase_im.diffusion import DecayFunction, MonteCarloConfig, estimate_spread
 from twophase_im.graph import RawEdgeList, build_graph, load_graph
 from twophase_im.instances import les_miserables_wc
+from twophase_im.selectors import discount_state, select_discount
 from twophase_im.two_phase import (
     TwoPhasePlan,
     cell_scorer,
@@ -161,6 +162,104 @@ def test_discount_first_phase_never_scores_a_set(example1, monkeypatch, mode):
     for sel in ("sd", "wd", "gdd"):
         plan = TwoPhasePlan(k1=1, k2=1, d=1, mode=mode, selector=sel)
         assert select_phase1(example1, plan, MonteCarloConfig(master_seed=0)) == [1]
+
+
+def test_farsighted_plan_without_a_second_phase_picks_on_the_spread(monkeypatch):
+    # with k2 = 0 there is no second phase to look ahead to; each candidate
+    # was once scored by a nested eval_h whose second phase picked nothing
+    g = les_miserables_wc()
+    cfg = MonteCarloConfig(single_phase_sims=300, phase1_sims=200, phase2_sims=10,
+                           master_seed=0)
+    myopic = run_two_phase(g, TwoPhasePlan(k1=2, k2=0, d=2, selector="greedy"), cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan with k2 = 0 must not score a nested run")
+
+    monkeypatch.setattr(two_phase, "eval_h", refuse)
+    far = run_two_phase(g, TwoPhasePlan(k1=2, k2=0, d=2, mode="farsighted",
+                                        selector="greedy"), cfg)
+    assert far[1] == myopic[1]
+    assert far[0].spread == myopic[0].spread
+
+
+def test_a_cell_outside_its_budget_is_refused(example1):
+    # k1 = -1 was once scored as a plan with 3 second-phase seeds on a budget
+    # of 2, and k1 = 3 (or k2 = -1) as one whose second phase picks nothing
+    cfg = MonteCarloConfig(single_phase_sims=100, phase1_sims=50, phase2_sims=5, master_seed=1)
+    for k1 in (-1, 3):
+        with pytest.raises(ValueError, match=rf"k1 {k1} outside \[0, 2\]"):
+            score_cells(example1, [(1, 1, [0]), (k1, 1, [0])], 2, cfg)
+    with pytest.raises(ValueError, match="second-phase budget -1 is negative"):
+        eval_h(example1, [0], 1, -1, cfg)
+
+
+def _distances(n, live, sources, blocked):
+    """BFS distances in the live graph from ``sources``, never entering a
+    ``blocked`` node; -1 where unreached."""
+    dist = np.full(n, -1)
+    dist[sources] = 0
+    frontier, t = list(sources), 0
+    while frontier:
+        t += 1
+        nxt = [v for u in frontier for w, v in live if w == u]
+        frontier = sorted({v for v in nxt if dist[v] < 0 and not blocked[v]})
+        dist[frontier] = t
+    return dist
+
+
+def _exact_plan_values(graph, s1, ds, k2, kind, decays):
+    """The exact value, per delay and decay, of the two-phase plan (S1, d,
+    k2) with an SD, WD or GDD second phase, by enumerating the live graphs.
+    In live graph x the nodes within distance d - 1 of S1 are already active
+    and those at d recent; the second phase is the ``discount_state`` +
+    ``select_discount`` pick on that observation, and a node the phase-2
+    cascade reaches is worth delta ** (d + its distance from recent + S2
+    avoiding the already-active nodes). Phase 2 tests only the edges out of
+    nodes phase 1 did not, so one live graph serves both phases."""
+    n, edges = graph.n, graph.edges()
+    lives, probs = [], []
+    for x in range(1 << len(edges)):
+        on = [x >> j & 1 for j in range(len(edges))]
+        lives.append([(u, v) for (u, v, _), b in zip(edges, on) if b])
+        probs.append(np.prod([p if b else 1 - p for (_, _, p), b in zip(edges, on)]))
+    first = [_distances(n, live, s1, np.zeros(n, bool)) for live in lives]
+    values = {}
+    for d in ds:
+        already = np.array([(t >= 0) & (t < d) for t in first])
+        recent = np.array([t == d for t in first])
+        budgets = np.minimum(k2, n - already.sum(axis=1) - recent.sum(axis=1))
+        state = discount_state(graph, kind, removed=already, preselected=recent)
+        select_discount(graph, state, budgets)
+        starts = state.taken & ~already | recent
+        for decay in decays:
+            total = 0.0
+            for x, live in enumerate(lives):
+                second = _distances(n, live, np.flatnonzero(starts[x]).tolist(), already[x])
+                times = np.where(already[x], first[x], np.where(second >= 0, second + d, -1))
+                total += probs[x] * float(decay.values(times))
+            values[d, decay.delta] = total
+    return values
+
+
+def test_two_phase_estimates_agree_with_exact_plan_values():
+    # the nested estimate of an SD/WD/GDD plan against its exact value, under
+    # the MC-vs-exact rule of acceptance criterion 3, at delta 1 and 0.5
+    decays, ds, z = [DecayFunction(1.0), DecayFunction(0.5)], (0, 1, 2), []
+    for j, g in enumerate(instance_family(8, seed=77, max_edges=10)):
+        s1 = selectors.select_gdd(g, 1).nodes
+        cfg = MonteCarloConfig(phase1_sims=4000, phase2_sims=4, master_seed=j)
+        for kind in ("sd", "wd", "gdd"):
+            exact = _exact_plan_values(g, s1, ds, 1, kind, decays)
+            for decay in decays:
+                got = score_cells(g, [(1, d, s1) for d in ds], 2, cfg, decay, kind)
+                for d, est in zip(ds, got):
+                    gap = est.mean - exact[d, decay.delta]
+                    assert abs(gap) <= max(3 * est.stderr, 0.01 * g.n), (j, kind, d, decay)
+                    if est.stderr > 0:
+                        z.append(gap / est.stderr)
+    z = np.array(z)
+    print(f"{len(z)} plans: z mean {z.mean():.2f}, sd {z.std():.2f}, "
+          f"max |z| {abs(z).max():.2f}")
 
 
 def test_eval_h_temporal_consistency_with_trivial_decay():
