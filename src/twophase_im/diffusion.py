@@ -131,12 +131,15 @@ class DecayFunction:
     def values(self, times: np.ndarray):
         """Per-replicate value of an activation-time array: the sum over its
         last axis of delta**t, NEVER counting 0. At delta = 1 it is the
-        integer active count, so the plain spread builds no float array."""
-        active = times >= 0
+        integer active count, so the plain spread builds no float array.
+        Below 1 each entry reads a table of delta**0 .. delta**max with 0.0
+        last, where NEVER (-1) lands; its powers are those ``np.power``
+        gives each entry."""
         if self.delta == 1.0:
-            return active.sum(axis=-1)
-        return np.where(active, np.power(self.delta, np.maximum(times, 0), dtype=float),
-                        0.0).sum(axis=-1)
+            return (times >= 0).sum(axis=-1)
+        table = np.append(np.power(self.delta, np.arange(times.max(initial=NEVER) + 1),
+                                   dtype=float), 0.0)
+        return table[times].sum(axis=-1)
 
 
 NO_DECAY = DecayFunction()
@@ -214,7 +217,7 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
     start_key, start = key, flat[key]
     t, last = (int(start.min()), int(start.max())) if key.size else (0, 0)
     if last > t:   # the keys of a later step join the frontier at that step
-        key = start_key[start == t]
+        key = start_key.compress(start == t)
     steps = [key]
     while (key.size or t < last) and t < stop_at:
         t += 1
@@ -225,17 +228,17 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
             break
         key = (key - node).repeat(count)
         key += dst[edge]
-        open_ = flat[key] == NEVER
-        key = key[open_]
-        key = key[coin(key, edge[open_])]
+        open_ = np.flatnonzero(flat[key] == NEVER)
+        key = key.take(open_)
+        key = key.compress(coin(key, edge.take(open_)))
         if t <= last:
-            key = np.concatenate((key, start_key[start == t]))
+            key = np.concatenate((key, start_key.compress(start == t)))
         key.sort()
         if key.size > 1:
             fresh = np.empty(key.size, dtype=bool)
             fresh[0] = True
             np.not_equal(key[1:], key[:-1], out=fresh[1:])
-            key = key[fresh]
+            key = key.compress(fresh)
         flat[key] = t
         steps.append(key)
     return steps
@@ -611,8 +614,8 @@ class SigmaObjective:
         counts past the last step."""
         keys, times = self._node(v)
         old = self._table.reshape(-1)[keys]
-        better = times < old
-        keys, times, old = keys[better], times[better], old[better]
+        better = np.flatnonzero(times < old)
+        keys, times, old = keys.take(better), times.take(better), old.take(better)
         n = self.graph.n
         gain = (np.bincount(times, minlength=n)
                 - np.bincount(np.minimum(old, n), minlength=n + 1)[:n])

@@ -232,7 +232,8 @@ def _distinct_arcs(raw: RawEdgeList):
     if dups:
         kind = "directed" if raw.directed else "undirected"
         warnings.warn(f"collapsed {dups} duplicate {kind} edge(s)", stacklevel=3)
-    return labels, src[~repeat], dst[~repeat], loops // per_record
+    first = np.flatnonzero(~repeat)
+    return labels, src.take(first), dst.take(first), loops // per_record
 
 
 def apply_wc_transform(raw: RawEdgeList) -> InfluenceGraph:
@@ -277,9 +278,10 @@ def residual_graph(graph: InfluenceGraph, already):
     edge_keep.cumsum(out=before[1:])
     indptr = before[graph.indptr[np.append(kept, graph.n)]]
     labels = graph.labels
+    kept_edges = np.flatnonzero(edge_keep)
     sub = InfluenceGraph(n=len(kept), labels=[labels[v] for v in kept.tolist()],
-                         indptr=indptr, dst=remap[graph.dst[edge_keep]],
-                         p=graph.p[edge_keep])
+                         indptr=indptr, dst=remap[graph.dst.take(kept_edges)],
+                         p=graph.p.take(kept_edges))
     return sub, kept
 
 

@@ -60,6 +60,68 @@ def test_each_block_draws_what_it_draws_alone(blocks, stop_at):
     assert first == len(times)
 
 
+def _loop_blocks(graph, blocks, stop_at=None):
+    """``simulate_blocks`` as a plain loop, the spec its cascade must meet.
+    Block by block, step by step, row by row: a row's frontier nodes in
+    ascending order, each node's out-edges in CSR order. An edge is open
+    when its target was inactive at the start of the step; each open edge
+    draws one ``rng.random()`` from the block's generator and fires when it
+    is below the edge's probability, and a target hit activates once, at
+    that step. No step past ``stop_at`` (n without it) runs."""
+    n = graph.n
+    indptr, dst, prob = graph.indptr.tolist(), graph.dst.tolist(), graph.p.tolist()
+    stop = n if stop_at is None else stop_at
+    out = []
+    for seeds, rows, rng in blocks:
+        seeds = sorted(set(seeds))
+        times = [[NEVER] * n for _ in range(rows)]
+        for row in times:
+            for s in seeds:
+                row[s] = 0
+        frontiers = [seeds] * rows
+        t = 0
+        while any(frontiers) and t < stop:
+            t += 1
+            for r, row in enumerate(times):
+                hit = set()
+                for u in frontiers[r]:
+                    for e in range(indptr[u], indptr[u + 1]):
+                        if row[dst[e]] == NEVER and rng.random() < prob[e]:
+                            hit.add(dst[e])
+                for v in hit:
+                    row[v] = t
+                frontiers[r] = sorted(hit)
+        out.extend(times)
+    return np.array(out, dtype=np.int32).reshape(-1, n)
+
+
+FAMILY = instance_family(6, seed=13)
+
+
+@st.composite
+def graph_and_blocks(draw):
+    """lesmis or a family graph, and 1 to 6 blocks of (seeds, rows, stream
+    key) on it; few stream keys, so blocks often share one."""
+    graph = draw(st.sampled_from([LESMIS, *FAMILY]))
+    seeds = st.lists(st.integers(0, graph.n - 1), max_size=4)
+    blocks = draw(st.lists(st.tuples(seeds, st.integers(1, 9), st.sampled_from(STREAMS)),
+                           min_size=1, max_size=6))
+    return graph, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_blocks(), st.sampled_from([None, 2]))
+def test_simulate_blocks_equals_the_loop_reference(graph_blocks, stop_at):
+    # the same coins for the same (key, edge) requests in the same order:
+    # the kernel's selections keep element order
+    graph, blocks = graph_blocks
+    times = simulate_blocks(graph, [(seeds, rows, stream(*key)) for seeds, rows, key in blocks],
+                            stop_at)
+    want = _loop_blocks(graph, [(seeds, rows, stream(*key)) for seeds, rows, key in blocks],
+                        stop_at)
+    assert np.array_equal(times, want)
+
+
 def _recording(coin, starts, n, log):
     """``coin`` that first logs, per block and per call, the block's part of
     the request: (keys relative to the block's first row, edges)."""
@@ -159,6 +221,25 @@ def test_decay_weights():
     # delta = 0 still values step-0 activations at 1
     assert list(DecayFunction(0.0).values(times)) == [1.0, 0.0]
     assert DecayFunction(0.5).values(times[0]) == 1.75
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95,
+                                   0.999999, np.nextafter(1.0, 0.0)])
+def test_decay_values_equal_the_power_of_each_entry(delta):
+    # the table of powers that values() reads gives each entry what
+    # np.power gives it, NEVER included, at small and at large steps
+    rng = np.random.default_rng(5)
+    for shape, top in (((400, 77), 12), ((50, 600), 5000)):
+        times = rng.integers(NEVER, top + 1, size=shape, dtype=np.int32)
+        times[0, 0] = top
+        times[-1] = NEVER
+        want = np.where(times >= 0, np.power(delta, np.maximum(times, 0), dtype=float),
+                        0.0).sum(axis=-1)
+        got = DecayFunction(delta).values(times)
+        assert np.array_equal(got, want)
+        assert got[-1] == 0.0
+    assert DecayFunction(delta).values(np.full((3, 4), NEVER)).tolist() == [0.0] * 3
+    assert DecayFunction(delta).values(np.zeros((0, 4), dtype=np.int32)).shape == (0,)
 
 
 def test_simulate_ic_deterministic_chain():
