@@ -209,7 +209,9 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
     keys that enter at that step. Frontier entries are kept sorted by
     (replicate, node) and edges in CSR order, so the coins are asked in a
     fixed order; a replicate whose keys all enter at one step asks what it
-    would ask alone.
+    would ask alone. Every filter selects with ``compress``, each mask
+    built elementwise from the array it selects, so the kept elements keep
+    their order, at a fraction of what boolean indexing costs.
     """
     reps, n = times.shape
     flat = times.reshape(-1)
@@ -228,9 +230,9 @@ def _cascade(graph: InfluenceGraph, times: np.ndarray, key: np.ndarray, stop_at:
             break
         key = (key - node).repeat(count)
         key += dst[edge]
-        open_ = np.flatnonzero(flat[key] == NEVER)
-        key = key.take(open_)
-        key = key.compress(coin(key, edge.take(open_)))
+        open_ = flat[key] == NEVER
+        key, edge = key.compress(open_), edge.compress(open_)
+        key = key.compress(coin(key, edge))
         if t <= last:
             key = np.concatenate((key, start_key.compress(start == t)))
         key.sort()
@@ -614,8 +616,8 @@ class SigmaObjective:
         counts past the last step."""
         keys, times = self._node(v)
         old = self._table.reshape(-1)[keys]
-        better = np.flatnonzero(times < old)
-        keys, times, old = keys.take(better), times.take(better), old.take(better)
+        better = times < old
+        keys, times, old = keys.compress(better), times.compress(better), old.compress(better)
         n = self.graph.n
         gain = (np.bincount(times, minlength=n)
                 - np.bincount(np.minimum(old, n), minlength=n + 1)[:n])

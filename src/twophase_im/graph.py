@@ -232,8 +232,8 @@ def _distinct_arcs(raw: RawEdgeList):
     if dups:
         kind = "directed" if raw.directed else "undirected"
         warnings.warn(f"collapsed {dups} duplicate {kind} edge(s)", stacklevel=3)
-    first = np.flatnonzero(~repeat)
-    return labels, src.take(first), dst.take(first), loops // per_record
+    first = ~repeat
+    return labels, src.compress(first), dst.compress(first), loops // per_record
 
 
 def apply_wc_transform(raw: RawEdgeList) -> InfluenceGraph:
@@ -278,10 +278,9 @@ def residual_graph(graph: InfluenceGraph, already):
     edge_keep.cumsum(out=before[1:])
     indptr = before[graph.indptr[np.append(kept, graph.n)]]
     labels = graph.labels
-    kept_edges = np.flatnonzero(edge_keep)
     sub = InfluenceGraph(n=len(kept), labels=[labels[v] for v in kept.tolist()],
-                         indptr=indptr, dst=remap[graph.dst.take(kept_edges)],
-                         p=graph.p.take(kept_edges))
+                         indptr=indptr, dst=remap[graph.dst.compress(edge_keep)],
+                         p=graph.p.compress(edge_keep))
     return sub, kept
 
 
