@@ -132,9 +132,8 @@ class DecayFunction:
         """Per-replicate value of an activation-time array: the sum over its
         last axis of delta**t, NEVER counting 0. At delta = 1 it is the
         integer active count, so the plain spread builds no float array.
-        Below 1 each entry reads a table of delta**0 .. delta**max with 0.0
-        last, where NEVER (-1) lands; its powers are those ``np.power``
-        gives each entry."""
+        Below 1 each entry reads its power from a table of ``np.power(delta,
+        0..max)`` and a last 0.0, where NEVER (-1) lands."""
         if self.delta == 1.0:
             return (times >= 0).sum(axis=-1)
         table = np.append(np.power(self.delta, np.arange(times.max(initial=NEVER) + 1),

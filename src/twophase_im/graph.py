@@ -232,8 +232,7 @@ def _distinct_arcs(raw: RawEdgeList):
     if dups:
         kind = "directed" if raw.directed else "undirected"
         warnings.warn(f"collapsed {dups} duplicate {kind} edge(s)", stacklevel=3)
-    first = ~repeat
-    return labels, src.compress(first), dst.compress(first), loops // per_record
+    return labels, src.compress(~repeat), dst.compress(~repeat), loops // per_record
 
 
 def apply_wc_transform(raw: RawEdgeList) -> InfluenceGraph:
