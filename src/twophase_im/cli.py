@@ -79,12 +79,20 @@ def make_graph_spec(source, transform="none", tv_seed=0, directed=True):
             "tv_seed": tv_seed, "directed": directed}
 
 
+def _check_least(option, value, least=0):
+    """Refuse a ``value`` of ``option`` below ``least`` by the option's name,
+    before anything runs on it."""
+    if value < least:
+        raise GraphError(f"{option} must be >= {least}, not {value}")
+
+
 def resolve_graph(spec):
     """The graph of a spec. A ``GraphError`` naming the source refuses a spec no
     command writes: a source not ``builtin:NAME`` or ``file:PATH``, or no such
     file or builtin, or an empty path or one that is not a file, or a transform
     or ``directed: false`` on a builtin or native file, or a non-zero
-    ``tv_seed`` without the tv transform. A hash must match the graph."""
+    ``tv_seed`` without the tv transform, or a negative one. A hash must match
+    the graph."""
     kind, _, name = spec["source"].partition(":")
     path = Path(name)
     transform, directed = spec.get("transform", "none"), spec.get("directed", True)
@@ -92,6 +100,7 @@ def resolve_graph(spec):
     if tv_seed != 0 and transform != "tv":
         raise GraphError(f"graph source {name!r}: --tv-seed {tv_seed} applies to "
                          f"--transform tv only")
+    _check_least("--tv-seed", tv_seed)
     if kind == "builtin":
         if name not in BUILTINS:
             raise GraphError(f"no builtin graph {name!r}")
@@ -128,6 +137,13 @@ def _edge_list_graph(path, directed, transform, tv_seed):
     raise GraphError(f"unknown transform {transform!r}")
 
 
+def _transformed(params):
+    """The graph of the transform command's params, whose ``--seed`` draws
+    the tv probabilities."""
+    _check_least("--seed", params["seed"])
+    return _edge_list_graph(params["input"], params["directed"], params["model"], params["seed"])
+
+
 def _ids(graph, text):
     return [graph.node_id(tok) for tok in text.split(",") if tok]
 
@@ -151,8 +167,7 @@ def _delay(text):
 
 def run_transform(params, graph):
     if graph is None:   # a replay builds the graph again; only ``transform`` writes it
-        graph = _edge_list_graph(params["input"], params["directed"], params["model"],
-                                 params["seed"])
+        graph = _transformed(params)
     return {"n": graph.n, "m": graph.m, "graph_hash": graph_fingerprint(graph)}
 
 
@@ -160,6 +175,7 @@ def run_select(params, graph):
     k = params["k"]
     if k < 0:
         raise GraphError("k must be >= 0")
+    _check_least("--seed", params["master_seed"])
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           master_seed=params["master_seed"])
@@ -188,6 +204,7 @@ def run_twophase(params, graph):
     k, optimize = params["k"], params["optimize"]
     if k < 1:
         raise GraphError("k must be >= 1")
+    _check_least("--seed", params["master_seed"])
     if optimize == "none":
         k1, k2 = params["k1"], params["k2"]
         if None in (k1, k2) or k1 + k2 != k:
@@ -207,10 +224,12 @@ def run_twophase(params, graph):
                           phase2_sims=params["phase2_sims"],
                           master_seed=params["master_seed"])
     # the fixed plan's delay, or the optimizers' delay horizon
-    delay = params["d"] if optimize == "none" else params.get("d_max")
+    option, delay = (("--d", params["d"]) if optimize == "none"
+                     else ("--d-max", params.get("d_max")))
     if delay in (None, "auto"):
         delay = estimate_D(graph, k, mc)
     else:
+        _check_least(option, delay, 1 if optimize == "face-joint" else 0)
         # a run holds one float per step up to its delay (the progression,
         # FACE-joint's delay distribution); refuse a huge one before any run
         check_bytes(f"a delay of {delay} steps (one float64 per step)", 8 * (delay + 1),
@@ -354,8 +373,7 @@ def cli():
 def transform(output_dir, **params):
     """Assign edge probabilities to an unweighted edge list."""
     params["seed"] = _seed_param(params["seed"])
-    graph = _edge_list_graph(params["input"], params["directed"], params["model"],
-                             params["seed"])
+    graph = _transformed(params)
     save_graph(graph, params["output"])
     _execute("transform", params, output_dir, graph)
 

@@ -21,13 +21,15 @@ index, takes them from a ``stream_source`` of its own, which hashes each
 index's seed once and is dropped with the call, so a run costs the same
 whatever ran before it in the process.
 One estimator loop, ``_spreads``, runs on those replicates and values each
-one, the mean over its samples (the rows, or the times a caller's ``rows``
-makes of them) of a ``DecayFunction`` summed over all n columns (delta = 1,
-the default, is the plain spread). ``estimate_spreads`` runs it on plain
-replicates; ``estimate_spread`` is its one-set case. ``nested_spreads``, the
-two-phase estimate, stops each set's rows at the set's own delay, picks a
-second phase on each observation by a caller's ``pick`` and continues the
-cascade from it with the same coin, every set of a call in one run.
+one, the mean over its samples (the rows, or the continuations a caller's
+``samples`` makes of them) of a ``DecayFunction`` summed over all n columns
+(delta = 1, the default, is the plain spread, a count of the sample's
+activations). ``estimate_spreads`` runs it on plain replicates;
+``estimate_spread`` is its one-set case. ``nested_spreads``, the two-phase
+estimate, stops each set's rows at the set's own delay, picks a second
+phase on each observation by a caller's ``pick``, once per slice of a
+phase-1 group, and continues the cascade from it with the same coin, every
+set of a call in one run.
 ``SigmaObjective``, the objective of the selectors, runs ``_cascade`` in
 live-edge worlds drawn once, with a lookup for a coin, and falls back to
 ``estimate_spread`` when the worlds or their time table would pass a byte
@@ -128,14 +130,15 @@ class DecayFunction:
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
 
-    def values(self, times: np.ndarray):
+    def values(self, times: np.ndarray, count=None):
         """Per-replicate value of an activation-time array: the sum over its
         last axis of delta**t, NEVER counting 0. At delta = 1 it is the
-        integer active count, so the plain spread builds no float array.
-        Below 1 each entry reads its power from a table of ``np.power(delta,
-        0..max)`` and a last 0.0, where NEVER (-1) lands."""
+        integer active count, ``count`` if the caller counted it from its
+        activations, so the plain spread builds no float array. Below 1 each
+        entry reads its power from a table of ``np.power(delta, 0..max)``
+        and a last 0.0, where NEVER (-1) lands."""
         if self.delta == 1.0:
-            return (times >= 0).sum(axis=-1)
+            return (times >= 0).sum(axis=-1) if count is None else count
         table = np.append(np.power(self.delta, np.arange(times.max(initial=NEVER) + 1),
                                    dtype=float), 0.0)
         return table[times].sum(axis=-1)
@@ -337,20 +340,15 @@ def _estimates(vals: np.ndarray, samples: int) -> list:
             for mean, stderr in zip(vals.mean(axis=1).tolist(), stderrs.tolist())]
 
 
-def _histogram_add(hist, times, owner):
-    """hist, (sets, steps), plus the count of each activation step of
-    ``times``, those of row r counted in row ``owner[r]`` (ascending) of
-    hist, which is widened to fit the largest step."""
-    active = times >= 0
-    steps = times.compress(active.ravel())   # far faster than times[active] on 2-D times
-    lo, hi = int(owner[0]), int(owner[-1]) + 1
-    width = int(steps.max()) + 1 if steps.size else 0
-    flat = (owner - lo).repeat(active.sum(axis=1)) * width + steps
-    counts = np.bincount(flat, minlength=(hi - lo) * width).reshape(hi - lo, width)
-    if counts.shape[1] > hist.shape[1]:
-        grow = np.zeros((len(hist), counts.shape[1] - hist.shape[1]), dtype=hist.dtype)
+def _histogram_add(hist, owner, counts, first=0):
+    """hist, (sets, steps), plus the (rows, steps) ``counts`` of activations
+    by step from step ``first`` on, those of row r counted in row
+    ``owner[r]`` of hist, which is widened to fit the last step."""
+    end = first + counts.shape[1]
+    if end > hist.shape[1]:
+        grow = np.zeros((len(hist), end - hist.shape[1]), dtype=hist.dtype)
         hist = np.concatenate((hist, grow), axis=1)
-    hist[lo:hi, :counts.shape[1]] += counts
+    np.add.at(hist[:, first:end], owner, counts)
     return hist
 
 
@@ -360,27 +358,54 @@ def _trim(prog):
     return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
 
 
-def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, cells: int,
-             stops, decay: DecayFunction, progression: bool, rows=None) -> list:
-    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``,
-    set c stopped at ``stops[c]``, or run to its end without ``stops``),
-    each group kept as it is or turned by ``rows(owner, index, at)`` into the
-    (rows x per, n) times of its samples, ``per`` a replicate, whose value is
-    the mean of their ``decay`` values over all n columns. Returns each set's
-    (estimate, progression) over sims x per samples; the progression, the
-    mean new activations per step, is counted only when asked for (else
-    None). The values are checked before anything runs."""
+def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, stops,
+             decay: DecayFunction, progression: bool, samples=None) -> list:
+    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``
+    at n cells a row, set c stopped at ``stops[c]``, or run to its end
+    without ``stops``), each group valued as it is or as the parts (rows,
+    entries, times, steps) that ``samples(owner, index, at)`` yields: the
+    group's rows ``rows``, their (reps, n) ``entries`` written in before a
+    cascade, the (reps x per, n) ``times`` of their samples, ``per`` a
+    replicate, and the keys (sample * n + node) the cascade activated at
+    each step, ``steps``. A plain replicate is its row's entries, with no
+    cascade. A sample's value is ``decay.values`` of its times over all n
+    columns, given at delta = 1 the count of its activations (its
+    replicate's entries and its keys); a replicate's is the mean over its
+    samples. Returns each set's (estimate, progression) over sims x per
+    samples; the progression, the mean new activations per step, is
+    counted from the same activations, each entry once per replicate times
+    per, and only when asked for (else None). The values are checked before
+    anything runs."""
+    n = graph.n
     check_bytes("the per-replicate values (sets x sims float64)", 8 * len(sets) * sims,
                 WORLD_BYTES)
     vals = np.empty((len(sets), sims))
     hist = np.zeros((len(sets), 0), dtype=np.int64)
     per = 1
-    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, cells, stops):
-        times = at if rows is None else rows(owner, index, at)
-        per = len(times) // len(at)
-        vals[owner, index] = decay.values(times).reshape(len(at), per).mean(axis=1)
-        if progression:
-            hist = _histogram_add(hist, times, owner.repeat(per))
+    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, n, stops):
+        parts = [(slice(None), at, at, [])] if samples is None else samples(owner, index, at)
+        for rows, entries, times, steps in parts:
+            reps, per = len(entries), len(times) // len(entries)
+            active = entries >= 0
+            found = active.sum(axis=1)
+            count = found[:, None]   # a sample's entries are its replicate's
+            if steps:
+                count = count + np.bincount(np.concatenate(steps) // n,
+                                            minlength=len(times)).reshape(reps, per)
+            vals[owner[rows], index[rows]] = decay.values(times, count).reshape(
+                reps, per).mean(axis=1)
+            if progression:
+                entry_step = entries.compress(active.ravel())
+                width = int(entry_step.max(initial=NEVER)) + 1
+                by_row = np.bincount(np.arange(reps).repeat(found) * width + entry_step,
+                                     minlength=reps * width).reshape(reps, width)
+                hist = _histogram_add(hist, owner[rows], by_row * per)
+                if steps:   # step j's keys activate j steps after the first key
+                    first = int(times.reshape(-1)[steps[0][0]]) if steps[0].size else 0
+                    # cut[j, r]: how many of step j's keys (sorted) come before row r's
+                    bounds = np.arange(0, (reps + 1) * per * n, per * n)
+                    cut = np.array([keys.searchsorted(bounds) for keys in steps])
+                    hist = _histogram_add(hist, owner[rows], np.diff(cut).T, first)
     return [(est, _trim(h / (sims * per)) if progression else None)
             for est, h in zip(_estimates(vals, sims * per), hist)]
 
@@ -396,8 +421,7 @@ def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    return _spreads(graph, seed_sets, sims, config.master_seed, tag, graph.n, None, decay,
-                    progression)
+    return _spreads(graph, seed_sets, sims, config.master_seed, tag, None, decay, progression)
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
@@ -417,54 +441,62 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
     phase-1 rows, each valued by its continuations.
 
     ``config.phase1_sims`` outer replicates of each set run to its delay
-    (``replicate_rows``, ``TAG_PHASE1``) in groups of whole outer
-    replicates, at most ``GROUP_CELLS`` phase-2 times (or one replicate)
-    each; a row's steps past its delay are cleared before it is observed.
-    ``pick(owner, already, recent)`` returns the (reps, n) mask of a group's
-    second-phase seeds from each row's set index and its nodes activated
-    before its delay and at it. Outer replicate i of every set is then
-    repeated ``phase2_sims`` times with the recent nodes and its seeds at
-    its delay, and continued to its end with the coins of
+    (``replicate_rows`` at n cells a row, ``TAG_PHASE1``); a row's steps
+    past its delay are cleared as its group is observed. ``pick(owner,
+    already, recent)`` returns the (reps, n) mask of second-phase seeds of
+    a slice of a group's rows, ``max(GROUP_CELLS // (phase2_sims * n),
+    GROUP_CELLS // m)`` of them (or one), from each row's set index and its
+    nodes activated before its delay and at it. Outer replicate i of every
+    set is then repeated ``phase2_sims`` times with the recent nodes and
+    its seeds at its delay, and continued to its end with the coins of
     ``stream(master_seed, TAG_PHASE2, i)``, from the stream's start; one
-    ``stream_source`` hashes i's seed once, however many sets read it. A
-    group continues in one cascade, each row from its own delay; the rows
-    of an outer replicate share their delay, so they draw what they would
-    draw alone. Edges into active nodes are dropped before any draw and the
-    rest keep their CSR order, so a continuation draws what
-    ``simulate_batch`` would draw on the residual graph (the already-active
-    nodes cut out), and its times are that graph's plus the delay; they keep
-    the already-active nodes' phase-1 steps, and ``_spreads`` values them
-    over all n columns and counts them in the progression, over phase1_sims
-    x phase2_sims samples. One replicate's (phase2_sims, n) times are
-    checked against ``BATCH_BYTES`` first: they cannot be split without
-    changing its stream. Sets in order of delay share phase-1 cascades with
-    sets of near delays, so few steps run past a row's delay."""
+    ``stream_source`` hashes i's seed once, however many sets read it. The
+    rows continue in groups of at most ``GROUP_CELLS`` phase-2 times (or
+    one outer replicate), a group in one cascade, each row from its own
+    delay; the rows of an outer replicate share their delay, so they draw
+    what they would draw alone. Edges into active nodes are dropped before
+    any draw and the rest keep their CSR order, so a continuation draws
+    what ``simulate_batch`` would draw on the residual graph (the
+    already-active nodes cut out), and its times are that graph's plus the
+    delay; they keep the already-active nodes' phase-1 steps, which
+    ``_spreads`` counts once per outer replicate, and are valued over all n
+    columns, over phase1_sims x phase2_sims samples. One replicate's
+    (phase2_sims, n) times are checked against ``BATCH_BYTES`` first: they
+    cannot be split without changing its stream. Sets in order of delay
+    share phase-1 cascades with sets of near delays, so few steps run past
+    a row's delay."""
     n, m2 = graph.n, config.phase2_sims
     ds = np.asarray(ds, dtype=np.int32)
     if ds.size and ds.min() < 0:
         raise ValueError(f"delay {int(ds.min())} is negative")
     check_bytes("one outer replicate's phase-2 times (phase2_sims x n int32)",
                 4 * m2 * n, BATCH_BYTES)
+    fit = max(1, GROUP_CELLS // (m2 * n))
+    # a pick's (rows, m) discount arrays stay within GROUP_CELLS or fit rows
+    size = max(fit, GROUP_CELLS // max(graph.m, 1))
     s2_examples = [[] for _ in s1s]
     phase2 = stream_source(config.master_seed, TAG_PHASE2)
 
-    def rows(c, i, at):
-        reps, d = len(at), ds[c][:, None]
+    def samples(c, i, at):
+        d = ds[c][:, None]
         already, recent = (at >= 0) & (at < d), at == d
-        picked = pick(c, already, recent)
-        start = recent | picked
-        times = np.where(start, d, np.where(already, at, NEVER)).repeat(m2, axis=0)
-        coin = _block_coin(graph.p, n, range(0, reps * m2 + 1, m2),
-                           [phase2(j) for j in i.tolist()])
-        # a cascade on n nodes ends within n steps of its last delay
-        _cascade(graph, times, np.flatnonzero(start.repeat(m2, axis=0)), int(d.max()) + n,
-                 coin)
+        picked = np.concatenate([pick(c[a:a + size], already[a:a + size], recent[a:a + size])
+                                 for a in range(0, len(at), size)])
+        start, entries = recent | picked, np.where(already, at, NEVER)
         for r in np.flatnonzero(i < collect_examples).tolist():
             s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
-        return times
+        for a in range(0, len(at), fit):
+            rows = slice(a, a + fit)
+            times = np.where(start[rows], d[rows], entries[rows]).repeat(m2, axis=0)
+            coin = _block_coin(graph.p, n, range(0, len(times) + 1, m2),
+                               [phase2(j) for j in i[rows].tolist()])
+            # a cascade on n nodes ends within n steps of its last delay
+            steps = _cascade(graph, times, np.flatnonzero(start[rows].repeat(m2, axis=0)),
+                             int(d[rows].max()) + n, coin)
+            yield rows, entries[rows], times, steps
 
-    pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, m2 * n,
-                     ds, decay, progression, rows)
+    pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, ds,
+                     decay, progression, samples)
     return [(est, prog, examples) for (est, prog), examples in zip(pairs, s2_examples)]
 
 

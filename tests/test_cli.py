@@ -813,3 +813,62 @@ def test_record_of_farsighted_optimizer_is_refused_as_the_command_is(tmp_path, c
     code, out, err = run(capsys, "rerun", str(record), "--output-dir", str(tmp_path / "out"))
     assert code == 1
     assert "--mode farsighted" in err and out == ""
+
+
+_OPTIMIZE = ["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "--sims", "20",
+             "--phase1-sims", "2", "--phase2-sims", "2", "--seed", "1", "--optimize"]
+# (a command with a valid value of the option, the option, a value below its
+# least, the record field that stores it, the message)
+BELOW_LEAST = [
+    ([*_OPTIMIZE, "grid", "--d-max", "1"], "--d-max", -1, ["d_max"],
+     "--d-max must be >= 0, not -1"),
+    ([*_OPTIMIZE, "golden", "--d-max", "1"], "--d-max", -1, ["d_max"],
+     "--d-max must be >= 0, not -1"),
+    ([*_OPTIMIZE, "face-joint", "--d-max", "1"], "--d-max", 0, ["d_max"],
+     "--d-max must be >= 1, not 0"),
+    (["select", "--graph", "example1", "--algorithm", "gdd", "--k", "1", "--sims", "20",
+      "--seed", "7"], "--seed", -1, ["master_seed"], "--seed must be >= 0, not -1"),
+    (["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "--k1", "1",
+      "--k2", "1", "--d", "1", "--sims", "20", "--phase1-sims", "2", "--phase2-sims", "2",
+      "--seed", "7"], "--seed", -3, ["master_seed"], "--seed must be >= 0, not -3"),
+    (["select", "--graph", "e.txt", "--transform", "tv", "--tv-seed", "7", "--algorithm",
+      "gdd", "--k", "1", "--sims", "20", "--seed", "1"], "--tv-seed", -1, ["graph", "tv_seed"],
+     "--tv-seed must be >= 0, not -1"),
+    (["transform", "e.txt", "g.tpim", "--model", "tv", "--seed", "7"], "--seed", -1, ["seed"],
+     "--seed must be >= 0, not -1"),
+]
+
+
+@pytest.mark.parametrize("argv, option, bad, field, message", BELOW_LEAST,
+                         ids=["grid", "golden", "face-joint", "select-seed", "twophase-seed",
+                              "tv-seed", "transform-seed"])
+def test_a_value_below_its_least_is_refused_by_its_option(tmp_path, capsys, monkeypatch, argv,
+                                                           option, bad, field, message):
+    # a run, and the replay of a record edited to hold the value, both exit
+    # 2 naming the option, before any simulation or tv draw, and write no
+    # record
+    import twophase_im.cli as cli_module
+    from twophase_im import diffusion
+
+    monkeypatch.chdir(tmp_path)
+    Path("e.txt").write_text("a b\nb c\nc a\n")
+    code, out, err = run(capsys, *argv, "--output-dir", "runs")
+    assert code == 0, err
+    record = json.loads(Path(last_json(out)["record"]).read_text())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(diffusion, "_cascade", refuse)
+    monkeypatch.setattr(cli_module, "apply_tv_transform", refuse)
+    at = argv.index(option) + 1
+    code, out, err = run(capsys, *argv[:at], str(bad), *argv[at + 1:], "--output-dir", "refused")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    holder = record["params"]
+    for key in field[:-1]:
+        holder = holder[key]
+    holder[field[-1]] = bad
+    Path("edited.json").write_text(json.dumps(record))
+    code, out, err = run(capsys, "rerun", "edited.json", "--output-dir", "replay")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(Path().glob("re*/*.json"))

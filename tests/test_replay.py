@@ -4,6 +4,8 @@ Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
 earlier build: select (gdd; greedy with decay; face; rmax); fixed two-phase plans
 with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
 and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
+a gdd plan at delta < 1 whose 300 outer replicates span three slices of
+second-phase picks and several continuation groups (``twophase-slices-decay``);
 a grid, a grid at delta < 1 (``grid-decay``, whose cells continue from
 several delays), golden-section search with decay, face-joint with and without
 decay, face-joint on lesmis with rounds that span several batches, on
@@ -43,7 +45,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 24
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
