@@ -46,6 +46,7 @@ from .records import (
     write_record,
 )
 from .schedule import estimate_D, exhaustive_grid, golden_section_k1
+from .selectors import check_budget
 from .two_phase import (
     SELECTORS,
     TwoPhasePlan,
@@ -173,9 +174,9 @@ def run_transform(params, graph):
 
 def run_select(params, graph):
     k = params["k"]
-    if k < 0:
-        raise GraphError("k must be >= 0")
+    _check_least("--k", k)
     _check_least("--seed", params["master_seed"])
+    _check_least("--sims", params["sims"], 1)
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           master_seed=params["master_seed"])
@@ -187,8 +188,13 @@ def run_select(params, graph):
 
 
 def run_oracle(params, graph):
-    orc = get_oracle(graph)
     query = params["query"]
+    if query == "f":
+        _check_least("--d", params["d"])
+        _check_least("--k2", params["k2"])
+        if params["k2"] > graph.n:
+            raise GraphError(f"--k2 must be <= n = {graph.n}, not {params['k2']}")
+    orc = get_oracle(graph)
     if query == "sigma":
         value = orc.exact_sigma(_ids(graph, params.get("seeds", "")))
     elif query == "nu":
@@ -202,9 +208,10 @@ def run_oracle(params, graph):
 
 def run_twophase(params, graph):
     k, optimize = params["k"], params["optimize"]
-    if k < 1:
-        raise GraphError("k must be >= 1")
+    _check_least("--k", k, 1)
     _check_least("--seed", params["master_seed"])
+    for option in ("--sims", "--phase1-sims", "--phase2-sims"):
+        _check_least(option, params[option[2:].replace("-", "_")], 1)
     if optimize == "none":
         k1, k2 = params["k1"], params["k2"]
         if None in (k1, k2) or k1 + k2 != k:
@@ -215,9 +222,8 @@ def run_twophase(params, graph):
     elif any(params.get(key) is not None for key in ("k1", "k2", "d")):
         raise click.UsageError("--k1, --k2 and --d apply to a fixed plan only, "
                                "not with --optimize")
-    elif k > graph.n:
-        # every search space holds the single-phase cell k1 = k
-        raise GraphError(f"budget {k} out of range for n={graph.n}")
+    else:   # every search space holds the single-phase cell k1 = k
+        check_budget(graph, k)
     decay = _decay(params.get("delta"))
     mc = MonteCarloConfig(single_phase_sims=params["sims"],
                           phase1_sims=params["phase1_sims"],

@@ -14,22 +14,21 @@ per edge tested, each block from its own generator (``_block_coin``), so
 blocks of one stream each build a generator of it and read it from the
 start. ``simulate_batch`` is its one-block case (``simulate_ic`` a
 one-replicate view), and ``replicate_rows`` the row source over it: chunk j
-of every set reads ``stream(master_seed, tag, j)``, and as many chunks as
-fit ``GROUP_CELLS`` run as one cascade, to the latest stop of their sets.
+of every set reads ``stream(master_seed, tag, j)`` (``_chunks``), and as
+many chunks as fit ``GROUP_CELLS`` run as one cascade, to the latest stop.
 A call that builds many generators of one (master_seed, tag), some of one
 index, takes them from a ``stream_source`` of its own, which hashes each
 index's seed once and is dropped with the call, so a run costs the same
 whatever ran before it in the process.
-One estimator loop, ``_spreads``, runs on those replicates and values each
-one, the mean over its samples (the rows, or the continuations a caller's
-``samples`` makes of them) of a ``DecayFunction`` summed over all n columns
-(delta = 1, the default, is the plain spread, a count of the sample's
-activations). ``estimate_spreads`` runs it on plain replicates;
-``estimate_spread`` is its one-set case. ``nested_spreads``, the two-phase
-estimate, stops each set's rows at the set's own delay, picks a second
-phase on each observation by a caller's ``pick``, once per slice of a
-phase-1 group, and continues the cascade from it with the same coin, every
-set of a call in one run.
+One estimator loop, ``_spreads``, values the replicates its callers stream
+to it, each the mean over its samples (its row, or its continuations) of a
+``DecayFunction`` summed over all n columns (delta = 1, the default, is the
+plain spread, a count of the sample's activations). ``estimate_spreads``
+streams it plain replicates; ``estimate_spread`` is its one-set case.
+``nested_spreads``, the two-phase estimate, stops each set's rows at the
+set's own delay, picks a second phase on each observation by a caller's
+``pick``, once per slice of a phase-1 group, and continues the cascade
+from it with the same coin, every set of a call in one run.
 ``SigmaObjective``, the objective of the selectors, runs ``_cascade`` in
 live-edge worlds drawn once, with a lookup for a coin, and falls back to
 ``estimate_spread`` when the worlds or their time table would pass a byte
@@ -84,6 +83,12 @@ def chunk_size(n: int) -> int:
     return max(1, min(CHUNK, BATCH_BYTES // (4 * max(n, 1))))
 
 
+def _chunks(sims: int, n: int) -> list:
+    """(j, first, rows) of each ``chunk_size(n)`` chunk of ``sims``; chunk j reads stream j."""
+    size = chunk_size(n)
+    return [(j, first, min(size, sims - first)) for j, first in enumerate(range(0, sims, size))]
+
+
 def stream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Derived RNG stream for (master_seed, tag, index); order-insensitive."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(tag, index)))
@@ -122,7 +127,8 @@ def stream_source(master_seed: int, tag: int):
 @dataclass(frozen=True)
 class DecayFunction:
     """Time value of an activation: one at step t is worth delta**t, in [0, 1]
-    and non-increasing in t. delta = 1, the default, is the plain spread."""
+    and non-increasing in t, read from ``weights``, the one table of
+    delta**t. delta = 1, the default, is the plain spread."""
 
     delta: float = 1.0
 
@@ -130,18 +136,20 @@ class DecayFunction:
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
 
+    def weights(self, steps) -> np.ndarray:
+        """The float64 table of delta**t for t in 0..steps-1, every decay weight's source."""
+        return np.power(self.delta, np.arange(steps), dtype=float)
+
     def values(self, times: np.ndarray, count=None):
         """Per-replicate value of an activation-time array: the sum over its
         last axis of delta**t, NEVER counting 0. At delta = 1 it is the
         integer active count, ``count`` if the caller counted it from its
         activations, so the plain spread builds no float array. Below 1 each
-        entry reads its power from a table of ``np.power(delta, 0..max)``
-        and a last 0.0, where NEVER (-1) lands."""
+        entry reads its power from ``weights`` up to the largest step and a
+        last 0.0, where NEVER (-1) lands."""
         if self.delta == 1.0:
             return (times >= 0).sum(axis=-1) if count is None else count
-        table = np.append(np.power(self.delta, np.arange(times.max(initial=NEVER) + 1),
-                                   dtype=float), 0.0)
-        return table[times].sum(axis=-1)
+        return np.append(self.weights(times.max(initial=NEVER) + 1), 0.0)[times].sum(axis=-1)
 
 
 NO_DECAY = DecayFunction()
@@ -309,23 +317,21 @@ def replicate_rows(graph: InfluenceGraph, seed_sets, sims: int, master_seed: int
     ``stops[c]`` (or run to their end without ``stops``); a cascade stops at
     the largest stop among its sets, so a row may hold steps past its set's
     stop, and its steps up to that stop read the same uniforms either way."""
-    size = chunk_size(graph.n)
     fit = max(1, GROUP_CELLS // max(cells, 1))
     streams = stream_source(master_seed, tag)
-    chunks = [(c, first, min(size, sims - first))
-              for c in range(len(seed_sets)) for first in range(0, sims, size)]
+    layout = _chunks(sims, graph.n)
+    chunks = [(c, j, first, rows) for c in range(len(seed_sets)) for j, first, rows in layout]
     hi = 0
     while hi < len(chunks):
         lo, rows = hi, 0
-        while hi < len(chunks) and (hi == lo or rows + chunks[hi][2] <= fit):
-            rows += chunks[hi][2]
+        while hi < len(chunks) and (hi == lo or rows + chunks[hi][3] <= fit):
+            rows += chunks[hi][3]
             hi += 1
         batch = chunks[lo:hi]
-        times = simulate_blocks(graph, [(seed_sets[c], r, streams(first // size))
-                                        for c, first, r in batch],
-                                None if stops is None else max(stops[c] for c, _, _ in batch))
-        owner = np.repeat([c for c, _, _ in batch], [r for _, _, r in batch])
-        index = np.concatenate([np.arange(first, first + r) for _, first, r in batch])
+        times = simulate_blocks(graph, [(seed_sets[c], r, streams(j)) for c, j, _, r in batch],
+                                None if stops is None else max(stops[c] for c, _, _, _ in batch))
+        owner = np.repeat([c for c, _, _, _ in batch], [r for _, _, _, r in batch])
+        index = np.concatenate([np.arange(first, first + r) for _, _, first, r in batch])
         for a in range(0, rows, fit):
             yield owner[a:a + fit], index[a:a + fit], times[a:a + fit]
 
@@ -358,54 +364,44 @@ def _trim(prog):
     return prog[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
 
 
-def _spreads(graph: InfluenceGraph, sets, sims: int, master_seed: int, tag: int, stops,
-             decay: DecayFunction, progression: bool, samples=None) -> list:
-    """The estimator loop: ``sims`` replicates of each set (``replicate_rows``
-    at n cells a row, set c stopped at ``stops[c]``, or run to its end
-    without ``stops``), each group valued as it is or as the parts (rows,
-    entries, times, steps) that ``samples(owner, index, at)`` yields: the
-    group's rows ``rows``, their (reps, n) ``entries`` written in before a
-    cascade, the (reps x per, n) ``times`` of their samples, ``per`` a
-    replicate, and the keys (sample * n + node) the cascade activated at
-    each step, ``steps``. A plain replicate is its row's entries, with no
-    cascade. A sample's value is ``decay.values`` of its times over all n
-    columns, given at delta = 1 the count of its activations (its
-    replicate's entries and its keys); a replicate's is the mean over its
-    samples. Returns each set's (estimate, progression) over sims x per
-    samples; the progression, the mean new activations per step, is
-    counted from the same activations, each entry once per replicate times
-    per, and only when asked for (else None). The values are checked before
-    anything runs."""
-    n = graph.n
-    check_bytes("the per-replicate values (sets x sims float64)", 8 * len(sets) * sims,
-                WORLD_BYTES)
-    vals = np.empty((len(sets), sims))
-    hist = np.zeros((len(sets), 0), dtype=np.int64)
+def _spreads(parts, sets: int, sims: int, decay: DecayFunction, progression: bool) -> list:
+    """The estimator loop: each of ``sets`` sets' (estimate, progression)
+    over ``sims`` replicates, from the parts (owner, index, entries, times,
+    steps) its caller yields: replicates' set and replicate indices, their
+    (reps, n) ``entries`` written in before a cascade, the (reps x per, n)
+    ``times`` of their ``per`` samples each, and the keys (sample * n +
+    node) the cascade activated at each step (a plain replicate is its row
+    as entries and times, with no steps). A sample's value is
+    ``decay.values`` of its times over all n columns, given at delta = 1 the
+    count of its activations; a replicate's is the mean over its samples.
+    The progression, the mean new activations per step, is counted from the
+    same activations, each entry once per sample, only when asked for (else
+    None). The values are checked before any part is drawn."""
+    check_bytes("the per-replicate values (sets x sims float64)", 8 * sets * sims, WORLD_BYTES)
+    vals = np.empty((sets, sims))
+    hist = np.zeros((sets, 0), dtype=np.int64)
     per = 1
-    for owner, index, at in replicate_rows(graph, sets, sims, master_seed, tag, n, stops):
-        parts = [(slice(None), at, at, [])] if samples is None else samples(owner, index, at)
-        for rows, entries, times, steps in parts:
-            reps, per = len(entries), len(times) // len(entries)
-            active = entries >= 0
-            found = active.sum(axis=1)
-            count = found[:, None]   # a sample's entries are its replicate's
-            if steps:
-                count = count + np.bincount(np.concatenate(steps) // n,
-                                            minlength=len(times)).reshape(reps, per)
-            vals[owner[rows], index[rows]] = decay.values(times, count).reshape(
-                reps, per).mean(axis=1)
-            if progression:
-                entry_step = entries.compress(active.ravel())
-                width = int(entry_step.max(initial=NEVER)) + 1
-                by_row = np.bincount(np.arange(reps).repeat(found) * width + entry_step,
-                                     minlength=reps * width).reshape(reps, width)
-                hist = _histogram_add(hist, owner[rows], by_row * per)
-                if steps:   # step j's keys activate j steps after the first key
-                    first = int(times.reshape(-1)[steps[0][0]]) if steps[0].size else 0
-                    # cut[j, r]: how many of step j's keys (sorted) come before row r's
-                    bounds = np.arange(0, (reps + 1) * per * n, per * n)
-                    cut = np.array([keys.searchsorted(bounds) for keys in steps])
-                    hist = _histogram_add(hist, owner[rows], np.diff(cut).T, first)
+    for owner, index, entries, times, steps in parts:
+        (reps, n), per = entries.shape, len(times) // len(entries)
+        active = entries >= 0
+        found = active.sum(axis=1)
+        count = found[:, None]   # a sample's entries are its replicate's
+        if steps:
+            count = count + np.bincount(np.concatenate(steps) // n,
+                                        minlength=len(times)).reshape(reps, per)
+        vals[owner, index] = decay.values(times, count).reshape(reps, per).mean(axis=1)
+        if progression:
+            entry_step = entries.compress(active.ravel())
+            width = int(entry_step.max(initial=NEVER)) + 1
+            by_row = np.bincount(np.arange(reps).repeat(found) * width + entry_step,
+                                 minlength=reps * width).reshape(reps, width)
+            hist = _histogram_add(hist, owner, by_row * per)
+            if steps:   # step j's keys activate j steps after the first key
+                first = int(times.reshape(-1)[steps[0][0]]) if steps[0].size else 0
+                # cut[j, r]: how many of step j's keys (sorted) come before row r's
+                bounds = np.arange(0, (reps + 1) * per * n, per * n)
+                cut = np.array([keys.searchsorted(bounds) for keys in steps])
+                hist = _histogram_add(hist, owner, np.diff(cut).T, first)
     return [(est, _trim(h / (sims * per)) if progression else None)
             for est, h in zip(_estimates(vals, sims * per), hist)]
 
@@ -415,13 +411,16 @@ def estimate_spreads(graph: InfluenceGraph, seed_sets, config: MonteCarloConfig,
                      decay: DecayFunction = NO_DECAY, progression: bool = False) -> list:
     """Monte-Carlo estimate of the expected decay-weighted active count (the
     final active count under the default, delta = 1) of each seed set, as
-    the (estimate, progression) pairs of ``_spreads`` on plain replicates.
-    A set's pair is deterministic given (graph, set, master_seed, sims,
-    tag), whatever the other sets; every decay sees the same traces."""
+    the (estimate, progression) pairs of ``_spreads`` on plain replicates,
+    each ``replicate_rows`` row one sample. A set's pair is deterministic
+    given (graph, set, master_seed, sims, tag), whatever the other sets;
+    every decay sees the same traces."""
     sims = config.single_phase_sims if sims is None else sims
     if sims < 1:
         raise ValueError("sims must be >= 1")
-    return _spreads(graph, seed_sets, sims, config.master_seed, tag, None, decay, progression)
+    parts = ((owner, index, at, at, []) for owner, index, at in
+             replicate_rows(graph, seed_sets, sims, config.master_seed, tag, graph.n))
+    return _spreads(parts, len(seed_sets), sims, decay, progression)
 
 
 def estimate_spread(graph: InfluenceGraph, seeds, config: MonteCarloConfig,
@@ -437,8 +436,9 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
     """The nested Monte-Carlo estimate of a two-phase run from each
     first-phase set, set c at delay ``ds[c]`` (a negative one raises
     ``ValueError``), as (estimate, progression, first ``collect_examples``
-    second-phase sets, each a sorted list) per set: ``_spreads`` over
-    phase-1 rows, each valued by its continuations.
+    second-phase sets, each a sorted list) per set: ``_spreads`` over the
+    parts a generator makes of the phase-1 rows, each outer replicate's
+    already-active entries and its continuations.
 
     ``config.phase1_sims`` outer replicates of each set run to its delay
     (``replicate_rows`` at n cells a row, ``TAG_PHASE1``); a row's steps
@@ -477,26 +477,27 @@ def nested_spreads(graph: InfluenceGraph, s1s, ds, config: MonteCarloConfig,
     s2_examples = [[] for _ in s1s]
     phase2 = stream_source(config.master_seed, TAG_PHASE2)
 
-    def samples(c, i, at):
-        d = ds[c][:, None]
-        already, recent = (at >= 0) & (at < d), at == d
-        picked = np.concatenate([pick(c[a:a + size], already[a:a + size], recent[a:a + size])
-                                 for a in range(0, len(at), size)])
-        start, entries = recent | picked, np.where(already, at, NEVER)
-        for r in np.flatnonzero(i < collect_examples).tolist():
-            s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
-        for a in range(0, len(at), fit):
-            rows = slice(a, a + fit)
-            times = np.where(start[rows], d[rows], entries[rows]).repeat(m2, axis=0)
-            coin = _block_coin(graph.p, n, range(0, len(times) + 1, m2),
-                               [phase2(j) for j in i[rows].tolist()])
-            # a cascade on n nodes ends within n steps of its last delay
-            steps = _cascade(graph, times, np.flatnonzero(start[rows].repeat(m2, axis=0)),
-                             int(d[rows].max()) + n, coin)
-            yield rows, entries[rows], times, steps
+    def parts():
+        for c, i, at in replicate_rows(graph, s1s, config.phase1_sims, config.master_seed,
+                                       TAG_PHASE1, n, ds):
+            d = ds[c][:, None]
+            already, recent = (at >= 0) & (at < d), at == d
+            picked = np.concatenate([pick(c[a:a + size], already[a:a + size],
+                                          recent[a:a + size]) for a in range(0, len(at), size)])
+            start, entries = recent | picked, np.where(already, at, NEVER)
+            for r in np.flatnonzero(i < collect_examples).tolist():
+                s2_examples[c[r]].append(np.flatnonzero(picked[r]).tolist())
+            for a in range(0, len(at), fit):
+                rows = slice(a, a + fit)
+                times = np.where(start[rows], d[rows], entries[rows]).repeat(m2, axis=0)
+                coin = _block_coin(graph.p, n, range(0, len(times) + 1, m2),
+                                   [phase2(j) for j in i[rows].tolist()])
+                # a cascade on n nodes ends within n steps of its last delay
+                steps = _cascade(graph, times, np.flatnonzero(start[rows].repeat(m2, axis=0)),
+                                 int(d[rows].max()) + n, coin)
+                yield c[rows], i[rows], entries[rows], times, steps
 
-    pairs = _spreads(graph, s1s, config.phase1_sims, config.master_seed, TAG_PHASE1, ds,
-                     decay, progression, samples)
+    pairs = _spreads(parts(), len(s1s), config.phase1_sims, decay, progression)
     return [(est, prog, examples) for (est, prog), examples in zip(pairs, s2_examples)]
 
 
@@ -509,9 +510,9 @@ class SigmaObjective:
     on.
 
     World w keeps edge e when u < p[e]; the uniforms of the c-th chunk of
-    ``chunk_size(n)`` worlds come from ``stream(master_seed, tag, c)``, one
-    world (row) after another, at most ``DRAW_BYTES`` of them at a time, into
-    ``live``, a (sims, m) mask. In a fixed world a cascade is a BFS over the
+    ``chunk_size(n)`` worlds (``_chunks``) come from ``stream(master_seed,
+    tag, c)``, one world (row) after another, at most ``DRAW_BYTES`` of them
+    at a time, into ``live``, a (sims, m) mask. In a fixed world a cascade is a BFS over the
     kept edges (``_cascade`` with a lookup for a coin), so the activation
     time of a node from a set is the minimum of its times from the members.
     A node's activations, flat keys world * n + node and the step of each,
@@ -545,8 +546,7 @@ class SigmaObjective:
         if self.sims < 1:
             raise ValueError("sims must be >= 1")
         self.decay = decay
-        # decay weight of an activation at step t < n
-        self.weights = decay.values(np.arange(graph.n)[:, None]).astype(np.float64)
+        self.weights = decay.weights(graph.n)   # an activation at step t < n is worth weights[t]
         self.live = None                     # the worlds, False past a budget
         self._cache = {}
         self._nodes, self._node_bytes = {}, 0   # node -> its activations (keys, times)
@@ -570,16 +570,16 @@ class SigmaObjective:
         check_bytes("the live-edge worlds", sims * m, WORLD_BYTES)
         check_bytes("an activation-time table", sims * n * dtype.itemsize, TABLE_BYTES)
         self.live = np.empty((sims, m), dtype=bool)
-        size = chunk_size(n)
         rows = max(1, DRAW_BYTES // (8 * max(m, 1)))
-        for idx, lo in enumerate(range(0, sims, size)):
-            rng, hi = stream(self.config.master_seed, self.tag, idx), min(lo + size, sims)
+        for j, lo, count in _chunks(sims, n):
+            rng, hi = stream(self.config.master_seed, self.tag, j), lo + count
             for a in range(lo, hi, rows):
                 b = min(a + rows, hi)
                 np.less(rng.random((b - a, m)), graph.p, out=self.live[a:b])
         self._key_dtype = np.int32 if sims * n <= np.iinfo(np.int32).max else np.int64
         # one chunk of BFS times, all NEVER between calls
-        self._work = np.full((min(sims, size), n), NEVER, dtype=dtype.str.replace("u", "i"))
+        self._work = np.full((min(sims, chunk_size(n)), n), NEVER,
+                             dtype=dtype.str.replace("u", "i"))
         self._table = np.full((sims, n), np.iinfo(dtype).max, dtype=dtype)
 
     def _activations(self, seeds):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .diffusion import TAG_FACE, stream
 from .graph import InfluenceGraph
-from .selectors import SeedSet
+from .selectors import SeedSet, check_budget
 
 BOUNDARY_TOL = 0.01       # node_probs this close to {0,1} count as converged
 ALPHA = 0.6               # weight of the refit against the previous probabilities
@@ -172,8 +172,7 @@ def face_select(graph: InfluenceGraph, budget: int, objective, master_seed: int 
 
     Deterministic per master seed; returns the best set ever sampled."""
     n = graph.n
-    if not (1 <= budget <= n):
-        raise ValueError(f"budget {budget} out of range for n={n}")
+    check_budget(graph, budget)
     rng = stream(master_seed, TAG_FACE)
     best, log = _cross_entropy(
         np.full(n, budget / n, dtype=float),
@@ -195,8 +194,7 @@ def face_joint_optimize(graph: InfluenceGraph, total_budget: int, max_delay: int
     the optimizer can fall back to it under harsh decay."""
     n = graph.n
     k, D = total_budget, max_delay
-    if not (1 <= k <= n):
-        raise ValueError(f"total budget {k} out of range for n={n}")
+    check_budget(graph, k)
     if D < 1:
         raise ValueError("max_delay must be >= 1")
     k1_probs = np.full(k, 1.0 / k)        # over {1..k}

@@ -188,8 +188,7 @@ class ExactOracle:
             srcs = list(_bits(seed_mask))
             per_x = np.bitwise_count(np.bitwise_or.reduce(self.reach[:, srcs], axis=1))
         else:
-            gamma = np.zeros(UNREACHED + 1)    # an unreached node weighs 0
-            gamma[:UNREACHED] = decay.delta ** np.arange(UNREACHED)
+            gamma = np.append(decay.weights(UNREACHED), 0.0)   # an unreached node weighs 0
             per_x = gamma[self.dist_from(seed_mask)].sum(axis=1)
         return float(math.fsum(memoryview(self.mask_p * per_x)))
 

@@ -43,7 +43,7 @@ class SeedSet:
             raise ValueError("seed set exceeds its budget")
 
 
-def _check_budget(graph, k):
+def check_budget(graph, k):   # the one budget rule of every selector
     if not (1 <= k <= graph.n):
         raise ValueError(f"budget {k} out of range for n={graph.n}")
 
@@ -146,7 +146,7 @@ def select_discount(graph: InfluenceGraph, state: DiscountState, budgets) -> np.
 
 
 def _select_one(graph: InfluenceGraph, kind: str, k: int) -> SeedSet:
-    _check_budget(graph, k)
+    check_budget(graph, k)
     return SeedSet(nodes=select_discount(graph, discount_state(graph, kind), [k])[0].tolist(),
                    budget=k)
 
@@ -174,7 +174,7 @@ def select_greedy(graph: InfluenceGraph, k: int, objective) -> SeedSet:
     """Hill-climbing: k rounds, each adding the candidate with the largest
     objective value (no lazy evaluation; the two-phase objective is not
     submodular)."""
-    _check_budget(graph, k)
+    check_budget(graph, k)
     chosen = []
     current = frozenset()
     for _ in range(k):
@@ -193,7 +193,7 @@ def select_greedy(graph: InfluenceGraph, k: int, objective) -> SeedSet:
 def select_rmax(graph: InfluenceGraph, k: int, objective, master_seed: int = 0) -> SeedSet:
     """Evaluate ``RMAX_SAMPLES`` uniformly random k-subsets and keep the
     best."""
-    _check_budget(graph, k)
+    check_budget(graph, k)
     rng = stream(master_seed, TAG_RMAX)
     best_set, best_val = None, -np.inf
     for _ in range(RMAX_SAMPLES or 5 * graph.n):
@@ -228,7 +228,7 @@ def select_spic(graph: InfluenceGraph, k: int, objective, master_seed: int = 0) 
     After estimating per-node Shapley values, picks iteratively; on picking y
     with selection-time value phi_y, out-neighbors x are discounted by
     (1 - p_yx) and in-neighbors z lose p_zy * phi_y (clamped at zero)."""
-    _check_budget(graph, k)
+    check_budget(graph, k)
     value = shapley_values(graph, objective, master_seed).copy()
     picked = []
     selected = np.zeros(graph.n, dtype=bool)

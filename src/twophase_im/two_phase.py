@@ -3,24 +3,23 @@ the optimizers, and the end-to-end myopic/farsighted run of a fixed plan.
 Every seed selection, of a single phase, a first phase or a replicate's
 second phase, goes through ``select_seeds``.
 
-Every nested evaluation is ``_nested_run``: simulate phase 1 to step d and
-observe it; in each outer replicate, pick second-phase seeds as if on the
-residual graph (already-activated nodes cut out), with the
-recently-activated nodes as a free partial seed set; then continue the
-diffusion from the recent nodes and the second-phase seeds, m2 times per
-outer replicate, and aggregate. The sampling is ``diffusion.nested_spreads``;
-this module gives it the second phase, ``_second_phase`` under the budget
-rule min(k2, nodes left), which returns a group of outer replicates' seeds
-as a mask (one batched selection for SD/WD/GDD).
+``_nested_run`` is the one plan estimator. A plan with k2 = 0 is
+single-phase at any d (``diffusion.estimate_spreads``); any other is
+nested: simulate phase 1 to step d and observe it; in each outer
+replicate, pick second-phase seeds as if on the residual graph
+(already-activated nodes cut out), with the recently-activated nodes as a
+free partial seed set; then continue the diffusion from the recent nodes
+and the second-phase seeds, m2 times per outer replicate, and aggregate.
+The sampling is ``diffusion.nested_spreads``; this module gives it the
+second phase, ``_second_phase`` under the budget rule min(k2, nodes left),
+which returns a group of outer replicates' seeds as a mask (one batched
+selection for SD/WD/GDD).
 
-One nested run takes many first-phase sets, each at its own d; each set
-reads the streams it would read alone, so its estimate is the same bit for
-bit. ``eval_h`` and ``run_two_phase`` are its one-set case, and
-``score_cells`` scores many (k1, d, S1) cells in at most two estimator
-calls, one nested run for all two-phase cells: the grid, golden-section and
-FACE-joint optimizers, and FACE-joint's final estimate, all score through
-it. Single-phase estimates (k2 = 0 at any d, so the
-k1 = k arm of ``score_cells``) are those of ``diffusion.estimate_spreads``.
+One run takes many plans, each set at its own d, reading the streams it
+would read alone, so its estimate is the same bit for bit. ``eval_h`` and
+``run_two_phase`` are its one-plan case; ``score_cells`` scores many (k1,
+d, S1) cells in one run, for the grid, golden-section and FACE-joint
+optimizers and FACE-joint's final estimate.
 """
 
 from __future__ import annotations
@@ -134,24 +133,39 @@ def _second_phase(graph, selector2, already, recent, budgets, config, decay) -> 
 
 def _nested_run(graph, s1s, ds, k2s, config, decay, selector2, collect_examples=0,
                 progression=False):
-    """``diffusion.nested_spreads`` of the first-phase sets, set c at delay
-    ds[c] with a budget of k2s[c] second-phase seeds picked by ``selector2``
-    (``_second_phase``), or as many as the nodes not yet active leave."""
+    """(estimate, progression, first ``collect_examples`` second phases) of
+    each plan: set c at delay ds[c], then k2s[c] seeds picked by
+    ``selector2``, or as many as the nodes not yet active leave. At k2 = 0,
+    at any d, one ``estimate_spreads`` call, no examples; the rest, in order
+    of delay, one ``nested_spreads`` call. An arm with no plan makes none."""
     k2s = np.asarray(k2s, dtype=np.int64)
     if k2s.size and k2s.min() < 0:
         raise ValueError(f"second-phase budget {int(k2s.min())} is negative")
+    single = np.flatnonzero(k2s == 0).tolist()
+    nested = sorted(np.flatnonzero(k2s).tolist(), key=lambda c: ds[c])
+    k2_nested = k2s[nested]
 
     def pick(owner, already, recent):
-        budgets = np.minimum(k2s[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
+        budgets = np.minimum(k2_nested[owner], graph.n - already.sum(axis=1) - recent.sum(axis=1))
         return _second_phase(graph, selector2, already, recent, budgets, config, decay)
 
-    return nested_spreads(graph, s1s, ds, config, decay, pick, collect_examples, progression)
+    runs = {}
+    if single:
+        got = estimate_spreads(graph, [s1s[c] for c in single], config, decay=decay,
+                               progression=progression)
+        runs.update((c, (est, prog, [])) for c, (est, prog) in zip(single, got))
+    if nested:
+        got = nested_spreads(graph, [s1s[c] for c in nested], [ds[c] for c in nested], config,
+                             decay, pick, collect_examples, progression)
+        runs.update(zip(nested, got))
+    return [runs[c] for c in range(len(s1s))]
 
 
 def eval_h(graph: InfluenceGraph, s1, d: int, k2: int, config: MonteCarloConfig,
            decay: DecayFunction = NO_DECAY) -> SpreadEstimate:
     """Two-phase surrogate with GDD second-phase selection (the production
-    objective: orders of magnitude cheaper than greedy). The farsighted
+    objective: orders of magnitude cheaper than greedy): ``_nested_run``'s
+    estimate of the plan, single-phase at k2 = 0. The farsighted
     first-phase objective calls it with the plan's k2 >= 1 (a negative one
     raises ``ValueError``); perfbench's tracer patches it by name."""
     return _nested_run(graph, [s1], [d], [k2], config, decay, "gdd")[0][0]
@@ -170,30 +184,16 @@ def farsighted_config(config: MonteCarloConfig) -> MonteCarloConfig:
 def score_cells(graph: InfluenceGraph, cells, k: int, config: MonteCarloConfig,
                 decay: DecayFunction = NO_DECAY, selector2: str = "gdd") -> list:
     """The estimate of each (k1, d, S1) cell for a budget of k, bit for bit
-    that of ``run_two_phase`` on the cell alone; a k1 outside [0, k] raises
-    ``ValueError`` before anything runs. A cell with k1 = k has no
-    second phase, so whatever its d it is single-phase: the spread of S1
-    over ``config.single_phase_sims`` replicates, one ``estimate_spreads``
-    call for all of them. Every other cell is a two-phase plan with k - k1
-    second-phase seeds picked by ``selector2``, one ``_nested_run`` for all
-    of them, in order of delay."""
+    that of ``run_two_phase`` on the cell alone: ``_nested_run``'s of the
+    plans (S1, d, k - k1), all in one call, with second phases picked by
+    ``selector2``. A k1 outside [0, k] raises ``ValueError`` before anything
+    runs."""
     for k1, _, _ in cells:
         if not (0 <= k1 <= k):
             raise ValueError(f"k1 {k1} outside [0, {k}]")
-    single = [j for j, (k1, _, _) in enumerate(cells) if k1 == k]
-    nested = sorted((j for j, (k1, _, _) in enumerate(cells) if k1 != k),
-                    key=lambda j: cells[j][1])
-    estimates = [None] * len(cells)
-    if single:
-        got = estimate_spreads(graph, [cells[j][2] for j in single], config, decay=decay)
-        for j, (est, _) in zip(single, got):
-            estimates[j] = est
-    if nested:
-        got = _nested_run(graph, [cells[j][2] for j in nested], [cells[j][1] for j in nested],
-                          [k - cells[j][0] for j in nested], config, decay, selector2)
-        for j, (est, _, _) in zip(nested, got):
-            estimates[j] = est
-    return estimates
+    runs = _nested_run(graph, [s1 for _, _, s1 in cells], [d for _, d, _ in cells],
+                       [k - k1 for k1, _, _ in cells], config, decay, selector2)
+    return [est for est, _, _ in runs]
 
 
 def cell_scorer(graph: InfluenceGraph, k: int, config: MonteCarloConfig,
@@ -238,14 +238,11 @@ def select_phase1(graph, plan: TwoPhasePlan, config, decay=NO_DECAY) -> list:
 
 def run_two_phase(graph: InfluenceGraph, plan: TwoPhasePlan, config: MonteCarloConfig,
                   decay: DecayFunction = NO_DECAY):
-    """Full two-phase execution of a fixed plan; returns (result, S1 nodes).
-
-    A plan with k2 = 0 is a single-phase run of the selector at any d, the
-    estimate of ``estimate_spreads``, as in ``score_cells``."""
+    """Full two-phase execution of a fixed plan; returns (result, S1 nodes):
+    ``_nested_run``'s estimate of the plan, with its progression and up to
+    five example second phases (single-phase, with none, at k2 = 0).
+    perfbench's tracer patches it by name."""
     s1 = select_phase1(graph, plan, config, decay)
-    if plan.k2 == 0:
-        [(est, prog)] = estimate_spreads(graph, [s1], config, decay=decay, progression=True)
-        return TwoPhaseResult(spread=est, realized_s2_examples=[], progression=prog), s1
     est, prog, s2s = _nested_run(graph, [s1], [plan.d], [plan.k2], config, decay, plan.selector,
                                  collect_examples=5, progression=True)[0]
     return TwoPhaseResult(spread=est, realized_s2_examples=s2s, progression=prog), s1

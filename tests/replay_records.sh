@@ -9,7 +9,7 @@
 #
 #   sh tests/replay_records.sh [output-dir]
 #
-# The 24 records in tests/data/records/ name builtin graphs. Of the 4 in
+# The 25 records in tests/data/records/ name builtin graphs. Of the 4 in
 # tests/data/, native-select.json reads file:ex1.tpim, relative to the
 # working directory, and the others read file:family8.tpim, the native
 # graph beside them.

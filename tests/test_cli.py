@@ -817,8 +817,14 @@ def test_record_of_farsighted_optimizer_is_refused_as_the_command_is(tmp_path, c
 
 _OPTIMIZE = ["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "--sims", "20",
              "--phase1-sims", "2", "--phase2-sims", "2", "--seed", "1", "--optimize"]
+_FIXED = ["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "--k1", "1",
+          "--k2", "1", "--d", "1", "--sims", "20", "--phase1-sims", "2", "--phase2-sims", "2",
+          "--seed", "7"]
+_ORACLE_F = ["oracle", "--graph", "example1", "--query", "f", "--s1", "A", "--d", "1",
+             "--k2", "1"]
 # (a command with a valid value of the option, the option, a value below its
-# least, the record field that stores it, the message)
+# least, or for the oracle's --k2 above n, the record field that stores it,
+# the message)
 BELOW_LEAST = [
     ([*_OPTIMIZE, "grid", "--d-max", "1"], "--d-max", -1, ["d_max"],
      "--d-max must be >= 0, not -1"),
@@ -828,20 +834,28 @@ BELOW_LEAST = [
      "--d-max must be >= 1, not 0"),
     (["select", "--graph", "example1", "--algorithm", "gdd", "--k", "1", "--sims", "20",
       "--seed", "7"], "--seed", -1, ["master_seed"], "--seed must be >= 0, not -1"),
-    (["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "--k1", "1",
-      "--k2", "1", "--d", "1", "--sims", "20", "--phase1-sims", "2", "--phase2-sims", "2",
-      "--seed", "7"], "--seed", -3, ["master_seed"], "--seed must be >= 0, not -3"),
+    (_FIXED, "--seed", -3, ["master_seed"], "--seed must be >= 0, not -3"),
     (["select", "--graph", "e.txt", "--transform", "tv", "--tv-seed", "7", "--algorithm",
       "gdd", "--k", "1", "--sims", "20", "--seed", "1"], "--tv-seed", -1, ["graph", "tv_seed"],
      "--tv-seed must be >= 0, not -1"),
     (["transform", "e.txt", "g.tpim", "--model", "tv", "--seed", "7"], "--seed", -1, ["seed"],
      "--seed must be >= 0, not -1"),
+    (["select", "--graph", "example1", "--algorithm", "gdd", "--k", "1", "--sims", "20",
+      "--seed", "7"], "--sims", 0, ["sims"], "--sims must be >= 1, not 0"),
+    (_FIXED, "--sims", 0, ["sims"], "--sims must be >= 1, not 0"),
+    (_FIXED, "--phase1-sims", -2, ["phase1_sims"], "--phase1-sims must be >= 1, not -2"),
+    (_FIXED, "--phase2-sims", 0, ["phase2_sims"], "--phase2-sims must be >= 1, not 0"),
+    (_ORACLE_F, "--d", -1, ["d"], "--d must be >= 0, not -1"),
+    (_ORACLE_F, "--k2", -1, ["k2"], "--k2 must be >= 0, not -1"),
+    (_ORACLE_F, "--k2", 5, ["k2"], "--k2 must be <= n = 4, not 5"),
 ]
 
 
 @pytest.mark.parametrize("argv, option, bad, field, message", BELOW_LEAST,
                          ids=["grid", "golden", "face-joint", "select-seed", "twophase-seed",
-                              "tv-seed", "transform-seed"])
+                              "tv-seed", "transform-seed", "select-sims", "twophase-sims",
+                              "phase1-sims", "phase2-sims", "oracle-d", "oracle-k2",
+                              "oracle-k2-above-n"])
 def test_a_value_below_its_least_is_refused_by_its_option(tmp_path, capsys, monkeypatch, argv,
                                                            option, bad, field, message):
     # a run, and the replay of a record edited to hold the value, both exit

@@ -227,17 +227,25 @@ def test_decay_weights():
                                    0.999999, np.nextafter(1.0, 0.0)])
 def test_decay_values_equal_the_power_of_each_entry(delta):
     # the table of powers that values() reads gives each entry what
-    # np.power gives it, NEVER included, at small and at large steps
+    # np.power gives it, NEVER included, at small and at large steps; so
+    # does weights(), the table itself, and the objective's per-step
+    # weights are that table
     rng = np.random.default_rng(5)
+    decay = DecayFunction(delta)
     for shape, top in (((400, 77), 12), ((50, 600), 5000)):
         times = rng.integers(NEVER, top + 1, size=shape, dtype=np.int32)
         times[0, 0] = top
         times[-1] = NEVER
-        want = np.where(times >= 0, np.power(delta, np.maximum(times, 0), dtype=float),
-                        0.0).sum(axis=-1)
-        got = DecayFunction(delta).values(times)
+        power = np.power(delta, np.maximum(times, 0), dtype=float)
+        want = np.where(times >= 0, power, 0.0).sum(axis=-1)
+        got = decay.values(times)
         assert np.array_equal(got, want)
         assert got[-1] == 0.0
+        table = decay.weights(top + 1)
+        assert table.dtype == np.float64
+        assert np.array_equal(table[np.maximum(times, 0)], power)
+    objective = diffusion.SigmaObjective(LESMIS, MonteCarloConfig(), decay=decay)
+    assert np.array_equal(objective.weights, decay.weights(LESMIS.n))
     assert DecayFunction(delta).values(np.full((3, 4), NEVER)).tolist() == [0.0] * 3
     assert DecayFunction(delta).values(np.zeros((0, 4), dtype=np.int32)).shape == (0,)
 

@@ -6,6 +6,8 @@ with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
 and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
 a gdd plan at delta < 1 whose 300 outer replicates span three slices of
 second-phase picks and several continuation groups (``twophase-slices-decay``);
+a single-phase plan (k2 = 0 at d = 2) at delta < 1 whose 1000 replicates
+span two row groups, with its progression (``twophase-single-phase-decay``);
 a grid, a grid at delta < 1 (``grid-decay``, whose cells continue from
 several delays), golden-section search with decay, face-joint with and without
 decay, face-joint on lesmis with rounds that span several batches, on
@@ -45,7 +47,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 25
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)

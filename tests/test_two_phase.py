@@ -5,7 +5,14 @@ import pytest
 
 from conftest import instance_family
 from twophase_im import diffusion, selectors, two_phase
-from twophase_im.diffusion import DecayFunction, MonteCarloConfig, estimate_spread
+from twophase_im.diffusion import (
+    BATCH_BYTES,
+    BudgetError,
+    DecayFunction,
+    MonteCarloConfig,
+    estimate_spread,
+    estimate_spreads,
+)
 from twophase_im.graph import RawEdgeList, build_graph, load_graph
 from twophase_im.instances import les_miserables_wc
 from twophase_im.selectors import discount_state, select_discount
@@ -95,6 +102,41 @@ def test_a_plan_without_a_second_phase_is_single_phase_at_any_delay():
     assert late.spread.samples == 400
     assert np.array_equal(late.progression, now.progression)
     assert late.realized_s2_examples == []
+
+
+@pytest.mark.parametrize("graph", ["lesmis", "example1"])
+def test_every_entry_point_values_a_plan_without_a_second_phase_alike(example1, graph):
+    # eval_h at k2 = 0, the k1 = k cell of score_cells, a fixed plan with
+    # k2 = 0 and the plain estimate all give the single-phase estimate, at
+    # d = 0, at a delay inside the cascades and at d = n, past their end
+    g = les_miserables_wc() if graph == "lesmis" else example1
+    cfg = MonteCarloConfig(single_phase_sims=400, phase1_sims=40, phase2_sims=5,
+                           master_seed=3)
+    for d in (0, 2, g.n):
+        result, s1 = run_two_phase(g, TwoPhasePlan(k1=2, k2=0, d=d), cfg)
+        [(want, _)] = estimate_spreads(g, [s1], cfg)
+        assert eval_h(g, s1, d, 0, cfg) == want
+        assert score_cells(g, [(2, d, s1)], 2, cfg) == [want]
+        assert result.spread == want
+        assert want.samples == 400
+
+
+def test_single_phase_cells_alone_make_no_nested_run(monkeypatch):
+    # phase2_sims x n past BATCH_BYTES refuses any two-phase cell, but a
+    # call of k1 = k cells alone never reaches the nested sampler
+    g = les_miserables_wc()
+    cfg = MonteCarloConfig(single_phase_sims=300, phase1_sims=10,
+                           phase2_sims=BATCH_BYTES // (4 * g.n) + 1, master_seed=5)
+    with pytest.raises(BudgetError):
+        score_cells(g, [(2, 1, [11, 48])], 3, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nested run")
+
+    monkeypatch.setattr(two_phase, "nested_spreads", refuse)
+    sets = [[11, 48, 0], [26, 11, 3], [1, 2, 3]]
+    cells = [(3, d, s1) for d, s1 in zip((0, 4, g.n), sets)]
+    assert score_cells(g, cells, 3, cfg) == [est for est, _ in estimate_spreads(g, sets, cfg)]
 
 
 @pytest.mark.parametrize("selector2", ["greedy", "rmax", "face"])
