@@ -189,11 +189,11 @@ def run_select(params, graph):
 
 def run_oracle(params, graph):
     query = params["query"]
-    if query == "f":
-        _check_least("--d", params["d"])
-        _check_least("--k2", params["k2"])
-        if params["k2"] > graph.n:
-            raise GraphError(f"--k2 must be <= n = {graph.n}, not {params['k2']}")
+    # only f reads --d and --k2, but every query records them
+    _check_least("--d", params["d"])
+    _check_least("--k2", params["k2"])
+    if params["k2"] > graph.n:
+        raise GraphError(f"--k2 must be <= n = {graph.n}, not {params['k2']}")
     orc = get_oracle(graph)
     if query == "sigma":
         value = orc.exact_sigma(_ids(graph, params.get("seeds", "")))
@@ -214,6 +214,9 @@ def run_twophase(params, graph):
         _check_least(option, params[option[2:].replace("-", "_")], 1)
     if optimize == "none":
         k1, k2 = params["k1"], params["k2"]
+        for option, value in (("--k1", k1), ("--k2", k2)):   # before --d auto's probe
+            if value is not None:
+                _check_least(option, value)
         if None in (k1, k2) or k1 + k2 != k:
             raise GraphError(f"k1 = {k1} and k2 = {k2} do not add up to k = {k}")
     elif params["mode"] != "myopic":

@@ -507,7 +507,9 @@ class SigmaObjective:
     same worlds: the mean over the worlds of the decay-weighted count of the
     nodes the members' BFS reach, each at its earliest time. It is the
     objective, frozenset -> float, that greedy, RMax, SPIC and FACE select
-    on.
+    on. A set is scored together with ``base``, a fixed partial seed set (a
+    second phase's recently activated nodes): the objective of S is the
+    spread of base | S, and of the empty set that of base.
 
     World w keeps edge e when u < p[e]; the uniforms of the c-th chunk of
     ``chunk_size(n)`` worlds (``_chunks``) come from ``stream(master_seed,
@@ -540,8 +542,9 @@ class SigmaObjective:
 
     def __init__(self, graph: InfluenceGraph, config: MonteCarloConfig,
                  sims: int | None = None, tag: int = TAG_SINGLE,
-                 decay: DecayFunction = NO_DECAY):
+                 decay: DecayFunction = NO_DECAY, base=frozenset()):
         self.graph, self.config, self.tag = graph, config, tag
+        self.base = frozenset(base)
         self.sims = config.single_phase_sims if sims is None else sims
         if self.sims < 1:
             raise ValueError("sims must be >= 1")
@@ -555,10 +558,18 @@ class SigmaObjective:
         self._prev = frozenset()
 
     def __call__(self, seeds) -> float:
-        key = frozenset(seeds)
+        key = self.base | frozenset(seeds)
         if key not in self._cache:
             self._cache[key] = self._value(key) if key else 0.0
         return self._cache[key]
+
+    @property
+    def submodular(self) -> bool:
+        """True unless the draw has failed: a value on fixed worlds is a
+        coverage (delta = 1) or facility-location (delta < 1) sum, so a
+        set's gain can only shrink as the set grows, which lazy greedy
+        relies on; forward estimates give no such bound."""
+        return self.live is not False
 
     def _draw(self):
         """Draw the worlds and allocate the table and the BFS work matrix,

@@ -15,6 +15,7 @@ they are run with is ``diffusion.SigmaObjective``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,21 +173,39 @@ def select_gdd(graph: InfluenceGraph, k: int) -> SeedSet:
 
 def select_greedy(graph: InfluenceGraph, k: int, objective) -> SeedSet:
     """Hill-climbing: k rounds, each adding the candidate with the largest
-    objective value (no lazy evaluation; the two-phase objective is not
-    submodular)."""
+    objective value, ties to the lowest id.
+
+    Lazy (CELF, Leskovec et al. 2007) on an objective whose ``submodular``
+    is true (a ``SigmaObjective`` on its worlds): a candidate's gain when
+    last scored bounds its gain now, so a round re-scores candidates in
+    order of that bound and skips the rest once the best bound is more than
+    a relative 1e-9 below the round's leader. Any other objective (the
+    farsighted ``eval_h``, forward estimates, a plain callable) has no
+    bound, so every candidate is re-scored each round in id order. Either
+    way the picks equal those of re-scoring every candidate."""
     check_budget(graph, k)
     chosen = []
     current = frozenset()
+    level = None   # the objective at ``current``, once it is known to be submodular
+    heap = [(-np.inf, v) for v in range(graph.n)]   # (-bound on the gain, id)
     for _ in range(k):
-        best_v, best_val = -1, -np.inf
-        for v in range(graph.n):
-            if v in current:
-                continue
+        best_v, best_val, scored = -1, -np.inf, []
+        # a stale candidate can win while level + gain reaches the leader
+        while heap and (level or 0.0) - heap[0][0] >= best_val - 1e-9 * abs(best_val):
+            v = heapq.heappop(heap)[1]
             val = objective(current | {v})
-            if val > best_val:
+            scored.append((v, val))
+            if val > best_val or (val == best_val and v < best_v):
                 best_v, best_val = v, val
+        if level is None and getattr(objective, "submodular", False):
+            level = objective(current)
+        for v, val in scored:
+            if v != best_v:
+                heapq.heappush(heap, (-np.inf if level is None else level - val, v))
         chosen.append(best_v)
         current = current | {best_v}
+        if level is not None:
+            level = best_val
     return SeedSet(nodes=chosen, budget=k)
 
 

@@ -115,7 +115,8 @@ def _second_phase(graph, selector2, already, recent, budgets, config, decay) -> 
     ``recent[r]`` a free partial seed set. SD, WD and GDD pick for every
     row in one ``select_discount`` on a ``discount_state`` of all rows; an
     objective selector picks on row r's ``residual_graph``, on ``decay``
-    over ``config.phase2_sims`` worlds, and its picks are mapped back."""
+    over ``config.phase2_sims`` worlds with the recent nodes as the
+    objective's base, and its picks are mapped back."""
     if selector2 in DISCOUNT_KINDS:
         state = discount_state(graph, selector2, removed=already, preselected=recent)
         select_discount(graph, state, budgets)
@@ -123,11 +124,11 @@ def _second_phase(graph, selector2, already, recent, budgets, config, decay) -> 
     picked = np.zeros_like(already)
     for r in np.flatnonzero(budgets).tolist():
         res, kept = residual_graph(graph, np.flatnonzero(already[r]))
-        base = frozenset(np.searchsorted(kept, np.flatnonzero(recent[r])).tolist())
         sigma = SigmaObjective(res, config, sims=config.phase2_sims, tag=TAG_PHASE2_SELECT,
-                               decay=decay)
-        picked[r, kept[select_seeds(selector2, res, int(budgets[r]),
-                                    lambda s: sigma(base | s), config.master_seed)]] = True
+                               decay=decay,
+                               base=np.searchsorted(kept, np.flatnonzero(recent[r])).tolist())
+        picked[r, kept[select_seeds(selector2, res, int(budgets[r]), sigma,
+                                    config.master_seed)]] = True
     return picked
 
 

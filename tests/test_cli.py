@@ -822,6 +822,10 @@ _FIXED = ["twophase", "--graph", "example1", "--algorithm", "gdd", "--k", "2", "
           "--seed", "7"]
 _ORACLE_F = ["oracle", "--graph", "example1", "--query", "f", "--s1", "A", "--d", "1",
              "--k2", "1"]
+_ORACLE_SIGMA = ["oracle", "--graph", "example1", "--query", "sigma", "--seeds", "A",
+                 "--d", "0", "--k2", "0"]
+_ORACLE_NU = ["oracle", "--graph", "example1", "--query", "nu", "--seeds", "A", "--delta",
+              "0.5", "--d", "0", "--k2", "0"]
 # (a command with a valid value of the option, the option, a value below its
 # least, or for the oracle's --k2 above n, the record field that stores it,
 # the message)
@@ -848,6 +852,14 @@ BELOW_LEAST = [
     (_ORACLE_F, "--d", -1, ["d"], "--d must be >= 0, not -1"),
     (_ORACLE_F, "--k2", -1, ["k2"], "--k2 must be >= 0, not -1"),
     (_ORACLE_F, "--k2", 5, ["k2"], "--k2 must be <= n = 4, not 5"),
+    # --d auto: refused before the probe simulates
+    ([*_FIXED[:_FIXED.index("--d") + 1], "auto", *_FIXED[_FIXED.index("--d") + 2:]], "--k1",
+     -1, ["k1"], "--k1 must be >= 0, not -1"),
+    (_FIXED, "--k2", -1, ["k2"], "--k2 must be >= 0, not -1"),
+    (_ORACLE_SIGMA, "--d", -5, ["d"], "--d must be >= 0, not -5"),
+    (_ORACLE_SIGMA, "--k2", 99, ["k2"], "--k2 must be <= n = 4, not 99"),
+    (_ORACLE_NU, "--d", -1, ["d"], "--d must be >= 0, not -1"),
+    (_ORACLE_NU, "--k2", -1, ["k2"], "--k2 must be >= 0, not -1"),
 ]
 
 
@@ -855,7 +867,9 @@ BELOW_LEAST = [
                          ids=["grid", "golden", "face-joint", "select-seed", "twophase-seed",
                               "tv-seed", "transform-seed", "select-sims", "twophase-sims",
                               "phase1-sims", "phase2-sims", "oracle-d", "oracle-k2",
-                              "oracle-k2-above-n"])
+                              "oracle-k2-above-n", "twophase-k1", "twophase-k2",
+                              "oracle-sigma-d", "oracle-sigma-k2-above-n", "oracle-nu-d",
+                              "oracle-nu-k2"])
 def test_a_value_below_its_least_is_refused_by_its_option(tmp_path, capsys, monkeypatch, argv,
                                                            option, bad, field, message):
     # a run, and the replay of a record edited to hold the value, both exit

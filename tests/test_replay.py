@@ -1,31 +1,27 @@
 """Stored run records must replay bit-exactly.
 
 Each file under ``tests/data/records`` is a small ``tpim`` run recorded by an
-earlier build: select (gdd; greedy with decay; face; rmax); fixed two-phase plans
-with gdd (decay), sd, wd (decay) and greedy second phases, a farsighted plan
-and an example1 plan whose second phase runs short of nodes (k2_eff < k2);
-a gdd plan at delta < 1 whose 300 outer replicates span three slices of
-second-phase picks and several continuation groups (``twophase-slices-decay``);
-a single-phase plan (k2 = 0 at d = 2) at delta < 1 whose 1000 replicates
-span two row groups, with its progression (``twophase-single-phase-decay``);
-a grid, a grid at delta < 1 (``grid-decay``, whose cells continue from
-several delays), golden-section search with decay, face-joint with and without
-decay, face-joint on lesmis with rounds that span several batches, on
-example1 with decay, and with an SD (decay) and a greedy final second
-phase, the benchmark's lesmis face-joint search (k = 6, d-max 6), a k = 1
-face-joint search whose budget split has a single option, and exact ``nu``
-and ``f`` oracle queries. The lesmis records also pin the graph hash of
-the bundled Les Miserables instance. Five of them, ``face-joint-decay``,
-``face-joint-sd-decay``, ``grid-decay``, ``twophase-decay`` and
-``twophase-wd-decay``, were re-recorded from their stored params when a
-two-phase value at delta < 1 came to be summed over all n columns, not
-over the residual graph's: float fields moved in the last bits (at most
-4.4e-16 relative), and no pick, plan or count changed.
+earlier build on a builtin graph; its ``params`` hold the command, and
+CHANGES.md says what each was recorded to cover. Together they run select
+with GDD and the objective selectors, fixed two-phase plans with each
+second phase (myopic and farsighted, at delta = 1 and below), the grid,
+golden-section and face-joint optimizers, and exact oracle queries. The
+lesmis records also pin the graph hash of the bundled Les Miserables
+instance. Five of them, ``face-joint-decay``, ``face-joint-sd-decay``,
+``grid-decay``, ``twophase-decay`` and ``twophase-wd-decay``, were
+re-recorded from their stored params when a two-phase value at delta < 1
+came to be summed over all n columns, not over the residual graph's: float
+fields moved in the last bits (at most 4.4e-16 relative), and no pick, plan
+or count changed.
 
-The ``oracle-family-*`` records beside them hold exact ``f`` and ``sigma``
-queries on ``family8.tpim``, a native 8-node, 16-arc graph: 2^16 live graphs,
-where the example1 records have 8; ``select-spic`` is a SPIC selection on the
-same graph. Their source is relative, so they replay from ``tests/data``.
+The records beside them read the native graphs there by a relative path, so
+they replay from ``tests/data``: the ``oracle-family-*`` records hold exact
+``f`` and ``sigma`` queries on ``family8.tpim``, a native 8-node, 16-arc
+graph (2^16 live graphs, where the example1 records have 8);
+``select-spic`` is a SPIC selection on the same graph; ``select-greedy-ties``
+is a greedy selection on ``twostars.tpim``, two identical stars with p = 1,
+where symmetric nodes tie exactly. ``native-select`` reads an exported
+example1 instead.
 """
 
 import ast
@@ -47,7 +43,7 @@ RECORDS = sorted((DATA / "records").glob("*.json"))
 
 
 def test_fixture_records_exist():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 26
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
@@ -65,6 +61,19 @@ def test_oracle_record_on_sixteen_arcs_replays(name, tmp_path, capsys, monkeypat
     assert params["graph"]["source"] == "file:family8.tpim"
     graph = load_graph(DATA / "family8.tpim")
     assert (graph.n, graph.m) == (8, 16)
+    monkeypatch.chdir(DATA)
+    code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+
+
+def test_greedy_record_with_exact_ties_replays(tmp_path, capsys, monkeypatch):
+    # every world of two identical p = 1 stars is the same: the centers tie,
+    # then every other node ties at gain 0, and the lowest id must win
+    record = DATA / "select-greedy-ties.json"
+    graph = load_graph(DATA / "twostars.tpim")
+    assert (graph.n, graph.m) == (8, 6) and set(graph.p.tolist()) == {1.0}
+    assert load_record(record)["results"]["seed_ids"] == [0, 4, 1, 2]
     monkeypatch.chdir(DATA)
     code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
