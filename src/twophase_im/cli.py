@@ -424,7 +424,7 @@ def oracle(output_dir, **params):
 @click.option("--k", type=int, required=True)
 @click.option("--k1", type=int, default=None)
 @click.option("--k2", type=int, default=None)
-@click.option("--d", type=_delay, default=None,
+@click.option("--d", type=_delay, default=None, metavar="STEPS|auto",
               help="delay step, or 'auto' for the probe estimate")
 @click.option("--mode", type=click.Choice(["myopic", "farsighted"]),
               default="myopic", show_default=True,
@@ -433,10 +433,15 @@ def oracle(output_dir, **params):
               default="none", show_default=True)
 @click.option("--d-max", type=int, default=None,
               help="delay horizon for optimization; default auto-estimated")
-@click.option("--delta", type=float, default=None)
-@click.option("--sims", type=int, default=10_000, show_default=True)
-@click.option("--phase1-sims", type=int, default=1_000, show_default=True)
-@click.option("--phase2-sims", type=int, default=1_000, show_default=True)
+@click.option("--delta", type=float, default=None,
+              help="decay factor; omitted or 1 means plain spread")
+@click.option("--sims", type=int, default=10_000, show_default=True,
+              help="replicates of a single-phase estimate (a plan or cell with k2 = 0)")
+@click.option("--phase1-sims", type=int, default=1_000, show_default=True,
+              help="outer replicates of a two-phase estimate and of the --d auto probe; "
+                   "also the worlds a greedy, RMax, SPIC or FACE first phase picks on")
+@click.option("--phase2-sims", type=int, default=1_000, show_default=True,
+              help="continuations per outer replicate; an objective second phase's worlds")
 @click.option("--seed", "master_seed", type=int, default=None)
 @click.option("--output-dir", default="runs", show_default=True)
 def twophase(output_dir, **params):

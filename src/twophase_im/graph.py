@@ -11,8 +11,8 @@ probability per edge), the transforms collapse them. The weighted cascade gives 
 probability 1 / in-degree of v; the trivalency model draws one of three
 values per arc, in arc order. One constructor, ``_finish``, lays the arcs
 out as CSR with a stable sort by source, so a node's out-edges keep their
-input order. The native ``.tpim`` format and the graph fingerprint share
-their edge text (``edge_lines``).
+input order. The native ``.tpim`` file writes the arcs in that CSR order,
+the order the sampler tests them in, so loading it rebuilds the same arrays.
 """
 
 from __future__ import annotations
@@ -283,22 +283,15 @@ def residual_graph(graph: InfluenceGraph, already):
     return sub, kept
 
 
-def edge_lines(graph: InfluenceGraph) -> list:
-    """``u v repr(p)`` for every arc in (u, v) order, the text both the native
-    file and the graph fingerprint hold. ``repr`` is taken once per distinct
-    probability (by bit pattern, so 0.0 and -0.0 stay apart)."""
-    order = np.argsort(graph.src * graph.n + graph.dst, kind="stable")   # edges() order
-    bits, which = np.unique(graph.p[order].view(np.int64), return_inverse=True)
-    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
-    ids = list(map(str, range(graph.n)))
-    return [f"{ids[u]} {ids[v]} {reprs[w]}" for u, v, w in zip(
-        graph.src[order].tolist(), graph.dst[order].tolist(), which.tolist())]
-
-
 def save_graph(graph: InfluenceGraph, path) -> None:
-    """Write the native serialized format (versioned header, exact floats)."""
+    """Write the native format (versioned header, exact floats) with the arcs
+    in CSR order, so that ``load_graph`` rebuilds the same arrays. ``repr`` is
+    taken once per distinct probability bit pattern (0.0 and -0.0 differ)."""
+    bits, which = np.unique(graph.p.view(np.int64), return_inverse=True)
+    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
+    arcs = zip(graph.src.tolist(), graph.dst.tolist(), which.tolist())
     lines = [f"{FORMAT_MAGIC} v{FORMAT_VERSION}", f"{graph.n} {graph.m}",
-             *map(str, graph.labels), *edge_lines(graph), ""]
+             *map(str, graph.labels), *(f"{u} {v} {reprs[w]}" for u, v, w in arcs), ""]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 

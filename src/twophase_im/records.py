@@ -1,9 +1,9 @@
 """Run records: JSON snapshots of every CLI invocation, replayable bit-exactly.
 
 A record stores the command id, its full parameter dict (including the master
-seed and a fingerprint of the input graph), and the numeric results. Replaying
-dispatches the same core function and compares results exactly; wall time is
-informational and excluded from the comparison.
+seed and a fingerprint of the graph's labels and the CSR arrays the sampler
+reads), and the numeric results. Replaying dispatches the same core function
+and compares results exactly; wall time is informational and not compared.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from .graph import edge_lines
-
-RECORD_VERSION = 3  # 2: CSR frontier sampler streams; 3: world-sampled SigmaObjective
+RECORD_VERSION = 4  # 2: CSR sampler streams; 3: world-sampled objective; 4: CSR graph hash
 LOCK_NAME = ".tpim.lock"
 
 
@@ -38,11 +36,14 @@ class RecordObject(dict):
 
 
 def graph_fingerprint(graph) -> str:
-    """SHA-256 of the lines ``n=<n>``, each label, and ``u v repr(p)`` for
-    each edge in (u, v) order (``edge_lines``, as in the native file), each
-    line ending in a newline. The text is joined and hashed once."""
-    lines = [f"n={graph.n}", *map(str, graph.labels), *edge_lines(graph), ""]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    """SHA-256 of the lines ``n=<n> m=<m>`` and each label, each ending in a
+    newline, then ``indptr`` and ``dst`` as ``<i8`` bytes and ``p`` as ``<f8``
+    bytes: the arrays the sampler reads, in its order, whatever their dtype."""
+    lines = [f"n={graph.n} m={graph.m}", *map(str, graph.labels), ""]
+    h = hashlib.sha256("\n".join(lines).encode())
+    for array, dtype in ((graph.indptr, "<i8"), (graph.dst, "<i8"), (graph.p, "<f8")):
+        h.update(array.astype(dtype, copy=False).tobytes())
+    return h.hexdigest()
 
 
 @contextmanager

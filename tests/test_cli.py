@@ -413,6 +413,15 @@ def test_out_of_range_delta_is_data_error(tmp_path, capsys, delta):
         assert "delta" in err
 
 
+def test_twophase_help_names_what_each_count_sizes(capsys):
+    code, out, _ = run(capsys, "twophase", "--help")
+    assert code == 0
+    assert "--d STEPS|auto" in out and "_DELAY" not in out
+    options = dict(re.findall(r"^  (--[\w-]+) [A-Z]+ +(\S.*)$", out, flags=re.M))
+    for option in ("--delta", "--sims", "--phase1-sims", "--phase2-sims"):
+        assert not options[option].startswith("["), option   # a help text, not the default
+
+
 def test_rerun_rejects_older_record_version(tmp_path, capsys):
     code, out, _ = run(capsys, "select", "--graph", "example1", "--algorithm",
                        "gdd", "--k", "1", "--seed", "3", "--sims", "200",
@@ -420,11 +429,46 @@ def test_rerun_rejects_older_record_version(tmp_path, capsys):
     assert code == 0
     record = Path(last_json(out)["record"])
     data = json.loads(record.read_text())
-    data["version"] = 1
-    record.write_text(json.dumps(data))
-    code, _, err = run(capsys, "rerun", str(record))
+    for version in (1, 3):   # 3 hashed the graph's edge text
+        data["version"] = version
+        record.write_text(json.dumps(data))
+        code, _, err = run(capsys, "rerun", str(record))
+        assert code == 2
+        assert f"record version {version} unsupported (this build writes v4)" in err
+
+
+def test_rerun_refuses_a_graph_whose_out_edges_were_reordered(tmp_path, capsys):
+    # the sampler tests node 0's out-edges in file order: the same edge set
+    # in another order is another graph, not a numeric mismatch (exit 3)
+    src = tmp_path / "g.txt"
+    src.write_text("3 1 0.1\n3 2 0.1\n0 1 0.9\n0 2 0.8\n")
+    code, out, err = run(capsys, "select", "--graph", str(src), "--algorithm", "gdd",
+                         "--k", "1", "--sims", "2000", "--seed", "3",
+                         "--output-dir", str(tmp_path / "runs"))
+    assert code == 0, err
+    src.write_text("3 1 0.1\n3 2 0.1\n0 2 0.8\n0 1 0.9\n")
+    code, _, err = run(capsys, "rerun", last_json(out)["record"],
+                       "--output-dir", str(tmp_path / "again"))
     assert code == 2
-    assert "unsupported" in err
+    assert "input graph has changed" in err
+
+
+def test_select_on_an_exported_builtin_matches_the_builtin(tmp_path, capsys):
+    # the export keeps lesmis's out-edges in CSR order, so it is the same graph
+    native = tmp_path / "lesmis.tpim"
+    code, out, _ = run(capsys, "datasets", "export-builtin", "lesmis", "--output", str(native))
+    assert code == 0
+    exported_hash = last_json(out)["hash"]
+    got = {}
+    for source in ("lesmis", str(native)):
+        code, out, err = run(capsys, "select", "--graph", source, "--algorithm", "gdd",
+                             "--k", "3", "--sims", "2000", "--seed", "5",
+                             "--output-dir", str(tmp_path / "runs"))
+        assert code == 0, err
+        result = last_json(out)
+        got[source] = (load_record(result.pop("record"))["params"]["graph"]["hash"], result)
+    assert got["lesmis"] == got[str(native)]
+    assert got["lesmis"][0] == exported_hash
 
 
 def test_select_does_not_import_scipy(tmp_path):

@@ -1,10 +1,17 @@
 import hashlib
+import struct
 
 import numpy as np
 
 from conftest import instance_family
 from twophase_im import records
-from twophase_im.graph import RawEdgeList, apply_tv_transform, apply_wc_transform, build_graph
+from twophase_im.graph import (
+    InfluenceGraph,
+    RawEdgeList,
+    apply_tv_transform,
+    apply_wc_transform,
+    build_graph,
+)
 from twophase_im.instances import example1_graph, les_miserables_wc
 from twophase_im.records import graph_fingerprint, write_record
 
@@ -23,14 +30,17 @@ def test_same_second_records_get_distinct_names(tmp_path, monkeypatch):
     assert all(p.read_text() == text for p, text in before.items())
 
 
-def _loop_fingerprint(graph) -> str:
-    """The fingerprint as it was: one hash update per line, one line per edge."""
+def _reference_fingerprint(graph) -> str:
+    """The fingerprint's definition written out: the header line and one line
+    per label, then indptr and dst as little-endian int64 and p as
+    little-endian float64, one element at a time."""
     h = hashlib.sha256()
-    h.update(f"n={graph.n}\n".encode())
+    h.update(f"n={graph.n} m={graph.m}\n".encode())
     for lab in graph.labels:
         h.update(f"{lab}\n".encode())
-    for u, v, p in graph.edges():
-        h.update(f"{u} {v} {p!r}\n".encode())
+    for fmt, values in (("<q", graph.indptr), ("<q", graph.dst), ("<d", graph.p)):
+        for x in values.tolist():
+            h.update(struct.pack(fmt, x))
     return h.hexdigest()
 
 
@@ -48,13 +58,33 @@ def _fingerprint_graphs():
 
 def test_fingerprint_equals_the_line_by_line_hash():
     for graph in _fingerprint_graphs():
-        assert graph_fingerprint(graph) == _loop_fingerprint(graph)
+        assert graph_fingerprint(graph) == _reference_fingerprint(graph)
+
+
+def test_fingerprint_reads_values_not_their_layout():
+    # int32 or big-endian copies of the arrays are the same graph
+    for graph in _fingerprint_graphs():
+        for ints, floats in (("<i4", "<f8"), (">i8", ">f8")):
+            copy = InfluenceGraph(graph.n, graph.labels, graph.indptr.astype(ints),
+                                  graph.dst.astype(ints), graph.p.astype(floats))
+            assert graph_fingerprint(copy) == graph_fingerprint(graph)
 
 
 def test_fingerprint_tells_zero_from_negative_zero():
-    # np.unique alone would merge the two, whose reprs differ
+    # the probability bytes differ where the values compare equal
     a = build_graph(RawEdgeList(directed=True, pairs=[("a", "b", 0.0), ("b", "c", 0.5)]))
     b = build_graph(RawEdgeList(directed=True, pairs=[("a", "b", 0.0), ("b", "c", 0.5)]))
     b.p[0] = -0.0
-    assert graph_fingerprint(a) == _loop_fingerprint(a)
-    assert graph_fingerprint(b) == _loop_fingerprint(b) != graph_fingerprint(a)
+    assert graph_fingerprint(a) == _reference_fingerprint(a)
+    assert graph_fingerprint(b) == _reference_fingerprint(b) != graph_fingerprint(a)
+
+
+def test_fingerprint_follows_the_out_edge_order():
+    # the sampler tests a node's out-edges in CSR order, so the same edge set
+    # with one node's out-edges in another order is another graph
+    a = build_graph(RawEdgeList(directed=True, pairs=[
+        ("a", "b", 0.5), ("a", "c", 0.25), ("b", "c", 0.5)]))
+    swap = [1, 0, 2]   # node a's two out-edges
+    b = InfluenceGraph(a.n, a.labels, a.indptr, a.dst[swap], a.p[swap])
+    assert a.edges() == b.edges()
+    assert graph_fingerprint(b) == _reference_fingerprint(b) != graph_fingerprint(a)

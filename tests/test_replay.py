@@ -12,7 +12,12 @@ instance. Five of them, ``face-joint-decay``, ``face-joint-sd-decay``,
 re-recorded from their stored params when a two-phase value at delta < 1
 came to be summed over all n columns, not over the residual graph's: float
 fields moved in the last bits (at most 4.4e-16 relative), and no pick, plan
-or count changed.
+or count changed. When the graph fingerprint came to hash the labels and
+the CSR arrays the sampler reads, each node's out-edges in the order it
+tests them (record version 4), every fixture here and beside them was
+re-stamped: only ``version`` and ``params.graph.hash`` were rewritten, and
+their results replay as recorded. A native graph keeps its file's arc order
+as its CSR order, and ``save_graph`` writes that order back.
 
 The records beside them read the native graphs there by a relative path, so
 they replay from ``tests/data``: the ``oracle-family-*`` records hold exact
@@ -48,7 +53,7 @@ def test_fixture_records_exist():
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda p: p.stem)
 def test_fixture_record_replays(record, tmp_path, capsys):
-    assert load_record(record)["version"] == RECORD_VERSION == 3
+    assert load_record(record)["version"] == RECORD_VERSION == 4
     code = main(["rerun", str(record), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0, err
